@@ -29,6 +29,7 @@ from .decomposition import (
     corrected_f,
     corrected_r2,
     enumerate_orderings,
+    ordering_fits,
     orthogonal_regression,
     partial_ss,
     residualize,
@@ -83,6 +84,7 @@ __all__ = [
     "generate_synthetic",
     "load_csv",
     "mean_center",
+    "ordering_fits",
     "orthogonal_regression",
     "partial_ss",
     "render_venn_svg",

@@ -32,8 +32,7 @@ from .data_io import (
 from .decomposition import (
     compare_report,
     enumerate_orderings,
-    orthogonal_regression,
-    sequential_ss,
+    ordering_fits,
     venn_regions,
 )
 from .errors import ConstantColumn, SingularDesign, TooManyOrderings, VarpartError
@@ -256,10 +255,7 @@ def orderings(
         else:
             ordering_list = enumerate_orderings(model)
         full = fit_ols(c, model)
-        entries = [
-            (o, sequential_ss(c, o), orthogonal_regression(c, o))
-            for o in ordering_list
-        ]
+        entries = ordering_fits(c, ordering_list)
         payload = orderings_payload(ds.response_name, model, full, entries)
         _emit(_render(payload, fmt), out_path)
 

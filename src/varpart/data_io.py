@@ -104,9 +104,10 @@ def load_csv(spec: CsvSpec) -> Dataset:
 
     The first row is the header; line numbers in errors are 1-based file
     lines, so the first data row is line 2. Unselected columns are never
-    parsed. Blank lines are skipped.
+    parsed. Blank lines are skipped. A leading UTF-8 byte-order mark is
+    dropped, so it does not become part of the first header name.
     """
-    with open(spec.path, newline="", encoding="utf-8") as fh:
+    with open(spec.path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=spec.delimiter)
         try:
             header = next(reader)

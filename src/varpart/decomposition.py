@@ -12,6 +12,7 @@ Venn-style accounting of where the response variation actually went.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -55,7 +56,7 @@ class ResidualizedPredictor:
     def ss(self) -> float:
         return float(self.values @ self.values)
 
-    @property
+    @cached_property  # values is read-only; orderings sharing a prefix reuse it
     def sd(self) -> float:
         return float(self.values.std(ddof=1))
 
@@ -158,7 +159,7 @@ class _SubsetSS:
             a = self._sscp[np.ix_(ix, ix)]
             rhs = self._rhs[ix]
             names = ", ".join(self._c.predictor_names[i] for i in ix)
-            b, _ = _solve_spd(a, rhs, context=f"subset ({names})")
+            b = _solve_spd(a, rhs, context=f"subset ({names})")
             self._cache[idx] = float(b @ rhs)
         return self._cache[idx]
 
@@ -181,7 +182,7 @@ def residualize(
     design = c.x[:, idx]
     a = design.T @ design
     a = np.triu(a) + np.triu(a, 1).T
-    coef, _ = _solve_spd(
+    coef = _solve_spd(
         a, design.T @ col, context=f"residualize {target} on ({', '.join(against)})"
     )
     return ResidualizedPredictor(target, against, _readonly(col - design @ coef))
@@ -196,12 +197,15 @@ def sequential_ss(
     predictor to the first k - 1. The entries telescope, so they sum to the
     regression SS of the complete chain.
     """
-    ordering = _check_ordering(c, ordering)
-    cache = _SubsetSS(c)
+    return _type1(_SubsetSS(c), _check_ordering(c, ordering))
+
+
+def _type1(memo: _SubsetSS, ordering: tuple[str, ...]) -> list[tuple[str, float]]:
+    """sequential_ss on a shared memo; compare_report and ordering_fits use it too."""
     out: list[tuple[str, float]] = []
     prev = 0.0
     for k, name in enumerate(ordering, start=1):
-        cur = cache.ss(ordering[:k])
+        cur = memo.ss(ordering[:k])
         out.append((name, cur - prev))
         prev = cur
     return out
@@ -264,24 +268,40 @@ def orthogonal_regression(c: CenteredData, ordering: Sequence[str]) -> OlsFit:
 
     The design is (first predictor, second residualized on the first,
     third residualized on the first two, ...). The columns are pairwise
-    orthogonal by construction, the regression SS equals the full model's,
-    and each residualized column keeps the full-model coefficient of its
-    predictor.
+    orthogonal by construction and the regression SS equals the full
+    model's. The k-th column's slope is its predictor's coefficient in the
+    fit on the first k predictors of the ordering, so only the last column
+    keeps its full-model coefficient.
     """
-    ordering = _check_ordering(c, ordering)
-    cols, labels, means, sds = [], [], [], []
-    for k, name in enumerate(ordering):
-        if k == 0:
-            cols.append(c.column(name))
-            labels.append(name)
-            means.append(c.mean(name))
-            sds.append(c.sd(name))
-        else:
-            rp = residualize(c, name, ordering[:k])
-            cols.append(rp.values)
-            labels.append(rp.label)
-            means.append(0.0)
-            sds.append(rp.sd)
+    return _orthogonal_fit(c, _check_ordering(c, ordering), [])
+
+
+def _orthogonal_fit(
+    c: CenteredData,
+    ordering: tuple[str, ...],
+    stack: list[tuple[tuple[str, ...], ResidualizedPredictor]],
+) -> OlsFit:
+    """orthogonal_regression, reusing residualized columns along a prefix.
+
+    ``stack[k - 1]`` holds the residualized column of ``ordering[k]`` on
+    ``ordering[:k]``, keyed by the prefix ``ordering[:k + 1]`` that
+    determines it. Entries from the first changed prefix on are replaced,
+    so consecutive orderings that share a prefix share its columns, and
+    each column is the one a fresh call computes.
+    """
+    first = ordering[0]
+    cols, labels = [c.column(first)], [first]
+    means, sds = [c.mean(first)], [c.sd(first)]
+    for k in range(1, len(ordering)):
+        prefix = ordering[: k + 1]
+        if len(stack) < k or stack[k - 1][0] != prefix:
+            del stack[k - 1 :]
+            stack.append((prefix, residualize(c, ordering[k], ordering[:k])))
+        rp = stack[k - 1][1]
+        cols.append(rp.values)
+        labels.append(rp.label)
+        means.append(0.0)
+        sds.append(rp.sd)
     return fit_centered_design(
         y=c.y,
         design=np.column_stack(cols),
@@ -291,6 +311,27 @@ def orthogonal_regression(c: CenteredData, ordering: Sequence[str]) -> OlsFit:
         mean_y=c.mean_y,
         sd_y=c.sd_y,
     )
+
+
+def ordering_fits(
+    c: CenteredData, orderings: Iterable[Sequence[str]]
+) -> list[tuple[tuple[str, ...], list[tuple[str, float]], OlsFit]]:
+    """Type I table and orthogonal-function fit for each ordering.
+
+    Returns ``(ordering, sequential_ss(c, ordering),
+    orthogonal_regression(c, ordering))`` per ordering, value for value,
+    but solves each predictor subset once for all orderings and residualizes
+    a column again only where an ordering's prefix differs from the
+    previous ordering's.
+    """
+    memo = _SubsetSS(c)
+    stack: list[tuple[tuple[str, ...], ResidualizedPredictor]] = []
+    out = []
+    for ordering in orderings:
+        ordering = _check_ordering(c, ordering)
+        type1 = _type1(memo, ordering)
+        out.append((ordering, type1, _orthogonal_fit(c, ordering, stack)))
+    return out
 
 
 def residualized_simple_fits(
@@ -423,11 +464,8 @@ def compare_report(
 
     type1: dict[str, dict[tuple[str, ...], float]] = {nm: {} for nm in model}
     for ordering in ordering_list:
-        prev = 0.0
-        for k, name in enumerate(ordering, start=1):
-            cur = cache.ss(ordering[:k])
-            type1[name][ordering] = cur - prev
-            prev = cur
+        for name, ss in _type1(cache, ordering):
+            type1[name][ordering] = ss
 
     actual = sum(type3.values())
     unique_sum = actual

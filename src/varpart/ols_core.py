@@ -276,8 +276,8 @@ def sscp(c: CenteredData, labels: Sequence[str] | None = None) -> SscpMatrix:
     return SscpMatrix(labels, _readonly(m))
 
 
-def _solve_spd(a: np.ndarray, rhs: np.ndarray, context: str):
-    """Solve a @ b = rhs for a symmetric PD matrix; also return a^-1.
+def _factor_spd(a: np.ndarray, context: str):
+    """Cholesky factor of a symmetric PD matrix, for scipy's cho_solve.
 
     Guards on the reciprocal condition number of the diagonally normalized
     matrix so near-duplicate design columns fail loudly instead of
@@ -295,12 +295,14 @@ def _solve_spd(a: np.ndarray, rhs: np.ndarray, context: str):
             "(collinear predictors)"
         )
     try:
-        cf = scipy.linalg.cho_factor(a, lower=True)
+        return scipy.linalg.cho_factor(a, lower=True)
     except np.linalg.LinAlgError as exc:
         raise SingularDesign(f"{context}: {exc}") from None
-    b = scipy.linalg.cho_solve(cf, rhs)
-    inv = scipy.linalg.cho_solve(cf, np.eye(len(rhs)))
-    return b, inv
+
+
+def _solve_spd(a: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
+    """Solve a @ b = rhs for a symmetric PD matrix, behind _factor_spd's guard."""
+    return scipy.linalg.cho_solve(_factor_spd(a, context), rhs)
 
 
 def fit_centered_design(
@@ -327,7 +329,9 @@ def fit_centered_design(
     a = design.T @ design
     a = np.triu(a) + np.triu(a, 1).T
     rhs = design.T @ y
-    b, inv = _solve_spd(a, rhs, context=f"fit on ({', '.join(labels)})")
+    cf = _factor_spd(a, context=f"fit on ({', '.join(labels)})")
+    b = scipy.linalg.cho_solve(cf, rhs)
+    inv = scipy.linalg.cho_solve(cf, np.eye(k))
 
     fitted_centered = design @ b
     residuals = y - fitted_centered

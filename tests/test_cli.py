@@ -8,7 +8,18 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
+import varpart.decomposition
+from varpart import (
+    CsvSpec,
+    enumerate_orderings,
+    fit_ols,
+    load_csv,
+    mean_center,
+    orthogonal_regression,
+    sequential_ss,
+)
 from varpart.cli import main
+from varpart.report import orderings_payload, render_csv, render_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -159,13 +170,14 @@ class TestExitCodes:
         assert res.exit_code == 3
         assert res.stderr.startswith("error:")
 
-    def test_collinear_predictors(self, runner, tmp_path):
+    @pytest.mark.parametrize("cmd", ("fit", "decompose", "orderings", "venn"))
+    def test_collinear_predictors(self, runner, tmp_path, cmd):
         rows = "\n".join(f"{i},{i},{2 * i}" for i in range(1, 9))
         path = write(tmp_path, "y,a,b\n" + rows + "\n")
         res = runner.invoke(
             main,
             [
-                "decompose",
+                cmd,
                 "--input", str(path),
                 "--response", "y",
                 "--predictors", "a,b",
@@ -267,6 +279,71 @@ class TestSynth:
         )
         assert res.exit_code == 0
         assert "Traditional vs corrected" in res.output
+
+
+class TestOrderingsSharing:
+    """All orderings share one subset memo and residualized prefix columns;
+    the output must equal independent per-ordering calls byte for byte."""
+
+    def synth(self, runner, tmp_path, p):
+        data = tmp_path / f"p{p}.csv"
+        invoke(
+            runner,
+            "synth", "--n", "40", "--p", str(p), "--rho", "0.6", "--seed", "3",
+            "--out", str(data),
+        )
+        preds = tuple(f"x{i}" for i in range(1, p + 1))
+        args = ["--input", str(data), "--response", "y", "--predictors", ",".join(preds)]
+        return data, preds, args
+
+    @pytest.mark.parametrize(
+        "orders",
+        (
+            None,
+            (
+                "x1,x2,x3,x4,x5",
+                "x2,x1,x3,x4,x5",
+                "x1,x2,x3,x4,x5",
+                "x1,x2,x4,x3,x5",
+                "x3,x2,x1,x4,x5",
+                "x5,x4,x3,x2,x1",
+            ),
+        ),
+    )
+    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    def test_matches_independent_calls(self, runner, tmp_path, orders, fmt):
+        data, preds, args = self.synth(runner, tmp_path, 5)
+        flags = [tok for o in orders or () for tok in ("--order", o)]
+        res = invoke(runner, "orderings", *args, "--format", fmt, *flags)
+        assert res.exit_code == 0
+
+        c = mean_center(load_csv(CsvSpec(data, "y", preds)))
+        ordering_list = (
+            [tuple(o.split(",")) for o in orders]
+            if orders
+            else enumerate_orderings(preds)
+        )
+        entries = [
+            (o, sequential_ss(c, o), orthogonal_regression(c, o)) for o in ordering_list
+        ]
+        payload = orderings_payload("y", preds, fit_ols(c, preds), entries)
+        render = render_json if fmt == "json" else render_csv
+        assert res.stdout == render(payload)
+
+    def test_residualizes_each_prefix_once(self, runner, tmp_path, monkeypatch):
+        _, _, args = self.synth(runner, tmp_path, 4)
+        calls = []
+        residualize = varpart.decomposition.residualize
+
+        def counted(*a, **kw):
+            calls.append(a)
+            return residualize(*a, **kw)
+
+        monkeypatch.setattr(varpart.decomposition, "residualize", counted)
+        res = invoke(runner, "orderings", *args, "--format", "json")
+        assert res.exit_code == 0
+        # 4*3 + 4*3*2 + 4! prefixes of length 2..4, against 3 per ordering
+        assert len(calls) == 60
 
 
 class TestRealProcess:

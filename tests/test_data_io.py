@@ -71,6 +71,12 @@ class TestLoadCsv:
         ds = load_csv(CsvSpec(path, "y", ("x",)))
         assert ds.n == 4
 
+    def test_utf8_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,x\n1,2\n2,3\n3,5\n4,7\n")
+        ds = load_csv(CsvSpec(path, "y", ("x",)))
+        np.testing.assert_array_equal(ds.column("y"), [1.0, 2.0, 3.0, 4.0])
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = write(tmp_path, "y,x\n1,2\n\n2,3\n\n3,4\n4,5\n")
         ds = load_csv(CsvSpec(path, "y", ("x",)))
