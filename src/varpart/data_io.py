@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,6 +57,8 @@ class CsvSpec:
             )
         if len(self.delimiter) != 1:
             raise ValueError("delimiter must be a single character")
+        if self.delimiter in '"\r\n':
+            raise ValueError("delimiter cannot be the quote character or a line break")
         if self.decimal != ".":
             raise ValueError("only '.' decimals are supported")
 
@@ -106,27 +109,81 @@ def load_csv(spec: CsvSpec) -> Dataset:
     lines, so the first data row is line 2. Unselected columns are never
     parsed. Blank lines are skipped. A leading UTF-8 byte-order mark is
     dropped, so it does not become part of the first header name.
+
+    A numeric cell is plain ASCII float syntax with optional surrounding
+    whitespace: a sign, digits with an optional point, an optional
+    exponent, or ``nan``, ``inf`` or ``infinity`` in any case. Digit
+    underscores (``3_0``) and non-ASCII digits are rejected, although
+    Python's ``float()`` accepts them. Cells may be quoted with ``"``.
+
+    The numbers are parsed by numpy's C reader. If it rejects the file,
+    the file is read again cell by cell, and that pass raises the error
+    with its line number (``ParseError``, ``NonNumericCell``). Both passes
+    accept the same syntax and convert it with the same correctly rounded
+    decimal-to-binary routine, so the columns do not depend on which pass
+    read them.
     """
+    columns = _read_columns(spec)
+    if len(columns[0]) == 0:
+        raise EmptyData(f"{spec.path}: no data rows after the header")
+    return Dataset(
+        columns=tuple(zip((spec.response, *spec.predictors), columns)),
+        response_name=spec.response,
+        predictor_names=spec.predictors,
+    )
+
+
+def _read_columns(spec: CsvSpec) -> list:
+    """The selected columns, response first, as load_csv parses them."""
+    with open(spec.path, newline="", encoding="utf-8-sig") as fh:
+        idx = _read_header(csv.reader(fh, delimiter=spec.delimiter), spec)
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is load_csv's EmptyData, not a warning
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning
+                )
+                table = np.loadtxt(
+                    fh,
+                    delimiter=spec.delimiter,
+                    usecols=idx,
+                    comments=None,
+                    quotechar='"',
+                    ndmin=2,
+                    dtype=np.float64,
+                )
+            return [table[:, j] for j in range(len(idx))]
+        except ValueError:
+            pass
+    return _strict_columns(spec)
+
+
+def _read_header(reader, spec: CsvSpec) -> list[int]:
+    """Header positions of the selected columns, response first."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyData(f"{spec.path}: file is empty") from None
+
+    wanted = (spec.response, *spec.predictors)
+    positions: dict[str, int] = {}
+    for i, name in enumerate(header):
+        if name in positions and name in wanted:
+            raise ParseError(1, f"duplicate column {name!r} in header")
+        positions.setdefault(name, i)
+    for name in wanted:
+        if name not in positions:
+            raise MissingColumn(name)
+    return [positions[name] for name in wanted]
+
+
+def _strict_columns(spec: CsvSpec) -> list[list[float]]:
+    """load_csv's reference pass: one cell at a time, errors with line numbers."""
     with open(spec.path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=spec.delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyData(f"{spec.path}: file is empty") from None
-
-        wanted = (spec.response,) + spec.predictors
-        positions: dict[str, int] = {}
-        for i, name in enumerate(header):
-            if name in positions and name in wanted:
-                raise ParseError(1, f"duplicate column {name!r} in header")
-            positions.setdefault(name, i)
-        for name in wanted:
-            if name not in positions:
-                raise MissingColumn(name)
-
-        idx = [positions[name] for name in wanted]
+        idx = _read_header(reader, spec)
+        wanted = (spec.response, *spec.predictors)
         values: list[list[float]] = [[] for _ in wanted]
-        n_rows = 0
         for row in reader:
             if not row:
                 continue
@@ -138,18 +195,23 @@ def load_csv(spec: CsvSpec) -> Dataset:
             for name, j, acc in zip(wanted, idx, values):
                 cell = row[j]
                 try:
-                    acc.append(float(cell))
+                    acc.append(_parse_cell(cell))
                 except ValueError:
                     raise NonNumericCell(line, name, cell) from None
-            n_rows += 1
+    return values
 
-    if n_rows == 0:
-        raise EmptyData(f"{spec.path}: no data rows after the header")
-    return Dataset(
-        columns=tuple((name, np.array(col)) for name, col in zip(wanted, values)),
-        response_name=spec.response,
-        predictor_names=spec.predictors,
-    )
+
+def _parse_cell(cell: str) -> float:
+    """``float(cell)`` limited to the syntax numpy's C reader accepts.
+
+    Both strip Unicode whitespace and hand the rest to the same
+    decimal-to-binary conversion; ``float()`` alone would also take digit
+    underscores and non-ASCII digits.
+    """
+    text = cell.strip()
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not plain ASCII float syntax: {cell!r}")
+    return float(text)
 
 
 def dataset_to_csv_text(d: Dataset, delimiter: str = ",") -> str:

@@ -272,8 +272,14 @@ def orthogonal_regression(c: CenteredData, ordering: Sequence[str]) -> OlsFit:
     model's. The k-th column's slope is its predictor's coefficient in the
     fit on the first k predictors of the ordering, so only the last column
     keeps its full-model coefficient.
+
+    Raises SingularDesign where fit_ols on the same predictors would: the
+    orthogonalized columns always pass the fit's own normalized guard, so
+    the guard runs on the predictors' SSCP first.
     """
-    return _orthogonal_fit(c, _check_ordering(c, ordering), [])
+    ordering = _check_ordering(c, ordering)
+    _SubsetSS(c).ss(ordering)
+    return _orthogonal_fit(c, ordering, [])
 
 
 def _orthogonal_fit(
@@ -282,6 +288,9 @@ def _orthogonal_fit(
     stack: list[tuple[tuple[str, ...], ResidualizedPredictor]],
 ) -> OlsFit:
     """orthogonal_regression, reusing residualized columns along a prefix.
+
+    Callers run the full-set guard on ``ordering`` first (``_SubsetSS.ss``);
+    ordering_fits gets it from the Type I memo it already fills.
 
     ``stack[k - 1]`` holds the residualized column of ``ordering[k]`` on
     ``ordering[:k]``, keyed by the prefix ``ordering[:k + 1]`` that

@@ -157,6 +157,17 @@ class TestExitCodes:
         assert res.exit_code == 2
         assert "line 3" in res.stderr
 
+    def test_digit_underscore_cell(self, runner, tmp_path):
+        # Python's float() reads "3_0" as 30; the CSV syntax does not
+        path = write(tmp_path, "y,x\n1,3_0\n2,5\n3,7\n4,9\n")
+        res = runner.invoke(
+            main,
+            ["fit", "--input", str(path), "--response", "y", "--predictors", "x"],
+        )
+        assert res.exit_code == 2
+        assert "line 2" in res.stderr
+        assert res.stdout == ""
+
     def test_unknown_model_name(self, runner):
         res = runner.invoke(main, ["fit", "--dwaine", "--model", "NOPE"])
         assert res.exit_code == 2
@@ -361,6 +372,16 @@ class TestRealProcess:
         assert proc.returncode == 0
         assert proc.stdout == (GOLDEN / "fit_dwaine.txt").read_text()
         assert proc.stderr == ""
+
+    def test_header_only_file_prints_one_error_line(self, tmp_path):
+        path = write(tmp_path, "y,x\n")
+        proc = self.run(
+            "fit", "--input", str(path), "--response", "y", "--predictors", "x"
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert proc.stdout == ""
 
     def test_singular_exit_code(self, tmp_path):
         path = write(tmp_path, "y,x\n1,5\n2,5\n3,5\n4,5\n")

@@ -1,5 +1,10 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varpart import (
     CsvSpec,
@@ -13,6 +18,7 @@ from varpart import (
     mean_center,
     save_csv,
 )
+from varpart import data_io
 from varpart.errors import (
     EmptyData,
     InvalidDataset,
@@ -21,6 +27,7 @@ from varpart.errors import (
     NotPositiveSemidefinite,
     ParseError,
     SingularDesign,
+    VarpartError,
 )
 
 
@@ -50,6 +57,11 @@ class TestCsvSpec:
     def test_rejects_comma_decimal(self, tmp_path):
         with pytest.raises(ValueError):
             CsvSpec(tmp_path / "f.csv", "y", ("a",), decimal=",")
+
+    @pytest.mark.parametrize("delimiter", ['"', "\n", "\r"])
+    def test_rejects_quote_and_line_break_delimiters(self, tmp_path, delimiter):
+        with pytest.raises(ValueError):
+            CsvSpec(tmp_path / "f.csv", "y", ("a",), delimiter=delimiter)
 
 
 class TestLoadCsv:
@@ -130,6 +142,179 @@ class TestLoadCsv:
         )
         for name, _ in dwaine.columns:
             np.testing.assert_array_equal(back.column(name), dwaine.column(name))
+
+
+def outcome(read, spec):
+    """The columns as float64 bytes, or the error class and line."""
+    try:
+        columns = read(spec)
+    except VarpartError as exc:
+        return type(exc), getattr(exc, "line", None)
+    return [np.asarray(col, dtype=np.float64).tobytes() for col in columns]
+
+
+def assert_paths_agree(path, delimiter=","):
+    """load_csv's columns equal the strict pass's, bit for bit or error for error.
+
+    Also checks that a file the strict pass accepts never needs it: the C
+    reader must take every such file itself.
+    """
+    spec = CsvSpec(path, "y", ("x",), delimiter=delimiter)
+    want = outcome(data_io._strict_columns, spec)
+    with mock.patch.object(
+        data_io, "_strict_columns", wraps=data_io._strict_columns
+    ) as strict:
+        got = outcome(data_io._read_columns, spec)
+    assert got == want
+    if isinstance(want, list):
+        assert not strict.called
+    return want
+
+
+class TestParsePaths:
+    """numpy's C reader and the strict per-cell pass give one result."""
+
+    @pytest.mark.parametrize(
+        "cell, value",
+        [
+            (" 1.5 ", 1.5),
+            ("1.5e", None),
+            ("nan", "nan"),
+            ("-inf", -np.inf),
+            ("Infinity", np.inf),
+            ("1d5", None),
+            ("0x10", None),
+            ("3_0", None),
+            ("\u0661\u0662", None),
+            ("", None),
+            ("#2", None),
+            ("1e400", np.inf),
+            ('"2.5"', 2.5),
+            ("\xa0+.5\u2003", 0.5),
+        ],
+    )
+    def test_cells(self, tmp_path, cell, value):
+        path = write(tmp_path, f"y,x,note\n1,{cell},a\n2,3,b\n")
+        got = assert_paths_agree(path)
+        if value is None:
+            assert got == (NonNumericCell, 2)
+        else:
+            x = np.frombuffer(got[1])
+            if value == "nan":
+                assert np.isnan(x[0])
+            else:
+                assert x[0] == value
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("y,x\r\n1,2\r\n3,4\r\n", [[1, 3], [2, 4]]),
+            ("y,x\r1,2\r3,4\r", [[1, 3], [2, 4]]),
+            ("\ufeffy,x\n1,2\n3,4\n", [[1, 3], [2, 4]]),
+            ("y,x\n1,2\n\n3,4\n\n", [[1, 3], [2, 4]]),
+            ("y,x\n1,2\n  \n3,4\n", (ParseError, 3)),
+            ("y,x\n1,2\n\t\n3,4\n", (ParseError, 3)),
+            ('y,x\n"1","2"\n3," 4 "\n', [[1, 3], [2, 4]]),
+            ('y,x,note\n1,"2\n",a\n3,4,"b\nc"\n', [[1, 3], [2, 4]]),
+            ('y,x,note\n1,2,"b\nc"\n3,oops,d\n', (NonNumericCell, 4)),
+            ("y,x\n1,2,3,4\n5,6\n", [[1, 5], [2, 6]]),
+            ("y,x,note\n1,2,a\n3\n", (ParseError, 3)),
+            ('y,note,x\n1,hello,2\n3,"a,b",4\n5,,6\n', [[1, 3, 5], [2, 4, 6]]),
+            ("y,x\n", [[], []]),
+            ("y,x\n\n\n", [[], []]),
+            ("y,x\n1,2\n3,4", [[1, 3], [2, 4]]),
+        ],
+    )
+    def test_file_shapes(self, tmp_path, text, expected):
+        path = tmp_path / "shape.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = assert_paths_agree(path)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert got == [np.array(c, dtype=np.float64).tobytes() for c in expected]
+
+    def test_clean_input_takes_the_c_reader(self, tmp_path, monkeypatch):
+        def fail(spec):
+            raise AssertionError("the strict pass read a clean file")
+
+        monkeypatch.setattr(data_io, "_strict_columns", fail)
+        path = tmp_path / "clean.csv"
+        path.write_bytes(
+            b'\xef\xbb\xbfy,x,note\r\n1," 2 ",a\r\n\r\n3,4e0,"b,c"\r\n'
+            b"5,-6,\r\n7.5,8,d,extra\r\n"
+        )
+        ds = load_csv(CsvSpec(path, "y", ("x",)))
+        np.testing.assert_array_equal(ds.column("y"), [1.0, 3.0, 5.0, 7.5])
+        np.testing.assert_array_equal(ds.column("x"), [2.0, 4.0, -6.0, 8.0])
+        for _, col in ds.columns:
+            assert col.flags.c_contiguous and col.dtype == np.float64
+
+    @pytest.mark.parametrize("text", ["y,x\n", "y,x\n\n\r\n"])
+    def test_no_data_is_empty_data_without_a_warning(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyData):
+                load_csv(CsvSpec(path, "y", ("x",)))
+
+
+_PAD = st.sampled_from(["", " ", "\t", "\xa0", "\u2003", "\x0c"])
+_CELL = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.text(alphabet="0123456789.eE+-_ ", max_size=8),
+    st.sampled_from(
+        [
+            "nan", "-NaN", "+inf", "INFINITY", "infinit", "1.5e", "1d5",
+            "0x10", "3_0", "\u0661\u0662", "", "#2", "1e400", ".", "e5",
+            "nan(1)", "1 2", '1"2"', '"1', '"1"2', "\x00",
+        ]
+    ),
+)
+
+
+@st.composite
+def _cells(draw):
+    cell = draw(_PAD) + draw(_CELL) + draw(_PAD)
+    if draw(st.booleans()):
+        inner = draw(st.sampled_from(["", "\n", "\r\n"]))
+        cell = draw(_PAD) + f'"{cell}{inner}"' + draw(_PAD)
+    return cell
+
+
+@st.composite
+def _csv_files(draw):
+    delimiter = draw(st.sampled_from([",", ";", "\t", " ", "|"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [delimiter.join(["y", "x", "note"])]
+    note = st.sampled_from(["a", "", "3_0", '"p,q"', '"two\nlines"'])
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "spaces", "short", "extra"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])))
+        elif kind == "short":
+            lines.append(draw(_cells()))
+        else:
+            row = [draw(_cells()), draw(_cells()), draw(note)]
+            if kind == "extra":
+                row.append(draw(_cells()))
+            lines.append(delimiter.join(row))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    ending = draw(st.sampled_from(["", newline]))
+    return delimiter, bom + newline.join(lines) + ending
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_files())
+def test_fuzzed_files_parse_the_same_on_both_paths(tmp_path_factory, case):
+    delimiter, text = case
+    path = tmp_path_factory.mktemp("fuzz") / "f.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_paths_agree(path, delimiter)
 
 
 class TestDwaineFixture:

@@ -202,6 +202,21 @@ class TestOrthogonalRegression:
         assert labels[1] == "x2|x1"
         assert labels[2] == "x3|x1,x2"
 
+    def test_nearly_collinear_pair_raises_like_fit_ols(self):
+        # the orthogonalized columns are well conditioned even when the
+        # predictors are not, so only a guard on the predictors catches this
+        rng = np.random.default_rng(0)
+        x1 = rng.standard_normal(30)
+        x2 = 2.0 * x1
+        x2[3] += 1e-9
+        y = x1 + rng.standard_normal(30)
+        c = mean_center(make_dataset(np.column_stack([x1, x2]), y))
+        with pytest.raises(SingularDesign):
+            fit_ols(c, ("x1", "x2"))
+        for order in (("x1", "x2"), ("x2", "x1")):
+            with pytest.raises(SingularDesign):
+                orthogonal_regression(c, order)
+
 
 class TestResidualizedSimpleFits:
     def test_reference_values(self, centered):
