@@ -35,7 +35,6 @@ from .decomposition import (
     residualize,
     residualized_simple_fits,
     sequential_ss,
-    ss_via_residualized_crossproducts,
     venn_regions,
 )
 from .ols_core import (
@@ -94,7 +93,6 @@ __all__ = [
     "sequential_ss",
     "solve_center_distance",
     "sscp",
-    "ss_via_residualized_crossproducts",
     "two_circle_layout",
     "venn_regions",
 ]

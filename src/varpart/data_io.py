@@ -43,7 +43,6 @@ class CsvSpec:
     response: str
     predictors: tuple[str, ...]
     delimiter: str = ","
-    decimal: str = "."
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "predictors", tuple(self.predictors))
@@ -59,8 +58,6 @@ class CsvSpec:
             raise ValueError("delimiter must be a single character")
         if self.delimiter in '"\r\n':
             raise ValueError("delimiter cannot be the quote character or a line break")
-        if self.decimal != ".":
-            raise ValueError("only '.' decimals are supported")
 
 
 @dataclass(frozen=True)
@@ -164,6 +161,8 @@ def _read_header(reader, spec: CsvSpec) -> list[int]:
         header = next(reader)
     except StopIteration:
         raise EmptyData(f"{spec.path}: file is empty") from None
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ParseError(reader.line_num, str(exc)) from None
 
     wanted = (spec.response, *spec.predictors)
     positions: dict[str, int] = {}
@@ -184,20 +183,23 @@ def _strict_columns(spec: CsvSpec) -> list[list[float]]:
         idx = _read_header(reader, spec)
         wanted = (spec.response, *spec.predictors)
         values: list[list[float]] = [[] for _ in wanted]
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if max(idx) >= len(row):
-                raise ParseError(
-                    line, f"expected at least {max(idx) + 1} fields, got {len(row)}"
-                )
-            for name, j, acc in zip(wanted, idx, values):
-                cell = row[j]
-                try:
-                    acc.append(_parse_cell(cell))
-                except ValueError:
-                    raise NonNumericCell(line, name, cell) from None
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                line = reader.line_num
+                if max(idx) >= len(row):
+                    raise ParseError(
+                        line, f"expected at least {max(idx) + 1} fields, got {len(row)}"
+                    )
+                for name, j, acc in zip(wanted, idx, values):
+                    cell = row[j]
+                    try:
+                        acc.append(_parse_cell(cell))
+                    except ValueError:
+                        raise NonNumericCell(line, name, cell) from None
+        except csv.Error as exc:
+            raise ParseError(reader.line_num, str(exc)) from None
     return values
 
 

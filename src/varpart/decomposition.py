@@ -23,6 +23,7 @@ from .errors import EmptySubset, TooManyOrderings
 from .ols_core import (
     CenteredData,
     OlsFit,
+    _gram,
     _readonly,
     _solve_spd,
     fit_centered_design,
@@ -81,6 +82,21 @@ class VennRegions:
     missing: float
     missing_fraction: float
 
+    @classmethod
+    def of(cls, full: OlsFit, type3: Mapping[str, float]) -> VennRegions:
+        """Regions of the full-model fit given each predictor's Type III SS."""
+        unique_sum = sum(type3.values())
+        accounted = unique_sum + full.ss_residual
+        return cls(
+            unique=MappingProxyType(dict(type3)),
+            common_total=full.ss_regression - unique_sum,
+            residual=full.ss_residual,
+            ss_total=full.ss_total,
+            accounted_total=accounted,
+            missing=full.ss_total - accounted,
+            missing_fraction=(full.ss_total - accounted) / full.ss_total,
+        )
+
     @property
     def suppression(self) -> bool:
         # threshold keeps float noise on orthogonal designs from flagging
@@ -98,13 +114,14 @@ class PredictorDecomposition:
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    """Traditional fit side by side with the partial-SS decomposition."""
+    """Traditional fit side by side with the partial-SS decomposition.
+
+    The corrected statistics are read off ``venn.unique`` (the Type III
+    SS) and the traditional fit.
+    """
 
     traditional: OlsFit
     per_predictor: tuple[PredictorDecomposition, ...]
-    actual_model_ss: float
-    corrected_r2: float
-    corrected_f: float
     venn: VennRegions
     residualized_fits: Mapping[str, OlsFit]
     orderings: tuple[tuple[str, ...], ...]
@@ -112,6 +129,30 @@ class DecompositionReport:
     @property
     def model(self) -> tuple[str, ...]:
         return self.traditional.predictor_subset
+
+    @property
+    def actual_model_ss(self) -> float:
+        return sum(self.venn.unique.values())
+
+    @property
+    def corrected_r2(self) -> float:
+        return _corrected_r2(self.venn.unique, self.traditional.ss_total)
+
+    @property
+    def corrected_f(self) -> float:
+        return _corrected_f(self.venn.unique, self.traditional.ms_residual)
+
+
+def _corrected_r2(type3: Mapping[str, float], ss_total: float) -> float:
+    """Summed Type III SS over the total SS."""
+    return sum(type3.values()) / ss_total
+
+
+def _corrected_f(type3: Mapping[str, float], ms_residual: float) -> float:
+    """Mean Type III SS per predictor over the full-model residual MS."""
+    if ms_residual == 0.0:
+        return float("inf")
+    return (sum(type3.values()) / len(type3)) / ms_residual
 
 
 def _check_names(c: CenteredData, names: Iterable[str]) -> tuple[str, ...]:
@@ -125,6 +166,14 @@ def _canonical_model(c: CenteredData, model: Iterable[str]) -> tuple[str, ...]:
     """Deduplicate and order a model by the dataset's predictor order."""
     requested = set(_check_names(c, model))
     return tuple(nm for nm in c.predictor_names if nm in requested)
+
+
+def _model(c: CenteredData, model: Iterable[str]) -> tuple[str, ...]:
+    """The canonical model; raises EmptySubset if it names no predictor."""
+    model = _canonical_model(c, model)
+    if not model:
+        raise EmptySubset("model must name at least one predictor")
+    return model
 
 
 def _check_ordering(c: CenteredData, ordering: Sequence[str]) -> tuple[str, ...]:
@@ -145,8 +194,7 @@ class _SubsetSS:
 
     def __init__(self, c: CenteredData):
         self._c = c
-        a = c.x.T @ c.x
-        self._sscp = np.triu(a) + np.triu(a, 1).T
+        self._sscp = _gram(c.x)
         self._rhs = c.x.T @ c.y
         self._cache: dict[frozenset[int], float] = {}
 
@@ -162,6 +210,12 @@ class _SubsetSS:
             b = _solve_spd(a, rhs, context=f"subset ({names})")
             self._cache[idx] = float(b @ rhs)
         return self._cache[idx]
+
+    def type3(self, model: tuple[str, ...], names: Sequence[str] = ()) -> dict[str, float]:
+        """Partial (Type III) SS, SS(model) - SS(model without the predictor),
+        for each predictor in ``names`` (default: the whole model)."""
+        full = self.ss(model)
+        return {nm: full - self.ss(tuple(o for o in model if o != nm)) for nm in names or model}
 
 
 def residualize(
@@ -180,8 +234,7 @@ def residualize(
         return ResidualizedPredictor(target, (), _readonly(col))
     idx = [c.predictor_index(nm) for nm in against]
     design = c.x[:, idx]
-    a = design.T @ design
-    a = np.triu(a) + np.triu(a, 1).T
+    a = _gram(design)
     coef = _solve_spd(
         a, design.T @ col, context=f"residualize {target} on ({', '.join(against)})"
     )
@@ -221,20 +274,13 @@ def partial_ss(c: CenteredData, predictor: str, model: Iterable[str]) -> float:
     model = _canonical_model(c, model)
     if predictor not in model:
         raise ValueError(f"predictor {predictor!r} not in model {model!r}")
-    cache = _SubsetSS(c)
-    rest = tuple(nm for nm in model if nm != predictor)
-    return cache.ss(model) - cache.ss(rest)
+    return _SubsetSS(c).type3(model, (predictor,))[predictor]
 
 
 def actual_model_ss(c: CenteredData, model: Iterable[str]) -> float:
     """Sum of the partial (Type III) SS over every predictor in the model."""
-    model = _canonical_model(c, model)
-    _require_model(model)
-    cache = _SubsetSS(c)
-    full = cache.ss(model)
-    return sum(
-        full - cache.ss(tuple(nm for nm in model if nm != p)) for p in model
-    )
+    model = _model(c, model)
+    return sum(_SubsetSS(c).type3(model).values())
 
 
 def corrected_r2(c: CenteredData, model: Iterable[str]) -> float:
@@ -244,9 +290,8 @@ def corrected_r2(c: CenteredData, model: Iterable[str]) -> float:
     sum of squared standardized coefficients computed on residualized
     predictors.
     """
-    model = _canonical_model(c, model)
-    _require_model(model)
-    return actual_model_ss(c, model) / c.ss_total
+    model = _model(c, model)
+    return _corrected_r2(_SubsetSS(c).type3(model), c.ss_total)
 
 
 def corrected_f(c: CenteredData, model: Iterable[str]) -> float:
@@ -255,12 +300,9 @@ def corrected_f(c: CenteredData, model: Iterable[str]) -> float:
     Algebraically the mean of the squared t statistics of the full fit,
     since each squared t equals its partial SS divided by MS(residual).
     """
-    model = _canonical_model(c, model)
-    _require_model(model)
+    model = _model(c, model)
     full = fit_ols(c, model)
-    if full.ms_residual == 0.0:
-        return float("inf")
-    return (actual_model_ss(c, model) / len(model)) / full.ms_residual
+    return _corrected_f(_SubsetSS(c).type3(model), full.ms_residual)
 
 
 def orthogonal_regression(c: CenteredData, ordering: Sequence[str]) -> OlsFit:
@@ -353,8 +395,7 @@ def residualized_simple_fits(
     how many columns fed the residualization. The slope replicates the
     full-model coefficient of j; the SS replicates its partial SS.
     """
-    model = _canonical_model(c, model)
-    _require_model(model)
+    model = _model(c, model)
     out: dict[str, OlsFit] = {}
     for name in model:
         rest = tuple(nm for nm in model if nm != name)
@@ -371,26 +412,6 @@ def residualized_simple_fits(
     return out
 
 
-def ss_via_residualized_crossproducts(
-    c: CenteredData, model: Iterable[str]
-) -> float:
-    """Model SS as full-fit slopes times residualized cross-products.
-
-    Sum over predictors of b_j * sum_k (j residualized on the rest)_k *
-    y_k. Equals the summed partial SS, because each residualized
-    cross-product is the partial SS divided by the slope.
-    """
-    model = _canonical_model(c, model)
-    _require_model(model)
-    full = fit_ols(c, model)
-    total = 0.0
-    for name in model:
-        rest = tuple(nm for nm in model if nm != name)
-        rp = residualize(c, name, rest)
-        total += full.coefficient(name) * float(rp.values @ c.y)
-    return total
-
-
 def venn_regions(c: CenteredData, model: Iterable[str]) -> VennRegions:
     """Region-by-region accounting of the response variation.
 
@@ -400,25 +421,9 @@ def venn_regions(c: CenteredData, model: Iterable[str]) -> VennRegions:
     the common region. A negative common region signals suppression and is
     reported as is.
     """
-    model = _canonical_model(c, model)
-    _require_model(model)
+    model = _model(c, model)
     full = fit_ols(c, model)
-    cache = _SubsetSS(c)
-    full_ss = cache.ss(model)
-    unique = {
-        nm: full_ss - cache.ss(tuple(o for o in model if o != nm)) for nm in model
-    }
-    unique_sum = sum(unique.values())
-    accounted = unique_sum + full.ss_residual
-    return VennRegions(
-        unique=MappingProxyType(unique),
-        common_total=full.ss_regression - unique_sum,
-        residual=full.ss_residual,
-        ss_total=full.ss_total,
-        accounted_total=accounted,
-        missing=full.ss_total - accounted,
-        missing_fraction=(full.ss_total - accounted) / full.ss_total,
-    )
+    return VennRegions.of(full, _SubsetSS(c).type3(model))
 
 
 def enumerate_orderings(model: Sequence[str]) -> tuple[tuple[str, ...], ...]:
@@ -445,15 +450,11 @@ def compare_report(
     caller must pass them explicitly. ``orderings="all"`` demands the
     exhaustive set and raises TooManyOrderings above the cap.
     """
-    model = _canonical_model(c, model)
-    _require_model(model)
-    if orderings is None:
-        if len(model) <= ORDERING_CAP:
-            ordering_list = enumerate_orderings(model)
-        else:
-            ordering_list = ()
-    elif orderings == "all":
+    model = _model(c, model)
+    if orderings == "all" or (orderings is None and len(model) <= ORDERING_CAP):
         ordering_list = enumerate_orderings(model)
+    elif orderings is None:
+        ordering_list = ()
     elif isinstance(orderings, str):
         raise ValueError(f"orderings must be 'all', None, or a sequence, not {orderings!r}")
     else:
@@ -465,45 +466,21 @@ def compare_report(
                 raise ValueError(f"ordering {o!r} is not a permutation of {model!r}")
 
     full = fit_ols(c, model)
-    cache = _SubsetSS(c)
-    full_ss = cache.ss(model)
-    type3 = {
-        nm: full_ss - cache.ss(tuple(o for o in model if o != nm)) for nm in model
-    }
+    memo = _SubsetSS(c)
+    type3 = memo.type3(model)
 
     type1: dict[str, dict[tuple[str, ...], float]] = {nm: {} for nm in model}
     for ordering in ordering_list:
-        for name, ss in _type1(cache, ordering):
+        for name, ss in _type1(memo, ordering):
             type1[name][ordering] = ss
 
-    actual = sum(type3.values())
-    unique_sum = actual
-    accounted = unique_sum + full.ss_residual
-    venn = VennRegions(
-        unique=MappingProxyType(dict(type3)),
-        common_total=full.ss_regression - unique_sum,
-        residual=full.ss_residual,
-        ss_total=full.ss_total,
-        accounted_total=accounted,
-        missing=full.ss_total - accounted,
-        missing_fraction=(full.ss_total - accounted) / full.ss_total,
-    )
-    ms = full.ms_residual
     return DecompositionReport(
         traditional=full,
         per_predictor=tuple(
             PredictorDecomposition(nm, type3[nm], MappingProxyType(type1[nm]))
             for nm in model
         ),
-        actual_model_ss=actual,
-        corrected_r2=actual / full.ss_total,
-        corrected_f=(actual / len(model)) / ms if ms > 0.0 else float("inf"),
-        venn=venn,
+        venn=VennRegions.of(full, type3),
         residualized_fits=MappingProxyType(residualized_simple_fits(c, model)),
         orderings=ordering_list,
     )
-
-
-def _require_model(model: tuple[str, ...]) -> None:
-    if not model:
-        raise EmptySubset("model must name at least one predictor")

@@ -179,14 +179,11 @@ class OlsFit:
     Slopes solve the normal equations on centered data; the intercept is
     reconstructed from the stored means. ``z`` rescales each slope by
     sd(predictor)/sd(response); ``t`` is slope over standard error.
-    ``fitted`` is in original response units.
     """
 
     predictor_subset: tuple[str, ...]
     b: np.ndarray
     intercept: float
-    fitted: np.ndarray
-    residuals: np.ndarray
     ss_total: float
     ss_regression: float
     ss_residual: float
@@ -271,9 +268,13 @@ def sscp(c: CenteredData, labels: Sequence[str] | None = None) -> SscpMatrix:
         labels = c.labels
     labels = tuple(labels)
     cols = np.column_stack([c.column(nm) for nm in labels])
+    return SscpMatrix(labels, _readonly(_gram(cols)))
+
+
+def _gram(cols: np.ndarray) -> np.ndarray:
+    """``cols.T @ cols``, mirrored from its upper triangle so symmetry is bit-exact."""
     m = cols.T @ cols
-    m = np.triu(m) + np.triu(m, 1).T
-    return SscpMatrix(labels, _readonly(m))
+    return np.triu(m) + np.triu(m, 1).T
 
 
 def _factor_spd(a: np.ndarray, context: str):
@@ -326,15 +327,13 @@ def fit_centered_design(
     if design.ndim != 2 or design.shape[1] == 0:
         raise EmptySubset("at least one predictor is required")
     n, k = design.shape
-    a = design.T @ design
-    a = np.triu(a) + np.triu(a, 1).T
+    a = _gram(design)
     rhs = design.T @ y
     cf = _factor_spd(a, context=f"fit on ({', '.join(labels)})")
     b = scipy.linalg.cho_solve(cf, rhs)
     inv = scipy.linalg.cho_solve(cf, np.eye(k))
 
-    fitted_centered = design @ b
-    residuals = y - fitted_centered
+    residuals = y - design @ b
     ss_total = float(y @ y)
     ss_regression = float(b @ rhs)
     ss_residual = float(residuals @ residuals)
@@ -352,8 +351,6 @@ def fit_centered_design(
         predictor_subset=labels,
         b=_readonly(b),
         intercept=float(mean_y - b @ col_means),
-        fitted=_readonly(fitted_centered + mean_y),
-        residuals=_readonly(residuals),
         ss_total=ss_total,
         ss_regression=ss_regression,
         ss_residual=ss_residual,

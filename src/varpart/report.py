@@ -32,9 +32,9 @@ def _cell(x: float | None) -> str:
     return "NA" if x is None else fmt2(x)
 
 
-def _coef_list(fit: OlsFit) -> list[dict[str, Any]]:
+def _coef_list(fit: OlsFit, key: str = "name") -> list[dict[str, Any]]:
     return [
-        {"name": nm, "b": _num(b), "se": _num(se), "z": _num(z), "t": _num(t)}
+        {key: nm, "b": _num(b), "se": _num(se), "z": _num(z), "t": _num(t)}
         for nm, b, se, z, t in zip(fit.predictor_subset, fit.b, fit.se, fit.z, fit.t)
     ]
 
@@ -92,21 +92,17 @@ def _report_notes(rep: DecompositionReport) -> list[str]:
             "predictors are orthogonal: traditional and corrected statistics"
             " coincide, and every ordering gives the same sequential SS"
         )
-    elif v.suppression:
-        notes.append(
-            "suppression: the unique contributions exceed the regression SS,"
-            " so the common region is negative"
-        )
-        notes.append(
-            "the traditional R2 and F describe the fitted model as a whole;"
-            " the corrected values count only contributions attributable to"
-            " individual predictors"
-        )
     else:
-        notes.append(
-            "correlated predictors: part of the regression SS is a shared"
-            " overlap attributable to no single predictor"
-        )
+        if v.suppression:
+            notes.append(
+                "suppression: the unique contributions exceed the regression SS,"
+                " so the common region is negative"
+            )
+        else:
+            notes.append(
+                "correlated predictors: part of the regression SS is a shared"
+                " overlap attributable to no single predictor"
+            )
         notes.append(
             "the traditional R2 and F describe the fitted model as a whole;"
             " the corrected values count only contributions attributable to"
@@ -191,18 +187,7 @@ def orderings_payload(
                     "r2": _num(fit.r2),
                     "f": _num(fit.f),
                     "intercept": _num(fit.intercept),
-                    "terms": [
-                        {
-                            "label": lbl,
-                            "b": _num(b),
-                            "se": _num(se),
-                            "z": _num(z),
-                            "t": _num(t),
-                        }
-                        for lbl, b, se, z, t in zip(
-                            fit.predictor_subset, fit.b, fit.se, fit.z, fit.t
-                        )
-                    ],
+                    "terms": _coef_list(fit, "label"),
                 },
             }
         )
@@ -503,9 +488,7 @@ def _render_csv_orderings(p: dict[str, Any]) -> str:
         of = item["orthogonal_fit"]
         for stat in ("ss_regression", "ss_residual", "r2", "f", "intercept"):
             rows.append([section, "", stat, of[stat]])
-        for term in of["terms"]:
-            for stat in ("b", "se", "z", "t"):
-                rows.append([section, term["label"], stat, term[stat]])
+        rows += _csv_coeffs(section, of["terms"])
     return _csv_doc(rows)
 
 

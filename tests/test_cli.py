@@ -383,6 +383,21 @@ class TestRealProcess:
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "text",
+        ["y,x\n1,2\n3," + "1" * 200_001 + "\n4,oops\n", "y," + "x" * 200_001 + "\n1,2\n"],
+        ids=["cell", "header"],
+    )
+    def test_field_over_csv_limit_prints_one_error_line(self, tmp_path, text):
+        path = write(tmp_path, text)
+        proc = self.run(
+            "fit", "--input", str(path), "--response", "y", "--predictors", "x"
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "line " in proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert proc.stdout == ""
+
     def test_singular_exit_code(self, tmp_path):
         path = write(tmp_path, "y,x\n1,5\n2,5\n3,5\n4,5\n")
         proc = self.run(

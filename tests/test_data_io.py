@@ -55,8 +55,13 @@ class TestCsvSpec:
             CsvSpec(tmp_path / "f.csv", "y", ("a",), delimiter=",,")
 
     def test_rejects_comma_decimal(self, tmp_path):
-        with pytest.raises(ValueError):
+        # the decimal separator is always '.'; there is no setting for it
+        with pytest.raises(TypeError):
             CsvSpec(tmp_path / "f.csv", "y", ("a",), decimal=",")
+        path = write(tmp_path, "y;a\n1,5;2\n2;3\n3;4\n4;6\n")
+        with pytest.raises(NonNumericCell) as exc:
+            load_csv(CsvSpec(path, "y", ("a",), delimiter=";"))
+        assert exc.value.line == 2
 
     @pytest.mark.parametrize("delimiter", ['"', "\n", "\r"])
     def test_rejects_quote_and_line_break_delimiters(self, tmp_path, delimiter):
@@ -119,6 +124,23 @@ class TestLoadCsv:
     def test_duplicate_unselected_header_name_is_fine(self, tmp_path):
         path = write(tmp_path, "y,x,junk,junk\n1,2,a,b\n2,3,c,d\n3,4,e,f\n4,5,g,h\n")
         assert load_csv(CsvSpec(path, "y", ("x",))).n == 4
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            # the C reader takes the long cell; the per-cell pass, run for
+            # the bad cell after it, hits csv's field size limit first
+            ("y,x\n1,2\n3," + "1" * 200_001 + "\n4,oops\n", 3),
+            ("y," + "x" * 200_001 + "\n1,2\n", 1),
+        ],
+        ids=["cell", "header"],
+    )
+    def test_field_over_csv_limit_reports_file_line(self, tmp_path, text, line):
+        path = write(tmp_path, text)
+        with pytest.raises(ParseError) as exc:
+            load_csv(CsvSpec(path, "y", ("x",)))
+        assert exc.value.line == line
+        assert "field limit" in str(exc.value)
 
     def test_ragged_row_reports_file_line(self, tmp_path):
         path = write(tmp_path, "y,x\n1,2\n3\n")

@@ -23,12 +23,28 @@ from varpart import (
     residualize,
     residualized_simple_fits,
     sequential_ss,
-    ss_via_residualized_crossproducts,
     venn_regions,
 )
 from varpart.errors import EmptySubset, SingularDesign, TooManyOrderings, UnknownName
 
 from conftest import MODEL, make_dataset
+
+
+def ss_via_residualized_crossproducts(c, model):
+    """Model SS as full-fit slopes times residualized cross-products.
+
+    Sum over predictors of b_j * sum_k (j residualized on the rest)_k *
+    y_k. Equals the summed partial SS, because each residualized
+    cross-product is the partial SS divided by the slope. An oracle
+    independent of the subset-SS path the library reports.
+    """
+    full = fit_ols(c, model)
+    total = 0.0
+    for name in model:
+        rest = tuple(nm for nm in model if nm != name)
+        rp = residualize(c, name, rest)
+        total += full.coefficient(name) * float(rp.values @ c.y)
+    return total
 
 
 class TestResidualize:
@@ -162,8 +178,7 @@ class TestCorrectedStatistics:
         assert via_xp == pytest.approx(fit.ss_regression, rel=1e-12)
 
     def test_empty_model_rejected(self, centered):
-        for op in (actual_model_ss, corrected_r2, corrected_f,
-                   ss_via_residualized_crossproducts, venn_regions):
+        for op in (actual_model_ss, corrected_r2, corrected_f, venn_regions):
             with pytest.raises(EmptySubset):
                 op(centered, ())
 
@@ -372,6 +387,29 @@ class TestCompareReport:
         rep = compare_report(c, c.predictor_names)
         assert rep.corrected_r2 == pytest.approx(rep.traditional.r2, rel=1e-9)
         assert rep.corrected_f == pytest.approx(rep.traditional.f, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "design", ["dwaine", "suppression", "single_predictor"]
+)
+def test_standalone_views_equal_compare_report_exactly(
+    design, centered, suppression_centered
+):
+    # every view reads the same Type III path, so the values are the same
+    # floats, not merely close
+    c, model = {
+        "dwaine": (centered, MODEL),
+        "suppression": (suppression_centered, suppression_centered.predictor_names),
+        "single_predictor": (centered, ("DISPOINC",)),
+    }[design]
+    rep = compare_report(c, model)
+    for pd in rep.per_predictor:
+        assert partial_ss(c, pd.name, model) == pd.type3_ss
+    assert actual_model_ss(c, model) == rep.actual_model_ss
+    assert corrected_r2(c, model) == rep.corrected_r2
+    assert corrected_f(c, model) == rep.corrected_f
+    assert venn_regions(c, model) == rep.venn
+    assert dict(rep.venn.unique) == {pd.name: pd.type3_ss for pd in rep.per_predictor}
 
 
 def test_collinear_model_raises_singular(centered):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,11 +143,21 @@ class TestFitOls:
             fit.ss_total, rel=1e-12
         )
 
-    def test_fitted_plus_residuals_reconstruct_response(self, dwaine, centered):
+    def test_coefficients_reproduce_residual_ss(self, dwaine, centered):
         fit = fit_ols(centered, MODEL)
-        np.testing.assert_allclose(
-            fit.fitted + fit.residuals, dwaine.column("SALES"), rtol=1e-12
+        fitted = fit.intercept + sum(
+            fit.coefficient(nm) * dwaine.column(nm) for nm in MODEL
         )
+        residuals = dwaine.column("SALES") - fitted
+        assert float(residuals @ residuals) == pytest.approx(
+            fit.ss_residual, rel=1e-9
+        )
+
+    def test_keeps_no_per_observation_vector(self, centered):
+        fit = fit_ols(centered, MODEL)
+        for field in dataclasses.fields(fit):
+            value = getattr(fit, field.name)
+            assert np.ndim(value) == 0 or len(value) == len(MODEL), field.name
 
     def test_prediction_at_means_is_mean_response(self, dwaine, centered):
         fit = fit_ols(centered, MODEL)
