@@ -7,8 +7,9 @@ and ``venn`` (region accounting, optionally as a proportional-area SVG).
 A hidden ``synth`` subcommand emits seeded synthetic CSVs for testing.
 
 Exit codes: 0 success, 2 input or usage error, 3 degenerate design
-(constant column or collinear predictors), 4 ordering-cap exceeded. Every
-failure prints a one-line diagnostic to stderr.
+(constant column, collinear predictors, or cross-products that overflow
+float64), 4 ordering-cap exceeded. Every failure prints a one-line
+diagnostic to stderr.
 """
 
 from __future__ import annotations

@@ -4,12 +4,16 @@ Every fit in this package runs on mean-centered columns, so the intercept is
 carried implicitly and a fit on a predictor subset reduces to the normal
 equations on the centered sum-of-squares-and-cross-products (SSCP) matrix.
 The SSCP is small (one row per predictor), so a dense symmetric
-positive-definite solve is all the linear algebra required.
+positive-definite solve is all the linear algebra required. The solves call
+LAPACK's Cholesky routines (``dpotrf``/``dpotrs``, taken from scipy once at
+import) directly: with at most a few columns, scipy's per-call wrapper work
+would cost more than the arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,6 +32,8 @@ from .errors import (
 # Below this the design is treated as collinear rather than merely
 # ill-conditioned; legitimate high collinearity still computes.
 RCOND_MIN = 1e-12
+
+_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 
 def _readonly(values) -> np.ndarray:
@@ -132,10 +138,14 @@ class CenteredData:
     def sd_y(self) -> float:
         return float(self.sds[0])
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {nm: i for i, nm in enumerate(self.predictor_names)}
+
     def predictor_index(self, name: str) -> int:
         try:
-            return self.predictor_names.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise UnknownName(name) from None
 
     def column(self, name: str) -> np.ndarray:
@@ -237,13 +247,20 @@ def mean_center(d: Dataset) -> CenteredData:
     so that intercepts and standardized coefficients can be reconstructed.
     The input dataset is left untouched.
 
-    Raises ConstantColumn if any selected column has zero sample sd.
+    Raises ConstantColumn if any selected column has zero sample sd, and
+    SingularDesign if a column's sum or sum of squares overflows float64,
+    as every cross-product of that column then may.
     """
     names = (d.response_name, *d.predictor_names)
     raw = [d.column(nm) for nm in names]
-    means = np.array([float(v.mean()) for v in raw])
-    sds = np.array([float(v.std(ddof=1)) for v in raw])
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.array([float(v.mean()) for v in raw])
+        sds = np.array([float(v.std(ddof=1)) for v in raw])
     for nm, sd in zip(names, sds):
+        if not np.isfinite(sd):
+            raise SingularDesign(
+                f"column {nm!r}: cross-products overflow float64 (rescale the column)"
+            )
         if sd == 0.0:
             raise ConstantColumn(nm)
     centered = [v - m for v, m in zip(raw, means)]
@@ -271,18 +288,36 @@ def sscp(c: CenteredData, labels: Sequence[str] | None = None) -> SscpMatrix:
     return SscpMatrix(labels, _readonly(_gram(cols)))
 
 
+@cache
+def _strict_lower(k: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.tril_indices(k, -1)
+
+
 def _gram(cols: np.ndarray) -> np.ndarray:
-    """``cols.T @ cols``, mirrored from its upper triangle so symmetry is bit-exact."""
+    """``cols.T @ cols``, mirrored from its upper triangle so symmetry is bit-exact.
+
+    Adding +0.0 turns -0.0 entries into +0.0, so the result equals the
+    triangle sum ``np.triu(m) + np.triu(m, 1).T`` bit for bit.
+    """
     m = cols.T @ cols
-    return np.triu(m) + np.triu(m, 1).T
+    i, j = _strict_lower(m.shape[0])
+    m[i, j] = m[j, i]
+    m += 0.0
+    return m
 
 
-def _factor_spd(a: np.ndarray, context: str):
-    """Cholesky factor of a symmetric PD matrix, for scipy's cho_solve.
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _factor_spd(a: np.ndarray, context: str) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric PD matrix, for ``_potrs``.
 
     Guards on the reciprocal condition number of the diagonally normalized
     matrix so near-duplicate design columns fail loudly instead of
-    producing garbage coefficients.
+    producing garbage coefficients. Only the lower triangle of the result
+    is the factor; the strict upper triangle keeps ``a``'s entries.
     """
     diag = np.diag(a)
     if np.any(diag <= 0.0):
@@ -295,15 +330,31 @@ def _factor_spd(a: np.ndarray, context: str):
             f"{max(evals[0] / evals[-1], 0.0):.2e} below {RCOND_MIN:g} "
             "(collinear predictors)"
         )
-    try:
-        return scipy.linalg.cho_factor(a, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesign(f"{context}: {exc}") from None
+    _check_finite(a)
+    cf, info = _potrf(a, lower=1, clean=0, overwrite_a=0)
+    if info > 0:
+        raise SingularDesign(
+            f"{context}: {info}-th leading minor of the array is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(
+            f"LAPACK reported an illegal value in {-info}-th argument on entry to \"POTRF\"."
+        )
+    return cf
+
+
+def _cho_solve(cf: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a ``_factor_spd`` factor; rhs is left untouched."""
+    _check_finite(rhs)
+    x, info = _potrs(cf, rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
 
 
 def _solve_spd(a: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
     """Solve a @ b = rhs for a symmetric PD matrix, behind _factor_spd's guard."""
-    return scipy.linalg.cho_solve(_factor_spd(a, context), rhs)
+    return _cho_solve(_factor_spd(a, context), rhs)
 
 
 def fit_centered_design(
@@ -330,8 +381,8 @@ def fit_centered_design(
     a = _gram(design)
     rhs = design.T @ y
     cf = _factor_spd(a, context=f"fit on ({', '.join(labels)})")
-    b = scipy.linalg.cho_solve(cf, rhs)
-    inv = scipy.linalg.cho_solve(cf, np.eye(k))
+    b = _cho_solve(cf, rhs)
+    inv = _cho_solve(cf, np.eye(k))
 
     residuals = y - design @ b
     ss_total = float(y @ y)

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .decomposition import VennRegions
 from .textfmt import fmt2
 
@@ -63,6 +61,9 @@ def solve_center_distance(r: float, s: float, lens: float) -> float:
     Valid for 0 <= lens <= area of the smaller circle; the lens area is
     strictly decreasing in the distance, so the root is unique.
     """
+    # imported here so that only an SVG render loads scipy.optimize
+    from scipy.optimize import brentq
+
     m = min(r, s)
     cap = math.pi * m * m
     if not 0.0 <= lens <= cap * (1.0 + 1e-12):

@@ -406,3 +406,23 @@ class TestRealProcess:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error:")
         assert proc.stdout == ""
+
+    def test_overflowing_cross_products_print_one_error_line(self, tmp_path):
+        path = write(tmp_path, "y,x1,x2\n1,1e160,3\n2,-2e160,1\n3,5e159,4\n4,1e159,1\n")
+        proc = self.run(
+            "decompose", "--input", str(path), "--response", "y", "--predictors", "x1,x2"
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "error: column 'x1': cross-products overflow float64 (rescale the column)\n"
+        )
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("module", ["varpart", "varpart.cli"])
+    def test_import_leaves_scipy_optimize_unloaded(self, module):
+        # only the SVG renderer needs brentq; the SVG golden covers that path
+        code = f"import sys, {module}; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout == "False\n"

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from varpart.errors import (
     SingularDesign,
     UnknownName,
 )
+from varpart.ols_core import RCOND_MIN, _gram, _solve_spd, fit_centered_design
 
 from conftest import MODEL, make_dataset
 
@@ -98,6 +100,19 @@ class TestMeanCenter:
         assert exc.value.name == "b"
         assert "b" in str(exc.value)
 
+    def test_overflowing_cross_products_rejected(self):
+        # squares of 1e160 exceed float64; the sd and every cross-product would be inf
+        ds = Dataset(
+            _cols(x1=[1e160, -2e160, 5e159, 1e159], x2=[3, 1, 4, 1], y=[1, 2, 3, 4]),
+            "y",
+            ("x1", "x2"),
+        )
+        with np.errstate(all="raise"), pytest.raises(SingularDesign) as exc:
+            mean_center(ds)
+        assert str(exc.value) == (
+            "column 'x1': cross-products overflow float64 (rescale the column)"
+        )
+
     def test_unknown_lookups(self, centered):
         with pytest.raises(UnknownName):
             centered.predictor_index("nope")
@@ -134,6 +149,127 @@ class TestSscp:
 
     def test_default_labels_response_first(self, centered):
         assert sscp(centered).labels == ("SALES",) + MODEL
+
+
+def _triu_gram(cols):
+    """Reference SSCP: the triangle-sum mirror, which adds +0.0 to every entry."""
+    m = cols.T @ cols
+    return np.triu(m) + np.triu(m, 1).T
+
+
+class _NegativeZeroProducts(np.ndarray):
+    """Columns whose zero cross-products come out as -0.0.
+
+    For x1 = (0, 0) and x2 = (-1, -2) every product is -0.0, and so is their
+    sum unless the accumulator starts from +0.0, as numpy's bundled BLAS
+    does. The subclass supplies the -0.0 such a BLAS would leave.
+    """
+
+    def __matmul__(self, other):
+        m = np.asarray(self) @ np.asarray(other)
+        m[m == 0.0] = -0.0
+        return m
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _spd_cases():
+    """Seeded SPD matrices of size 1-8 with right-hand sides; the exchangeable
+    ones sit just above the RCOND_MIN guard once the diagonal is normalized."""
+    rng = np.random.default_rng(20240611)
+    for k in range(1, 9):
+        g = rng.standard_normal((3 * k, k))
+        yield _triu_gram(g), rng.standard_normal(k)
+        if k == 1:
+            continue
+        r = 3.0 * RCOND_MIN
+        rho = (1.0 - r) / (1.0 + (k - 1) * r)
+        corr = np.full((k, k), rho)
+        np.fill_diagonal(corr, 1.0)
+        d = np.diag(10.0 ** rng.uniform(-3, 3, k))
+        a = d @ corr @ d
+        yield np.triu(a) + np.triu(a, 1).T, rng.standard_normal(k)
+
+
+class TestLapackSolve:
+    """The direct dpotrf/dpotrs calls against scipy's cho_factor/cho_solve."""
+
+    def test_solve_matches_scipy_bit_for_bit(self):
+        near_guard = 0
+        for a, rhs in _spd_cases():
+            scale = np.sqrt(np.diag(a))
+            ev = np.linalg.eigvalsh(a / np.outer(scale, scale))
+            near_guard += ev[0] / ev[-1] < 10 * RCOND_MIN
+            cf = scipy.linalg.cho_factor(a, lower=True)
+            for b in (rhs, np.eye(len(a))):
+                want = scipy.linalg.cho_solve(cf, b)
+                assert np.array_equal(_solve_spd(a, b, "t"), want)
+        assert near_guard == 7
+
+    @pytest.mark.parametrize("rho", [0.0, 0.9, 1 - 1e-6, 1 - 1e-9])
+    def test_fit_centered_design_matches_scipy_bit_for_bit(self, rho):
+        rng = np.random.default_rng(7)
+        n = 40
+        for k in range(1, 9):
+            x = rng.standard_normal((n, k)) @ np.linalg.cholesky(
+                exchangeable_correlation(k, rho)
+            ).T
+            x -= x.mean(axis=0)
+            y = x @ rng.standard_normal(k) + rng.standard_normal(n)
+            y -= y.mean()
+            fit = fit_centered_design(
+                y, x, [f"x{j}" for j in range(k)], np.zeros(k), np.ones(k), 0.0, 1.0
+            )
+            rhs = x.T @ y
+            cf = scipy.linalg.cho_factor(_triu_gram(x), lower=True)
+            b = scipy.linalg.cho_solve(cf, rhs)
+            inv = scipy.linalg.cho_solve(cf, np.eye(k))
+            res = y - x @ b
+            se = np.sqrt(float(res @ res) / (n - k - 1) * np.diag(inv))
+            assert np.array_equal(fit.b, b)
+            assert np.array_equal(fit.se, se)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_gram_matches_triangle_sum_bit_for_bit(self, k):
+        cols = np.random.default_rng(k).standard_normal((25, k))
+        assert _bits(_gram(cols)) == _bits(_triu_gram(cols))
+
+    def test_gram_turns_negative_zero_cross_products_positive(self):
+        cols = np.array([[0.0, -1.0], [0.0, -2.0]]).view(_NegativeZeroProducts)
+        raw = cols.T @ cols
+        assert np.signbit(raw[0, 1]) and np.signbit(raw[1, 0])
+        g = _gram(cols)
+        assert _bits(g) == _bits(_triu_gram(cols))
+        assert not np.signbit(g).any()
+
+    @pytest.mark.parametrize(
+        "a, rhs",
+        [
+            (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones(2)),
+            (np.array([[4.0, np.inf], [np.inf, 4.0]]), np.ones(2)),
+            (np.eye(2), np.array([1.0, np.inf])),
+        ],
+        ids=["nan-matrix", "inf-matrix", "inf-rhs"],
+    )
+    def test_non_finite_input_raises_scipys_value_error(self, a, rhs):
+        with pytest.raises(ValueError) as want:
+            scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), rhs)
+        with pytest.raises(ValueError) as got:
+            _solve_spd(a, rhs, "t")
+        assert str(got.value) == str(want.value) == "array must not contain infs or NaNs"
+
+    def test_failed_factor_keeps_scipys_message(self, monkeypatch):
+        # indefinite, so only a guard that wrongly passes lets dpotrf see it
+        a = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            scipy.linalg.cho_factor(a, lower=True)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array([1.0, 1.0]))
+        with pytest.raises(SingularDesign) as got:
+            _solve_spd(a, np.ones(2), "subset (a, b)")
+        assert str(got.value) == f"subset (a, b): {want.value}"
+        assert str(got.value).endswith("2-th leading minor of the array is not positive definite")
 
 
 class TestFitOls:
