@@ -185,102 +185,73 @@ def main():
     """Variance decomposition for least-squares models with correlated predictors."""
 
 
-@main.command()
-@_input_options
-@_format_option(["text", "json", "csv"])
-def fit(use_dwaine, input_path, response, predictors, delimiter, model_arg, out_path, fmt):
+def _analysis(*formats):
+    """Register a subcommand on the shared input, --format and --out options.
+
+    The decorated ``fn(ds, c, model, fmt, **options)`` receives the loaded
+    dataset, its centering and the model, and returns the text to emit.
+    """
+
+    def register(fn):
+        def command(use_dwaine, input_path, response, predictors, delimiter, model_arg,
+                    out_path, fmt, **options):
+            def body():
+                ds = _load_dataset(use_dwaine, input_path, response, predictors, delimiter)
+                model = _model_names(ds, model_arg)
+                _emit(fn(ds, mean_center(ds), model, fmt, **options), out_path)
+
+            _run(body)
+
+        command.__click_params__ = getattr(fn, "__click_params__", [])
+        command = _input_options(_format_option(list(formats))(command))
+        return main.command(name=fn.__name__, help=fn.__doc__)(command)
+
+    return register
+
+
+@_analysis("text", "json", "csv")
+def fit(ds, c, model, fmt):
     """ANOVA table and coefficients of one least-squares fit."""
-
-    def body():
-        ds = _load_dataset(use_dwaine, input_path, response, predictors, delimiter)
-        c = mean_center(ds)
-        model = _model_names(ds, model_arg)
-        payload = fit_payload(fit_ols(c, model), ds.response_name)
-        _emit(_render(payload, fmt), out_path)
-
-    _run(body)
+    return _render(fit_payload(fit_ols(c, model), ds.response_name), fmt)
 
 
-@main.command()
-@_input_options
-@_format_option(["text", "json", "csv"])
-def decompose(
-    use_dwaine, input_path, response, predictors, delimiter, model_arg, out_path, fmt
-):
+@_analysis("text", "json", "csv")
+def decompose(ds, c, model, fmt):
     """Traditional summary next to the partial-SS decomposition."""
-
-    def body():
-        ds = _load_dataset(use_dwaine, input_path, response, predictors, delimiter)
-        c = mean_center(ds)
-        model = _model_names(ds, model_arg)
-        rep = compare_report(c, model, orderings=())
-        payload = decompose_payload(rep, ds.response_name)
-        _emit(_render(payload, fmt), out_path)
-
-    _run(body)
+    rep = compare_report(c, model, orderings=())
+    return _render(decompose_payload(rep, ds.response_name), fmt)
 
 
-@main.command()
-@_input_options
-@_format_option(["text", "json", "csv"])
+@_analysis("text", "json", "csv")
 @click.option(
     "--order",
     "orders",
     multiple=True,
     help="Explicit ordering, comma-separated; repeatable. Default: all orderings.",
 )
-def orderings(
-    use_dwaine,
-    input_path,
-    response,
-    predictors,
-    delimiter,
-    model_arg,
-    out_path,
-    fmt,
-    orders,
-):
+def orderings(ds, c, model, fmt, orders):
     """Sequential (Type I) SS and the orthogonal-function fit per ordering."""
-
-    def body():
-        ds = _load_dataset(use_dwaine, input_path, response, predictors, delimiter)
-        c = mean_center(ds)
-        model = _model_names(ds, model_arg)
-        if orders:
-            ordering_list = tuple(_split(o) for o in orders)
-            for o in ordering_list:
-                if sorted(o) != sorted(model):
-                    raise click.UsageError(
-                        f"--order {','.join(o)} is not a permutation of the model"
-                    )
-        else:
-            ordering_list = enumerate_orderings(model)
-        full = fit_ols(c, model)
-        entries = ordering_fits(c, ordering_list)
-        payload = orderings_payload(ds.response_name, model, full, entries)
-        _emit(_render(payload, fmt), out_path)
-
-    _run(body)
+    if orders:
+        ordering_list = tuple(_split(o) for o in orders)
+        for o in ordering_list:
+            if sorted(o) != sorted(model):
+                raise click.UsageError(
+                    f"--order {','.join(o)} is not a permutation of the model"
+                )
+    else:
+        ordering_list = enumerate_orderings(model)
+    full = fit_ols(c, model)
+    entries = ordering_fits(c, ordering_list)
+    return _render(orderings_payload(ds.response_name, model, full, entries), fmt)
 
 
-@main.command()
-@_input_options
-@_format_option(["text", "json", "csv", "svg"])
-def venn(use_dwaine, input_path, response, predictors, delimiter, model_arg, out_path, fmt):
+@_analysis("text", "json", "csv", "svg")
+def venn(ds, c, model, fmt):
     """Variance regions: unique per predictor, common, residual, missing."""
-
-    def body():
-        ds = _load_dataset(use_dwaine, input_path, response, predictors, delimiter)
-        c = mean_center(ds)
-        model = _model_names(ds, model_arg)
-        v = venn_regions(c, model)
-        if fmt == "svg":
-            out = render_venn_svg(v, model, ds.response_name)
-        else:
-            out = _render(venn_payload(v, ds.response_name, model, ds.n), fmt)
-        _emit(out, out_path)
-
-    _run(body)
+    v = venn_regions(c, model)
+    if fmt == "svg":
+        return render_venn_svg(v, model, ds.response_name)
+    return _render(venn_payload(v, ds.response_name, model, ds.n), fmt)
 
 
 @main.command(hidden=True)

@@ -7,13 +7,21 @@ computes the quantities that make the discrepancy explicit: sequential
 and their simple regressions, orthogonal-function regressions, the
 corrected R2 and f statistics built from the partial contributions, and a
 Venn-style accounting of where the response variation actually went.
+
+Every reported number is read off the subset memo of ``ols_core``: Type III
+SS as b_j^2 / (A^-1)_jj from the one full-model solve, each ordering's Type
+I SS and orthogonal-function terms from the solves of its prefixes. No
+report path residualizes a column or reads the observations again.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import permutations
+from decimal import Decimal, localcontext
+from functools import cache
+from itertools import accumulate, permutations
+from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -21,12 +29,17 @@ import numpy as np
 
 from .errors import EmptySubset, TooManyOrderings
 from .ols_core import (
+    _CTX,
     CenteredData,
     OlsFit,
-    _gram,
+    _coef_stats,
+    _column_sd,
+    _make_fit,
+    _ratio,
     _readonly,
-    _solve_spd,
-    fit_centered_design,
+    _Subsets,
+    _Solution,
+    fit_centered_design,  # noqa: F401 - bench/spans.py traces this binding
     fit_ols,
 )
 
@@ -57,7 +70,7 @@ class ResidualizedPredictor:
     def ss(self) -> float:
         return float(self.values @ self.values)
 
-    @cached_property  # values is read-only; orderings sharing a prefix reuse it
+    @property
     def sd(self) -> float:
         return float(self.values.std(ddof=1))
 
@@ -82,21 +95,6 @@ class VennRegions:
     missing: float
     missing_fraction: float
 
-    @classmethod
-    def of(cls, full: OlsFit, type3: Mapping[str, float]) -> VennRegions:
-        """Regions of the full-model fit given each predictor's Type III SS."""
-        unique_sum = sum(type3.values())
-        accounted = unique_sum + full.ss_residual
-        return cls(
-            unique=MappingProxyType(dict(type3)),
-            common_total=full.ss_regression - unique_sum,
-            residual=full.ss_residual,
-            ss_total=full.ss_total,
-            accounted_total=accounted,
-            missing=full.ss_total - accounted,
-            missing_fraction=(full.ss_total - accounted) / full.ss_total,
-        )
-
     @property
     def suppression(self) -> bool:
         # threshold keeps float noise on orthogonal designs from flagging
@@ -116,8 +114,8 @@ class PredictorDecomposition:
 class DecompositionReport:
     """Traditional fit side by side with the partial-SS decomposition.
 
-    The corrected statistics are read off ``venn.unique`` (the Type III
-    SS) and the traditional fit.
+    ``actual_model_ss`` is the summed Type III SS, ``corrected_r2`` that sum
+    over SS(total), ``corrected_f`` its mean over the full-model residual MS.
     """
 
     traditional: OlsFit
@@ -125,34 +123,13 @@ class DecompositionReport:
     venn: VennRegions
     residualized_fits: Mapping[str, OlsFit]
     orderings: tuple[tuple[str, ...], ...]
+    actual_model_ss: float
+    corrected_r2: float
+    corrected_f: float
 
     @property
     def model(self) -> tuple[str, ...]:
         return self.traditional.predictor_subset
-
-    @property
-    def actual_model_ss(self) -> float:
-        return sum(self.venn.unique.values())
-
-    @property
-    def corrected_r2(self) -> float:
-        return _corrected_r2(self.venn.unique, self.traditional.ss_total)
-
-    @property
-    def corrected_f(self) -> float:
-        return _corrected_f(self.venn.unique, self.traditional.ms_residual)
-
-
-def _corrected_r2(type3: Mapping[str, float], ss_total: float) -> float:
-    """Summed Type III SS over the total SS."""
-    return sum(type3.values()) / ss_total
-
-
-def _corrected_f(type3: Mapping[str, float], ms_residual: float) -> float:
-    """Mean Type III SS per predictor over the full-model residual MS."""
-    if ms_residual == 0.0:
-        return float("inf")
-    return (sum(type3.values()) / len(type3)) / ms_residual
 
 
 def _check_names(c: CenteredData, names: Iterable[str]) -> tuple[str, ...]:
@@ -183,39 +160,99 @@ def _check_ordering(c: CenteredData, ordering: Sequence[str]) -> tuple[str, ...]
     return ordering
 
 
-class _SubsetSS:
-    """Memoized regression SS per predictor subset.
+def _partial(sol: _Solution, i: int) -> Decimal:
+    """Partial SS of column i in a solved fit, b_i^2 / (A^-1)_ii: the SS
+    lost by dropping it, without subtracting two fits."""
+    with localcontext(_CTX):
+        return sol.b[i] * sol.b[i] / sol.inv[i]
 
-    The regression SS of a subset depends only on the set, not the order,
-    so sequential decompositions for many orderings share these values.
-    Everything is computed from the full SSCP; no per-subset pass over the
-    observations is needed.
+
+def _partition(c: CenteredData, model: tuple[str, ...]) -> tuple[_Solution, dict[str, Decimal]]:
+    """The full-model solve and each predictor's Type III SS."""
+    idx = [c.predictor_index(nm) for nm in model]
+    sol = c._memo.solve(idx, f"fit on ({', '.join(model)})")
+    return sol, {nm: _partial(sol, i) for nm, i in zip(model, idx)}
+
+
+def _venn(c: CenteredData, sol: _Solution, type3: Mapping[str, Decimal]) -> VennRegions:
+    sst = c.exact.s[-1][-1]
+    with localcontext(_CTX):
+        unique = sum(type3.values())
+        accounted = unique + sol.sse
+        return VennRegions(
+            unique=MappingProxyType({nm: float(ss) for nm, ss in type3.items()}),
+            common_total=float(sol.ssr - unique),
+            residual=float(sol.sse),
+            ss_total=float(sst),
+            accounted_total=float(accounted),
+            missing=float(sst - accounted),
+            missing_fraction=float((sst - accounted) / sst),
+        )
+
+
+def _corrected(c: CenteredData, model: tuple[str, ...]) -> tuple[float, float, float]:
+    """Actual model SS (summed Type III SS), corrected R2 and corrected F."""
+    sol, type3 = _partition(c, model)
+    with localcontext(_CTX):
+        total = sum(type3.values())
+        mse = sol.sse / (c.n - len(model) - 1)
+        return float(total), float(total / c.exact.s[-1][-1]), _ratio(total / len(model), mse)
+
+
+class _Orderings:
+    """Type I tables and orthogonal-function fits, read off the subset memo.
+
+    Term k of an ordering o is predictor o[k] in the fit on o[:k + 1]: its
+    slope is that fit's coefficient, its column (o[k] residualized on
+    o[:k]) has SS 1 / (A^-1)_kk, and its Type I SS is slope^2 times that
+    SS. Each term is derived once for all orderings that share it; sets of
+    predictors are bit masks over their indices.
     """
 
     def __init__(self, c: CenteredData):
         self._c = c
-        self._sscp = _gram(c.x)
-        self._rhs = c.x.T @ c.y
-        self._cache: dict[frozenset[int], float] = {}
+        self._bit = {nm: 1 << i for i, nm in enumerate(c.predictor_names)}
+        self._type1 = cache(self._type1_ss)
+        self._term = cache(self._term_stats)
+        self._full = cache(lambda mask: fit_ols(c, [nm for nm, b in self._bit.items() if mask & b]))
 
-    def ss(self, subset: Sequence[str]) -> float:
-        idx = frozenset(self._c.predictor_index(nm) for nm in subset)
-        if not idx:
-            return 0.0
-        if idx not in self._cache:
-            ix = sorted(idx)
-            a = self._sscp[np.ix_(ix, ix)]
-            rhs = self._rhs[ix]
-            names = ", ".join(self._c.predictor_names[i] for i in ix)
-            b = _solve_spd(a, rhs, context=f"subset ({names})")
-            self._cache[idx] = float(b @ rhs)
-        return self._cache[idx]
+    def _solve(self, mask: int) -> _Solution:
+        return self._c._memo.solve(i for i in range(self._c.p) if mask >> i & 1)
 
-    def type3(self, model: tuple[str, ...], names: Sequence[str] = ()) -> dict[str, float]:
-        """Partial (Type III) SS, SS(model) - SS(model without the predictor),
-        for each predictor in ``names`` (default: the whole model)."""
-        full = self.ss(model)
-        return {nm: full - self.ss(tuple(o for o in model if o != nm)) for nm in names or model}
+    def _prefixes(self, ordering: tuple[str, ...]) -> list[tuple[int, str]]:
+        masks = accumulate((self._bit[nm] for nm in ordering), or_)
+        return list(zip(masks, ordering))
+
+    def _type1_ss(self, mask: int, nm: str) -> float:
+        return float(_partial(self._solve(mask), self._c.predictor_index(nm)))
+
+    def _term_stats(self, whole: int, mask: int, nm: str) -> tuple[float, ...]:
+        """(b, se, z, t) of ``nm`` last in the prefix ``mask`` of an ordering of ``whole``."""
+        c, i = self._c, self._c.predictor_index(nm)
+        part = self._solve(mask)
+        with localcontext(_CTX):
+            mse = self._solve(whole).sse / (c.n - whole.bit_count() - 1)
+            sd = _column_sd(part.inv[i], c.n)
+            return _coef_stats(part.b[i], part.inv[i], sd, mse, c.exact.sds[-1])
+
+    def type1(self, ordering: tuple[str, ...]) -> list[tuple[str, float]]:
+        return [(nm, self._type1(mask, nm)) for mask, nm in self._prefixes(ordering)]
+
+    def fit(self, ordering: tuple[str, ...]) -> OlsFit:
+        """Orthogonal-function fit: the full fit's SS, R2 and F, one term per predictor."""
+        if not ordering:
+            raise EmptySubset("an ordering must name at least one predictor")
+        c, prefixes = self._c, self._prefixes(ordering)
+        whole = prefixes[-1][0]
+        full = self._full(whole)
+        b, se, z, t = zip(*(self._term(whole, mask, nm) for mask, nm in prefixes))
+        first = c.predictor_index(ordering[0])
+        with localcontext(_CTX):
+            slope = self._solve(prefixes[0][0]).b[first]
+            intercept = float(c.exact.means[-1] - slope * c.exact.means[first])
+        labels = tuple(f"{nm}|{','.join(ordering[:k])}" if k else nm for k, nm in enumerate(ordering))
+        b, se, t, z = map(_readonly, (b, se, t, z))
+        return dataclasses.replace(full, predictor_subset=labels, b=b, se=se, t=t, z=z, intercept=intercept)
 
 
 def residualize(
@@ -224,7 +261,8 @@ def residualize(
     """Remove the OLS projection of ``target`` onto ``against``.
 
     With an empty conditioning set the centered target column is returned
-    unchanged. The result is orthogonal to every conditioning column.
+    unchanged. The coefficients come from the decimal solve on the exact
+    SSCP; the result is orthogonal to every conditioning column.
     """
     against = _check_names(c, against)
     if target in against:
@@ -233,12 +271,11 @@ def residualize(
     if not against:
         return ResidualizedPredictor(target, (), _readonly(col))
     idx = [c.predictor_index(nm) for nm in against]
-    design = c.x[:, idx]
-    a = _gram(design)
-    coef = _solve_spd(
-        a, design.T @ col, context=f"residualize {target} on ({', '.join(against)})"
-    )
-    return ResidualizedPredictor(target, against, _readonly(col - design @ coef))
+    rhs = c.p if target == c.response_name else c.predictor_index(target)
+    context = f"residualize {target} on ({', '.join(against)})"
+    sol = _Subsets(c.exact, c.predictor_names, rhs).solve(idx, context)
+    coef = np.array([float(sol.b[i]) for i in idx])
+    return ResidualizedPredictor(target, against, _readonly(col - c.x[:, idx] @ coef))
 
 
 def sequential_ss(
@@ -250,37 +287,25 @@ def sequential_ss(
     predictor to the first k - 1. The entries telescope, so they sum to the
     regression SS of the complete chain.
     """
-    return _type1(_SubsetSS(c), _check_ordering(c, ordering))
-
-
-def _type1(memo: _SubsetSS, ordering: tuple[str, ...]) -> list[tuple[str, float]]:
-    """sequential_ss on a shared memo; compare_report and ordering_fits use it too."""
-    out: list[tuple[str, float]] = []
-    prev = 0.0
-    for k, name in enumerate(ordering, start=1):
-        cur = memo.ss(ordering[:k])
-        out.append((name, cur - prev))
-        prev = cur
-    return out
+    return _Orderings(c).type1(_check_ordering(c, ordering))
 
 
 def partial_ss(c: CenteredData, predictor: str, model: Iterable[str]) -> float:
     """Partial (Type III) SS: regression SS lost by dropping the predictor.
 
-    Computed as SS(model) - SS(model without predictor). Equals the
-    regression SS of the response on the predictor residualized against
-    the rest of the model.
+    Equals SS(model) - SS(model without predictor), and the regression SS
+    of the response on the predictor residualized against the rest of the
+    model.
     """
     model = _canonical_model(c, model)
     if predictor not in model:
         raise ValueError(f"predictor {predictor!r} not in model {model!r}")
-    return _SubsetSS(c).type3(model, (predictor,))[predictor]
+    return float(_partition(c, model)[1][predictor])
 
 
 def actual_model_ss(c: CenteredData, model: Iterable[str]) -> float:
     """Sum of the partial (Type III) SS over every predictor in the model."""
-    model = _model(c, model)
-    return sum(_SubsetSS(c).type3(model).values())
+    return _corrected(c, _model(c, model))[0]
 
 
 def corrected_r2(c: CenteredData, model: Iterable[str]) -> float:
@@ -290,8 +315,7 @@ def corrected_r2(c: CenteredData, model: Iterable[str]) -> float:
     sum of squared standardized coefficients computed on residualized
     predictors.
     """
-    model = _model(c, model)
-    return _corrected_r2(_SubsetSS(c).type3(model), c.ss_total)
+    return _corrected(c, _model(c, model))[1]
 
 
 def corrected_f(c: CenteredData, model: Iterable[str]) -> float:
@@ -300,9 +324,7 @@ def corrected_f(c: CenteredData, model: Iterable[str]) -> float:
     Algebraically the mean of the squared t statistics of the full fit,
     since each squared t equals its partial SS divided by MS(residual).
     """
-    model = _model(c, model)
-    full = fit_ols(c, model)
-    return _corrected_f(_SubsetSS(c).type3(model), full.ms_residual)
+    return _corrected(c, _model(c, model))[2]
 
 
 def orthogonal_regression(c: CenteredData, ordering: Sequence[str]) -> OlsFit:
@@ -315,53 +337,10 @@ def orthogonal_regression(c: CenteredData, ordering: Sequence[str]) -> OlsFit:
     fit on the first k predictors of the ordering, so only the last column
     keeps its full-model coefficient.
 
-    Raises SingularDesign where fit_ols on the same predictors would: the
-    orthogonalized columns always pass the fit's own normalized guard, so
-    the guard runs on the predictors' SSCP first.
+    Raises EmptySubset for an empty ordering, and SingularDesign where
+    fit_ols on the same predictors would.
     """
-    ordering = _check_ordering(c, ordering)
-    _SubsetSS(c).ss(ordering)
-    return _orthogonal_fit(c, ordering, [])
-
-
-def _orthogonal_fit(
-    c: CenteredData,
-    ordering: tuple[str, ...],
-    stack: list[tuple[tuple[str, ...], ResidualizedPredictor]],
-) -> OlsFit:
-    """orthogonal_regression, reusing residualized columns along a prefix.
-
-    Callers run the full-set guard on ``ordering`` first (``_SubsetSS.ss``);
-    ordering_fits gets it from the Type I memo it already fills.
-
-    ``stack[k - 1]`` holds the residualized column of ``ordering[k]`` on
-    ``ordering[:k]``, keyed by the prefix ``ordering[:k + 1]`` that
-    determines it. Entries from the first changed prefix on are replaced,
-    so consecutive orderings that share a prefix share its columns, and
-    each column is the one a fresh call computes.
-    """
-    first = ordering[0]
-    cols, labels = [c.column(first)], [first]
-    means, sds = [c.mean(first)], [c.sd(first)]
-    for k in range(1, len(ordering)):
-        prefix = ordering[: k + 1]
-        if len(stack) < k or stack[k - 1][0] != prefix:
-            del stack[k - 1 :]
-            stack.append((prefix, residualize(c, ordering[k], ordering[:k])))
-        rp = stack[k - 1][1]
-        cols.append(rp.values)
-        labels.append(rp.label)
-        means.append(0.0)
-        sds.append(rp.sd)
-    return fit_centered_design(
-        y=c.y,
-        design=np.column_stack(cols),
-        labels=labels,
-        col_means=means,
-        col_sds=sds,
-        mean_y=c.mean_y,
-        sd_y=c.sd_y,
-    )
+    return _Orderings(c).fit(_check_ordering(c, ordering))
 
 
 def ordering_fits(
@@ -371,17 +350,13 @@ def ordering_fits(
 
     Returns ``(ordering, sequential_ss(c, ordering),
     orthogonal_regression(c, ordering))`` per ordering, value for value,
-    but solves each predictor subset once for all orderings and residualizes
-    a column again only where an ordering's prefix differs from the
-    previous ordering's.
+    but derives each term once for all orderings that share it.
     """
-    memo = _SubsetSS(c)
-    stack: list[tuple[tuple[str, ...], ResidualizedPredictor]] = []
+    stats = _Orderings(c)
     out = []
     for ordering in orderings:
         ordering = _check_ordering(c, ordering)
-        type1 = _type1(memo, ordering)
-        out.append((ordering, type1, _orthogonal_fit(c, ordering, stack)))
+        out.append((ordering, stats.type1(ordering), stats.fit(ordering)))
     return out
 
 
@@ -392,23 +367,19 @@ def residualized_simple_fits(
 
     For predictor j the design is the single column of j residualized
     against the rest of the model, so df_residual is n - 2 regardless of
-    how many columns fed the residualization. The slope replicates the
-    full-model coefficient of j; the SS replicates its partial SS.
+    how many columns fed the residualization. The slope is the full-model
+    coefficient of j, the column SS 1 / (A^-1)_jj and the regression SS
+    its partial SS, all from the full-model solve.
     """
     model = _model(c, model)
-    out: dict[str, OlsFit] = {}
-    for name in model:
-        rest = tuple(nm for nm in model if nm != name)
-        rp = residualize(c, name, rest)
-        out[name] = fit_centered_design(
-            y=c.y,
-            design=rp.values[:, None],
-            labels=(rp.label,),
-            col_means=(0.0 if rest else c.mean(name),),
-            col_sds=(rp.sd,),
-            mean_y=c.mean_y,
-            sd_y=c.sd_y,
-        )
+    sol, type3 = _partition(c, model)
+    ex, out = c.exact, {}
+    for nm in model:
+        i, rest = c.predictor_index(nm), tuple(o for o in model if o != nm)
+        with localcontext(_CTX):
+            sse, sd = max(ex.s[-1][-1] - type3[nm], Decimal(0)), _column_sd(sol.inv[i], c.n)
+        label, mean = (f"{nm}|{','.join(rest)}", Decimal(0)) if rest else (nm, ex.means[i])
+        out[nm] = _make_fit(ex, (label,), [sol.b[i]], [sol.inv[i]], [mean], [sd], type3[nm], sse)
     return out
 
 
@@ -421,9 +392,7 @@ def venn_regions(c: CenteredData, model: Iterable[str]) -> VennRegions:
     the common region. A negative common region signals suppression and is
     reported as is.
     """
-    model = _model(c, model)
-    full = fit_ols(c, model)
-    return VennRegions.of(full, _SubsetSS(c).type3(model))
+    return _venn(c, *_partition(c, _model(c, model)))
 
 
 def enumerate_orderings(model: Sequence[str]) -> tuple[tuple[str, ...], ...]:
@@ -466,21 +435,24 @@ def compare_report(
                 raise ValueError(f"ordering {o!r} is not a permutation of {model!r}")
 
     full = fit_ols(c, model)
-    memo = _SubsetSS(c)
-    type3 = memo.type3(model)
-
+    sol, type3 = _partition(c, model)
+    stats = _Orderings(c)
     type1: dict[str, dict[tuple[str, ...], float]] = {nm: {} for nm in model}
     for ordering in ordering_list:
-        for name, ss in _type1(memo, ordering):
+        for name, ss in stats.type1(ordering):
             type1[name][ordering] = ss
+    actual, r2, f = _corrected(c, model)
 
     return DecompositionReport(
         traditional=full,
         per_predictor=tuple(
-            PredictorDecomposition(nm, type3[nm], MappingProxyType(type1[nm]))
+            PredictorDecomposition(nm, float(type3[nm]), MappingProxyType(type1[nm]))
             for nm in model
         ),
-        venn=VennRegions.of(full, type3),
+        venn=_venn(c, sol, type3),
         residualized_fits=MappingProxyType(residualized_simple_fits(c, model)),
         orderings=ordering_list,
+        actual_model_ss=actual,
+        corrected_r2=r2,
+        corrected_f=f,
     )

@@ -1,23 +1,30 @@
 """Mean-centered OLS: centering, cross-products, subset fits, ANOVA tables.
 
-Every fit in this package runs on mean-centered columns, so the intercept is
-carried implicitly and a fit on a predictor subset reduces to the normal
-equations on the centered sum-of-squares-and-cross-products (SSCP) matrix.
-The SSCP is small (one row per predictor), so a dense symmetric
-positive-definite solve is all the linear algebra required. The solves call
-LAPACK's Cholesky routines (``dpotrf``/``dpotrs``, taken from scipy once at
-import) directly: with at most a few columns, scipy's per-call wrapper work
-would cost more than the arithmetic.
+Every fit runs on mean-centered columns, so the intercept is carried
+implicitly and a fit on a predictor subset reduces to the normal equations
+on the centered sum-of-squares-and-cross-products (SSCP) matrix.
+
+The SSCP is formed exactly, by error-free splitting of the columns into
+slices whose float64 gram holds only exact integers (Ozaki, Ogita, Oishi &
+Rump 2012), so it does not depend on the BLAS or the order of the rows.
+Each subset is solved once in ``decimal`` arithmetic at ``_DIGITS`` digits,
+by bordering the solve of its subset without the last column, and every
+statistic is derived from that solve and rounded to float64 once: each is
+the correctly rounded exact value, barring one within about 1e-25 relative
+of a rounding boundary. The SSCP rounded to float64 feeds only the guard.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cache, cached_property
-from typing import Iterable, Sequence
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
+from functools import cached_property
+from operator import add, mul
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConstantColumn,
@@ -33,7 +40,17 @@ from .errors import (
 # ill-conditioned; legitimate high collinearity still computes.
 RCOND_MIN = 1e-12
 
-_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
+# Digits of the decimal solves (two libmpdec words); the guard admits designs
+# that lose at most about 12 of them to conditioning.
+_DIGITS = 38
+_CTX = Context(prec=_DIGITS)
+
+# Rows per block of the exact SSCP; 2**16 rows leave slices of 18 bits.
+_BLOCK = 1 << 16
+
+# Two distinct float64 values of magnitude M differ by at least M * 2**-54,
+# so a column reaching 2**600 has a centered SS beyond float64.
+_MAGNITUDE_MAX = 2.0**600
 
 
 def _readonly(values) -> np.ndarray:
@@ -99,20 +116,39 @@ class Dataset:
         raise UnknownName(name)
 
 
+class _Exact(NamedTuple):
+    """Centered SSCP of design columns, the response last, rounded once to
+    float64 (``f``) and to ``_DIGITS`` digits (``s``), with the columns'
+    means and sds at ``_DIGITS`` digits and the row count."""
+
+    f: np.ndarray
+    s: list[list[Decimal]]
+    means: list[Decimal]
+    sds: list[Decimal]
+    n: int
+
+
+class _Solution(NamedTuple):
+    """One regression solved at ``_DIGITS`` digits, keyed by column index."""
+
+    b: dict[int, Decimal]  # coefficients
+    inv: dict[int, Decimal]  # diagonal of the inverse SSCP block
+    ssr: Decimal  # regression SS
+    sse: Decimal  # residual SS, never negative
+    ainv: list[list[Decimal]]  # the inverse, rows and columns in the order of b
+
+
 @dataclass(frozen=True)
 class CenteredData:
-    """Mean-centered response and predictors with stored means and sds.
-
-    ``means`` and ``sds`` are ordered response first, then predictors in
-    ``predictor_names`` order. Sample standard deviations use divisor n - 1.
-    """
+    """Mean-centered response and predictors, with the exact centered SSCP
+    (``exact``) every statistic is derived from. Sample standard
+    deviations use divisor n - 1."""
 
     response_name: str
     predictor_names: tuple[str, ...]
     y: np.ndarray
     x: np.ndarray
-    means: np.ndarray
-    sds: np.ndarray
+    exact: _Exact
 
     @property
     def n(self) -> int:
@@ -128,19 +164,23 @@ class CenteredData:
 
     @property
     def ss_total(self) -> float:
-        return float(self.y @ self.y)
+        return float(self.exact.f[-1, -1])
 
     @property
     def mean_y(self) -> float:
-        return float(self.means[0])
+        return float(self.exact.means[-1])
 
     @property
     def sd_y(self) -> float:
-        return float(self.sds[0])
+        return float(self.exact.sds[-1])
 
     @cached_property
     def _index(self) -> dict[str, int]:
         return {nm: i for i, nm in enumerate(self.predictor_names)}
+
+    @cached_property
+    def _memo(self) -> _Subsets:
+        return _Subsets(self.exact, self.predictor_names)
 
     def predictor_index(self, name: str) -> int:
         try:
@@ -148,21 +188,19 @@ class CenteredData:
         except KeyError:
             raise UnknownName(name) from None
 
+    def _col(self, name: str) -> int:
+        """Index of a response or predictor column in ``exact``."""
+        return self.p if name == self.response_name else self.predictor_index(name)
+
     def column(self, name: str) -> np.ndarray:
         """Centered column by name (response or predictor)."""
-        if name == self.response_name:
-            return self.y
-        return self.x[:, self.predictor_index(name)]
+        return self.y if name == self.response_name else self.x[:, self.predictor_index(name)]
 
     def mean(self, name: str) -> float:
-        if name == self.response_name:
-            return float(self.means[0])
-        return float(self.means[1 + self.predictor_index(name)])
+        return float(self.exact.means[self._col(name)])
 
     def sd(self, name: str) -> float:
-        if name == self.response_name:
-            return float(self.sds[0])
-        return float(self.sds[1 + self.predictor_index(name)])
+        return float(self.exact.sds[self._col(name)])
 
 
 @dataclass(frozen=True)
@@ -174,12 +212,10 @@ class SscpMatrix:
 
     def value(self, a: str, b: str) -> float:
         """Entry for the labeled pair, e.g. value('Y', 'X1')."""
-        try:
-            i = self.labels.index(a)
-            j = self.labels.index(b)
-        except ValueError as exc:
-            raise UnknownName(str(exc).split("'")[0]) from None
-        return float(self.m[i, j])
+        for nm in (a, b):
+            if nm not in self.labels:
+                raise UnknownName(nm)
+        return float(self.m[self.labels.index(a), self.labels.index(b)])
 
 
 @dataclass(frozen=True)
@@ -188,7 +224,8 @@ class OlsFit:
 
     Slopes solve the normal equations on centered data; the intercept is
     reconstructed from the stored means. ``z`` rescales each slope by
-    sd(predictor)/sd(response); ``t`` is slope over standard error.
+    sd(predictor)/sd(response); ``t`` is slope over standard error. Each
+    field is the exact statistic rounded once.
     """
 
     predictor_subset: tuple[str, ...]
@@ -199,16 +236,15 @@ class OlsFit:
     ss_residual: float
     df_model: int
     df_residual: int
+    ms_regression: float
+    ms_residual: float
+    ms_total: float
     r2: float
     f: float
     se: np.ndarray
     t: np.ndarray
     z: np.ndarray
     n: int
-
-    @property
-    def ms_residual(self) -> float:
-        return self.ss_residual / self.df_residual
 
     def coefficient(self, name: str) -> float:
         try:
@@ -240,37 +276,96 @@ class AnovaTable:
         raise KeyError(source)
 
 
-def mean_center(d: Dataset) -> CenteredData:
-    """Center the response and predictor columns of ``d``.
+def _exact_sscp(columns: Sequence[np.ndarray], names: Sequence[str]) -> tuple:
+    """Centered SSCP of float64 columns, rounded once to float64 and to
+    ``_DIGITS`` digits, and the exact column means. In a block of m rows,
+    each column is split into slices q * 2**u with integers |q| <= 2**w,
+    m * 4**w <= 2**53, so the float64 gram of the slices and a ones column
+    holds exact integers in any summation order; blocks add up in Python
+    integers. Raises NonFiniteValue for a NaN or infinity, and
+    SingularDesign if a column's SS exceeds float64.
+    """
+    k, n = len(columns), len(columns[0])
+    overflow = "column {!r}: cross-products overflow float64 (rescale the column)"
+    for nm, col in zip(names, columns):
+        if not np.isfinite(col).all():
+            raise NonFiniteValue(f"column {nm!r} contains NaN or infinity")
+        if np.abs(col).max() >= _MAGNITUDE_MAX:  # else sigma below may overflow
+            raise SingularDesign(overflow.format(nm))
+    m = min(n, _BLOCK)
+    w = (53 - (m - 1).bit_length()) // 2
+    t, e = 0, 0  # moments are t * 2**e: row a, column b holds sum(x_a x_b)
+    for start in range(0, n, m):
+        r = np.array([col[start : start + m] for col in columns], dtype=float)  # row per column
+        pieces, units, owners = [], [], []
+        top = np.abs(r).max(axis=1)
+        while top.any():  # a row already zero adds zero slices
+            unit = np.frexp(top)[1] - w
+            # rounds r to multiples of 2**unit, row by row; r - q is exact
+            sigma = np.ldexp(1.5, unit + 52)[:, None]
+            q = r + sigma
+            q -= sigma
+            r -= q
+            pieces.append(np.ldexp(q, -unit[:, None], out=q))
+            units += unit.tolist()
+            owners += range(k)
+            top = np.abs(r).max(axis=1)
+        pieces += [r, np.ones((1, r.shape[1]))]  # r is zero now; it keeps every group non-empty
+        units += [0] * (k + 1)
+        owners += [*range(k), k]
+        order = np.argsort(owners, kind="stable")
+        bounds = np.searchsorted(np.array(owners)[order], np.arange(k + 1))
+        low = min(units)
+        scale = np.array([1 << (units[i] - low) for i in order], dtype=object)
+        z = np.vstack(pieces)
+        g = (z @ z.T)[np.ix_(order, order)].astype(np.int64).astype(object) * scale[:, None] * scale
+        g = np.add.reduceat(np.add.reduceat(g, bounds, axis=0), bounds, axis=1)
+        common = min(e, 2 * low)  # g holds the block's moments times 2**(-2 * low)
+        t = t * (1 << (e - common)) + g * (1 << (2 * low - common))
+        e = common
+    count, sums = t[k, k], t[:k, k]
+    num = t[:k, :k] * count - np.outer(sums, sums)
+    den = count << -e  # e <= 0, since the ones column has unit 0
+    for a, nm in enumerate(names):
+        try:
+            num[a, a] / den
+        except OverflowError:
+            raise SingularDesign(overflow.format(nm)) from None
+    f = np.empty((k, k))
+    s: list[list[Decimal]] = [[Decimal(0)] * k for _ in range(k)]
+    with localcontext(_CTX):
+        for a in range(k):
+            for b in range(a, k):
+                f[a, b] = f[b, a] = num[a, b] / den  # int / int is correctly rounded
+                s[a][b] = s[b][a] = Decimal(num[a, b]) / Decimal(den)
+    f.setflags(write=False)
+    return f, s, [Fraction(int(v), count) for v in sums]
 
-    Records the column means and sample standard deviations (divisor n - 1)
-    so that intercepts and standardized coefficients can be reconstructed.
-    The input dataset is left untouched.
+
+def mean_center(d: Dataset) -> CenteredData:
+    """Center the response and predictor columns of ``d``, and form their
+    exact centered SSCP, means and sample sds; ``d`` is left untouched.
 
     Raises ConstantColumn if any selected column has zero sample sd, and
-    SingularDesign if a column's sum or sum of squares overflows float64,
-    as every cross-product of that column then may.
+    SingularDesign if a column's centered sum of squares exceeds float64,
+    as its cross-products then may.
     """
-    names = (d.response_name, *d.predictor_names)
+    names = (*d.predictor_names, d.response_name)
     raw = [d.column(nm) for nm in names]
-    with np.errstate(over="ignore", invalid="ignore"):
-        means = np.array([float(v.mean()) for v in raw])
-        sds = np.array([float(v.std(ddof=1)) for v in raw])
-    for nm, sd in zip(names, sds):
-        if not np.isfinite(sd):
-            raise SingularDesign(
-                f"column {nm!r}: cross-products overflow float64 (rescale the column)"
-            )
-        if sd == 0.0:
+    for nm, v in zip(names, raw):
+        if v.min() == v.max():
             raise ConstantColumn(nm)
-    centered = [v - m for v, m in zip(raw, means)]
+    f, s, means = _exact_sscp(raw, names)
+    with localcontext(_CTX):
+        sds = [(s[a][a] / (d.n - 1)).sqrt() for a in range(len(names))]
+        dec_means = [Decimal(m.numerator) / m.denominator for m in means]
+    centered = [v - float(m) for v, m in zip(raw, means)]
     return CenteredData(
         response_name=d.response_name,
         predictor_names=d.predictor_names,
-        y=_readonly(centered[0]),
-        x=_readonly(np.column_stack(centered[1:])),
-        means=_readonly(means),
-        sds=_readonly(sds),
+        y=_readonly(centered[-1]),
+        x=_readonly(np.column_stack(centered[:-1])),
+        exact=_Exact(f, s, dec_means, sds, d.n),
     )
 
 
@@ -278,47 +373,18 @@ def sscp(c: CenteredData, labels: Sequence[str] | None = None) -> SscpMatrix:
     """Cross-product matrix m[i][j] = sum_k col_i[k] * col_j[k].
 
     ``labels`` selects centered columns by name (response and/or
-    predictors); the default is all of them, response first. The result is
-    mirrored from its upper triangle so symmetry is bit-exact.
+    predictors); the default is all of them, response first. Entries are
+    the exact cross-products of the data, rounded once.
     """
-    if labels is None:
-        labels = c.labels
-    labels = tuple(labels)
-    cols = np.column_stack([c.column(nm) for nm in labels])
-    return SscpMatrix(labels, _readonly(_gram(cols)))
+    labels = c.labels if labels is None else tuple(labels)
+    ix = [c._col(nm) for nm in labels]
+    return SscpMatrix(labels, _readonly(c.exact.f[np.ix_(ix, ix)]))
 
 
-@cache
-def _strict_lower(k: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.tril_indices(k, -1)
-
-
-def _gram(cols: np.ndarray) -> np.ndarray:
-    """``cols.T @ cols``, mirrored from its upper triangle so symmetry is bit-exact.
-
-    Adding +0.0 turns -0.0 entries into +0.0, so the result equals the
-    triangle sum ``np.triu(m) + np.triu(m, 1).T`` bit for bit.
-    """
-    m = cols.T @ cols
-    i, j = _strict_lower(m.shape[0])
-    m[i, j] = m[j, i]
-    m += 0.0
-    return m
-
-
-def _check_finite(a: np.ndarray) -> None:
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-
-
-def _factor_spd(a: np.ndarray, context: str) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric PD matrix, for ``_potrs``.
-
-    Guards on the reciprocal condition number of the diagonally normalized
-    matrix so near-duplicate design columns fail loudly instead of
-    producing garbage coefficients. Only the lower triangle of the result
-    is the factor; the strict upper triangle keeps ``a``'s entries.
-    """
+def _guard(a: np.ndarray, context: str) -> None:
+    """Reject a design whose SSCP block ``a`` is (nearly) singular: near-
+    duplicate columns fail loudly on the reciprocal condition number of the
+    diagonally normalized matrix instead of giving garbage coefficients."""
     diag = np.diag(a)
     if np.any(diag <= 0.0):
         raise SingularDesign(f"{context}: design column with zero variation")
@@ -330,98 +396,142 @@ def _factor_spd(a: np.ndarray, context: str) -> np.ndarray:
             f"{max(evals[0] / evals[-1], 0.0):.2e} below {RCOND_MIN:g} "
             "(collinear predictors)"
         )
-    _check_finite(a)
-    cf, info = _potrf(a, lower=1, clean=0, overwrite_a=0)
-    if info > 0:
-        raise SingularDesign(
-            f"{context}: {info}-th leading minor of the array is not positive definite"
+
+
+def _extend(s: list[list[Decimal]], sol: _Solution, col: int, rhs: int) -> _Solution:
+    """Border a solution of ``rhs`` with one more column, in O(k^2).
+
+    With u = A^-1 a (a: the new column's cross-products with the solved
+    ones), d = s_cc - a'u is the new column's SS residualized on the others,
+    and the regression SS grows by d * b_new^2 (Golub & Van Loan, bordering).
+    """
+    with localcontext(_CTX):
+        a = [s[col][j] for j in sol.b]
+        u = [sum(map(mul, row, a)) for row in sol.ainv]
+        d = s[col][col] - sum(map(mul, a, u))
+        bk = (s[col][rhs] - sum(map(mul, a, sol.b.values()))) / d
+        b = {j: bj - uj * bk for (j, bj), uj in zip(sol.b.items(), u)}
+        b[col] = bk
+        w = [uj / d for uj in u]
+        ainv = [[*map(add, row, map(wi.__mul__, u)), -wi] for row, wi in zip(sol.ainv, w)]
+        ainv.append([*(-wi for wi in w), 1 / d])
+        ssr = sol.ssr + bk * bk * d
+        sse = max(s[rhs][rhs] - ssr, Decimal(0))
+        return _Solution(b, {j: ainv[t][t] for t, j in enumerate(b)}, ssr, sse, ainv)
+
+
+class _Subsets:
+    """Regressions of one column on sets of the others, each solved once and
+    shared by every fit, ordering and partition of the same data. A set is
+    solved by bordering the solution of the set without its last column."""
+
+    def __init__(self, ex: _Exact, names: Sequence[str], rhs: int = -1):
+        self._ex, self._names, self._rhs = ex, names, rhs % len(ex.s)
+        empty = _Solution({}, {}, Decimal(0), ex.s[self._rhs][self._rhs], [])
+        self._cache = {frozenset(): empty}
+        self._guarded: list[frozenset[int]] = []
+
+    def solve(self, idx: Iterable[int], context: str | None = None) -> _Solution:
+        """Solution on the columns ``idx``, behind the guard; ``context``
+        names the design in errors (default: "subset (names)")."""
+        idx = list(idx)
+        key = frozenset(idx)
+        # A set inside one that passed the guard passes it too: a principal
+        # block of the normalized SSCP has its eigenvalues inside those of
+        # the whole (Cauchy interlacing). A repeated column never passes.
+        if len(key) < len(idx) or not any(key <= done for done in self._guarded):
+            names = ", ".join(self._names[i] for i in idx)
+            _guard(self._ex.f[idx][:, idx], context or f"subset ({names})")
+            self._guarded.append(key)
+        return self._border(sorted(key))
+
+    def _border(self, cols: list[int]) -> _Solution:
+        key = frozenset(cols)
+        if key not in self._cache:
+            parent = self._border(cols[:-1])
+            self._cache[key] = _extend(self._ex.s, parent, cols[-1], self._rhs)
+        return self._cache[key]
+
+
+def _ratio(a: Decimal, b: Decimal) -> float:
+    """a / b rounded once; a zero divisor gives a signed infinity (or NaN)."""
+    if b:
+        return float(a / b)
+    return math.copysign(math.inf, a) if a else math.nan
+
+
+def _column_sd(inv: Decimal, n: int) -> Decimal:
+    """Sample sd of a centered column whose SS is 1 / inv."""
+    return (1 / (inv * (n - 1))).sqrt()
+
+
+def _coef_stats(b: Decimal, inv: Decimal, sd: Decimal, mse: Decimal, sd_y: Decimal) -> tuple:
+    """(b, se, z, t) of one coefficient: se = sqrt(MSE * inv), z = b sd / sd_y."""
+    se = (mse * inv).sqrt()
+    return float(b), float(se), float(b * sd / sd_y), _ratio(b, se)
+
+
+def _make_fit(
+    ex: _Exact, labels: Sequence[str], b: Sequence[Decimal], inv: Sequence[Decimal],
+    col_means: Sequence[Decimal], col_sds: Sequence[Decimal], ssr: Decimal, sse: Decimal,
+) -> OlsFit:
+    """OlsFit of the response of ``ex`` on columns with slopes ``b``, inverse
+    SSCP diagonal ``inv`` and the given means and sds; every value is
+    rounded once."""
+    k, n = len(b), ex.n
+    sst, mean_y, sd_y = ex.s[-1][-1], ex.means[-1], ex.sds[-1]
+    with localcontext(_CTX):
+        mse = sse / (n - k - 1)
+        coefs = [_coef_stats(*a, mse, sd_y) for a in zip(b, inv, col_sds)]
+        bs, se, z, t = zip(*coefs)
+        return OlsFit(
+            predictor_subset=tuple(labels),
+            b=_readonly(bs),
+            intercept=float(mean_y - sum(map(mul, b, col_means))),
+            ss_total=float(sst),
+            ss_regression=float(ssr),
+            ss_residual=float(sse),
+            df_model=k,
+            df_residual=n - k - 1,
+            ms_regression=float(ssr / k),
+            ms_residual=float(mse),
+            ms_total=float(sst / (n - 1)),
+            r2=float(ssr / sst),
+            # a perfect fit has zero residual MS; F and t are then infinite
+            f=_ratio(ssr / k, mse),
+            se=_readonly(se),
+            t=_readonly(t),
+            z=_readonly(z),
+            n=n,
         )
-    if info < 0:
-        raise ValueError(
-            f"LAPACK reported an illegal value in {-info}-th argument on entry to \"POTRF\"."
-        )
-    return cf
-
-
-def _cho_solve(cf: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a ``_factor_spd`` factor; rhs is left untouched."""
-    _check_finite(rhs)
-    x, info = _potrs(cf, rhs, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-    return x
-
-
-def _solve_spd(a: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    """Solve a @ b = rhs for a symmetric PD matrix, behind _factor_spd's guard."""
-    return _cho_solve(_factor_spd(a, context), rhs)
 
 
 def fit_centered_design(
-    y: np.ndarray,
-    design: np.ndarray,
-    labels: Sequence[str],
-    col_means: Sequence[float],
-    col_sds: Sequence[float],
-    mean_y: float,
-    sd_y: float,
+    y: np.ndarray, design: np.ndarray, labels: Sequence[str], col_means: Sequence[float],
+    col_sds: Sequence[float], mean_y: float, sd_y: float,
 ) -> OlsFit:
     """Fit centered ``y`` on the centered design columns.
 
-    The workhorse behind fit_ols and the constructed-column fits
-    (residualized and orthogonal-function regressions). ``col_means`` are
-    the original-scale means of the design columns (zero for residualized
-    columns) used to reconstruct the intercept; ``col_sds`` feed the
-    standardized coefficients.
+    The exact centered SSCP of the columns goes through the same guard and
+    decimal solve as ``fit_ols``. ``col_means`` are the original-scale
+    means of the design columns, used to reconstruct the intercept;
+    ``col_sds`` feed the standardized coefficients.
     """
     labels = tuple(labels)
     if design.ndim != 2 or design.shape[1] == 0:
         raise EmptySubset("at least one predictor is required")
     n, k = design.shape
-    a = _gram(design)
-    rhs = design.T @ y
-    cf = _factor_spd(a, context=f"fit on ({', '.join(labels)})")
-    b = _cho_solve(cf, rhs)
-    inv = _cho_solve(cf, np.eye(k))
-
-    residuals = y - design @ b
-    ss_total = float(y @ y)
-    ss_regression = float(b @ rhs)
-    ss_residual = float(residuals @ residuals)
-    df_model = k
-    df_residual = n - k - 1
-    ms_residual = ss_residual / df_residual
-    se = np.sqrt(ms_residual * np.diag(inv))
-    # a perfect fit has zero residual MS; report inf rather than raising
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = b / se
-    f = (ss_regression / df_model) / ms_residual if ms_residual > 0.0 else np.inf
-    col_means = np.asarray(col_means, dtype=float)
-    col_sds = np.asarray(col_sds, dtype=float)
-    return OlsFit(
-        predictor_subset=labels,
-        b=_readonly(b),
-        intercept=float(mean_y - b @ col_means),
-        ss_total=ss_total,
-        ss_regression=ss_regression,
-        ss_residual=ss_residual,
-        df_model=df_model,
-        df_residual=df_residual,
-        r2=ss_regression / ss_total,
-        f=float(f),
-        se=_readonly(se),
-        t=_readonly(t),
-        z=_readonly(b * col_sds / sd_y),
-        n=n,
-    )
+    f, s, _ = _exact_sscp([*design.T, y], (*labels, "y"))
+    dec = [Decimal(float(v)) for v in (*col_means, mean_y, *col_sds, sd_y)]
+    ex = _Exact(f, s, dec[: k + 1], dec[k + 1 :], n)
+    sol = _Subsets(ex, labels).solve(range(k), f"fit on ({', '.join(labels)})")
+    b, inv = list(sol.b.values()), list(sol.inv.values())
+    return _make_fit(ex, labels, b, inv, ex.means[:k], ex.sds[:k], sol.ssr, sol.sse)
 
 
 def fit_ols(c: CenteredData, subset: Iterable[str]) -> OlsFit:
-    """OLS of the response on the named predictor subset.
-
-    Coefficients solve the normal equations on the centered SSCP;
-    ss_regression is the coefficient/cross-product inner product and
-    ss_residual comes directly from the residual vector.
+    """OLS of the response on the named predictor subset, from the exact
+    centered SSCP; ss_residual is ss_total - ss_regression before rounding.
 
     Raises EmptySubset for an empty subset and SingularDesign when the
     subset SSCP is (numerically) rank deficient, e.g. a duplicated
@@ -431,29 +541,19 @@ def fit_ols(c: CenteredData, subset: Iterable[str]) -> OlsFit:
     if not subset:
         raise EmptySubset("fit_ols requires a non-empty predictor subset")
     idx = [c.predictor_index(nm) for nm in subset]
-    return fit_centered_design(
-        y=c.y,
-        design=c.x[:, idx],
-        labels=subset,
-        col_means=c.means[1:][idx],
-        col_sds=c.sds[1:][idx],
-        mean_y=c.mean_y,
-        sd_y=c.sd_y,
+    sol = c._memo.solve(idx, f"fit on ({', '.join(subset)})")
+    ex = c.exact
+    return _make_fit(
+        ex, subset, [sol.b[i] for i in idx], [sol.inv[i] for i in idx],
+        [ex.means[i] for i in idx], [ex.sds[i] for i in idx], sol.ssr, sol.sse,
     )
 
 
 def anova_table(fit: OlsFit) -> AnovaTable:
     """Classical Regression/Residual/Total table for a single fit."""
-    df_total = fit.df_model + fit.df_residual
     rows = (
-        AnovaRow(
-            "Regression",
-            fit.ss_regression,
-            fit.df_model,
-            fit.ss_regression / fit.df_model,
-            fit.f,
-        ),
+        AnovaRow("Regression", fit.ss_regression, fit.df_model, fit.ms_regression, fit.f),
         AnovaRow("Residual", fit.ss_residual, fit.df_residual, fit.ms_residual, None),
-        AnovaRow("Total", fit.ss_total, df_total, fit.ss_total / df_total, None),
+        AnovaRow("Total", fit.ss_total, fit.df_model + fit.df_residual, fit.ms_total, None),
     )
     return AnovaTable(rows=rows, r2=fit.r2)

@@ -32,10 +32,13 @@ def _cell(x: float | None) -> str:
     return "NA" if x is None else fmt2(x)
 
 
+_COEF_STATS = ("b", "se", "z", "t")
+
+
 def _coef_list(fit: OlsFit, key: str = "name") -> list[dict[str, Any]]:
     return [
-        {key: nm, "b": _num(b), "se": _num(se), "z": _num(z), "t": _num(t)}
-        for nm, b, se, z, t in zip(fit.predictor_subset, fit.b, fit.se, fit.z, fit.t)
+        {key: nm, **{stat: _num(v) for stat, v in zip(_COEF_STATS, values)}}
+        for nm, *values in zip(fit.predictor_subset, fit.b, fit.se, fit.z, fit.t)
     ]
 
 
@@ -244,18 +247,9 @@ def _model_line(payload: dict[str, Any]) -> str:
 
 
 def _coef_rows(coefs: list[dict[str, Any]], intercept: float | None) -> list[str]:
-    rows = [["Term", "b", "se", "z", "t"]]
-    rows.append(["Intercept", _cell(intercept), "", "", ""])
+    rows = [["Term", *_COEF_STATS], ["Intercept", _cell(intercept), "", "", ""]]
     for cf in coefs:
-        rows.append(
-            [
-                cf.get("name", cf.get("label")),
-                _cell(cf["b"]),
-                _cell(cf["se"]),
-                _cell(cf["z"]),
-                _cell(cf["t"]),
-            ]
-        )
+        rows.append([cf.get("name", cf.get("label")), *(_cell(cf[k]) for k in _COEF_STATS)])
     return _layout(rows, "lrrrr")
 
 
@@ -263,15 +257,8 @@ def _anova_lines(anova: dict[str, Any]) -> list[str]:
     rows = [["Source", "SS", "df", "MS", "F"]]
     for source in ("regression", "residual", "total"):
         e = anova[source]
-        rows.append(
-            [
-                source.capitalize(),
-                _cell(e["ss"]),
-                str(e["df"]),
-                _cell(e["ms"]),
-                _cell(e["f"]) if "f" in e else "",
-            ]
-        )
+        f = _cell(e["f"]) if "f" in e else ""
+        rows.append([source.capitalize(), _cell(e["ss"]), str(e["df"]), _cell(e["ms"]), f])
     return _layout(rows, "lrrrr")
 
 
@@ -325,18 +312,8 @@ def _render_text_decompose(p: dict[str, Any]) -> str:
     lines.append("Simple regressions on residualized predictors")
     rows = [["Term", "SS(reg)", "f", "R2", "b", "z", "t", "df(res)"]]
     for e in p["residualized_fits"]:
-        rows.append(
-            [
-                e["label"],
-                _cell(e["ss_regression"]),
-                _cell(e["f"]),
-                _cell(e["r2"]),
-                _cell(e["b"]),
-                _cell(e["z"]),
-                _cell(e["t"]),
-                str(e["df_residual"]),
-            ]
-        )
+        cells = (_cell(e[k]) for k in ("ss_regression", "f", "r2", "b", "z", "t"))
+        rows.append([e["label"], *cells, str(e["df_residual"])])
     lines += _layout(rows, "lrrrrrrr")
     lines.append("")
     lines.append("Variance accounting")
@@ -396,10 +373,10 @@ def _csv_value(x: Any) -> str:
     return str(x)
 
 
-def _csv_doc(rows: list[list[Any]]) -> str:
+def _csv_doc(rows: list[list[Any]], header=("section", "name", "statistic", "value")) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["section", "name", "statistic", "value"])
+    writer.writerow(header)
     for row in rows:
         writer.writerow([_csv_value(v) for v in row])
     return buf.getvalue()
@@ -417,24 +394,14 @@ def _csv_coeffs(section: str, coefs: list[dict[str, Any]]) -> list[list[Any]]:
     rows = []
     for cf in coefs:
         nm = cf.get("name", cf.get("label"))
-        for stat in ("b", "se", "z", "t"):
+        for stat in _COEF_STATS:
             rows.append([section, nm, stat, cf[stat]])
     return rows
 
 
 def _csv_venn_rows(section: str, v: dict[str, Any]) -> list[list[Any]]:
     rows = [[section, nm, "unique", ss] for nm, ss in v["unique"].items()]
-    for stat in (
-        "common_total",
-        "residual",
-        "ss_total",
-        "accounted_total",
-        "missing",
-        "missing_fraction",
-        "suppression",
-    ):
-        rows.append([section, "", stat, v[stat]])
-    return rows
+    return rows + [[section, "", stat, x] for stat, x in v.items() if stat != "unique"]
 
 
 def _render_csv_fit(p: dict[str, Any]) -> str:
@@ -453,18 +420,7 @@ def _render_csv_fit(p: dict[str, Any]) -> str:
 def _render_csv_decompose(p: dict[str, Any]) -> str:
     rows = _csv_meta(p)
     trad = p["traditional"]
-    for stat in (
-        "ss_regression",
-        "ss_residual",
-        "ss_total",
-        "df_model",
-        "df_residual",
-        "ms_residual",
-        "r2",
-        "f",
-        "intercept",
-    ):
-        rows.append(["traditional", "", stat, trad[stat]])
+    rows += [["traditional", "", stat, x] for stat, x in trad.items() if stat != "coefficients"]
     rows += _csv_coeffs("coefficient", trad["coefficients"])
     for stat in ("actual_model_ss", "r2", "f"):
         rows.append(["corrected", "", stat, p["corrected"][stat]])
@@ -494,16 +450,10 @@ def _render_csv_orderings(p: dict[str, Any]) -> str:
 
 def _render_csv_venn(p: dict[str, Any]) -> str:
     """One row per region: p unique rows, common, residual, missing, total."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["region", "ss"])
-    for nm, ss in p["unique"].items():
-        writer.writerow([f"unique:{nm}", _csv_value(ss)])
-    writer.writerow(["common", _csv_value(p["common_total"])])
-    writer.writerow(["residual", _csv_value(p["residual"])])
-    writer.writerow(["missing", _csv_value(p["missing"])])
-    writer.writerow(["total", _csv_value(p["ss_total"])])
-    return buf.getvalue()
+    rows = [[f"unique:{nm}", ss] for nm, ss in p["unique"].items()]
+    rows += [["common", p["common_total"]], ["residual", p["residual"]]]
+    rows += [["missing", p["missing"]], ["total", p["ss_total"]]]
+    return _csv_doc(rows, header=("region", "ss"))
 
 
 _CSV_RENDERERS = {

@@ -59,18 +59,24 @@ def solve_center_distance(r: float, s: float, lens: float) -> float:
     """Center distance at which two circles overlap in exactly ``lens`` area.
 
     Valid for 0 <= lens <= area of the smaller circle; the lens area is
-    strictly decreasing in the distance, so the root is unique.
+    strictly decreasing in the distance, so the root is unique and
+    bisection brackets it to 1e-13 (or to adjacent floats).
     """
-    # imported here so that only an SVG render loads scipy.optimize
-    from scipy.optimize import brentq
-
     m = min(r, s)
     cap = math.pi * m * m
     if not 0.0 <= lens <= cap * (1.0 + 1e-12):
         raise ValueError(f"lens area {lens} outside [0, {cap}]")
     lens = min(lens, cap)
     lo, hi = abs(r - s), r + s
-    return float(brentq(lambda d: _lens_area(d, r, s) - lens, lo, hi, xtol=1e-13))
+    for end in (lo, hi):
+        if _lens_area(end, r, s) == lens:
+            return end
+    while hi - lo > 1e-13 and lo < (mid := 0.5 * (lo + hi)) < hi:
+        excess = _lens_area(mid, r, s) - lens
+        if excess == 0.0:
+            return mid
+        lo, hi = (mid, hi) if excess > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def two_circle_layout(

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -57,3 +60,14 @@ def orthogonal_centered():
     x = q * np.array([3.0, 5.0, 2.0])  # orthogonal, not orthonormal
     y = x @ np.array([1.5, -2.0, 0.5]) + rng.standard_normal(n)
     return mean_center(make_dataset(x, y))
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(name: str):
+    """A module of the benchmark (``bench/<name>.py``), loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -142,10 +142,43 @@ def test_4_orthogonal_function_regressions(centered):
     )
 
 
+def n_length_residualized(c, model):
+    """Per predictor (slope, regression SS, z) of the simple regression on
+    its column residualized against the rest, by lstsq on the n rows."""
+    out = {}
+    for nm in model:
+        rp = residualize(c, nm, tuple(o for o in model if o != nm))
+        (slope,), *_ = np.linalg.lstsq(rp.values[:, None], c.y, rcond=None)
+        out[nm] = (slope, slope**2 * rp.ss, slope * rp.sd / c.sd_y)
+    return out
+
+
+def n_length_orthogonal(c, order):
+    """(slopes, z) of the fit on the sequentially residualized columns, by lstsq."""
+    design = np.column_stack(
+        [residualize(c, nm, order[:k]).values for k, nm in enumerate(order)]
+    )
+    coef, *_ = np.linalg.lstsq(design, c.y, rcond=None)
+    return coef, coef * design.std(axis=0, ddof=1) / c.sd_y
+
+
 def test_5_corrected_statistics_two_routes(centered):
-    r2_ratio = corrected_r2(centered, MODEL)
+    # the reported values come from the subset memo; the second route
+    # regresses on the residualized columns themselves, over the n rows
     fits = residualized_simple_fits(centered, MODEL)
-    r2_z = sum(float(f.z[0]) ** 2 for f in fits.values())
+    n_length = n_length_residualized(centered, MODEL)
+    for nm, (slope, ss, z) in n_length.items():
+        assert close(fits[nm].b[0], slope, 1e-9)
+        assert close(fits[nm].ss_regression, ss, 1e-9)
+        assert close(fits[nm].z[0], z, 1e-9)
+    for order in (MODEL, MODEL[::-1]):
+        of = orthogonal_regression(centered, order)
+        coef, z = n_length_orthogonal(centered, order)
+        np.testing.assert_allclose(of.b, coef, rtol=1e-9)
+        np.testing.assert_allclose(of.z, z, rtol=1e-9)
+
+    r2_ratio = corrected_r2(centered, MODEL)
+    r2_z = sum(z**2 for _, _, z in n_length.values())
     assert r2_ratio == pytest.approx(0.243, abs=0.001)
     assert r2_z == pytest.approx(0.243, abs=0.001)
     assert close(r2_ratio, r2_z, 1e-9)
@@ -225,17 +258,30 @@ def test_7_identity_sweep_on_synthetic_datasets():
             total = sum(pd.type1_by_ordering[order] for pd in rep.per_predictor)
             assert close(total, full.ss_regression, 1e-8, scale)
 
-        # slope equality and the t identity, per predictor
+        # slope equality and the t identity, per predictor, with the
+        # residualized fits checked against the n-length route
+        n_length = n_length_residualized(c, model)
         for j, pd in enumerate(rep.per_predictor):
             rfit = rep.residualized_fits[pd.name]
             b_scale = c.sd_y / c.sd(pd.name)
+            slope, ss, _ = n_length[pd.name]
             assert close(rfit.b[0], full.b[j], 1e-8, b_scale)
+            assert close(rfit.b[0], slope, 1e-8, b_scale)
+            assert close(rfit.ss_regression, ss, 1e-8, scale)
             assert close(
                 float(full.t[j]) ** 2 * full.ms_residual, pd.type3_ss, 1e-8, scale
             )
 
-        # corrected R2 via the standardized-coefficient route
-        z_sq = sum(float(f.z[0]) ** 2 for f in rep.residualized_fits.values())
+        # orthogonal terms of the first and last ordering, both routes
+        for order in (rep.orderings[0], rep.orderings[-1]):
+            of = orthogonal_regression(c, order)
+            coef, _ = n_length_orthogonal(c, order)
+            b_scales = [c.sd_y / c.sd(nm) for nm in order]
+            for got, want, b_scale in zip(of.b, coef, b_scales):
+                assert close(got, want, 1e-8, b_scale)
+
+        # corrected R2 via the standardized-coefficient route, over the n rows
+        z_sq = sum(z**2 for _, _, z in n_length.values())
         assert close(rep.corrected_r2, z_sq, 1e-8, 1.0)
 
         # Venn accounting closes

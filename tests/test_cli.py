@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import varpart.decomposition
+import varpart.ols_core
 from varpart import (
     CsvSpec,
     enumerate_orderings,
@@ -341,20 +342,28 @@ class TestOrderingsSharing:
         render = render_json if fmt == "json" else render_csv
         assert res.stdout == render(payload)
 
-    def test_residualizes_each_prefix_once(self, runner, tmp_path, monkeypatch):
+    def test_no_residualized_column_or_n_length_fit(self, runner, tmp_path, monkeypatch):
+        # every term is read off the subset memo; the n-length routes stay
+        # only as oracles, so the report path must not reach them
         _, _, args = self.synth(runner, tmp_path, 4)
         calls = []
-        residualize = varpart.decomposition.residualize
 
-        def counted(*a, **kw):
-            calls.append(a)
-            return residualize(*a, **kw)
+        def spy(module, name):
+            original = getattr(module, name)
 
-        monkeypatch.setattr(varpart.decomposition, "residualize", counted)
+            def counted(*a, **kw):
+                calls.append(name)
+                return original(*a, **kw)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(varpart.decomposition, "residualize")
+        spy(varpart.decomposition, "fit_centered_design")
+        spy(varpart.ols_core, "fit_centered_design")
         res = invoke(runner, "orderings", *args, "--format", "json")
         assert res.exit_code == 0
-        # 4*3 + 4*3*2 + 4! prefixes of length 2..4, against 3 per ordering
-        assert len(calls) == 60
+        assert len(json.loads(res.stdout)["orderings"]) == 24
+        assert calls == []
 
 
 class TestRealProcess:
@@ -418,11 +427,18 @@ class TestRealProcess:
         )
         assert proc.stdout == ""
 
-    @pytest.mark.parametrize("module", ["varpart", "varpart.cli"])
-    def test_import_leaves_scipy_optimize_unloaded(self, module):
-        # only the SVG renderer needs brentq; the SVG golden covers that path
-        code = f"import sys, {module}; print('scipy.optimize' in sys.modules)"
+    def test_scipy_is_never_loaded(self):
+        # scipy is not a dependency: neither the import nor an SVG render loads it
+        code = (
+            "import sys\n"
+            "import varpart.cli\n"
+            "print(any(m.partition('.')[0] == 'scipy' for m in sys.modules))\n"
+            "from click.testing import CliRunner\n"
+            "res = CliRunner().invoke(varpart.cli.main, ['venn', '--dwaine', '--format', 'svg'])\n"
+            "print(res.exit_code, res.output.startswith('<?xml'))\n"
+            "print(any(m.partition('.')[0] == 'scipy' for m in sys.modules))\n"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "False\n0 True\nFalse\n"

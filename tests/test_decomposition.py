@@ -18,6 +18,7 @@ from varpart import (
     fit_ols,
     generate_synthetic,
     mean_center,
+    ordering_fits,
     orthogonal_regression,
     partial_ss,
     residualize,
@@ -231,6 +232,29 @@ class TestOrthogonalRegression:
         for order in (("x1", "x2"), ("x2", "x1")):
             with pytest.raises(SingularDesign):
                 orthogonal_regression(c, order)
+
+
+    def test_empty_ordering_rejected(self, centered):
+        with pytest.raises(EmptySubset):
+            orthogonal_regression(centered, ())
+        with pytest.raises(EmptySubset):
+            ordering_fits(centered, [()])
+        with pytest.raises(EmptySubset):
+            fit_ols(centered, ())
+
+    def test_terms_match_n_length_route(self, centered):
+        # each term against lstsq on the residualized columns themselves
+        for order in permutations(MODEL):
+            of = orthogonal_regression(centered, order)
+            cols = [residualize(centered, nm, order[:k]).values for k, nm in enumerate(order)]
+            design = np.column_stack(cols)
+            coef, *_ = np.linalg.lstsq(design, centered.y, rcond=None)
+            np.testing.assert_allclose(of.b, coef, rtol=1e-12)
+            res = centered.y - design @ coef
+            mse = float(res @ res) / of.df_residual
+            np.testing.assert_allclose(of.se, np.sqrt(mse / (design**2).sum(axis=0)), rtol=1e-12)
+            sds = design.std(axis=0, ddof=1)
+            np.testing.assert_allclose(of.z, coef * sds / centered.sd_y, rtol=1e-12)
 
 
 class TestResidualizedSimpleFits:

@@ -1,15 +1,18 @@
 import dataclasses
+import math
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varpart.ols_core
 from varpart import (
     Dataset,
     SyntheticSpec,
     anova_table,
+    dwaine_fixture,
     exchangeable_correlation,
     fit_ols,
     generate_synthetic,
@@ -24,9 +27,11 @@ from varpart.errors import (
     SingularDesign,
     UnknownName,
 )
-from varpart.ols_core import RCOND_MIN, _gram, _solve_spd, fit_centered_design
+from varpart.ols_core import fit_centered_design
 
-from conftest import MODEL, make_dataset
+from conftest import MODEL, bench_module, make_dataset
+
+reference = bench_module("reference")
 
 
 def _cols(**kw):
@@ -150,66 +155,86 @@ class TestSscp:
     def test_default_labels_response_first(self, centered):
         assert sscp(centered).labels == ("SALES",) + MODEL
 
-
-def _triu_gram(cols):
-    """Reference SSCP: the triangle-sum mirror, which adds +0.0 to every entry."""
-    m = cols.T @ cols
-    return np.triu(m) + np.triu(m, 1).T
-
-
-class _NegativeZeroProducts(np.ndarray):
-    """Columns whose zero cross-products come out as -0.0.
-
-    For x1 = (0, 0) and x2 = (-1, -2) every product is -0.0, and so is their
-    sum unless the accumulator starts from +0.0, as numpy's bundled BLAS
-    does. The subclass supplies the -0.0 such a BLAS would leave.
-    """
-
-    def __matmul__(self, other):
-        m = np.asarray(self) @ np.asarray(other)
-        m[m == 0.0] = -0.0
-        return m
+    @pytest.mark.parametrize("pair", [("nope", "SALES"), ("SALES", "nope")])
+    def test_unknown_label_is_named(self, centered, pair):
+        with pytest.raises(UnknownName) as exc:
+            sscp(centered).value(*pair)
+        assert exc.value.name == "nope"
 
 
-def _bits(a):
-    return np.ascontiguousarray(a).tobytes()
+def _half_ulp(got, want):
+    """``got`` is the float64 nearest to the mpmath value ``want``."""
+    with mpmath.workdps(reference.DPS):
+        return abs(mpmath.mpf(got) - want) <= mpmath.mpf(math.ulp(got)) / 2
 
 
-def _spd_cases():
-    """Seeded SPD matrices of size 1-8 with right-hand sides; the exchangeable
-    ones sit just above the RCOND_MIN guard once the diagonal is normalized."""
-    rng = np.random.default_rng(20240611)
-    for k in range(1, 9):
-        g = rng.standard_normal((3 * k, k))
-        yield _triu_gram(g), rng.standard_normal(k)
-        if k == 1:
-            continue
-        r = 3.0 * RCOND_MIN
-        rho = (1.0 - r) / (1.0 + (k - 1) * r)
-        corr = np.full((k, k), rho)
-        np.fill_diagonal(corr, 1.0)
-        d = np.diag(10.0 ** rng.uniform(-3, 3, k))
-        a = d @ corr @ d
-        yield np.triu(a) + np.triu(a, 1).T, rng.standard_normal(k)
+def _seeded(seed):
+    # offsets far above the spread make float64 centering cancel badly
+    rng = np.random.default_rng(seed)
+    n = 30 + 17 * seed
+    x = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-6, 6, 3)
+    x += 10.0 ** rng.integers(0, 9, 3)
+    y = x @ rng.standard_normal(3) + rng.standard_normal(n)
+    return make_dataset(x, y)
 
 
-class TestLapackSolve:
-    """The direct dpotrf/dpotrs calls against scipy's cho_factor/cho_solve."""
+def _mixed_magnitudes():
+    rng = np.random.default_rng(99)
+    big = rng.standard_normal(40) * 1e150
+    tiny = rng.standard_normal(40) * 1e-150
+    x = np.column_stack([np.where(np.arange(40) % 2, big, tiny), tiny, big + tiny])
+    return make_dataset(x, rng.standard_normal(40))
 
-    def test_solve_matches_scipy_bit_for_bit(self):
-        near_guard = 0
-        for a, rhs in _spd_cases():
-            scale = np.sqrt(np.diag(a))
-            ev = np.linalg.eigvalsh(a / np.outer(scale, scale))
-            near_guard += ev[0] / ev[-1] < 10 * RCOND_MIN
-            cf = scipy.linalg.cho_factor(a, lower=True)
-            for b in (rhs, np.eye(len(a))):
-                want = scipy.linalg.cho_solve(cf, b)
-                assert np.array_equal(_solve_spd(a, b, "t"), want)
-        assert near_guard == 7
 
+def _tall():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((100_000, 2)) + 3.0
+    return make_dataset(x, x.sum(axis=1) + rng.standard_normal(100_000))
+
+
+EXACT_CASES = {
+    "dwaine": dwaine_fixture,
+    **{f"seed{s}": (lambda s=s: _seeded(s)) for s in range(5)},
+    "tall": _tall,
+    "mixed-magnitudes": _mixed_magnitudes,
+}
+
+
+class TestExactSscp:
+    """mean_center's sliced SSCP against the integer-arithmetic reference."""
+
+    @pytest.mark.parametrize("case", list(EXACT_CASES))
+    def test_matches_integer_reference(self, case):
+        d = EXACT_CASES[case]()
+        c = mean_center(d)
+        names = (*d.predictor_names, d.response_name)
+        want = reference.centred_sscp([d.column(nm) for nm in names])
+        k = len(names)
+        with mpmath.workdps(reference.DPS):
+            for i in range(k):
+                for j in range(k):
+                    assert _half_ulp(c.exact.f[i, j], want[i, j]), (i, j)
+                    got = mpmath.mpf(str(c.exact.s[i][j]))
+                    tol = 10.0 ** (1 - varpart.ols_core._DIGITS) * abs(want[i, j])
+                    assert abs(got - want[i, j]) <= tol, (i, j)
+
+    def test_independent_of_row_order_and_block_size(self, monkeypatch):
+        d = _tall()
+        rows = np.random.default_rng(1).permutation(d.n)
+        shuffled = Dataset(
+            tuple((nm, v[rows]) for nm, v in d.columns), d.response_name, d.predictor_names
+        )
+        first = mean_center(d).exact
+        monkeypatch.setattr(varpart.ols_core, "_BLOCK", 1000)
+        for other in (mean_center(d).exact, mean_center(shuffled).exact):
+            assert other.f.tobytes() == first.f.tobytes()
+            assert other.s == first.s
+
+
+class TestFitCenteredDesign:
     @pytest.mark.parametrize("rho", [0.0, 0.9, 1 - 1e-6, 1 - 1e-9])
-    def test_fit_centered_design_matches_scipy_bit_for_bit(self, rho):
+    def test_correctly_rounded(self, rho):
+        # the columns' exact centered cross-products, solved at 60 digits
         rng = np.random.default_rng(7)
         n = 40
         for k in range(1, 9):
@@ -222,54 +247,27 @@ class TestLapackSolve:
             fit = fit_centered_design(
                 y, x, [f"x{j}" for j in range(k)], np.zeros(k), np.ones(k), 0.0, 1.0
             )
-            rhs = x.T @ y
-            cf = scipy.linalg.cho_factor(_triu_gram(x), lower=True)
-            b = scipy.linalg.cho_solve(cf, rhs)
-            inv = scipy.linalg.cho_solve(cf, np.eye(k))
-            res = y - x @ b
-            se = np.sqrt(float(res @ res) / (n - k - 1) * np.diag(inv))
-            assert np.array_equal(fit.b, b)
-            assert np.array_equal(fit.se, se)
+            g = reference.centred_sscp([*x.T, y])
+            with mpmath.workdps(reference.DPS):
+                a = g[:k, :k]
+                r = g[:k, k]
+                b = mpmath.lu_solve(a, r)
+                inv = a**-1
+                mse = (g[k, k] - sum(b[j] * r[j] for j in range(k))) / (n - k - 1)
+                for j in range(k):
+                    assert _half_ulp(fit.b[j], b[j]), (k, j)
+                    assert _half_ulp(fit.se[j], mpmath.sqrt(mse * inv[j, j])), (k, j)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 7])
-    def test_gram_matches_triangle_sum_bit_for_bit(self, k):
-        cols = np.random.default_rng(k).standard_normal((25, k))
-        assert _bits(_gram(cols)) == _bits(_triu_gram(cols))
+    def test_non_finite_column_named(self):
+        x = np.arange(6.0)
+        x[2] = np.nan
+        with pytest.raises(NonFiniteValue, match="column 'a' contains NaN"):
+            fit_centered_design(np.arange(6.0), x[:, None], ["a"], [0], [1], 0, 1)
 
-    def test_gram_turns_negative_zero_cross_products_positive(self):
-        cols = np.array([[0.0, -1.0], [0.0, -2.0]]).view(_NegativeZeroProducts)
-        raw = cols.T @ cols
-        assert np.signbit(raw[0, 1]) and np.signbit(raw[1, 0])
-        g = _gram(cols)
-        assert _bits(g) == _bits(_triu_gram(cols))
-        assert not np.signbit(g).any()
-
-    @pytest.mark.parametrize(
-        "a, rhs",
-        [
-            (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones(2)),
-            (np.array([[4.0, np.inf], [np.inf, 4.0]]), np.ones(2)),
-            (np.eye(2), np.array([1.0, np.inf])),
-        ],
-        ids=["nan-matrix", "inf-matrix", "inf-rhs"],
-    )
-    def test_non_finite_input_raises_scipys_value_error(self, a, rhs):
-        with pytest.raises(ValueError) as want:
-            scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), rhs)
-        with pytest.raises(ValueError) as got:
-            _solve_spd(a, rhs, "t")
-        assert str(got.value) == str(want.value) == "array must not contain infs or NaNs"
-
-    def test_failed_factor_keeps_scipys_message(self, monkeypatch):
-        # indefinite, so only a guard that wrongly passes lets dpotrf see it
-        a = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(np.linalg.LinAlgError) as want:
-            scipy.linalg.cho_factor(a, lower=True)
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array([1.0, 1.0]))
-        with pytest.raises(SingularDesign) as got:
-            _solve_spd(a, np.ones(2), "subset (a, b)")
-        assert str(got.value) == f"subset (a, b): {want.value}"
-        assert str(got.value).endswith("2-th leading minor of the array is not positive definite")
+    def test_guard_applies(self):
+        x = np.arange(10.0)
+        with pytest.raises(SingularDesign):
+            fit_centered_design(x, np.column_stack([x, 2 * x]), ["a", "b"], [0, 0], [1, 1], 0, 1)
 
 
 class TestFitOls:
