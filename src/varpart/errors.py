@@ -9,8 +9,8 @@ class InvalidDataset(VarpartError):
     """Dataset structure is inconsistent (lengths, names, or size)."""
 
 
-class NonFiniteValue(VarpartError):
-    """A column contains NaN or infinity."""
+class NonFiniteValue(VarpartError, ValueError):
+    """A column contains NaN or infinity; also a ValueError, as the bad value it is."""
 
 
 class ConstantColumn(VarpartError):

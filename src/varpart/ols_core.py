@@ -27,12 +27,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
-    ConstantColumn,
-    EmptySubset,
-    InvalidDataset,
-    NonFiniteValue,
-    SingularDesign,
-    UnknownName,
+    ConstantColumn, EmptySubset, InvalidDataset, NonFiniteValue, SingularDesign, UnknownName,
 )
 
 # Reciprocal-condition-number floor on the diagonally normalized SSCP.
@@ -409,6 +404,8 @@ def _extend(s: list[list[Decimal]], sol: _Solution, col: int, rhs: int) -> _Solu
         a = [s[col][j] for j in sol.b]
         u = [sum(map(mul, row, a)) for row in sol.ainv]
         d = s[col][col] - sum(map(mul, a, u))
+        if d <= 0:  # only a design the guard wrongly passed gets here
+            raise SingularDesign(f"{len(a) + 1}-th leading minor of the array is not positive definite")
         bk = (s[col][rhs] - sum(map(mul, a, sol.b.values()))) / d
         b = {j: bj - uj * bk for (j, bj), uj in zip(sol.b.items(), u)}
         b[col] = bk
@@ -436,14 +433,17 @@ class _Subsets:
         names the design in errors (default: "subset (names)")."""
         idx = list(idx)
         key = frozenset(idx)
+        context = context or f"subset ({', '.join(self._names[i] for i in idx)})"
         # A set inside one that passed the guard passes it too: a principal
         # block of the normalized SSCP has its eigenvalues inside those of
         # the whole (Cauchy interlacing). A repeated column never passes.
         if len(key) < len(idx) or not any(key <= done for done in self._guarded):
-            names = ", ".join(self._names[i] for i in idx)
-            _guard(self._ex.f[idx][:, idx], context or f"subset ({names})")
+            _guard(self._ex.f[idx][:, idx], context)
             self._guarded.append(key)
-        return self._border(sorted(key))
+        try:
+            return self._border(sorted(key))
+        except SingularDesign as exc:
+            raise SingularDesign(f"{context}: {exc}") from None
 
     def _border(self, cols: list[int]) -> _Solution:
         key = frozenset(cols)

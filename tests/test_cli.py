@@ -294,8 +294,8 @@ class TestSynth:
 
 
 class TestOrderingsSharing:
-    """All orderings share one subset memo and residualized prefix columns;
-    the output must equal independent per-ordering calls byte for byte."""
+    """All orderings share one subset memo; the output must equal
+    independent per-ordering calls byte for byte."""
 
     def synth(self, runner, tmp_path, p):
         data = tmp_path / f"p{p}.csv"
@@ -341,6 +341,24 @@ class TestOrderingsSharing:
         payload = orderings_payload("y", preds, fit_ols(c, preds), entries)
         render = render_json if fmt == "json" else render_csv
         assert res.stdout == render(payload)
+
+    def test_residualizes_each_prefix_once(self, runner, tmp_path, monkeypatch):
+        # a prefix is residualized by bordering the solve of the one before
+        # it; across all 24 orderings of 4 predictors there are 15 distinct
+        # prefixes, and the memo solves each of them once
+        _, _, args = self.synth(runner, tmp_path, 4)
+        calls = []
+        extend = varpart.ols_core._extend
+
+        def counted(s, sol, col, rhs):
+            calls.append((frozenset(sol.b) | {col}, rhs))
+            return extend(s, sol, col, rhs)
+
+        monkeypatch.setattr(varpart.ols_core, "_extend", counted)
+        res = invoke(runner, "orderings", *args, "--format", "json")
+        assert res.exit_code == 0
+        assert len(calls) == len(set(calls)) == 2**4 - 1
+        assert {rhs for _, rhs in calls} == {4}
 
     def test_no_residualized_column_or_n_length_fit(self, runner, tmp_path, monkeypatch):
         # every term is read off the subset memo; the n-length routes stay
@@ -426,6 +444,14 @@ class TestRealProcess:
             "error: column 'x1': cross-products overflow float64 (rescale the column)\n"
         )
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("module", ["varpart", "varpart.cli"])
+    def test_import_leaves_scipy_optimize_unloaded(self, module):
+        code = f"import sys, {module}; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout == "False\n"
 
     def test_scipy_is_never_loaded(self):
         # scipy is not a dependency: neither the import nor an SVG render loads it

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+from decimal import Decimal
+from fractions import Fraction
+from operator import mul
 
 import mpmath
 import numpy as np
@@ -27,7 +30,7 @@ from varpart.errors import (
     SingularDesign,
     UnknownName,
 )
-from varpart.ols_core import fit_centered_design
+from varpart.ols_core import _exact_sscp, _Exact, _Subsets, fit_centered_design
 
 from conftest import MODEL, bench_module, make_dataset
 
@@ -231,6 +234,61 @@ class TestExactSscp:
             assert other.s == first.s
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestLapackSolve:
+    """The guarantees of the former float64 dpotrf/dpotrs route that the
+    exact SSCP and the decimal solve keep: a gram whose entries are its
+    upper-triangle sums mirrored, with no negative zeros; a ValueError for
+    non-finite input; a failed pivot reported in LAPACK's words."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_gram_matches_triangle_sum_bit_for_bit(self, k):
+        # each entry is the exact centered sum of its pair's products, rounded once
+        cols = np.random.default_rng(k).standard_normal((25, k))
+        f, _, _ = _exact_sscp(list(cols.T), [f"x{j}" for j in range(k)])
+        want = np.empty((k, k))
+        for a in range(k):
+            for b in range(a, k):
+                xa, xb = ([Fraction(v) for v in cols[:, j]] for j in (a, b))
+                exact = sum(map(mul, xa, xb)) - sum(xa) * sum(xb) / len(xa)
+                want[a, b] = want[b, a] = float(exact)
+        assert _bits(f) == _bits(want)
+
+    def test_gram_turns_negative_zero_cross_products_positive(self):
+        cols = np.array([[0.0, -1.0], [0.0, -2.0]])
+        assert np.signbit(cols[:, 0] * cols[:, 1]).all()
+        f, _, _ = _exact_sscp(list(cols.T), ["a", "b"])
+        assert _bits(f) == _bits([[0.0, 0.0], [0.0, 0.5]])
+        assert not np.signbit(f).any()
+
+    @pytest.mark.parametrize(
+        "column, bad",
+        [("a", np.nan), ("a", np.inf), ("y", np.inf)],
+        ids=["nan-matrix", "inf-matrix", "inf-rhs"],
+    )
+    def test_non_finite_input_raises_scipys_value_error(self, column, bad):
+        y, x = np.arange(6.0), np.arange(6.0) ** 2
+        (x if column == "a" else y)[2] = bad
+        with pytest.raises(ValueError) as got:
+            fit_centered_design(y, x[:, None], ["a"], [0], [1], 0, 1)
+        assert isinstance(got.value, NonFiniteValue)
+        assert str(got.value) == f"column {column!r} contains NaN or infinity"
+
+    def test_failed_factor_keeps_scipys_message(self, monkeypatch):
+        # indefinite, so only a guard that wrongly passes lets a pivot see it
+        s = [[Decimal(v) for v in row] for row in ([1, 2, 1], [2, 1, 1], [1, 1, 1])]
+        ex = _Exact(np.array(s, dtype=float), s, [Decimal(0)] * 3, [Decimal(1)] * 3, 10)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array([1.0, 1.0]))
+        with pytest.raises(SingularDesign) as got:
+            _Subsets(ex, ("a", "b")).solve([0, 1])
+        assert str(got.value) == (
+            "subset (a, b): 2-th leading minor of the array is not positive definite"
+        )
+
+
 class TestFitCenteredDesign:
     @pytest.mark.parametrize("rho", [0.0, 0.9, 1 - 1e-6, 1 - 1e-9])
     def test_correctly_rounded(self, rho):
@@ -257,12 +315,6 @@ class TestFitCenteredDesign:
                 for j in range(k):
                     assert _half_ulp(fit.b[j], b[j]), (k, j)
                     assert _half_ulp(fit.se[j], mpmath.sqrt(mse * inv[j, j])), (k, j)
-
-    def test_non_finite_column_named(self):
-        x = np.arange(6.0)
-        x[2] = np.nan
-        with pytest.raises(NonFiniteValue, match="column 'a' contains NaN"):
-            fit_centered_design(np.arange(6.0), x[:, None], ["a"], [0], [1], 0, 1)
 
     def test_guard_applies(self):
         x = np.arange(10.0)
