@@ -8,8 +8,9 @@ A hidden ``synth`` subcommand emits seeded synthetic CSVs for testing.
 
 Exit codes: 0 success, 2 input or usage error, 3 degenerate design
 (constant column, collinear predictors, or cross-products that overflow
-float64), 4 ordering-cap exceeded. Every failure prints a one-line
-diagnostic to stderr.
+float64), 4 ordering-cap exceeded. Every failure the commands detect
+prints a one-line ``error:`` diagnostic to stderr; an option click itself
+cannot parse, such as an unknown flag, gets click's usage block (exit 2).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -118,16 +120,15 @@ def _format_option(choices):
 def _load_dataset(use_dwaine, input_path, response, predictors, delimiter) -> Dataset:
     if use_dwaine:
         if input_path or response or predictors:
-            raise click.UsageError(
-                "--dwaine cannot be combined with --input/--response/--predictors"
+            _fail(
+                "--dwaine cannot be combined with --input/--response/--predictors",
+                _EXIT_INPUT,
             )
         return dwaine_fixture()
     if not input_path:
-        raise click.UsageError(
-            "provide --dwaine, or --input with --response and --predictors"
-        )
+        _fail("provide --dwaine, or --input with --response and --predictors", _EXIT_INPUT)
     if not response or not predictors:
-        raise click.UsageError("--input requires --response and --predictors")
+        _fail("--input requires --response and --predictors", _EXIT_INPUT)
     return load_csv(
         CsvSpec(
             path=input_path,
@@ -143,9 +144,9 @@ def _model_names(ds: Dataset, model_arg) -> tuple[str, ...]:
         return ds.predictor_names
     names = _split(model_arg)
     if not names:
-        raise click.UsageError("--model must name at least one predictor")
+        _fail("--model must name at least one predictor", _EXIT_INPUT)
     if len(set(names)) != len(names):
-        raise click.UsageError("--model names a predictor twice")
+        _fail("--model names a predictor twice", _EXIT_INPUT)
     return names
 
 
@@ -175,8 +176,9 @@ def _run(body) -> None:
         _fail(exc, _EXIT_INPUT)
 
 
-def _fail(exc, code: int) -> None:
-    click.echo(f"error: {exc}", err=True)
+def _fail(reason, code: int) -> NoReturn:
+    """Print one ``error:`` line to stderr and exit with ``code``."""
+    click.echo(f"error: {reason}", err=True)
     sys.exit(code)
 
 
@@ -235,9 +237,7 @@ def orderings(ds, c, model, fmt, orders):
         ordering_list = tuple(_split(o) for o in orders)
         for o in ordering_list:
             if sorted(o) != sorted(model):
-                raise click.UsageError(
-                    f"--order {','.join(o)} is not a permutation of the model"
-                )
+                _fail(f"--order {','.join(o)} is not a permutation of the model", _EXIT_INPUT)
     else:
         ordering_list = enumerate_orderings(model)
     full = fit_ols(c, model)
@@ -283,9 +283,7 @@ def synth(n, p, rho, coef, noise_sd, seed, out_path):
             try:
                 actual_seed = int(env_seed)
             except ValueError:
-                raise click.UsageError(
-                    f"VARPART_SEED must be an integer, got {env_seed!r}"
-                ) from None
+                _fail(f"VARPART_SEED must be an integer, got {env_seed!r}", _EXIT_INPUT)
         else:
             actual_seed = seed
         coefs = (

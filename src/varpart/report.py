@@ -6,6 +6,11 @@ therefore shows exactly the JSON numbers rounded half away from zero to
 two decimals, and CSV output carries the full-precision values in a flat
 (section, name, statistic, value) layout. Non-finite statistics (a
 perfect fit has infinite F) become JSON null and the text cell "NA".
+
+JSON output is byte for byte ``json.dumps(payload, indent=2,
+allow_nan=False)`` and a newline. The stdlib writes indented JSON in pure
+Python, so ``render_json`` dumps one skeleton per shape of list item (its
+keys and list lengths) and fills the slots from one call to the C encoder.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import csv
 import io
 import json
 import math
+from itertools import chain
 from typing import Any, Sequence
 
 from .decomposition import DecompositionReport, VennRegions
@@ -222,8 +228,140 @@ def venn_payload(
 # --------------------------------------------------------------- renderers
 
 
-def render_json(payload: dict[str, Any]) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+_PAD = "  "
+_CONTAINERS = (dict, list, tuple)
+# Leaves joined by NUL: strings are ASCII-escaped, so no encoded leaf holds one.
+_LEAF_ENCODER = json.JSONEncoder(allow_nan=False, separators=("\x00", ":"))
+
+
+def render_json(payload: Any) -> str:
+    """``json.dumps(payload, indent=2, allow_nan=False) + "\\n"``, byte for byte.
+
+    With an indent, ``json`` formats in pure Python. Here each item of a
+    non-empty list of objects is filled from a skeleton of its shape (its
+    keys and list lengths), built once per shape and depth, and the rest
+    of the payload is a skeleton of the same kind with one slot per list.
+    The distinct leaves are encoded in one call to the C encoder, which
+    formats floats, ints, strings, null and booleans exactly as the
+    indented path does and raises the same ValueError on NaN and
+    infinities.
+    """
+    leaves: list[Any] = []
+    template = _template(payload, leaves)
+    return template % tuple(_encode(leaves))
+
+
+def _encode(leaves: list[Any]) -> list[str]:
+    """The JSON text of each leaf, each distinct leaf encoded once.
+
+    Leaves of one type and value share a text. Equality cannot tell 0.0
+    from -0.0, so when a float zero is among the leaves, only a leaf that
+    is the very same object shares a text.
+    """
+    keys: list[Any] = list(zip(map(type, leaves), leaves))
+    distinct = dict(zip(keys, leaves))
+    if any(isinstance(x, float) and x == 0 for x in distinct.values()):
+        keys = list(map(id, leaves))
+        distinct = dict(zip(keys, leaves))
+    texts = _LEAF_ENCODER.encode(list(distinct.values()))[1:-1].split("\x00")
+    return list(map(dict(zip(distinct, texts)).__getitem__, keys))
+
+
+def _template(payload: Any, leaves: list[Any]) -> str:
+    """The payload's text and final newline, with a ``%s`` for each leaf.
+
+    The fills, as long as the template, are freed on return, before the
+    leaves are filled in.
+    """
+    fills: list[str] = []
+    chunks = _chunks(_outline(payload, 0, leaves, {}, fills), 0, len(fills))
+    return "".join(chain.from_iterable(zip(chunks, [*fills, "\n"])))
+
+
+def _outline(v: Any, depth: int, leaves: list[Any], templates: dict, fills: list[str]) -> Any:
+    """The shape of ``v``, lying at ``depth`` outside every list item.
+
+    Appends the leaves to ``leaves`` in document order, and to ``fills``
+    the text of each slot: ``%s`` for a leaf, or the template of a
+    non-empty list of dicts, which takes one slot. This shape is never
+    shared, so unlike ``_shape`` it needs no guard on keys.
+    """
+    if isinstance(v, dict):
+        children = [_outline(x, depth + 1, leaves, templates, fills) for x in v.values()]
+        return tuple(v), tuple(children)
+    if isinstance(v, (list, tuple)):
+        if v and all(isinstance(x, dict) for x in v):
+            fills.append(_items(v, depth, leaves, templates))
+            return None
+        return (tuple([_outline(x, depth + 1, leaves, templates, fills) for x in v]),)
+    leaves.append(v)
+    fills.append("%s")
+    return None
+
+
+def _items(items: Any, depth: int, leaves: list[Any], templates: dict) -> str:
+    """Template of a list of dicts at ``depth``: one skeleton per item shape."""
+    parts = []
+    for item in items:
+        start = len(leaves)
+        key = (_shape(item, leaves), depth + 1)
+        template = templates.get(key)
+        if template is None:
+            template = templates[key] = "%s".join(_chunks(*key, len(leaves) - start))
+        parts.append(template)
+    pad = "\n" + _PAD * (depth + 1)
+    return f"[{pad}{(',' + pad).join(parts)}\n{_PAD * depth}]"
+
+
+def _shape(v: Any, leaves: list[Any]) -> tuple:
+    """The shape of a container, appending its leaves to ``leaves``.
+
+    A leaf's shape is None, a list's is a 1-tuple of its items' shapes and
+    a dict's is its keys and its values' shapes. A dict with a key that is
+    not a str never shares a shape: True, 1 and 1.0 compare equal but
+    render differently.
+    """
+    children = []
+    for x in v.values() if isinstance(v, dict) else v:
+        if isinstance(x, _CONTAINERS):
+            children.append(_shape(x, leaves))
+        else:
+            leaves.append(x)
+            children.append(None)
+    if not isinstance(v, dict):
+        return (tuple(children),)
+    keys = tuple(v)
+    try:
+        "".join(keys)
+    except TypeError:
+        return keys, tuple(children), object()
+    return keys, tuple(children)
+
+
+def _stand_in(shape: Any, marker: str) -> Any:
+    if shape is None:
+        return marker
+    if len(shape) == 1:
+        return [_stand_in(s, marker) for s in shape[0]]
+    return {k: _stand_in(s, marker) for k, s in zip(shape[0], shape[1])}
+
+
+def _chunks(shape: Any, depth: int, slots: int) -> list[str]:
+    """The text between the ``slots`` slots of ``shape`` at ``depth``, % escaped.
+
+    Every slot is dumped as a marker string; the marker is lengthened
+    until it splits the dump into exactly one chunk more than there are
+    slots, so a key that contains it cannot forge a slot.
+    """
+    marker = "@"
+    while True:
+        dumped = json.dumps(_stand_in(shape, marker), indent=2, allow_nan=False)
+        chunks = dumped.split(f'"{marker}"')
+        if len(chunks) == slots + 1:
+            break
+        marker += "@"
+    indent = "\n" + _PAD * depth
+    return [c.replace("%", "%%").replace("\n", indent) for c in chunks]
 
 
 def _layout(rows: list[list[str]], align: str) -> list[str]:

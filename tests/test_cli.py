@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -20,7 +21,7 @@ from varpart import (
     sequential_ss,
 )
 from varpart.cli import main
-from varpart.report import orderings_payload, render_csv, render_json
+from varpart.report import orderings_payload, render_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -339,8 +340,12 @@ class TestOrderingsSharing:
             (o, sequential_ss(c, o), orthogonal_regression(c, o)) for o in ordering_list
         ]
         payload = orderings_payload("y", preds, fit_ols(c, preds), entries)
-        render = render_json if fmt == "json" else render_csv
-        assert res.stdout == render(payload)
+        if fmt == "json":
+            # the stdlib encoder, not the renderer under test, is the oracle
+            expected = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        else:
+            expected = render_csv(payload)
+        assert res.stdout == expected
 
     def test_residualizes_each_prefix_once(self, runner, tmp_path, monkeypatch):
         # a prefix is residualized by bordering the solve of the one before
@@ -387,11 +392,12 @@ class TestOrderingsSharing:
 class TestRealProcess:
     """One end-to-end pass through the actual interpreter exit path."""
 
-    def run(self, *args):
+    def run(self, *args, env=None):
         return subprocess.run(
             [sys.executable, "-m", "varpart.cli", *args],
             capture_output=True,
             text=True,
+            env={**os.environ, **(env or {})},
         )
 
     def test_success_matches_golden(self):
@@ -424,6 +430,40 @@ class TestRealProcess:
         assert proc.stderr.startswith("error:") and "line " in proc.stderr
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args, env",
+        [
+            (["fit", "--dwaine", "--input", "data.csv"], None),
+            (["fit"], None),
+            (["fit", "--input", "data.csv"], None),
+            (["fit", "--dwaine", "--model", ","], None),
+            (["fit", "--dwaine", "--model", "TARGTPOP,TARGTPOP"], None),
+            (["orderings", "--dwaine", "--order", "TARGTPOP"], None),
+            (["synth", "--n", "12"], {"VARPART_SEED": "abc"}),
+        ],
+        ids=[
+            "dwaine-with-input",
+            "no-input",
+            "input-without-columns",
+            "empty-model",
+            "repeated-model",
+            "order-not-permutation",
+            "non-integer-seed",
+        ],
+    )
+    def test_usage_error_prints_one_error_line(self, args, env):
+        proc = self.run(*args, env=env)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert proc.stdout == ""
+
+    def test_unknown_flag_keeps_clicks_usage_block(self):
+        proc = self.run("fit", "--dwaine", "--no-such-flag")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("Usage:")
+        assert "No such option" in proc.stderr
 
     def test_singular_exit_code(self, tmp_path):
         path = write(tmp_path, "y,x\n1,5\n2,5\n3,5\n4,5\n")

@@ -1,17 +1,22 @@
 import csv
 import io
 import json
+import math
 import re
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from varpart import (
     compare_report,
+    enumerate_orderings,
     fit_ols,
     mean_center,
+    ordering_fits,
     orthogonal_regression,
     sequential_ss,
     venn_regions,
@@ -102,13 +107,17 @@ def dwaine_payloads(centered):
 
 
 @pytest.fixture(scope="module")
-def synth_payloads():
+def synth_centered():
     rng = np.random.default_rng(13)
     base = rng.standard_normal((40, 3))
     x = base @ np.array([[1.0, 0.4, 0.2], [0.0, 1.0, 0.4], [0.0, 0.0, 1.0]])
     y = x @ np.array([1.0, -0.5, 2.0]) + rng.standard_normal(40)
-    c = mean_center(make_dataset(x, y))
-    return all_payloads(c, c.predictor_names)
+    return mean_center(make_dataset(x, y))
+
+
+@pytest.fixture(scope="module")
+def synth_payloads(synth_centered):
+    return all_payloads(synth_centered, synth_centered.predictor_names)
 
 
 class TestTextMatchesJson:
@@ -153,6 +162,98 @@ class TestJson:
             (resources.files("varpart.schemas") / f"{key}.schema.json").read_text()
         )
         jsonschema.validate(synth_payloads[key], schema)
+
+
+def json_oracle(payload):
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+# names a template renderer could trip on: its "@" slot marker, quoted or
+# doubled, "%" and "%s", quotes, backslashes, NUL, non-ASCII and ""
+NAMES = st.one_of(
+    st.sampled_from(
+        ["", "@", "@@", '"@"', "%", "%s", "%%", '"', "\\", "\x00", "é", "\U0001f600", "x1"]
+    ),
+    st.text(max_size=6),
+)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308]),
+    NAMES,
+)
+TREES = st.recursive(
+    SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(NAMES, kids, max_size=4),
+    max_leaves=20,
+)
+# few keys and short lists, so that list items often share a shape; keys
+# that compare equal (1, True, 1.0; 0.0, -0.0) but render differently
+ITEM_KEYS = st.sampled_from(["a", "b", "@", "%", 1, True, 1.0, 0.0, -0.0, None])
+ITEMS = st.lists(
+    st.dictionaries(
+        ITEM_KEYS,
+        SCALARS | st.lists(SCALARS, max_size=2) | st.dictionaries(NAMES, SCALARS, max_size=2),
+        max_size=3,
+    ),
+    min_size=1,
+    max_size=6,
+)
+PAYLOADS = st.dictionaries(NAMES, TREES | ITEMS | st.dictionaries(NAMES, ITEMS, max_size=2))
+
+
+class TestJsonMatchesStdlib:
+    """``render_json`` writes exactly what ``json.dumps(indent=2)`` writes."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(PAYLOADS | TREES | ITEMS)
+    @example({"orderings": [{"x": 0.0}, {"x": -0.0}, {"x": None}, {"x": []}, {"x": {}}]})
+    @example({"@": [{"@": "@"}, {'"@"': '"@"'}], "%s": [{"%": "%s"}], "\x00": ["\x00"]})
+    @example([{1: "a"}, {True: "b"}, {1.0: "c"}, {0.0: 1}, {-0.0: 2}, {None: 3}])
+    def test_generated_payloads(self, payload):
+        assert render_json(payload) == json_oracle(payload)
+
+    @settings(max_examples=50, deadline=None)
+    @given(NAMES, st.lists(NAMES, min_size=3, max_size=3))
+    def test_orderings_of_different_lengths(self, synth_centered, response, names):
+        c = synth_centered
+        entries = []
+        for order in (c.predictor_names[:1], c.predictor_names):
+            seq = sequential_ss(c, order)
+            relabelled = [(nm, ss) for nm, (_, ss) in zip(names, seq)]
+            entries.append((names[: len(order)], relabelled, orthogonal_regression(c, order)))
+        full = fit_ols(c, c.predictor_names)
+        payload = orderings_payload(response, names, full, entries)
+        assert render_json(payload) == json_oracle(payload)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "payload",
+        [lambda x: {"a": x}, lambda x: {"l": [{"a": 1.0}, {"a": x}]}, lambda x: {x: 1}],
+        ids=["leaf", "item", "key"],
+    )
+    def test_non_finite_floats_raise_like_json(self, bad, payload):
+        with pytest.raises(ValueError):
+            json_oracle(payload(bad))
+        with pytest.raises(ValueError):
+            render_json(payload(bad))
+
+    @pytest.mark.parametrize("key", PAYLOAD_KEYS)
+    def test_dwaine_payloads(self, dwaine_payloads, key):
+        assert render_json(dwaine_payloads[key]) == json_oracle(dwaine_payloads[key])
+
+    def test_all_orderings_of_seven_predictors(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((60, 7)) + 0.8 * rng.standard_normal((60, 1))
+        y = x.sum(axis=1) + rng.standard_normal(60)
+        c = mean_center(make_dataset(x, y))
+        names = c.predictor_names
+        entries = ordering_fits(c, enumerate_orderings(names))
+        payload = orderings_payload("y", names, fit_ols(c, names), entries)
+        assert len(payload["orderings"]) == 5040
+        assert render_json(payload) == json_oracle(payload)
 
 
 class TestCsv:
