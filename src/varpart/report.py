@@ -241,30 +241,14 @@ def render_json(payload: Any) -> str:
     non-empty list of objects is filled from a skeleton of its shape (its
     keys and list lengths), built once per shape and depth, and the rest
     of the payload is a skeleton of the same kind with one slot per list.
-    The distinct leaves are encoded in one call to the C encoder, which
-    formats floats, ints, strings, null and booleans exactly as the
-    indented path does and raises the same ValueError on NaN and
-    infinities.
+    The leaves are encoded in one call to the C encoder, which formats
+    floats, ints, strings, null and booleans exactly as the indented path
+    does and raises the same ValueError on NaN and infinities.
     """
     leaves: list[Any] = []
     template = _template(payload, leaves)
-    return template % tuple(_encode(leaves))
-
-
-def _encode(leaves: list[Any]) -> list[str]:
-    """The JSON text of each leaf, each distinct leaf encoded once.
-
-    Leaves of one type and value share a text. Equality cannot tell 0.0
-    from -0.0, so when a float zero is among the leaves, only a leaf that
-    is the very same object shares a text.
-    """
-    keys: list[Any] = list(zip(map(type, leaves), leaves))
-    distinct = dict(zip(keys, leaves))
-    if any(isinstance(x, float) and x == 0 for x in distinct.values()):
-        keys = list(map(id, leaves))
-        distinct = dict(zip(keys, leaves))
-    texts = _LEAF_ENCODER.encode(list(distinct.values()))[1:-1].split("\x00")
-    return list(map(dict(zip(distinct, texts)).__getitem__, keys))
+    texts = _LEAF_ENCODER.encode(leaves)[1:-1].split("\x00") if leaves else ()
+    return template % tuple(texts)
 
 
 def _template(payload: Any, leaves: list[Any]) -> str:
