@@ -35,9 +35,9 @@ from .ols_core import (
     _coef_stats,
     _column_sd,
     _make_fit,
+    _project,
     _ratio,
     _readonly,
-    _Subsets,
     _Solution,
     fit_centered_design,  # noqa: F401 - bench/spans.py traces this binding
     fit_ols,
@@ -261,21 +261,20 @@ def residualize(
     """Remove the OLS projection of ``target`` onto ``against``.
 
     With an empty conditioning set the centered target column is returned
-    unchanged. The coefficients come from the decimal solve on the exact
-    SSCP; the result is orthogonal to every conditioning column.
+    unchanged. The coefficients are A^-1 a off the memo's solve of
+    ``against``; the result is orthogonal to every conditioning column.
     """
     against = _check_names(c, against)
     if target in against:
         raise ValueError(f"target {target!r} cannot be conditioned on itself")
     col = c.column(target)  # raises UnknownName
     if not against:
-        return ResidualizedPredictor(target, (), _readonly(col))
+        return ResidualizedPredictor(target, (), col)
     idx = [c.predictor_index(nm) for nm in against]
-    rhs = c.p if target == c.response_name else c.predictor_index(target)
-    context = f"residualize {target} on ({', '.join(against)})"
-    sol = _Subsets(c.exact, c.predictor_names, rhs).solve(idx, context)
-    coef = np.array([float(sol.b[i]) for i in idx])
-    return ResidualizedPredictor(target, against, _readonly(col - c.x[:, idx] @ coef))
+    sol = c._memo.solve(idx, f"residualize {target} on ({', '.join(against)})")
+    u = dict(zip(sol.b, _project(c.exact.s, sol, c._col(target))[1]))
+    design = np.array([c.column(nm) for nm in against]).T  # F-order: the layout moves last bits
+    return ResidualizedPredictor(target, against, _readonly(col - design @ [float(u[i]) for i in idx]))
 
 
 def sequential_ss(

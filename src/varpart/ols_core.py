@@ -40,8 +40,8 @@ RCOND_MIN = 1e-12
 _DIGITS = 38
 _CTX = Context(prec=_DIGITS)
 
-# Rows per block of the exact SSCP; 2**16 rows leave slices of 18 bits.
-_BLOCK = 1 << 16
+# Rows per block of the exact SSCP; 2**14 rows leave slices of 19 bits.
+_BLOCK = 1 << 14
 
 # Two distinct float64 values of magnitude M differ by at least M * 2**-54,
 # so a column reaching 2**600 has a centered SS beyond float64.
@@ -135,19 +135,19 @@ class _Solution(NamedTuple):
 
 @dataclass(frozen=True)
 class CenteredData:
-    """Mean-centered response and predictors, with the exact centered SSCP
-    (``exact``) every statistic is derived from. Sample standard
-    deviations use divisor n - 1."""
+    """The exact centered SSCP (``exact``) of ``data``, which every statistic
+    is derived from, and each column's float64 mean (predictors, then the
+    response), which ``column`` subtracts on demand. Sds use divisor n - 1."""
 
     response_name: str
     predictor_names: tuple[str, ...]
-    y: np.ndarray
-    x: np.ndarray
+    data: Dataset
+    means: tuple[float, ...]
     exact: _Exact
 
     @property
     def n(self) -> int:
-        return len(self.y)
+        return self.exact.n
 
     @property
     def p(self) -> int:
@@ -163,7 +163,7 @@ class CenteredData:
 
     @property
     def mean_y(self) -> float:
-        return float(self.exact.means[-1])
+        return self.means[-1]
 
     @property
     def sd_y(self) -> float:
@@ -188,11 +188,13 @@ class CenteredData:
         return self.p if name == self.response_name else self.predictor_index(name)
 
     def column(self, name: str) -> np.ndarray:
-        """Centered column by name (response or predictor)."""
-        return self.y if name == self.response_name else self.x[:, self.predictor_index(name)]
+        """Centered column by name (response or predictor), read-only."""
+        col = self.data.column(name) - self.means[self._col(name)]
+        col.setflags(write=False)
+        return col
 
     def mean(self, name: str) -> float:
-        return float(self.exact.means[self._col(name)])
+        return self.means[self._col(name)]
 
     def sd(self, name: str) -> float:
         return float(self.exact.sds[self._col(name)])
@@ -338,8 +340,8 @@ def _exact_sscp(columns: Sequence[np.ndarray], names: Sequence[str]) -> tuple:
 
 
 def mean_center(d: Dataset) -> CenteredData:
-    """Center the response and predictor columns of ``d``, and form their
-    exact centered SSCP, means and sample sds; ``d`` is left untouched.
+    """Form the exact centered SSCP, means and sample sds of the response
+    and predictor columns of ``d``, which is kept, not copied.
 
     Raises ConstantColumn if any selected column has zero sample sd, and
     SingularDesign if a column's centered sum of squares exceeds float64,
@@ -353,15 +355,8 @@ def mean_center(d: Dataset) -> CenteredData:
     f, s, means = _exact_sscp(raw, names)
     with localcontext(_CTX):
         sds = [(s[a][a] / (d.n - 1)).sqrt() for a in range(len(names))]
-        dec_means = [Decimal(m.numerator) / m.denominator for m in means]
-    centered = [v - float(m) for v, m in zip(raw, means)]
-    return CenteredData(
-        response_name=d.response_name,
-        predictor_names=d.predictor_names,
-        y=_readonly(centered[-1]),
-        x=_readonly(np.column_stack(centered[:-1])),
-        exact=_Exact(f, s, dec_means, sds, d.n),
-    )
+        exact = _Exact(f, s, [Decimal(m.numerator) / m.denominator for m in means], sds, d.n)
+    return CenteredData(d.response_name, d.predictor_names, d, tuple(map(float, means)), exact)
 
 
 def sscp(c: CenteredData, labels: Sequence[str] | None = None) -> SscpMatrix:
@@ -393,39 +388,45 @@ def _guard(a: np.ndarray, context: str) -> None:
         )
 
 
-def _extend(s: list[list[Decimal]], sol: _Solution, col: int, rhs: int) -> _Solution:
-    """Border a solution of ``rhs`` with one more column, in O(k^2).
-
-    With u = A^-1 a (a: the new column's cross-products with the solved
-    ones), d = s_cc - a'u is the new column's SS residualized on the others,
-    and the regression SS grows by d * b_new^2 (Golub & Van Loan, bordering).
-    """
+def _project(s: list[list[Decimal]], sol: _Solution, col: int) -> tuple[list, list]:
+    """Cross-products a of column ``col`` with the columns of ``sol``, and its
+    coefficients on them u = A^-1 a, both in the order of sol.b."""
+    a = [s[col][j] for j in sol.b]
     with localcontext(_CTX):
-        a = [s[col][j] for j in sol.b]
-        u = [sum(map(mul, row, a)) for row in sol.ainv]
+        return a, [sum(map(mul, row, a)) for row in sol.ainv]
+
+
+def _extend(s: list[list[Decimal]], sol: _Solution, col: int) -> _Solution:
+    """Border a solution of the response with one more column, in O(k^2).
+
+    With u = A^-1 a from ``_project``, d = s_cc - a'u is the new column's SS
+    residualized on the others, and the regression SS grows by d * b_new^2
+    (Golub & Van Loan, bordering).
+    """
+    a, u = _project(s, sol, col)
+    with localcontext(_CTX):
         d = s[col][col] - sum(map(mul, a, u))
         if d <= 0:  # only a design the guard wrongly passed gets here
             raise SingularDesign(f"{len(a) + 1}-th leading minor of the array is not positive definite")
-        bk = (s[col][rhs] - sum(map(mul, a, sol.b.values()))) / d
+        bk = (s[col][-1] - sum(map(mul, a, sol.b.values()))) / d
         b = {j: bj - uj * bk for (j, bj), uj in zip(sol.b.items(), u)}
         b[col] = bk
         w = [uj / d for uj in u]
         ainv = [[*map(add, row, map(wi.__mul__, u)), -wi] for row, wi in zip(sol.ainv, w)]
         ainv.append([*(-wi for wi in w), 1 / d])
         ssr = sol.ssr + bk * bk * d
-        sse = max(s[rhs][rhs] - ssr, Decimal(0))
+        sse = max(s[-1][-1] - ssr, Decimal(0))
         return _Solution(b, {j: ainv[t][t] for t, j in enumerate(b)}, ssr, sse, ainv)
 
 
 class _Subsets:
-    """Regressions of one column on sets of the others, each solved once and
-    shared by every fit, ordering and partition of the same data. A set is
+    """Regressions of the response (the last column) on sets of the others,
+    each solved once and shared by every use of the same data. A set is
     solved by bordering the solution of the set without its last column."""
 
-    def __init__(self, ex: _Exact, names: Sequence[str], rhs: int = -1):
-        self._ex, self._names, self._rhs = ex, names, rhs % len(ex.s)
-        empty = _Solution({}, {}, Decimal(0), ex.s[self._rhs][self._rhs], [])
-        self._cache = {frozenset(): empty}
+    def __init__(self, ex: _Exact, names: Sequence[str]):
+        self._ex, self._names = ex, names
+        self._cache = {frozenset(): _Solution({}, {}, Decimal(0), ex.s[-1][-1], [])}
         self._guarded: list[frozenset[int]] = []
 
     def solve(self, idx: Iterable[int], context: str | None = None) -> _Solution:
@@ -449,7 +450,7 @@ class _Subsets:
         key = frozenset(cols)
         if key not in self._cache:
             parent = self._border(cols[:-1])
-            self._cache[key] = _extend(self._ex.s, parent, cols[-1], self._rhs)
+            self._cache[key] = _extend(self._ex.s, parent, cols[-1])
         return self._cache[key]
 
 

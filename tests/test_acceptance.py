@@ -90,8 +90,9 @@ def test_2_crossproduct_matrix(centered):
 
     x12 = residualize(centered, "TARGTPOP", ("DISPOINC",))
     x21 = residualize(centered, "DISPOINC", ("TARGTPOP",))
-    assert x12.values @ centered.y == pytest.approx(3929.37, abs=0.01)
-    assert x21.values @ centered.y == pytest.approx(68.71, abs=0.01)
+    y = centered.column(centered.response_name)
+    assert x12.values @ y == pytest.approx(3929.37, abs=0.01)
+    assert x21.values @ y == pytest.approx(68.71, abs=0.01)
     print(
         "PASS 2: centered cross-product matrix and residualized"
         " cross-products match the published values"
@@ -148,7 +149,7 @@ def n_length_residualized(c, model):
     out = {}
     for nm in model:
         rp = residualize(c, nm, tuple(o for o in model if o != nm))
-        (slope,), *_ = np.linalg.lstsq(rp.values[:, None], c.y, rcond=None)
+        (slope,), *_ = np.linalg.lstsq(rp.values[:, None], c.column(c.response_name), rcond=None)
         out[nm] = (slope, slope**2 * rp.ss, slope * rp.sd / c.sd_y)
     return out
 
@@ -158,7 +159,7 @@ def n_length_orthogonal(c, order):
     design = np.column_stack(
         [residualize(c, nm, order[:k]).values for k, nm in enumerate(order)]
     )
-    coef, *_ = np.linalg.lstsq(design, c.y, rcond=None)
+    coef, *_ = np.linalg.lstsq(design, c.column(c.response_name), rcond=None)
     return coef, coef * design.std(axis=0, ddof=1) / c.sd_y
 
 

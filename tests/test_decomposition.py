@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varpart.ols_core
 from varpart import (
     ORDERING_CAP,
     SyntheticSpec,
@@ -44,7 +45,7 @@ def ss_via_residualized_crossproducts(c, model):
     for name in model:
         rest = tuple(nm for nm in model if nm != name)
         rp = residualize(c, name, rest)
-        total += full.coefficient(name) * float(rp.values @ c.y)
+        total += full.coefficient(name) * float(rp.values @ c.column(c.response_name))
     return total
 
 
@@ -75,8 +76,9 @@ class TestResidualize:
         # published residualized cross-products for the bundled fixture
         x12 = residualize(centered, "TARGTPOP", ("DISPOINC",))
         x21 = residualize(centered, "DISPOINC", ("TARGTPOP",))
-        assert x12.values @ centered.y == pytest.approx(3929.37, abs=0.01)
-        assert x21.values @ centered.y == pytest.approx(68.71, abs=0.01)
+        y = centered.column(centered.response_name)
+        assert x12.values @ y == pytest.approx(3929.37, abs=0.01)
+        assert x21.values @ y == pytest.approx(68.71, abs=0.01)
 
     def test_target_in_conditioning_set(self, centered):
         with pytest.raises(ValueError):
@@ -92,6 +94,29 @@ class TestResidualize:
         rp = residualize(centered, "TARGTPOP", ("DISPOINC",))
         with pytest.raises(ValueError):
             rp.values[0] = 1.0
+
+    def test_reads_the_shared_subset_memo(self, monkeypatch):
+        # the coefficients of a column on others are A^-1 a off the memo's
+        # solve of the others, so residualize builds no memo of its own
+        spec = SyntheticSpec(
+            n=40, p=3, correlation=exchangeable_correlation(3, 0.6),
+            signal_coefficients=np.ones(3), seed=8,
+        )
+        c = mean_center(generate_synthetic(spec))
+        c._memo  # built once, before the spy
+        built = []
+        init = varpart.ols_core._Subsets.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(varpart.ols_core._Subsets, "__init__", counted)
+        for target in (c.response_name, *c.predictor_names):
+            rest = [nm for nm in c.predictor_names if nm != target]
+            residualize(c, target, rest)
+            residualize(c, target, rest[::-1][:1])
+        assert built == []
 
 
 class TestSequentialSS:
@@ -248,9 +273,9 @@ class TestOrthogonalRegression:
             of = orthogonal_regression(centered, order)
             cols = [residualize(centered, nm, order[:k]).values for k, nm in enumerate(order)]
             design = np.column_stack(cols)
-            coef, *_ = np.linalg.lstsq(design, centered.y, rcond=None)
+            coef, *_ = np.linalg.lstsq(design, centered.column(centered.response_name), rcond=None)
             np.testing.assert_allclose(of.b, coef, rtol=1e-12)
-            res = centered.y - design @ coef
+            res = centered.column(centered.response_name) - design @ coef
             mse = float(res @ res) / of.df_residual
             np.testing.assert_allclose(of.se, np.sqrt(mse / (design**2).sum(axis=0)), rtol=1e-12)
             sds = design.std(axis=0, ddof=1)

@@ -127,6 +127,31 @@ class TestMeanCenter:
         with pytest.raises(UnknownName):
             centered.column("nope")
 
+    def test_keeps_no_per_observation_vector(self, dwaine):
+        # the observations live only in the Dataset; columns are centered on demand
+        c = mean_center(dwaine)
+        assert c.data is dwaine
+        for field in dataclasses.fields(c):
+            assert not isinstance(getattr(c, field.name), np.ndarray), field.name
+
+    def test_column_is_observations_minus_rounded_exact_mean(self, dwaine, centered):
+        for name in ("SALES",) + MODEL:
+            raw = dwaine.column(name)
+            mean = float(sum(map(Fraction, raw.tolist())) / len(raw))
+            col = centered.column(name)
+            assert col.tobytes() == (raw - mean).tobytes()
+            with pytest.raises(ValueError):
+                col[0] = 0.0
+
+    def test_mean_is_the_one_column_centers_with(self):
+        # the exact mean of x is 1 + 2**-53, a tie that rounds to 1.0; its
+        # 38-digit decimal rounds up instead
+        x = [1.0, 1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-52]
+        c = mean_center(Dataset(_cols(x=x, y=[0, 1, 2, 3]), "y", ("x",)))
+        assert c.mean("x") == 1.0
+        assert c.column("x").tobytes() == (np.array(x) - 1.0).tobytes()
+        assert c.mean_y == c.mean("y") == 1.5
+
 
 class TestSscp:
     # published cross-product values for the bundled fixture
@@ -450,5 +475,5 @@ def test_fit_invariants_on_random_data(seed, n, p, rho):
     assert fit.df_model == p and fit.df_residual == n - p - 1
     # slope agreement with the library solver
     a = np.column_stack([np.ones(n)] + [c.column(nm) + c.mean(nm) for nm in c.predictor_names])
-    coef, *_ = np.linalg.lstsq(a, c.y + c.mean_y, rcond=None)
+    coef, *_ = np.linalg.lstsq(a, c.column(c.response_name) + c.mean_y, rcond=None)
     np.testing.assert_allclose(fit.b, coef[1:], rtol=1e-7, atol=1e-9)
