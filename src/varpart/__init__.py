@@ -11,6 +11,7 @@ from . import errors
 from .data_io import (
     CsvSpec,
     SyntheticSpec,
+    center_csv,
     dataset_to_csv_text,
     dwaine_fixture,
     exchangeable_correlation,
@@ -71,6 +72,7 @@ __all__ = [
     "VennRegions",
     "actual_model_ss",
     "anova_table",
+    "center_csv",
     "compare_report",
     "corrected_f",
     "corrected_r2",

@@ -26,11 +26,11 @@ import numpy as np
 from .data_io import (
     CsvSpec,
     SyntheticSpec,
+    center_csv,
     dataset_to_csv_text,
     dwaine_fixture,
     exchangeable_correlation,
     generate_synthetic,
-    load_csv,
 )
 from .decomposition import (
     compare_report,
@@ -39,7 +39,7 @@ from .decomposition import (
     venn_regions,
 )
 from .errors import ConstantColumn, SingularDesign, TooManyOrderings, VarpartError
-from .ols_core import Dataset, fit_ols, mean_center
+from .ols_core import CenteredData, fit_ols, mean_center
 from .report import (
     decompose_payload,
     fit_payload,
@@ -117,19 +117,20 @@ def _format_option(choices):
     )
 
 
-def _load_dataset(use_dwaine, input_path, response, predictors, delimiter) -> Dataset:
+def _center(use_dwaine, input_path, response, predictors, delimiter) -> CenteredData:
+    """The centred input: the fixture, or a CSV folded as it is read."""
     if use_dwaine:
         if input_path or response or predictors:
             _fail(
                 "--dwaine cannot be combined with --input/--response/--predictors",
                 _EXIT_INPUT,
             )
-        return dwaine_fixture()
+        return mean_center(dwaine_fixture())
     if not input_path:
         _fail("provide --dwaine, or --input with --response and --predictors", _EXIT_INPUT)
     if not response or not predictors:
         _fail("--input requires --response and --predictors", _EXIT_INPUT)
-    return load_csv(
+    return center_csv(
         CsvSpec(
             path=input_path,
             response=response,
@@ -139,9 +140,9 @@ def _load_dataset(use_dwaine, input_path, response, predictors, delimiter) -> Da
     )
 
 
-def _model_names(ds: Dataset, model_arg) -> tuple[str, ...]:
+def _model_names(predictor_names: tuple[str, ...], model_arg) -> tuple[str, ...]:
     if model_arg is None:
-        return ds.predictor_names
+        return predictor_names
     names = _split(model_arg)
     if not names:
         _fail("--model must name at least one predictor", _EXIT_INPUT)
@@ -190,17 +191,22 @@ def main():
 def _analysis(*formats):
     """Register a subcommand on the shared input, --format and --out options.
 
-    The decorated ``fn(ds, c, model, fmt, **options)`` receives the loaded
-    dataset, its centering and the model, and returns the text to emit.
+    The decorated ``fn(c, model, fmt, **options)`` receives the centred
+    input and the model, and returns the text to emit.
     """
 
     def register(fn):
         def command(use_dwaine, input_path, response, predictors, delimiter, model_arg,
                     out_path, fmt, **options):
             def body():
-                ds = _load_dataset(use_dwaine, input_path, response, predictors, delimiter)
-                model = _model_names(ds, model_arg)
-                _emit(fn(ds, mean_center(ds), model, fmt, **options), out_path)
+                try:
+                    c = _center(use_dwaine, input_path, response, predictors, delimiter)
+                except (ConstantColumn, SingularDesign):
+                    # --model is checked before the design, once the rows are read
+                    _model_names((), model_arg)
+                    raise
+                model = _model_names(c.predictor_names, model_arg)
+                _emit(fn(c, model, fmt, **options), out_path)
 
             _run(body)
 
@@ -212,16 +218,16 @@ def _analysis(*formats):
 
 
 @_analysis("text", "json", "csv")
-def fit(ds, c, model, fmt):
+def fit(c, model, fmt):
     """ANOVA table and coefficients of one least-squares fit."""
-    return _render(fit_payload(fit_ols(c, model), ds.response_name), fmt)
+    return _render(fit_payload(fit_ols(c, model), c.response_name), fmt)
 
 
 @_analysis("text", "json", "csv")
-def decompose(ds, c, model, fmt):
+def decompose(c, model, fmt):
     """Traditional summary next to the partial-SS decomposition."""
     rep = compare_report(c, model, orderings=())
-    return _render(decompose_payload(rep, ds.response_name), fmt)
+    return _render(decompose_payload(rep, c.response_name), fmt)
 
 
 @_analysis("text", "json", "csv")
@@ -231,7 +237,7 @@ def decompose(ds, c, model, fmt):
     multiple=True,
     help="Explicit ordering, comma-separated; repeatable. Default: all orderings.",
 )
-def orderings(ds, c, model, fmt, orders):
+def orderings(c, model, fmt, orders):
     """Sequential (Type I) SS and the orthogonal-function fit per ordering."""
     if orders:
         ordering_list = tuple(_split(o) for o in orders)
@@ -242,16 +248,16 @@ def orderings(ds, c, model, fmt, orders):
         ordering_list = enumerate_orderings(model)
     full = fit_ols(c, model)
     entries = ordering_fits(c, ordering_list)
-    return _render(orderings_payload(ds.response_name, model, full, entries), fmt)
+    return _render(orderings_payload(c.response_name, model, full, entries), fmt)
 
 
 @_analysis("text", "json", "csv", "svg")
-def venn(ds, c, model, fmt):
+def venn(c, model, fmt):
     """Variance regions: unique per predictor, common, residual, missing."""
     v = venn_regions(c, model)
     if fmt == "svg":
-        return render_venn_svg(v, model, ds.response_name)
-    return _render(venn_payload(v, ds.response_name, model, ds.n), fmt)
+        return render_venn_svg(v, model, c.response_name)
+    return _render(venn_payload(v, c.response_name, model, c.n), fmt)
 
 
 @main.command(hidden=True)

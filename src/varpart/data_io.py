@@ -12,7 +12,9 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,7 +26,8 @@ from .errors import (
     NotPositiveSemidefinite,
     ParseError,
 )
-from .ols_core import Dataset, _readonly
+from . import ols_core
+from .ols_core import CenteredData, Dataset, _centered, _Fold, _readonly, mean_center
 
 # Eigenvalues of a correlation matrix this far below zero (relative to the
 # largest) are treated as rank deficiency, not as a PSD violation.
@@ -113,16 +116,46 @@ def load_csv(spec: CsvSpec) -> Dataset:
     underscores (``3_0``) and non-ASCII digits are rejected, although
     Python's ``float()`` accepts them. Cells may be quoted with ``"``.
 
-    The numbers are parsed by numpy's C reader. If it rejects the file,
-    the file is read again cell by cell, and that pass raises the error
+    The numbers are parsed by numpy's C reader, ``_BLOCK`` lines at a
+    time; from the first block holding a quote on, which may open a field
+    that spans lines, the rest of the file is parsed in one call. If numpy
+    rejects the file, it is read again cell by cell, and that pass raises
+    the error
     with its line number (``ParseError``, ``NonNumericCell``). Both passes
     accept the same syntax and convert it with the same correctly rounded
     decimal-to-binary routine, so the columns do not depend on which pass
     read them.
     """
-    columns = _read_columns(spec)
+    return _dataset(spec, _read_columns(spec))
+
+
+def center_csv(spec: CsvSpec) -> CenteredData:
+    """``mean_center(load_csv(spec))``, with the same result and the same
+    errors, keeping no rows: each block of lines is folded into the exact
+    SSCP as it is parsed, so memory is O(p**2 + ``_BLOCK``) at any number
+    of rows, up to a block with a quote (see load_csv). The result's
+    ``data`` is None.
+
+    The checks on the values run once the file is read, so an input with
+    several faults reports the one load_csv and mean_center would: a parse
+    error, then EmptyData, NonFiniteValue, InvalidDataset (n < p + 2),
+    ConstantColumn and SingularDesign.
+    """
+    fold = _Fold((*spec.predictors, spec.response))
+    try:
+        for block in _read_blocks(spec, fold.names):
+            fold.add(block)
+    except ValueError:  # numpy's, as fold.add raises nothing; the strict pass names the line
+        return mean_center(_dataset(spec, _strict_columns(spec)))
+    if not fold.n:
+        raise _no_rows(spec)
+    return _centered(fold, spec.response, spec.predictors)
+
+
+def _dataset(spec: CsvSpec, columns: Sequence) -> Dataset:
+    """The Dataset of the selected columns, response first."""
     if len(columns[0]) == 0:
-        raise EmptyData(f"{spec.path}: no data rows after the header")
+        raise _no_rows(spec)
     return Dataset(
         columns=tuple(zip((spec.response, *spec.predictors), columns)),
         response_name=spec.response,
@@ -130,29 +163,59 @@ def load_csv(spec: CsvSpec) -> Dataset:
     )
 
 
+def _no_rows(spec: CsvSpec) -> EmptyData:
+    return EmptyData(f"{spec.path}: no data rows after the header")
+
+
 def _read_columns(spec: CsvSpec) -> list:
     """The selected columns, response first, as load_csv parses them."""
-    with open(spec.path, newline="", encoding="utf-8-sig") as fh:
+    names = (spec.response, *spec.predictors)
+    try:
+        blocks = [*_read_blocks(spec, names)]
+    except ValueError:
+        return _strict_columns(spec)
+    return list(np.concatenate(blocks or [np.empty((len(names), 0))], axis=1))
+
+
+def _read_blocks(spec: CsvSpec, names: Sequence[str]) -> Iterator[np.ndarray]:
+    """The columns ``names``, as C-contiguous k x m float64 blocks of at most
+    ``_BLOCK`` rows, parsed ``_BLOCK`` lines at a time (blank lines hold no
+    row). A quoted field may hold a line break, so from the first block
+    with a quote on, the rest of the file is parsed in one call. Raises
+    numpy's ValueError at the first block it cannot parse."""
+    block = ols_core._BLOCK
+    with _open(spec) as fh:
         idx = _read_header(csv.reader(fh, delimiter=spec.delimiter), spec)
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is load_csv's EmptyData, not a warning
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data", UserWarning
-                )
-                table = np.loadtxt(
-                    fh,
-                    delimiter=spec.delimiter,
-                    usecols=idx,
-                    comments=None,
-                    quotechar='"',
-                    ndmin=2,
-                    dtype=np.float64,
-                )
-            return [table[:, j] for j in range(len(idx))]
-        except ValueError:
-            pass
-    return _strict_columns(spec)
+        position = dict(zip((spec.response, *spec.predictors), idx))
+        usecols = [position[nm] for nm in names]
+        while lines := list(islice(fh, block)):
+            quoted = '"' in "".join(lines)
+            table = _loadtxt(chain(lines, fh) if quoted else lines, spec, usecols)
+            for start in range(0, len(table), block):
+                # .T.copy() is C-ordered; np.array(table.T) keeps F order,
+                # which slows the fold about threefold
+                yield table[start : start + block].T.copy()
+
+
+def _open(spec: CsvSpec):
+    return open(spec.path, newline="", encoding="utf-8-sig")
+
+
+def _loadtxt(source, spec: CsvSpec, usecols: list[int]) -> np.ndarray:
+    """numpy's C reader over an iterable of lines: one row per parsed row,
+    one column per entry of ``usecols``."""
+    with warnings.catch_warnings():
+        # no rows (a header-only file, a block of blank lines) is no warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(
+            source,
+            delimiter=spec.delimiter,
+            usecols=usecols,
+            comments=None,
+            quotechar='"',
+            ndmin=2,
+            dtype=np.float64,
+        )
 
 
 def _read_header(reader, spec: CsvSpec) -> list[int]:
@@ -178,7 +241,7 @@ def _read_header(reader, spec: CsvSpec) -> list[int]:
 
 def _strict_columns(spec: CsvSpec) -> list[list[float]]:
     """load_csv's reference pass: one cell at a time, errors with line numbers."""
-    with open(spec.path, newline="", encoding="utf-8-sig") as fh:
+    with _open(spec) as fh:
         reader = csv.reader(fh, delimiter=spec.delimiter)
         idx = _read_header(reader, spec)
         wanted = (spec.response, *spec.predictors)

@@ -29,6 +29,17 @@ class UnknownName(VarpartError):
         super().__init__(f"unknown column {name!r}")
 
 
+class RowsNotKept(VarpartError):
+    """A per-row vector was asked of a centering that kept only the moments."""
+
+    def __init__(self, name: str):
+        self.name = name
+        super().__init__(
+            f"column {name!r}: the rows were folded into the SSCP as they were read "
+            "and not kept; use mean_center(load_csv(spec)) for per-row vectors"
+        )
+
+
 class EmptySubset(VarpartError):
     """A fit was requested with no predictors."""
 

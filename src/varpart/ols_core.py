@@ -27,7 +27,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
-    ConstantColumn, EmptySubset, InvalidDataset, NonFiniteValue, SingularDesign, UnknownName,
+    ConstantColumn, EmptySubset, InvalidDataset, NonFiniteValue, RowsNotKept, SingularDesign,
+    UnknownName,
 )
 
 # Reciprocal-condition-number floor on the diagonally normalized SSCP.
@@ -46,6 +47,7 @@ _BLOCK = 1 << 14
 # Two distinct float64 values of magnitude M differ by at least M * 2**-54,
 # so a column reaching 2**600 has a centered SS beyond float64.
 _MAGNITUDE_MAX = 2.0**600
+_OVERFLOW = "column {!r}: cross-products overflow float64 (rescale the column)"
 
 
 def _readonly(values) -> np.ndarray:
@@ -80,7 +82,7 @@ class Dataset:
             raise InvalidDataset("columns must be 1-d vectors of equal length")
         for nm, v in cols:
             if not np.all(np.isfinite(v)):
-                raise NonFiniteValue(f"column {nm!r} contains NaN or infinity")
+                raise _non_finite(nm)
         if not self.predictor_names:
             raise InvalidDataset("at least one predictor is required")
         if len(set(self.predictor_names)) != len(self.predictor_names):
@@ -90,11 +92,7 @@ class Dataset:
         for nm in (self.response_name, *self.predictor_names):
             if nm not in names:
                 raise UnknownName(nm)
-        if self.n < len(self.predictor_names) + 2:
-            raise InvalidDataset(
-                f"need at least p + 2 = {len(self.predictor_names) + 2} "
-                f"observations, got {self.n}"
-            )
+        _check_n(self.n, self.p)
 
     @property
     def n(self) -> int:
@@ -109,6 +107,16 @@ class Dataset:
             if nm == name:
                 return v
         raise UnknownName(name)
+
+
+def _non_finite(name: str) -> NonFiniteValue:
+    return NonFiniteValue(f"column {name!r} contains NaN or infinity")
+
+
+def _check_n(n: int, p: int) -> None:
+    """Every fit on p predictors needs residual degrees of freedom."""
+    if n < p + 2:
+        raise InvalidDataset(f"need at least p + 2 = {p + 2} observations, got {n}")
 
 
 class _Exact(NamedTuple):
@@ -137,11 +145,13 @@ class _Solution(NamedTuple):
 class CenteredData:
     """The exact centered SSCP (``exact``) of ``data``, which every statistic
     is derived from, and each column's float64 mean (predictors, then the
-    response), which ``column`` subtracts on demand. Sds use divisor n - 1."""
+    response), which ``column`` subtracts on demand. Sds use divisor n - 1.
+    ``data`` is None when the rows were folded as they were read and not
+    kept (``data_io.center_csv``); ``column`` then raises RowsNotKept."""
 
     response_name: str
     predictor_names: tuple[str, ...]
-    data: Dataset
+    data: Dataset | None
     means: tuple[float, ...]
     exact: _Exact
 
@@ -189,7 +199,10 @@ class CenteredData:
 
     def column(self, name: str) -> np.ndarray:
         """Centered column by name (response or predictor), read-only."""
-        col = self.data.column(name) - self.means[self._col(name)]
+        mean = self.means[self._col(name)]
+        if self.data is None:
+            raise RowsNotKept(name)
+        col = self.data.column(name) - mean
         col.setflags(write=False)
         return col
 
@@ -273,30 +286,47 @@ class AnovaTable:
         raise KeyError(source)
 
 
-def _exact_sscp(columns: Sequence[np.ndarray], names: Sequence[str]) -> tuple:
-    """Centered SSCP of float64 columns, rounded once to float64 and to
-    ``_DIGITS`` digits, and the exact column means. In a block of m rows,
-    each column is split into slices q * 2**u with integers |q| <= 2**w,
-    m * 4**w <= 2**53, so the float64 gram of the slices and a ones column
-    holds exact integers in any summation order; blocks add up in Python
-    integers. Raises NonFiniteValue for a NaN or infinity, and
-    SingularDesign if a column's SS exceeds float64.
+class _Fold:
+    """Exact moments of float64 columns ``names``, fed one block of rows at
+    a time, with each column's running min and max and the row count.
+
+    In a block of m rows, each column is split into slices q * 2**u with
+    integers |q| <= 2**w, m * 4**w <= 2**53, so the float64 gram of the
+    slices and a ones column holds exact integers in any summation order.
+    Blocks add up in Python integers, so the moments do not depend on the
+    block sizes or the order of the rows (per-block moments merged as in
+    Chan, Golub & LeVeque 1983, here without rounding).
     """
-    k, n = len(columns), len(columns[0])
-    overflow = "column {!r}: cross-products overflow float64 (rescale the column)"
-    for nm, col in zip(names, columns):
-        if not np.isfinite(col).all():
-            raise NonFiniteValue(f"column {nm!r} contains NaN or infinity")
-        if np.abs(col).max() >= _MAGNITUDE_MAX:  # else sigma below may overflow
-            raise SingularDesign(overflow.format(nm))
-    m = min(n, _BLOCK)
-    w = (53 - (m - 1).bit_length()) // 2
-    t, e = 0, 0  # moments are t * 2**e: row a, column b holds sum(x_a x_b)
-    for start in range(0, n, m):
-        r = np.array([col[start : start + m] for col in columns], dtype=float)  # row per column
+
+    def __init__(self, names: Sequence[str]):
+        k = len(names)
+        self.names = tuple(names)
+        self.n = 0
+        self.lo, self.hi = np.full(k, np.inf), np.full(k, -np.inf)
+        self._t, self._e = 0, 0  # moments are t * 2**e: row a, column b holds sum(x_a x_b)
+
+    @property
+    def finite(self) -> np.ndarray:
+        """Per column: no NaN or infinity folded so far."""
+        return np.isfinite(self.lo) & np.isfinite(self.hi)
+
+    def add(self, r: np.ndarray) -> None:
+        """Fold a C-contiguous k x m block, 1 <= m <= _BLOCK; r is overwritten."""
+        k, m = r.shape
+        self.n += m
+        np.minimum(self.lo, r.min(axis=1), out=self.lo)
+        np.maximum(self.hi, r.max(axis=1), out=self.hi)
+        if not (np.maximum(-self.lo, self.hi) < _MAGNITUDE_MAX).all():
+            return  # finish raises; past 2**600, sigma below may overflow
+        w = (53 - (m - 1).bit_length()) // 2
         pieces, units, owners = [], [], []
-        top = np.abs(r).max(axis=1)
-        while top.any():  # a row already zero adds zero slices
+        rows, top = np.arange(k), np.abs(r).max(axis=1)
+        while True:
+            live = top > 0  # slice only the rows that still hold bits
+            if not live.all():
+                rows, top, r = rows[live], top[live], r[live]
+            if not rows.size:
+                break
             unit = np.frexp(top)[1] - w
             # rounds r to multiples of 2**unit, row by row; r - q is exact
             sigma = np.ldexp(1.5, unit + 52)[:, None]
@@ -305,38 +335,91 @@ def _exact_sscp(columns: Sequence[np.ndarray], names: Sequence[str]) -> tuple:
             r -= q
             pieces.append(np.ldexp(q, -unit[:, None], out=q))
             units += unit.tolist()
-            owners += range(k)
+            owners += rows.tolist()
             top = np.abs(r).max(axis=1)
-        pieces += [r, np.ones((1, r.shape[1]))]  # r is zero now; it keeps every group non-empty
-        units += [0] * (k + 1)
-        owners += [*range(k), k]
+        pieces.append(np.ones((1, m)))
+        units.append(0)
+        owners.append(k)
         order = np.argsort(owners, kind="stable")
-        bounds = np.searchsorted(np.array(owners)[order], np.arange(k + 1))
+        # a column that is zero throughout the block owns no slice
+        groups, bounds = np.unique(np.array(owners)[order], return_index=True)
         low = min(units)
         scale = np.array([1 << (units[i] - low) for i in order], dtype=object)
         z = np.vstack(pieces)
         g = (z @ z.T)[np.ix_(order, order)].astype(np.int64).astype(object) * scale[:, None] * scale
         g = np.add.reduceat(np.add.reduceat(g, bounds, axis=0), bounds, axis=1)
-        common = min(e, 2 * low)  # g holds the block's moments times 2**(-2 * low)
-        t = t * (1 << (e - common)) + g * (1 << (2 * low - common))
-        e = common
-    count, sums = t[k, k], t[:k, k]
-    num = t[:k, :k] * count - np.outer(sums, sums)
-    den = count << -e  # e <= 0, since the ones column has unit 0
-    for a, nm in enumerate(names):
-        try:
-            num[a, a] / den
-        except OverflowError:
-            raise SingularDesign(overflow.format(nm)) from None
-    f = np.empty((k, k))
-    s: list[list[Decimal]] = [[Decimal(0)] * k for _ in range(k)]
+        if len(groups) <= k:
+            g, sub = np.zeros((k + 1, k + 1), dtype=object), g
+            g[np.ix_(groups, groups)] = sub
+        common = min(self._e, 2 * low)  # g holds the block's moments times 2**(-2 * low)
+        self._t = self._t * (1 << (self._e - common)) + g * (1 << (2 * low - common))
+        self._e = common
+
+    def finish(self) -> tuple:
+        """The centered SSCP rounded once to float64 and to ``_DIGITS``
+        digits, and the exact column means. Raises, column by column,
+        NonFiniteValue for a NaN or infinity and SingularDesign for a
+        magnitude of 2**600 or more; then SingularDesign if a column's SS
+        exceeds float64."""
+        for nm, ok, lo, hi in zip(self.names, self.finite, self.lo, self.hi):
+            if not ok:
+                raise _non_finite(nm)
+            if max(-lo, hi) >= _MAGNITUDE_MAX:
+                raise SingularDesign(_OVERFLOW.format(nm))
+        k, t, e = len(self.names), self._t, self._e
+        count, sums = t[k, k], t[:k, k]
+        num = t[:k, :k] * count - np.outer(sums, sums)
+        den = count << -e  # e <= 0, since the ones column has unit 0
+        for a, nm in enumerate(self.names):
+            try:
+                num[a, a] / den
+            except OverflowError:
+                raise SingularDesign(_OVERFLOW.format(nm)) from None
+        f = np.empty((k, k))
+        s: list[list[Decimal]] = [[Decimal(0)] * k for _ in range(k)]
+        with localcontext(_CTX):
+            for a in range(k):
+                for b in range(a, k):
+                    f[a, b] = f[b, a] = num[a, b] / den  # int / int is correctly rounded
+                    s[a][b] = s[b][a] = Decimal(num[a, b]) / Decimal(den)
+        f.setflags(write=False)
+        return f, s, [Fraction(int(v), count) for v in sums]
+
+
+def _fold_columns(columns: Sequence[np.ndarray], names: Sequence[str]) -> _Fold:
+    """A _Fold of equal-length float64 columns, _BLOCK rows at a time."""
+    fold = _Fold(names)
+    for start in range(0, len(columns[0]), _BLOCK):
+        fold.add(np.array([col[start : start + _BLOCK] for col in columns], dtype=float))
+    return fold
+
+
+def _exact_sscp(columns: Sequence[np.ndarray], names: Sequence[str]) -> tuple:
+    """``_Fold.finish`` of float64 columns: their centered SSCP rounded once
+    to float64 and to ``_DIGITS`` digits, and their exact means."""
+    return _fold_columns(columns, names).finish()
+
+
+def _centered(
+    fold: _Fold, response_name: str, predictor_names: tuple[str, ...], data: Dataset | None = None
+) -> CenteredData:
+    """CenteredData of a fold of the predictors, then the response, with the
+    checks of Dataset and mean_center in their order: NonFiniteValue (the
+    response first), InvalidDataset if n < p + 2, ConstantColumn, then the
+    SingularDesign of ``_Fold.finish``."""
+    names, n = fold.names, fold.n
+    for a in (-1, *range(len(names) - 1)):
+        if not fold.finite[a]:
+            raise _non_finite(names[a])
+    _check_n(n, len(predictor_names))
+    for nm, lo, hi in zip(names, fold.lo, fold.hi):
+        if lo == hi:
+            raise ConstantColumn(nm)
+    f, s, means = fold.finish()
     with localcontext(_CTX):
-        for a in range(k):
-            for b in range(a, k):
-                f[a, b] = f[b, a] = num[a, b] / den  # int / int is correctly rounded
-                s[a][b] = s[b][a] = Decimal(num[a, b]) / Decimal(den)
-    f.setflags(write=False)
-    return f, s, [Fraction(int(v), count) for v in sums]
+        sds = [(s[a][a] / (n - 1)).sqrt() for a in range(len(names))]
+        exact = _Exact(f, s, [Decimal(m.numerator) / m.denominator for m in means], sds, n)
+    return CenteredData(response_name, predictor_names, data, tuple(map(float, means)), exact)
 
 
 def mean_center(d: Dataset) -> CenteredData:
@@ -348,15 +431,8 @@ def mean_center(d: Dataset) -> CenteredData:
     as its cross-products then may.
     """
     names = (*d.predictor_names, d.response_name)
-    raw = [d.column(nm) for nm in names]
-    for nm, v in zip(names, raw):
-        if v.min() == v.max():
-            raise ConstantColumn(nm)
-    f, s, means = _exact_sscp(raw, names)
-    with localcontext(_CTX):
-        sds = [(s[a][a] / (d.n - 1)).sqrt() for a in range(len(names))]
-        exact = _Exact(f, s, [Decimal(m.numerator) / m.denominator for m in means], sds, d.n)
-    return CenteredData(d.response_name, d.predictor_names, d, tuple(map(float, means)), exact)
+    fold = _fold_columns([d.column(nm) for nm in names], names)
+    return _centered(fold, d.response_name, d.predictor_names, d)
 
 
 def sscp(c: CenteredData, labels: Sequence[str] | None = None) -> SscpMatrix:

@@ -5,6 +5,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -398,6 +399,121 @@ class TestOrderingsSharing:
         assert res.exit_code == 0
         assert len(json.loads(res.stdout)["orderings"]) == 24
         assert calls == []
+
+
+# Files with two faults each, with the exit code and the error line of a
+# whole-file read (load_csv, then --model, then mean_center): the streamed
+# read must report the same fault, whichever block holds it.
+TWO_FAULTS = {
+    "nan-then-non-numeric": (
+        "y,x1,x2\n1,nan,3\n2,5,1\n3,4,4\n4,oops,2\n5,6,8\n", (), 2,
+        "line 5, column 'x1': 'oops' is not numeric",
+    ),
+    "inf-then-ragged": (
+        "y,x1,x2\n1,2,3\n2,inf,1\n3,4,4\n4,5\n5,6,8\n", (), 2,
+        "line 5: expected at least 3 fields, got 2",
+    ),
+    "constant-then-non-numeric": (
+        "y,x1,x2\n1,7,3\n2,7,1\n3,7,4\n4,7,?\n", (), 2,
+        "line 5, column 'x2': '?' is not numeric",
+    ),
+    "quoted-break-then-non-numeric": (
+        'y,x1,x2,note\n1,2,3,"a\nb"\n2,5,1,c\n3,x,4,d\n4,6,2,e\n', (), 2,
+        "line 5, column 'x1': 'x' is not numeric",
+    ),
+    "nan-predictor-inf-response": (
+        "y,x1,x2\n1,2,3\n2,nan,1\n3,4,4\ninf,5,2\n5,6,8\n", (), 2,
+        "column 'y' contains NaN or infinity",
+    ),
+    "inf-x2-then-nan-x1": (
+        "y,x1,x2\n1,2,3\n2,5,-inf\n3,4,4\n4,nan,2\n5,6,8\n", (), 2,
+        "column 'x1' contains NaN or infinity",
+    ),
+    "huge-then-nan": (
+        "y,x1,x2\n1,1e200,3\n2,5,1\n3,4,nan\n4,6,2\n", (), 2,
+        "column 'x2' contains NaN or infinity",
+    ),
+    "nan-and-too-few-rows": (
+        "y,x1,x2\n1,2,nan\n2,5,1\n", (), 2,
+        "column 'x2' contains NaN or infinity",
+    ),
+    "quoted-nan-and-constant": (
+        'y,x1,x2\n"1",7,3\n2,7,nan\n3,7,4\n4,7,2\n', (), 2,
+        "column 'x2' contains NaN or infinity",
+    ),
+    "too-few-rows-and-constant": (
+        "y,x1,x2\n1,7,3\n2,7,1\n3,7,4\n", (), 2,
+        "need at least p + 2 = 4 observations, got 3",
+    ),
+    "constant-and-huge": (
+        "y,x1,x2\n1,7,3\n2,7,1e200\n3,7,4\n4,7,2\n", (), 3,
+        "column 'x1' is constant (sample sd = 0)",
+    ),
+    "constant-response-and-predictor": (
+        "y,x1,x2\n1,2,3\n1,5,3\n1,4,3\n1,6,3\n", (), 3,
+        "column 'x2' is constant (sample sd = 0)",
+    ),
+    "overflow-x1-and-huge-x2": (
+        "y,x1,x2\n1,1e160,3\n2,-2e160,1e200\n3,5e159,4\n4,1e159,2\n", (), 3,
+        "column 'x2': cross-products overflow float64 (rescale the column)",
+    ),
+    "overflow-x1-and-huge-response": (
+        "y,x1,x2\n1,1e160,3\n2,-2e160,1\n3e181,5e159,4\n4,1e159,2\n", (), 3,
+        "column 'y': cross-products overflow float64 (rescale the column)",
+    ),
+    "constant-and-repeated-model": (
+        "y,x1,x2\n1,7,3\n2,7,1e200\n3,7,4\n4,7,2\n", ("--model", "x1,x1"), 2,
+        "--model names a predictor twice",
+    ),
+    "overflow-and-empty-model": (
+        "y,x1,x2\n1,1e160,3\n2,-2e160,1e200\n3,5e159,4\n4,1e159,2\n", ("--model", ""), 2,
+        "--model must name at least one predictor",
+    ),
+    "non-numeric-and-empty-model": (
+        "y,x1,x2\n1,nan,3\n2,5,1\n3,4,4\n4,oops,2\n5,6,8\n", ("--model", ""), 2,
+        "line 5, column 'x1': 'oops' is not numeric",
+    ),
+}
+
+
+class TestStreamedInput:
+    """--input is folded into the exact SSCP as it is read, keeping no rows."""
+
+    @pytest.mark.parametrize("block", [1, 2, 1 << 14])
+    @pytest.mark.parametrize("case", list(TWO_FAULTS))
+    def test_first_of_two_faults_is_reported(self, runner, tmp_path, monkeypatch, case, block):
+        text, model, code, error = TWO_FAULTS[case]
+        path = write(tmp_path, text)
+        monkeypatch.setattr(varpart.ols_core, "_BLOCK", block)
+        res = runner.invoke(
+            main,
+            ["decompose", "--input", str(path), "--response", "y", "--predictors", "x1,x2", *model],
+        )
+        assert (res.exit_code, res.stderr, res.stdout) == (code, f"error: {error}\n", "")
+
+    def test_input_is_parsed_block_by_block_into_no_dataset(self, runner, tmp_path, monkeypatch):
+        rows = "\n".join(f"{i % 7 - 2.5},{i * i % 11},{(3 * i) % 5 + 0.25}" for i in range(20))
+        path = write(tmp_path, "y,a,b\n" + rows + "\n")
+        args = ["decompose", "--input", str(path), "--response", "y", "--predictors", "a,b",
+                "--format", "json"]
+        want = invoke(runner, *args).stdout
+
+        def no_dataset(self):
+            raise AssertionError("a Dataset was built")
+
+        loadtxt, sources = np.loadtxt, []
+
+        def spy(source, *a, **kw):
+            sources.append(source)
+            return loadtxt(source, *a, **kw)
+
+        monkeypatch.setattr(varpart.ols_core, "_BLOCK", 3)
+        monkeypatch.setattr(varpart.ols_core.Dataset, "__post_init__", no_dataset)
+        monkeypatch.setattr(np, "loadtxt", spy)
+        res = invoke(runner, *args)
+        assert res.exit_code == 0 and res.stdout == want
+        assert len(sources) == 7
+        assert all(isinstance(src, list) and len(src) <= 3 for src in sources)
 
 
 class TestRealProcess:

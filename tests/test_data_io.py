@@ -1,3 +1,4 @@
+import re
 import warnings
 from unittest import mock
 
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varpart.ols_core
 from varpart import (
     CsvSpec,
     SyntheticSpec,
+    center_csv,
     dataset_to_csv_text,
     dwaine_fixture,
     exchangeable_correlation,
@@ -16,6 +19,7 @@ from varpart import (
     generate_synthetic,
     load_csv,
     mean_center,
+    residualize,
     save_csv,
 )
 from varpart import data_io
@@ -26,9 +30,13 @@ from varpart.errors import (
     NonNumericCell,
     NotPositiveSemidefinite,
     ParseError,
+    RowsNotKept,
     SingularDesign,
+    UnknownName,
     VarpartError,
 )
+
+from conftest import make_dataset
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -193,6 +201,27 @@ def assert_paths_agree(path, delimiter=","):
     return want
 
 
+# CR-only and CRLF line ends, a BOM, blank and whitespace-only lines, quoted
+# cells and quoted line breaks, ragged rows, header-only files
+FILE_SHAPES = [
+    ("y,x\r\n1,2\r\n3,4\r\n", [[1, 3], [2, 4]]),
+    ("y,x\r1,2\r3,4\r", [[1, 3], [2, 4]]),
+    ("\ufeffy,x\n1,2\n3,4\n", [[1, 3], [2, 4]]),
+    ("y,x\n1,2\n\n3,4\n\n", [[1, 3], [2, 4]]),
+    ("y,x\n1,2\n  \n3,4\n", (ParseError, 3)),
+    ("y,x\n1,2\n\t\n3,4\n", (ParseError, 3)),
+    ('y,x\n"1","2"\n3," 4 "\n', [[1, 3], [2, 4]]),
+    ('y,x,note\n1,"2\n",a\n3,4,"b\nc"\n', [[1, 3], [2, 4]]),
+    ('y,x,note\n1,2,"b\nc"\n3,oops,d\n', (NonNumericCell, 4)),
+    ("y,x\n1,2,3,4\n5,6\n", [[1, 5], [2, 6]]),
+    ("y,x,note\n1,2,a\n3\n", (ParseError, 3)),
+    ('y,note,x\n1,hello,2\n3,"a,b",4\n5,,6\n', [[1, 3, 5], [2, 4, 6]]),
+    ("y,x\n", [[], []]),
+    ("y,x\n\n\n", [[], []]),
+    ("y,x\n1,2\n3,4", [[1, 3], [2, 4]]),
+]
+
+
 class TestParsePaths:
     """numpy's C reader and the strict per-cell pass give one result."""
 
@@ -227,26 +256,7 @@ class TestParsePaths:
             else:
                 assert x[0] == value
 
-    @pytest.mark.parametrize(
-        "text, expected",
-        [
-            ("y,x\r\n1,2\r\n3,4\r\n", [[1, 3], [2, 4]]),
-            ("y,x\r1,2\r3,4\r", [[1, 3], [2, 4]]),
-            ("\ufeffy,x\n1,2\n3,4\n", [[1, 3], [2, 4]]),
-            ("y,x\n1,2\n\n3,4\n\n", [[1, 3], [2, 4]]),
-            ("y,x\n1,2\n  \n3,4\n", (ParseError, 3)),
-            ("y,x\n1,2\n\t\n3,4\n", (ParseError, 3)),
-            ('y,x\n"1","2"\n3," 4 "\n', [[1, 3], [2, 4]]),
-            ('y,x,note\n1,"2\n",a\n3,4,"b\nc"\n', [[1, 3], [2, 4]]),
-            ('y,x,note\n1,2,"b\nc"\n3,oops,d\n', (NonNumericCell, 4)),
-            ("y,x\n1,2,3,4\n5,6\n", [[1, 5], [2, 6]]),
-            ("y,x,note\n1,2,a\n3\n", (ParseError, 3)),
-            ('y,note,x\n1,hello,2\n3,"a,b",4\n5,,6\n', [[1, 3, 5], [2, 4, 6]]),
-            ("y,x\n", [[], []]),
-            ("y,x\n\n\n", [[], []]),
-            ("y,x\n1,2\n3,4", [[1, 3], [2, 4]]),
-        ],
-    )
+    @pytest.mark.parametrize("text, expected", FILE_SHAPES)
     def test_file_shapes(self, tmp_path, text, expected):
         path = tmp_path / "shape.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -337,6 +347,99 @@ def test_fuzzed_files_parse_the_same_on_both_paths(tmp_path_factory, case):
     path = tmp_path_factory.mktemp("fuzz") / "f.csv"
     path.write_bytes(text.encode("utf-8"))
     assert_paths_agree(path, delimiter)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_files())
+def test_fuzzed_files_center_the_same_streamed(tmp_path_factory, case):
+    delimiter, text = case
+    path = tmp_path_factory.mktemp("fuzz") / "f.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_centering_agrees(CsvSpec(path, "y", ("x",), delimiter=delimiter))
+
+
+def centering(center, spec):
+    """The exact moments, or the error class, message and line."""
+    try:
+        c = center(spec)
+    except VarpartError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return c.exact.f.tobytes(), c.exact.s, c.exact.means, c.exact.sds, c.means, c.n
+
+
+def whole(spec):
+    return mean_center(load_csv(spec))
+
+
+def assert_centering_agrees(spec):
+    """center_csv folding 1, 2 or 3 lines at a time gives the moments, or
+    the error, of mean_center(load_csv(spec)) at the default block size."""
+    want = centering(whole, spec)
+    for block in (1, 2, 3):
+        with mock.patch.object(varpart.ols_core, "_BLOCK", block):
+            assert centering(center_csv, spec) == want, block
+    return want
+
+
+def with_rows(text):
+    """``text`` with three numeric rows after the header, in its line ending."""
+    end = re.search("\r\n|\r|\n", text)
+    rows = "".join(f"{row}{end.group()}" for row in ("0.5,-1,8.5", "2.25,3,-0.5", "-7,0.125,1"))
+    return text[: end.end()] + rows + text[end.end() :]
+
+
+class TestCenterCsv:
+    """center_csv folds the file as it reads it, to mean_center(load_csv)'s result."""
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["as-is", "with-rows"])
+    @pytest.mark.parametrize("text, expected", FILE_SHAPES)
+    def test_file_shapes(self, tmp_path, text, expected, rows):
+        path = tmp_path / "shape.csv"
+        path.write_bytes((with_rows(text) if rows else text).encode("utf-8"))
+        got = assert_centering_agrees(CsvSpec(path, "y", ("x",)))
+        if rows and not isinstance(expected, tuple):
+            assert got[-1] == len(expected[0]) + 3
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 14])
+    def test_blocks_fold_to_the_moments_of_the_whole_file(self, tmp_path, block):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((40, 2)) * [1e-3, 1e5] + [7.0, -3e6]
+        x[:9, 0] = 0.0  # a column that is zero throughout some blocks
+        y = x @ [2.0, 1e-4] + rng.standard_normal(40)
+        path = tmp_path / "tall.csv"
+        save_csv(make_dataset(x, y), path)
+        spec = CsvSpec(path, "y", ("x2", "x1"))
+        want = centering(whole, spec)
+        with mock.patch.object(varpart.ols_core, "_BLOCK", block):
+            assert centering(center_csv, spec) == want
+        assert want[-1] == 40
+
+    def test_keeps_no_rows(self, tmp_path):
+        path = write(tmp_path, "y,a,b\n1,2,3\n2,3,1\n3,5,4\n4,4,2\n")
+        c = center_csv(CsvSpec(path, "y", ("a", "b")))
+        assert c.data is None
+        for name in ("y", "a"):
+            with pytest.raises(RowsNotKept) as exc:
+                c.column(name)
+            assert exc.value.name == name
+        with pytest.raises(RowsNotKept):
+            residualize(c, "a", ["b"])
+        with pytest.raises(RowsNotKept):
+            residualize(c, "b")
+        with pytest.raises(UnknownName):
+            c.column("nope")
+
+    def test_rest_of_a_quoted_file_is_parsed_in_one_call(self, tmp_path, monkeypatch):
+        # a quoted field may hold a line break, so it can span two blocks
+        monkeypatch.setattr(varpart.ols_core, "_BLOCK", 2)
+        path = write(tmp_path, 'y,x,note\n1,2,a\n3,4,d\n2,5,"b\nc"\n4,7,e\n5,5,f\n')
+        spec = CsvSpec(path, "y", ("x",))
+        with mock.patch.object(data_io, "_loadtxt", wraps=data_io._loadtxt) as loadtxt:
+            c = center_csv(spec)
+        first, rest = (call.args[0] for call in loadtxt.call_args_list)
+        assert first == ["1,2,a\n", "3,4,d\n"] and not isinstance(rest, list)
+        assert c.exact.f.tobytes() == whole(spec).exact.f.tobytes()
+        assert c.n == 5
 
 
 class TestDwaineFixture:

@@ -231,9 +231,8 @@ EXACT_CASES = {
 class TestExactSscp:
     """mean_center's sliced SSCP against the integer-arithmetic reference."""
 
-    @pytest.mark.parametrize("case", list(EXACT_CASES))
-    def test_matches_integer_reference(self, case):
-        d = EXACT_CASES[case]()
+    @staticmethod
+    def assert_matches_integer_reference(d):
         c = mean_center(d)
         names = (*d.predictor_names, d.response_name)
         want = reference.centred_sscp([d.column(nm) for nm in names])
@@ -245,6 +244,23 @@ class TestExactSscp:
                     got = mpmath.mpf(str(c.exact.s[i][j]))
                     tol = 10.0 ** (1 - varpart.ols_core._DIGITS) * abs(want[i, j])
                     assert abs(got - want[i, j]) <= tol, (i, j)
+
+    @pytest.mark.parametrize("case", list(EXACT_CASES))
+    def test_matches_integer_reference(self, case):
+        self.assert_matches_integer_reference(EXACT_CASES[case]())
+
+    def test_column_zero_throughout_a_block(self, monkeypatch):
+        # x2 owns no slice in the first two blocks of four rows
+        d = _seeded(1)
+        x2 = d.column("x2").copy()
+        x2[:8] = 0.0
+        d = Dataset(
+            tuple((nm, x2 if nm == "x2" else v) for nm, v in d.columns),
+            d.response_name,
+            d.predictor_names,
+        )
+        monkeypatch.setattr(varpart.ols_core, "_BLOCK", 4)
+        self.assert_matches_integer_reference(d)
 
     def test_independent_of_row_order_and_block_size(self, monkeypatch):
         d = _tall()
