@@ -22,6 +22,7 @@ from .data_io import (
 from .decomposition import (
     ORDERING_CAP,
     DecompositionReport,
+    OrderingFit,
     PredictorDecomposition,
     ResidualizedPredictor,
     VennRegions,
@@ -31,6 +32,7 @@ from .decomposition import (
     corrected_r2,
     enumerate_orderings,
     ordering_fits,
+    ordering_records,
     orthogonal_regression,
     partial_ss,
     residualize,
@@ -64,6 +66,7 @@ __all__ = [
     "DecompositionReport",
     "ORDERING_CAP",
     "OlsFit",
+    "OrderingFit",
     "PredictorDecomposition",
     "RCOND_MIN",
     "ResidualizedPredictor",
@@ -86,6 +89,7 @@ __all__ = [
     "load_csv",
     "mean_center",
     "ordering_fits",
+    "ordering_records",
     "orthogonal_regression",
     "partial_ss",
     "render_venn_svg",

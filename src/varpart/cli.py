@@ -35,7 +35,7 @@ from .data_io import (
 from .decomposition import (
     compare_report,
     enumerate_orderings,
-    ordering_fits,
+    ordering_records,
     venn_regions,
 )
 from .errors import ConstantColumn, SingularDesign, TooManyOrderings, VarpartError
@@ -163,7 +163,8 @@ def _emit(text: str, out_path) -> None:
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
-        click.echo(text, nl=False)
+        # color=True: click would strip ANSI escape sequences off a non-terminal
+        click.echo(text, nl=False, color=True)
 
 
 def _run(body) -> None:
@@ -247,8 +248,8 @@ def orderings(c, model, fmt, orders):
     else:
         ordering_list = enumerate_orderings(model)
     full = fit_ols(c, model)
-    entries = ordering_fits(c, ordering_list)
-    return _render(orderings_payload(c.response_name, model, full, entries), fmt)
+    records = ordering_records(c, ordering_list)
+    return _render(orderings_payload(c.response_name, model, full, records), fmt)
 
 
 @_analysis("text", "json", "csv", "svg")

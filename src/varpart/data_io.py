@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
+from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -145,7 +146,9 @@ def center_csv(spec: CsvSpec) -> CenteredData:
     try:
         for block in _read_blocks(spec, fold.names):
             fold.add(block)
-    except ValueError:  # numpy's, as fold.add raises nothing; the strict pass names the line
+    except ValueError:  # numpy's, as fold.add raises nothing
+        fold = None
+    if fold is None:  # the strict pass names the line, once the rejected block is freed
         return mean_center(_dataset(spec, _strict_columns(spec)))
     if not fold.n:
         raise _no_rows(spec)
@@ -173,6 +176,8 @@ def _read_columns(spec: CsvSpec) -> list:
     try:
         blocks = [*_read_blocks(spec, names)]
     except ValueError:
+        blocks = None
+    if blocks is None:  # the strict pass names the line, once the rejected block is freed
         return _strict_columns(spec)
     return list(np.concatenate(blocks or [np.empty((len(names), 0))], axis=1))
 
@@ -191,6 +196,7 @@ def _read_blocks(spec: CsvSpec, names: Sequence[str]) -> Iterator[np.ndarray]:
         while lines := list(islice(fh, block)):
             quoted = '"' in "".join(lines)
             table = _loadtxt(chain(lines, fh) if quoted else lines, spec, usecols)
+            del lines  # not kept while the consumer folds the block
             for start in range(0, len(table), block):
                 # .T.copy() is C-ordered; np.array(table.T) keeps F order,
                 # which slows the fold about threefold
@@ -239,13 +245,15 @@ def _read_header(reader, spec: CsvSpec) -> list[int]:
     return [positions[name] for name in wanted]
 
 
-def _strict_columns(spec: CsvSpec) -> list[list[float]]:
-    """load_csv's reference pass: one cell at a time, errors with line numbers."""
+def _strict_columns(spec: CsvSpec) -> list[array]:
+    """load_csv's reference pass: one cell at a time, errors with line
+    numbers. The columns are packed float64 arrays, 8 bytes a cell, since
+    the pass often runs only to find the line of an error."""
     with _open(spec) as fh:
         reader = csv.reader(fh, delimiter=spec.delimiter)
         idx = _read_header(reader, spec)
         wanted = (spec.response, *spec.predictors)
-        values: list[list[float]] = [[] for _ in wanted]
+        values = [array("d") for _ in wanted]
         try:
             for row in reader:
                 if not row:

@@ -20,10 +20,10 @@ import dataclasses
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import cache
-from itertools import accumulate, permutations
+from itertools import accumulate, permutations, repeat
 from operator import or_
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -199,32 +199,52 @@ def _corrected(c: CenteredData, model: tuple[str, ...]) -> tuple[float, float, f
         return float(total), float(total / c.exact.s[-1][-1]), _ratio(total / len(model), mse)
 
 
+class OrderingFit(NamedTuple):
+    """One ordering's Type I table and orthogonal-function fit.
+
+    ``type1`` pairs each predictor with its Type I SS, and ``terms`` holds
+    each orthogonal-function term as (label, b, se, z, t). ``fit`` is the
+    fit on all of the ordering's predictors, whose SS, R2 and F the
+    orthogonal-function fit shares; ``intercept`` is the orthogonal-function
+    fit's own. In the records of one ``ordering_records`` call, each pair,
+    term and fit is one object, shared by every ordering that holds it.
+    """
+
+    order: tuple[str, ...]
+    type1: list[tuple[str, float]]
+    terms: list[tuple[str, float, float, float, float]]
+    intercept: float
+    fit: OlsFit
+
+
 class _Orderings:
     """Type I tables and orthogonal-function fits, read off the subset memo.
 
     Term k of an ordering o is predictor o[k] in the fit on o[:k + 1]: its
     slope is that fit's coefficient, its column (o[k] residualized on
     o[:k]) has SS 1 / (A^-1)_kk, and its Type I SS is slope^2 times that
-    SS. Each term is derived once for all orderings that share it; sets of
-    predictors are bit masks over their indices.
+    SS. Each value is derived once for all orderings that share it: a Type
+    I pair per set of predictors and predictor, a term per ordered prefix,
+    an intercept per first predictor. Sets are bit masks over the
+    predictors' indices.
     """
 
     def __init__(self, c: CenteredData):
         self._c = c
         self._bit = {nm: 1 << i for i, nm in enumerate(c.predictor_names)}
-        self._type1 = cache(self._type1_ss)
-        self._term = cache(self._term_stats)
+        self._solve = cache(lambda mask: c._memo.solve(i for i in range(c.p) if mask >> i & 1))
+        self._type1 = cache(self._type1_pair)
+        self._stats = cache(self._term_stats)
+        self._term = cache(self._term_entry)
+        self._intercept = cache(self._first_intercept)
         self._full = cache(lambda mask: fit_ols(c, [nm for nm, b in self._bit.items() if mask & b]))
 
-    def _solve(self, mask: int) -> _Solution:
-        return self._c._memo.solve(i for i in range(self._c.p) if mask >> i & 1)
+    def _masks(self, ordering: tuple[str, ...]) -> list[int]:
+        """The set of each prefix of ``ordering``."""
+        return [*accumulate(map(self._bit.__getitem__, ordering), or_)]
 
-    def _prefixes(self, ordering: tuple[str, ...]) -> list[tuple[int, str]]:
-        masks = accumulate((self._bit[nm] for nm in ordering), or_)
-        return list(zip(masks, ordering))
-
-    def _type1_ss(self, mask: int, nm: str) -> float:
-        return float(_partial(self._solve(mask), self._c.predictor_index(nm)))
+    def _type1_pair(self, mask: int, nm: str) -> tuple[str, float]:
+        return nm, float(_partial(self._solve(mask), self._c.predictor_index(nm)))
 
     def _term_stats(self, whole: int, mask: int, nm: str) -> tuple[float, ...]:
         """(b, se, z, t) of ``nm`` last in the prefix ``mask`` of an ordering of ``whole``."""
@@ -235,24 +255,44 @@ class _Orderings:
             sd = _column_sd(part.inv[i], c.n)
             return _coef_stats(part.b[i], part.inv[i], sd, mse, c.exact.sds[-1])
 
-    def type1(self, ordering: tuple[str, ...]) -> list[tuple[str, float]]:
-        return [(nm, self._type1(mask, nm)) for mask, nm in self._prefixes(ordering)]
+    def _term_entry(self, whole: int, prefix: tuple[str, ...], mask: int) -> tuple:
+        """(label, b, se, z, t) of the last predictor of ``prefix``, whose set is ``mask``."""
+        *before, nm = prefix
+        label = f"{nm}|{','.join(before)}" if before else nm
+        return (label, *self._stats(whole, mask, nm))
 
-    def fit(self, ordering: tuple[str, ...]) -> OlsFit:
-        """Orthogonal-function fit: the full fit's SS, R2 and F, one term per predictor."""
+    def _first_intercept(self, nm: str) -> float:
+        """Intercept of an orthogonal-function fit whose first column is ``nm``."""
+        c, i = self._c, self._c.predictor_index(nm)
+        with localcontext(_CTX):
+            slope = self._solve(self._bit[nm]).b[i]
+            return float(c.exact.means[-1] - slope * c.exact.means[i])
+
+    def type1(self, ordering: tuple[str, ...]) -> list[tuple[str, float]]:
+        return [*map(self._type1, self._masks(ordering), ordering)]
+
+    def record(self, ordering: tuple[str, ...]) -> OrderingFit:
         if not ordering:
             raise EmptySubset("an ordering must name at least one predictor")
-        c, prefixes = self._c, self._prefixes(ordering)
-        whole = prefixes[-1][0]
+        masks = self._masks(ordering)
+        whole = masks[-1]
         full = self._full(whole)
-        b, se, z, t = zip(*(self._term(whole, mask, nm) for mask, nm in prefixes))
-        first = c.predictor_index(ordering[0])
-        with localcontext(_CTX):
-            slope = self._solve(prefixes[0][0]).b[first]
-            intercept = float(c.exact.means[-1] - slope * c.exact.means[first])
-        labels = tuple(f"{nm}|{','.join(ordering[:k])}" if k else nm for k, nm in enumerate(ordering))
-        b, se, t, z = map(_readonly, (b, se, t, z))
-        return dataclasses.replace(full, predictor_subset=labels, b=b, se=se, t=t, z=z, intercept=intercept)
+        prefixes = [ordering[:k] for k in range(1, len(ordering) + 1)]
+        return OrderingFit(
+            ordering,
+            [*map(self._type1, masks, ordering)],
+            [*map(self._term, repeat(whole), prefixes, masks)],
+            self._intercept(ordering[0]),
+            full,
+        )
+
+
+def _orthogonal_fit(rec: OrderingFit) -> OlsFit:
+    """The orthogonal-function fit of a record: the full fit's SS, R2 and F,
+    one term per predictor."""
+    labels, *stats = zip(*rec.terms)
+    b, se, z, t = map(_readonly, stats)
+    return dataclasses.replace(rec.fit, predictor_subset=labels, b=b, se=se, t=t, z=z, intercept=rec.intercept)
 
 
 def residualize(
@@ -339,7 +379,19 @@ def orthogonal_regression(c: CenteredData, ordering: Sequence[str]) -> OlsFit:
     Raises EmptySubset for an empty ordering, and SingularDesign where
     fit_ols on the same predictors would.
     """
-    return _Orderings(c).fit(_check_ordering(c, ordering))
+    return _orthogonal_fit(_Orderings(c).record(_check_ordering(c, ordering)))
+
+
+def ordering_records(c: CenteredData, orderings: Iterable[Sequence[str]]) -> list[OrderingFit]:
+    """Type I table and orthogonal-function fit of each ordering, as shared values.
+
+    Each record holds ``sequential_ss(c, ordering)`` as ``type1`` and the
+    terms, intercept and full fit of ``orthogonal_regression(c,
+    ordering)``, value for value; each pair, term and fit is derived once
+    and is the same object in every record that holds it.
+    """
+    stats = _Orderings(c)
+    return [stats.record(_check_ordering(c, ordering)) for ordering in orderings]
 
 
 def ordering_fits(
@@ -351,12 +403,7 @@ def ordering_fits(
     orthogonal_regression(c, ordering))`` per ordering, value for value,
     but derives each term once for all orderings that share it.
     """
-    stats = _Orderings(c)
-    out = []
-    for ordering in orderings:
-        ordering = _check_ordering(c, ordering)
-        out.append((ordering, stats.type1(ordering), stats.fit(ordering)))
-    return out
+    return [(r.order, r.type1, _orthogonal_fit(r)) for r in ordering_records(c, orderings)]
 
 
 def residualized_simple_fits(

@@ -9,8 +9,11 @@ perfect fit has infinite F) become JSON null and the text cell "NA".
 
 JSON output is byte for byte ``json.dumps(payload, indent=2,
 allow_nan=False)`` and a newline. The stdlib writes indented JSON in pure
-Python, so ``render_json`` dumps one skeleton per shape of list item (its
-keys and list lengths) and fills the slots from one call to the C encoder.
+Python, one object at a time, so ``render_json`` lays the payload out a
+column at a time instead, with an identity memo: a payload object that
+occurs in many places, such as a Type I entry or an orthogonal-function
+term that ``orderings_payload`` shares between orderings, is encoded and
+laid out once.
 """
 
 from __future__ import annotations
@@ -19,10 +22,12 @@ import csv
 import io
 import json
 import math
-from itertools import chain
+from functools import cache
+from itertools import chain, compress, repeat
+from operator import methodcaller, not_
 from typing import Any, Sequence
 
-from .decomposition import DecompositionReport, VennRegions
+from .decomposition import DecompositionReport, OrderingFit, VennRegions
 from .ols_core import OlsFit, anova_table
 from .textfmt import fmt2
 
@@ -41,11 +46,14 @@ def _cell(x: float | None) -> str:
 _COEF_STATS = ("b", "se", "z", "t")
 
 
-def _coef_list(fit: OlsFit, key: str = "name") -> list[dict[str, Any]]:
-    return [
-        {key: nm, **{stat: _num(v) for stat, v in zip(_COEF_STATS, values)}}
-        for nm, *values in zip(fit.predictor_subset, fit.b, fit.se, fit.z, fit.t)
-    ]
+def _coef(term: Sequence, key: str = "name") -> dict[str, Any]:
+    """The dict of one coefficient given as (name, b, se, z, t)."""
+    nm, b, se, z, t = term
+    return {key: nm, "b": _num(b), "se": _num(se), "z": _num(z), "t": _num(t)}
+
+
+def _coef_list(fit: OlsFit) -> list[dict[str, Any]]:
+    return [_coef(term) for term in zip(fit.predictor_subset, fit.b, fit.se, fit.z, fit.t)]
 
 
 def _venn_dict(v: VennRegions) -> dict[str, Any]:
@@ -174,32 +182,30 @@ def decompose_payload(rep: DecompositionReport, response: str) -> dict[str, Any]
 
 
 def orderings_payload(
-    response: str,
-    model: Sequence[str],
-    full: OlsFit,
-    entries: Sequence[tuple[Sequence[str], Sequence[tuple[str, float]], OlsFit]],
+    response: str, model: Sequence[str], full: OlsFit, records: Sequence[OrderingFit]
 ) -> dict[str, Any]:
     """Payload for the per-ordering report.
 
-    ``entries`` pairs each ordering with its sequential-SS table and the
-    orthogonal-function fit on the same ordering.
+    ``records`` holds each ordering's Type I table and orthogonal-function
+    fit. Each distinct Type I pair, term and fit summary of the records
+    becomes one dict, which every ordering holding that object shares.
     """
-    items = []
-    for order, seq, fit in entries:
-        items.append(
-            {
-                "order": list(order),
-                "type1": [{"name": nm, "ss": _num(ss)} for nm, ss in seq],
-                "orthogonal_fit": {
-                    "ss_regression": _num(fit.ss_regression),
-                    "ss_residual": _num(fit.ss_residual),
-                    "r2": _num(fit.r2),
-                    "f": _num(fit.f),
-                    "intercept": _num(fit.intercept),
-                    "terms": _coef_list(fit, "label"),
-                },
-            }
-        )
+    records = list(records)
+    entry = _once([e for r in records for e in r.type1], _type1_entry)
+    term = _once([t for r in records for t in r.terms], lambda t: _coef(t, "label"))
+    summary = _once([r.fit for r in records], _fit_summary)
+    items = [
+        {
+            "order": list(r.order),
+            "type1": [*map(entry.__getitem__, map(id, r.type1))],
+            "orthogonal_fit": {
+                **summary[id(r.fit)],
+                "intercept": _num(r.intercept),
+                "terms": [*map(term.__getitem__, map(id, r.terms))],
+            },
+        }
+        for r in records
+    ]
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "orderings",
@@ -209,6 +215,26 @@ def orderings_payload(
         "ss_regression": _num(full.ss_regression),
         "ss_total": _num(full.ss_total),
         "orderings": items,
+    }
+
+
+def _once(values: list, build) -> dict[int, Any]:
+    """The id of each distinct value -> ``build(value)``, built once. The
+    ids stay unique while the caller keeps the values alive."""
+    distinct = dict(zip(map(id, values), values))
+    return dict(zip(distinct, map(build, distinct.values())))
+
+
+def _type1_entry(pair: tuple[str, float]) -> dict[str, Any]:
+    return {"name": pair[0], "ss": _num(pair[1])}
+
+
+def _fit_summary(fit: OlsFit) -> dict[str, Any]:
+    return {
+        "ss_regression": _num(fit.ss_regression),
+        "ss_residual": _num(fit.ss_residual),
+        "r2": _num(fit.r2),
+        "f": _num(fit.f),
     }
 
 
@@ -229,7 +255,6 @@ def venn_payload(
 
 
 _PAD = "  "
-_CONTAINERS = (dict, list, tuple)
 # Leaves joined by NUL: strings are ASCII-escaped, so no encoded leaf holds one.
 _LEAF_ENCODER = json.JSONEncoder(allow_nan=False, separators=("\x00", ":"))
 
@@ -237,115 +262,145 @@ _LEAF_ENCODER = json.JSONEncoder(allow_nan=False, separators=("\x00", ":"))
 def render_json(payload: Any) -> str:
     """``json.dumps(payload, indent=2, allow_nan=False) + "\\n"``, byte for byte.
 
-    With an indent, ``json`` formats in pure Python. Here each item of a
-    non-empty list of objects is filled from a skeleton of its shape (its
-    keys and list lengths), built once per shape and depth, and the rest
-    of the payload is a skeleton of the same kind with one slot per list.
-    The leaves are encoded in one call to the C encoder, which formats
-    floats, ints, strings, null and booleans exactly as the indented path
-    does and raises the same ValueError on NaN and infinities.
+    With an indent, ``json`` formats in pure Python, value by value. Here
+    the payload is laid out a column at a time: a column holds the values
+    at one place in the payload's shape, such as the items of an array, or
+    one key's values in objects that have the same keys. Each distinct
+    object of a column is laid out once, and each distinct leaf is encoded
+    once in all; both memos are keyed on ``id``, which stays unique while
+    the payload keeps its objects alive. The new leaves of a column are
+    encoded in one call to the C encoder, which formats floats, ints,
+    strings, null and booleans exactly as the indented path does and
+    raises the same ValueError on NaN and infinities. The objects of a
+    column that have the same keys are filled into one template.
     """
-    leaves: list[Any] = []
-    template = _template(payload, leaves)
-    texts = _LEAF_ENCODER.encode(leaves)[1:-1].split("\x00") if leaves else ()
-    return template % tuple(texts)
+    out: list[str] = []
+    _Layout().write(payload, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _template(payload: Any, leaves: list[Any]) -> str:
-    """The payload's text and final newline, with a ``%s`` for each leaf.
-
-    The fills, as long as the template, are freed on return, before the
-    leaves are filled in.
-    """
-    fills: list[str] = []
-    chunks = _chunks(_outline(payload, 0, leaves, {}, fills), 0, len(fills))
-    return "".join(chain.from_iterable(zip(chunks, [*fills, "\n"])))
+_LEAF, _OBJECT, _ARRAY = range(3)
 
 
-def _outline(v: Any, depth: int, leaves: list[Any], templates: dict, fills: list[str]) -> Any:
-    """The shape of ``v``, lying at ``depth`` outside every list item.
-
-    Appends the leaves to ``leaves`` in document order, and to ``fills``
-    the text of each slot: ``%s`` for a leaf, or the template of a
-    non-empty list of dicts, which takes one slot. This shape is never
-    shared, so unlike ``_shape`` it needs no guard on keys.
-    """
-    if isinstance(v, dict):
-        children = [_outline(x, depth + 1, leaves, templates, fills) for x in v.values()]
-        return tuple(v), tuple(children)
-    if isinstance(v, (list, tuple)):
-        if v and all(isinstance(x, dict) for x in v):
-            fills.append(_items(v, depth, leaves, templates))
-            return None
-        return (tuple([_outline(x, depth + 1, leaves, templates, fills) for x in v]),)
-    leaves.append(v)
-    fills.append("%s")
-    return None
+@cache
+def _kind(t: type) -> int:
+    """How ``json`` writes an instance of ``t``: as a leaf, an object or an array."""
+    return _OBJECT if issubclass(t, dict) else _ARRAY if issubclass(t, (list, tuple)) else _LEAF
 
 
-def _items(items: Any, depth: int, leaves: list[Any], templates: dict) -> str:
-    """Template of a list of dicts at ``depth``: one skeleton per item shape."""
-    parts = []
-    for item in items:
-        start = len(leaves)
-        key = (_shape(item, leaves), depth + 1)
-        template = templates.get(key)
-        if template is None:
-            template = templates[key] = "%s".join(_chunks(*key, len(leaves) - start))
-        parts.append(template)
-    pad = "\n" + _PAD * (depth + 1)
-    return f"[{pad}{(',' + pad).join(parts)}\n{_PAD * depth}]"
+@cache
+def _separators(depth: int) -> tuple[str, str]:
+    """The separator between the items of a container at ``depth``, and the
+    line break and indent before its closing bracket."""
+    return ",\n" + _PAD * (depth + 1), "\n" + _PAD * depth
 
 
-def _shape(v: Any, leaves: list[Any]) -> tuple:
-    """The shape of a container, appending its leaves to ``leaves``.
+class _Layout:
+    """The texts of a payload's values, a column at a time, and the memo of
+    its encoded leaves."""
 
-    A leaf's shape is None, a list's is a 1-tuple of its items' shapes and
-    a dict's is its keys and its values' shapes. A dict with a key that is
-    not a str never shares a shape: True, 1 and 1.0 compare equal but
-    render differently.
-    """
-    children = []
-    for x in v.values() if isinstance(v, dict) else v:
-        if isinstance(x, _CONTAINERS):
-            children.append(_shape(x, leaves))
-        else:
-            leaves.append(x)
-            children.append(None)
-    if not isinstance(v, dict):
-        return (tuple(children),)
-    keys = tuple(v)
-    try:
-        "".join(keys)
-    except TypeError:
-        return keys, tuple(children), object()
-    return keys, tuple(children)
+    def __init__(self) -> None:
+        self._leaves: dict[int, str] = {}
+
+    def write(self, v: Any, depth: int, out: list[str]) -> None:
+        """Append the text of ``v`` at ``depth`` to ``out``: an object field
+        by field, an array's items as one column. Only the final join then
+        copies the text of more than one array item."""
+        kind = _kind(type(v))
+        if kind == _LEAF or not v:
+            out += self.texts([v], depth)
+            return
+        sep, end = _separators(depth)
+        if kind == _ARRAY:
+            out.append("[" + sep[1:])
+            out += chain.from_iterable(zip(self.texts([*v], depth + 1), repeat(sep)))
+            out[-1] = end + "]"
+            return
+        out.append("{")
+        for start, (key, value) in zip(chain([sep[1:]], repeat(sep)), v.items()):
+            out += start, _head(key)
+            self.write(value, depth + 1, out)
+        out.append(end + "}")
+
+    def texts(self, column: list, depth: int) -> list[str]:
+        """The text of each value in ``column``, all of them at ``depth``."""
+        if not column:
+            return []
+        ids = [*map(id, column)]
+        distinct = dict(zip(ids, column))
+        if len(distinct) < len(column):
+            laid_out = dict(zip(distinct, self.texts([*distinct.values()], depth)))
+            return [*map(laid_out.__getitem__, ids)]
+        kinds = [*map(_kind, map(type, column))]
+        if kinds.count(kinds[0]) < len(kinds):
+            return _by_group(column, kinds, lambda kind, part: self._of_kind(kind, part, depth))
+        return self._of_kind(kinds[0], column, depth)
+
+    def _of_kind(self, kind: int, column: list, depth: int) -> list[str]:
+        """The texts of distinct values of one kind."""
+        if kind == _LEAF:
+            return self._leaf_texts(column)
+        if kind == _ARRAY:
+            return self._array_texts(column, depth)
+        keys = [*map(tuple, column)]
+        if keys.count(keys[0]) < len(keys) or not _all_str(keys[0]):
+            # 1, 1.0 and True are equal keys that are written differently,
+            # so only objects whose keys are all strings share a template
+            groups = [k if _all_str(k) else i for i, k in enumerate(keys)]
+            return _by_group(column, groups, lambda _, part: self._object_texts(part, depth))
+        return self._object_texts(column, depth)
+
+    def _leaf_texts(self, column: list) -> list[str]:
+        texts = [*map(self._leaves.get, map(id, column))]
+        if None in texts:
+            new = [*compress(column, map(not_, texts))]
+            self._leaves.update(zip(map(id, new), _LEAF_ENCODER.encode(new)[1:-1].split("\x00")))
+            texts = [*map(self._leaves.__getitem__, map(id, column))]
+        return texts
+
+    def _array_texts(self, column: list, depth: int) -> list[str]:
+        items = self.texts([*chain.from_iterable(column)], depth + 1)
+        sep, end = _separators(depth)
+        out, start = [], 0
+        for n in map(len, column):
+            out.append(f"[{sep[1:]}{sep.join(items[start : start + n])}{end}]" if n else "[]")
+            start += n
+        return out
+
+    def _object_texts(self, column: list, depth: int) -> list[str]:
+        """The texts of objects that have the same keys."""
+        keys = tuple(column[0])
+        if not keys:
+            return ["{}"] * len(column)
+        values = [self.texts([*v], depth + 1) for v in zip(*map(methodcaller("values"), column))]
+        sep, end = _separators(depth)
+        heads = (_head(k).replace("%", "%%") for k in keys)
+        template = f"{{{sep[1:]}{sep.join(h + '%s' for h in heads)}{end}}}"
+        return [*map(template.__mod__, zip(*values))]
 
 
-def _stand_in(shape: Any, marker: str) -> Any:
-    if shape is None:
-        return marker
-    if len(shape) == 1:
-        return [_stand_in(s, marker) for s in shape[0]]
-    return {k: _stand_in(s, marker) for k, s in zip(shape[0], shape[1])}
+def _head(key: Any) -> str:
+    """A key and its colon as ``json`` writes them, or its TypeError for a
+    key that is not a str, int, float, bool or None."""
+    return _LEAF_ENCODER.encode({key: None})[1:-5] + " "
 
 
-def _chunks(shape: Any, depth: int, slots: int) -> list[str]:
-    """The text between the ``slots`` slots of ``shape`` at ``depth``, % escaped.
+def _all_str(keys: tuple) -> bool:
+    return all(type(k) is str for k in keys)
 
-    Every slot is dumped as a marker string; the marker is lengthened
-    until it splits the dump into exactly one chunk more than there are
-    slots, so a key that contains it cannot forge a slot.
-    """
-    marker = "@"
-    while True:
-        dumped = json.dumps(_stand_in(shape, marker), indent=2, allow_nan=False)
-        chunks = dumped.split(f'"{marker}"')
-        if len(chunks) == slots + 1:
-            break
-        marker += "@"
-    indent = "\n" + _PAD * depth
-    return [c.replace("%", "%%").replace("\n", indent) for c in chunks]
+
+def _by_group(column: list, groups: list, texts) -> list[str]:
+    """``texts(group, values)`` for the values of each group in ``column``
+    (``groups`` names the group of each value), put back in column order."""
+    members: dict[Any, list[int]] = {}
+    for i, group in enumerate(groups):
+        members.setdefault(group, []).append(i)
+    out = [""] * len(column)
+    for group, idx in members.items():
+        for i, text in zip(idx, texts(group, [column[i] for i in idx])):
+            out[i] = text
+    return out
 
 
 def _layout(rows: list[list[str]], align: str) -> list[str]:

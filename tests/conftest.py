@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varpart import Dataset, dwaine_fixture, mean_center
+from varpart import Dataset, OrderingFit, dwaine_fixture, mean_center
 
 MODEL = ("TARGTPOP", "DISPOINC")
 
@@ -31,6 +31,14 @@ def make_dataset(x: np.ndarray, y: np.ndarray) -> Dataset:
     return Dataset(
         columns=cols + (("y", y),), response_name="y", predictor_names=names
     )
+
+
+def ordering_record(order, seq, fit) -> OrderingFit:
+    """The record ``orderings_payload`` takes, from a Type I table and an
+    orthogonal-function fit computed on their own: no value in it is
+    shared with another record."""
+    terms = list(zip(fit.predictor_subset, fit.b, fit.se, fit.z, fit.t))
+    return OrderingFit(tuple(order), seq, terms, fit.intercept, fit)
 
 
 @pytest.fixture(scope="session")

@@ -23,6 +23,8 @@ from varpart import (
 from varpart.cli import main
 from varpart.report import orderings_payload, render_csv
 
+from conftest import ordering_record
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -350,7 +352,8 @@ class TestOrderingsSharing:
             else enumerate_orderings(preds)
         )
         entries = [
-            (o, sequential_ss(c, o), orthogonal_regression(c, o)) for o in ordering_list
+            ordering_record(o, sequential_ss(c, o), orthogonal_regression(c, o))
+            for o in ordering_list
         ]
         payload = orderings_payload("y", preds, fit_ols(c, preds), entries)
         if fmt == "json":
@@ -556,6 +559,19 @@ class TestRealProcess:
         assert proc.stderr.startswith("error:") and "line " in proc.stderr
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_stdout_bytes_equal_out_file_bytes(self, tmp_path, fmt):
+        # click strips ANSI escape sequences off text bound for a pipe
+        name = "\x1b[31mx1\x1b[0m"
+        path = write(tmp_path, f"y,{name}\n1,2\n2,3\n4,3\n5,7\n")
+        out = tmp_path / "out.txt"
+        args = [sys.executable, "-m", "varpart.cli", "fit", "--input", str(path),
+                "--response", "y", "--predictors", name, "--format", fmt]
+        piped = subprocess.run(args, capture_output=True)
+        assert subprocess.run([*args, "--out", str(out)]).returncode == 0
+        assert piped.returncode == 0 and name.encode() in piped.stdout
+        assert piped.stdout == out.read_bytes()
 
     def test_usage_error_prints_one_error_line(self):
         proc = self.run("fit", "--dwaine", "--model", "TARGTPOP,TARGTPOP")

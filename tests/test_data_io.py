@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -440,6 +441,31 @@ class TestCenterCsv:
         assert first == ["1,2,a\n", "3,4,d\n"] and not isinstance(rest, list)
         assert c.exact.f.tobytes() == whole(spec).exact.f.tobytes()
         assert c.n == 5
+
+
+def test_strict_pass_keeps_cells_packed(tmp_path):
+    # 10**5 rows like the ingest benchmark's, then a response numpy rejects:
+    # the strict pass reads the whole file again to name the line; holding
+    # its cells as Python floats in lists peaked at 16.8 MB
+    ds = generate_synthetic(
+        SyntheticSpec(
+            n=100_000, p=4, correlation=exchangeable_correlation(4, 0.6),
+            signal_coefficients=np.ones(4), seed=5,
+        )
+    )
+    path = tmp_path / "tall.csv"
+    save_csv(ds, path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("0.5,0.5,0.5,0.5,oops\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonNumericCell) as exc:
+            center_csv(CsvSpec(path, "y", ds.predictor_names))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.line, exc.value.column, exc.value.value) == (100_002, "y", "oops")
+    assert peak <= 8.4e6
 
 
 class TestDwaineFixture:

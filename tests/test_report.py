@@ -16,7 +16,7 @@ from varpart import (
     enumerate_orderings,
     fit_ols,
     mean_center,
-    ordering_fits,
+    ordering_records,
     orthogonal_regression,
     sequential_ss,
     venn_regions,
@@ -32,7 +32,7 @@ from varpart.report import (
 )
 from varpart.textfmt import fmt2
 
-from conftest import MODEL, make_dataset
+from conftest import MODEL, make_dataset, ordering_record
 
 
 class TestFmt2:
@@ -60,7 +60,7 @@ def all_payloads(c, model):
     full = fit_ols(c, model)
     rep = compare_report(c, model)
     entries = [
-        (order, sequential_ss(c, order), orthogonal_regression(c, order))
+        ordering_record(order, sequential_ss(c, order), orthogonal_regression(c, order))
         for order in rep.orderings
     ]
     response = c.response_name
@@ -204,6 +204,26 @@ ITEMS = st.lists(
 PAYLOADS = st.dictionaries(NAMES, TREES | ITEMS | st.dictionaries(NAMES, ITEMS, max_size=2))
 
 
+@st.composite
+def shared_payloads(draw):
+    """A tree that holds objects of one pool by reference, so one dict, list
+    or leaf sits at several positions and depths: a -0.0 next to a separate
+    0.0, True, 1 and 1.0, empty containers, and containers of pool objects."""
+    pool = [-0.0, float("0"), True, 1, 1.0, [], {}, *draw(st.lists(TREES | ITEMS, max_size=3))]
+    for _ in range(draw(st.integers(0, 3))):
+        members = st.sampled_from(pool)
+        pool.append(
+            draw(st.lists(members, max_size=3) | st.dictionaries(NAMES, members, max_size=3))
+        )
+    return draw(
+        st.recursive(
+            st.sampled_from(pool),
+            lambda kids: st.lists(kids, max_size=4) | st.dictionaries(NAMES, kids, max_size=4),
+            max_leaves=30,
+        )
+    )
+
+
 class TestJsonMatchesStdlib:
     """``render_json`` writes exactly what ``json.dumps(indent=2)`` writes."""
 
@@ -215,6 +235,11 @@ class TestJsonMatchesStdlib:
     def test_generated_payloads(self, payload):
         assert render_json(payload) == json_oracle(payload)
 
+    @settings(max_examples=250, deadline=None)
+    @given(shared_payloads())
+    def test_shared_objects(self, payload):
+        assert render_json(payload) == json_oracle(payload)
+
     @settings(max_examples=50, deadline=None)
     @given(NAMES, st.lists(NAMES, min_size=3, max_size=3))
     def test_orderings_of_different_lengths(self, synth_centered, response, names):
@@ -223,7 +248,8 @@ class TestJsonMatchesStdlib:
         for order in (c.predictor_names[:1], c.predictor_names):
             seq = sequential_ss(c, order)
             relabelled = [(nm, ss) for nm, (_, ss) in zip(names, seq)]
-            entries.append((names[: len(order)], relabelled, orthogonal_regression(c, order)))
+            fit = orthogonal_regression(c, order)
+            entries.append(ordering_record(names[: len(order)], relabelled, fit))
         full = fit_ols(c, c.predictor_names)
         payload = orderings_payload(response, names, full, entries)
         assert render_json(payload) == json_oracle(payload)
@@ -231,8 +257,13 @@ class TestJsonMatchesStdlib:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "payload",
-        [lambda x: {"a": x}, lambda x: {"l": [{"a": 1.0}, {"a": x}]}, lambda x: {x: 1}],
-        ids=["leaf", "item", "key"],
+        [
+            lambda x: {"a": x},
+            lambda x: {"l": [{"a": 1.0}, {"a": x}]},
+            lambda x: {x: 1},
+            lambda x: {"a": [x, {"b": x}], "c": [[x], {"d": [x]}]},
+        ],
+        ids=["leaf", "item", "key", "shared"],
     )
     def test_non_finite_floats_raise_like_json(self, bad, payload):
         with pytest.raises(ValueError):
@@ -250,10 +281,27 @@ class TestJsonMatchesStdlib:
         y = x.sum(axis=1) + rng.standard_normal(60)
         c = mean_center(make_dataset(x, y))
         names = c.predictor_names
-        entries = ordering_fits(c, enumerate_orderings(names))
-        payload = orderings_payload("y", names, fit_ols(c, names), entries)
+        records = ordering_records(c, enumerate_orderings(names))
+        payload = orderings_payload("y", names, fit_ols(c, names), records)
         assert len(payload["orderings"]) == 5040
         assert render_json(payload) == json_oracle(payload)
+
+
+class TestOrderingsPayload:
+    def test_one_dict_per_distinct_entry_and_term(self):
+        # at p = 4: a Type I entry per (prefix set, predictor), 4 * 2**3, and
+        # a term per ordered prefix, 4 + 12 + 24 + 24, over 24 * 4 positions
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((30, 4)) + 0.5 * rng.standard_normal((30, 1))
+        c = mean_center(make_dataset(x, x.sum(axis=1) + rng.standard_normal(30)))
+        names = c.predictor_names
+        records = ordering_records(c, enumerate_orderings(names))
+        payload = orderings_payload("y", names, fit_ols(c, names), records)
+        type1 = [e for item in payload["orderings"] for e in item["type1"]]
+        terms = [t for item in payload["orderings"] for t in item["orthogonal_fit"]["terms"]]
+        assert len(type1) == len(terms) == 96
+        assert len({id(e) for e in type1}) == 32
+        assert len({id(t) for t in terms}) == 64
 
 
 class TestCsv:
