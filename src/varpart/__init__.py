@@ -5,100 +5,43 @@ of squares into sequential (Type I) and partial (Type III) contributions,
 residualized-predictor regressions, orthogonal-function fits, corrected
 R2 and f statistics, and a Venn-region accounting that shows how much of
 the response variation correlated predictors leave unattributed.
+
+Each export below is imported from its module on first access, so
+``import varpart`` alone loads neither numpy nor the numerical modules.
 """
 
+from importlib import import_module
+
 from . import errors
-from .data_io import (
-    CsvSpec,
-    SyntheticSpec,
-    center_csv,
-    dataset_to_csv_text,
-    dwaine_fixture,
-    exchangeable_correlation,
-    generate_synthetic,
-    load_csv,
-    save_csv,
-)
-from .decomposition import (
-    ORDERING_CAP,
-    DecompositionReport,
-    OrderingFit,
-    PredictorDecomposition,
-    ResidualizedPredictor,
-    VennRegions,
-    actual_model_ss,
-    compare_report,
-    corrected_f,
-    corrected_r2,
-    enumerate_orderings,
-    ordering_fits,
-    ordering_records,
-    orthogonal_regression,
-    partial_ss,
-    residualize,
-    residualized_simple_fits,
-    sequential_ss,
-    venn_regions,
-)
-from .ols_core import (
-    RCOND_MIN,
-    AnovaRow,
-    AnovaTable,
-    CenteredData,
-    Dataset,
-    OlsFit,
-    SscpMatrix,
-    anova_table,
-    fit_ols,
-    mean_center,
-    sscp,
-)
-from .venn_svg import render_venn_svg, solve_center_distance, two_circle_layout
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnovaRow",
-    "AnovaTable",
-    "CenteredData",
-    "CsvSpec",
-    "Dataset",
-    "DecompositionReport",
-    "ORDERING_CAP",
-    "OlsFit",
-    "OrderingFit",
-    "PredictorDecomposition",
-    "RCOND_MIN",
-    "ResidualizedPredictor",
-    "SscpMatrix",
-    "SyntheticSpec",
-    "VennRegions",
-    "actual_model_ss",
-    "anova_table",
-    "center_csv",
-    "compare_report",
-    "corrected_f",
-    "corrected_r2",
-    "dataset_to_csv_text",
-    "dwaine_fixture",
-    "enumerate_orderings",
-    "errors",
-    "exchangeable_correlation",
-    "fit_ols",
-    "generate_synthetic",
-    "load_csv",
-    "mean_center",
-    "ordering_fits",
-    "ordering_records",
-    "orthogonal_regression",
-    "partial_ss",
-    "render_venn_svg",
-    "residualize",
-    "residualized_simple_fits",
-    "save_csv",
-    "sequential_ss",
-    "solve_center_distance",
-    "sscp",
-    "two_circle_layout",
-    "venn_regions",
-]
+# The public names, by the module that defines each.
+_MODULES = {
+    "data_io": (
+        "CsvSpec", "SyntheticSpec", "center_csv", "dataset_to_csv_text", "dwaine_fixture",
+        "exchangeable_correlation", "generate_synthetic", "load_csv", "save_csv",
+    ),
+    "decomposition": (
+        "ORDERING_CAP", "DecompositionReport", "OrderingFit", "PredictorDecomposition",
+        "ResidualizedPredictor", "VennRegions", "actual_model_ss", "compare_report", "corrected_f",
+        "corrected_r2", "enumerate_orderings", "ordering_records", "orthogonal_regression",
+        "partial_ss", "residualize", "residualized_simple_fits", "sequential_ss", "venn_regions",
+    ),
+    "ols_core": (
+        "RCOND_MIN", "AnovaRow", "AnovaTable", "CenteredData", "Dataset", "OlsFit", "SscpMatrix",
+        "anova_table", "fit_ols", "mean_center", "sscp",
+    ),
+    "venn_svg": ("render_venn_svg", "solve_center_distance", "two_circle_layout"),
+}
+_EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(["errors", *_EXPORTS])
+
+
+def __getattr__(name: str):
+    """Import an export's module on first access and keep the value here."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    return value

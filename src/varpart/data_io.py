@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -93,6 +93,9 @@ class SyntheticSpec:
             raise ValueError(f"correlation must be {self.p}x{self.p}")
         if coef.shape != (self.p,):
             raise ValueError(f"signal_coefficients must have length {self.p}")
+        for name, value in (("correlation", corr), ("signal_coefficients", coef), ("noise_sd", self.noise_sd)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         if not np.all(np.abs(corr - corr.T) <= 1e-12):
             raise ValueError("correlation matrix must be symmetric")
         if not np.all(np.abs(np.diag(corr) - 1.0) <= 1e-12):
@@ -143,13 +146,9 @@ def center_csv(spec: CsvSpec) -> CenteredData:
     ConstantColumn and SingularDesign.
     """
     fold = _Fold((*spec.predictors, spec.response))
-    try:
-        for block in _read_blocks(spec, fold.names):
-            fold.add(block)
-    except ValueError:  # numpy's, as fold.add raises nothing
-        fold = None
-    if fold is None:  # the strict pass names the line, once the rejected block is freed
-        return mean_center(_dataset(spec, _strict_columns(spec)))
+    strict = _parse(spec, fold.names, fold.add)
+    if strict is not None:
+        return mean_center(_dataset(spec, strict))
     if not fold.n:
         raise _no_rows(spec)
     return _centered(fold, spec.response, spec.predictors)
@@ -173,13 +172,24 @@ def _no_rows(spec: CsvSpec) -> EmptyData:
 def _read_columns(spec: CsvSpec) -> list:
     """The selected columns, response first, as load_csv parses them."""
     names = (spec.response, *spec.predictors)
-    try:
-        blocks = [*_read_blocks(spec, names)]
-    except ValueError:
-        blocks = None
-    if blocks is None:  # the strict pass names the line, once the rejected block is freed
-        return _strict_columns(spec)
+    blocks: list[np.ndarray] = []
+    strict = _parse(spec, names, blocks.append)
+    if strict is not None:
+        return strict
     return list(np.concatenate(blocks or [np.empty((len(names), 0))], axis=1))
+
+
+def _parse(spec: CsvSpec, names: Sequence[str], add: Callable[[np.ndarray], None]) -> list[array] | None:
+    """Feed ``add`` each block of the columns ``names`` as numpy parses it.
+    Returns None; or, if numpy rejects a block, the strict pass's columns,
+    response first, as that pass raises the file's error with its line."""
+    try:
+        for block in _read_blocks(spec, names):
+            add(block)
+        return None
+    except ValueError:  # numpy's, as add raises nothing
+        pass
+    return _strict_columns(spec)  # outside the except, once the rejected block is freed
 
 
 def _read_blocks(spec: CsvSpec, names: Sequence[str]) -> Iterator[np.ndarray]:

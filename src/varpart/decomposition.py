@@ -190,13 +190,12 @@ def _venn(c: CenteredData, sol: _Solution, type3: Mapping[str, Decimal]) -> Venn
         )
 
 
-def _corrected(c: CenteredData, model: tuple[str, ...]) -> tuple[float, float, float]:
+def _corrected(c: CenteredData, sol: _Solution, type3: Mapping[str, Decimal]) -> tuple[float, float, float]:
     """Actual model SS (summed Type III SS), corrected R2 and corrected F."""
-    sol, type3 = _partition(c, model)
     with localcontext(_CTX):
         total = sum(type3.values())
-        mse = sol.sse / (c.n - len(model) - 1)
-        return float(total), float(total / c.exact.s[-1][-1]), _ratio(total / len(model), mse)
+        mse = sol.sse / (c.n - len(type3) - 1)
+        return float(total), float(total / c.exact.s[-1][-1]), _ratio(total / len(type3), mse)
 
 
 class OrderingFit(NamedTuple):
@@ -287,14 +286,6 @@ class _Orderings:
         )
 
 
-def _orthogonal_fit(rec: OrderingFit) -> OlsFit:
-    """The orthogonal-function fit of a record: the full fit's SS, R2 and F,
-    one term per predictor."""
-    labels, *stats = zip(*rec.terms)
-    b, se, z, t = map(_readonly, stats)
-    return dataclasses.replace(rec.fit, predictor_subset=labels, b=b, se=se, t=t, z=z, intercept=rec.intercept)
-
-
 def residualize(
     c: CenteredData, target: str, against: Iterable[str] = ()
 ) -> ResidualizedPredictor:
@@ -344,7 +335,7 @@ def partial_ss(c: CenteredData, predictor: str, model: Iterable[str]) -> float:
 
 def actual_model_ss(c: CenteredData, model: Iterable[str]) -> float:
     """Sum of the partial (Type III) SS over every predictor in the model."""
-    return _corrected(c, _model(c, model))[0]
+    return _corrected(c, *_partition(c, _model(c, model)))[0]
 
 
 def corrected_r2(c: CenteredData, model: Iterable[str]) -> float:
@@ -354,7 +345,7 @@ def corrected_r2(c: CenteredData, model: Iterable[str]) -> float:
     sum of squared standardized coefficients computed on residualized
     predictors.
     """
-    return _corrected(c, _model(c, model))[1]
+    return _corrected(c, *_partition(c, _model(c, model)))[1]
 
 
 def corrected_f(c: CenteredData, model: Iterable[str]) -> float:
@@ -363,7 +354,7 @@ def corrected_f(c: CenteredData, model: Iterable[str]) -> float:
     Algebraically the mean of the squared t statistics of the full fit,
     since each squared t equals its partial SS divided by MS(residual).
     """
-    return _corrected(c, _model(c, model))[2]
+    return _corrected(c, *_partition(c, _model(c, model)))[2]
 
 
 def orthogonal_regression(c: CenteredData, ordering: Sequence[str]) -> OlsFit:
@@ -379,7 +370,10 @@ def orthogonal_regression(c: CenteredData, ordering: Sequence[str]) -> OlsFit:
     Raises EmptySubset for an empty ordering, and SingularDesign where
     fit_ols on the same predictors would.
     """
-    return _orthogonal_fit(_Orderings(c).record(_check_ordering(c, ordering)))
+    rec = _Orderings(c).record(_check_ordering(c, ordering))
+    labels, *stats = zip(*rec.terms)
+    b, se, z, t = map(_readonly, stats)
+    return dataclasses.replace(rec.fit, predictor_subset=labels, b=b, se=se, t=t, z=z, intercept=rec.intercept)
 
 
 def ordering_records(c: CenteredData, orderings: Iterable[Sequence[str]]) -> list[OrderingFit]:
@@ -392,18 +386,6 @@ def ordering_records(c: CenteredData, orderings: Iterable[Sequence[str]]) -> lis
     """
     stats = _Orderings(c)
     return [stats.record(_check_ordering(c, ordering)) for ordering in orderings]
-
-
-def ordering_fits(
-    c: CenteredData, orderings: Iterable[Sequence[str]]
-) -> list[tuple[tuple[str, ...], list[tuple[str, float]], OlsFit]]:
-    """Type I table and orthogonal-function fit for each ordering.
-
-    Returns ``(ordering, sequential_ss(c, ordering),
-    orthogonal_regression(c, ordering))`` per ordering, value for value,
-    but derives each term once for all orderings that share it.
-    """
-    return [(r.order, r.type1, _orthogonal_fit(r)) for r in ordering_records(c, orderings)]
 
 
 def residualized_simple_fits(
@@ -487,7 +469,7 @@ def compare_report(
     for ordering in ordering_list:
         for name, ss in stats.type1(ordering):
             type1[name][ordering] = ss
-    actual, r2, f = _corrected(c, model)
+    actual, r2, f = _corrected(c, sol, type3)
 
     return DecompositionReport(
         traditional=full,

@@ -394,12 +394,6 @@ def _fold_columns(columns: Sequence[np.ndarray], names: Sequence[str]) -> _Fold:
     return fold
 
 
-def _exact_sscp(columns: Sequence[np.ndarray], names: Sequence[str]) -> tuple:
-    """``_Fold.finish`` of float64 columns: their centered SSCP rounded once
-    to float64 and to ``_DIGITS`` digits, and their exact means."""
-    return _fold_columns(columns, names).finish()
-
-
 def _centered(
     fold: _Fold, response_name: str, predictor_names: tuple[str, ...], data: Dataset | None = None
 ) -> CenteredData:
@@ -598,7 +592,7 @@ def fit_centered_design(
     if design.ndim != 2 or design.shape[1] == 0:
         raise EmptySubset("at least one predictor is required")
     n, k = design.shape
-    f, s, _ = _exact_sscp([*design.T, y], (*labels, "y"))
+    f, s, _ = _fold_columns([*design.T, y], (*labels, "y")).finish()
     dec = [Decimal(float(v)) for v in (*col_means, mean_y, *col_sds, sd_y)]
     ex = _Exact(f, s, dec[: k + 1], dec[k + 1 :], n)
     sol = _Subsets(ex, labels).solve(range(k), f"fit on ({', '.join(labels)})")

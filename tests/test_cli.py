@@ -292,6 +292,21 @@ class TestSynth:
         res = runner.invoke(main, ["synth", "--n", "12", "--p", "2", "--rho", "1.5"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (("--rho", "nan"), "correlation"),
+            (("--rho", "inf"), "correlation"),
+            (("--coef", "nan,1"), "signal_coefficients"),
+            (("--noise-sd", "inf"), "noise_sd"),
+            (("--noise-sd", "nan"), "noise_sd"),
+        ],
+    )
+    def test_non_finite_parameters_name_the_field(self, runner, args, field):
+        res = runner.invoke(main, ["synth", "--n", "5", "--p", "2", *args])
+        assert_one_error_line(res)
+        assert res.stderr == f"error: {field} must be finite\n"
+
     def test_output_feeds_back_into_fit(self, runner, tmp_path):
         data = tmp_path / "s.csv"
         invoke(

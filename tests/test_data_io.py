@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 import warnings
+from itertools import count
 from unittest import mock
 
 import numpy as np
@@ -443,6 +444,38 @@ class TestCenterCsv:
         assert c.n == 5
 
 
+def rejecting(k):
+    """data_io._loadtxt, but raising numpy's ValueError on its ``k``-th call."""
+    calls, real = count(1), data_io._loadtxt
+
+    def loadtxt(*args):
+        if next(calls) == k:
+            raise ValueError("rejected")
+        return real(*args)
+
+    return loadtxt
+
+
+@pytest.mark.parametrize("rejected", [1, 3])
+def test_strict_pass_reads_a_file_numpy_rejected(tmp_path, monkeypatch, rejected):
+    # numpy rejects one block of a clean 4-block file; the strict pass then
+    # reads it all, and the blocks fed before the rejection leave no trace
+    monkeypatch.setattr(varpart.ols_core, "_BLOCK", 3)
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((10, 2)) * [1e-3, 1e4]
+    path = tmp_path / "clean.csv"
+    save_csv(make_dataset(x, x @ [2.0, 1e-4] + rng.standard_normal(10)), path)
+    spec = CsvSpec(path, "y", ("x2", "x1"))
+    want = [col.tobytes() for _, col in load_csv(spec).columns], centering(center_csv, spec)
+    with mock.patch.object(data_io, "_strict_columns", wraps=data_io._strict_columns) as strict:
+        with mock.patch.object(data_io, "_loadtxt", rejecting(rejected)):
+            columns = [col.tobytes() for _, col in load_csv(spec).columns]
+        with mock.patch.object(data_io, "_loadtxt", rejecting(rejected)):
+            moments = centering(center_csv, spec)
+    assert strict.call_count == 2
+    assert (columns, moments) == want
+
+
 def test_strict_pass_keeps_cells_packed(tmp_path):
     # 10**5 rows like the ingest benchmark's, then a response numpy rejects:
     # the strict pass reads the whole file again to name the line; holding
@@ -535,6 +568,20 @@ class TestSyntheticSpecValidation:
     def test_seed_non_negative(self):
         with pytest.raises(ValueError):
             self.good(seed=-1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "field, make",
+        [
+            ("correlation", lambda v: np.array([[1.0, v], [v, 1.0]])),
+            ("signal_coefficients", lambda v: np.array([v, 1.0])),
+            ("noise_sd", lambda v: v),
+        ],
+    )
+    def test_non_finite_values_are_named(self, field, make, value):
+        # checked before the symmetry check, which NaN would fail misleadingly
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            self.good(**{field: make(value)})
 
 
 class TestGenerateSynthetic:

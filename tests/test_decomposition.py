@@ -19,7 +19,7 @@ from varpart import (
     fit_ols,
     generate_synthetic,
     mean_center,
-    ordering_fits,
+    ordering_records,
     orthogonal_regression,
     partial_ss,
     residualize,
@@ -263,7 +263,7 @@ class TestOrthogonalRegression:
         with pytest.raises(EmptySubset):
             orthogonal_regression(centered, ())
         with pytest.raises(EmptySubset):
-            ordering_fits(centered, [()])
+            ordering_records(centered, [()])
         with pytest.raises(EmptySubset):
             fit_ols(centered, ())
 

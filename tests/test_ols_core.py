@@ -30,7 +30,7 @@ from varpart.errors import (
     SingularDesign,
     UnknownName,
 )
-from varpart.ols_core import _exact_sscp, _Exact, _Subsets, fit_centered_design
+from varpart.ols_core import _Exact, _fold_columns, _Subsets, fit_centered_design
 
 from conftest import MODEL, bench_module, make_dataset
 
@@ -289,7 +289,7 @@ class TestLapackSolve:
     def test_gram_matches_triangle_sum_bit_for_bit(self, k):
         # each entry is the exact centered sum of its pair's products, rounded once
         cols = np.random.default_rng(k).standard_normal((25, k))
-        f, _, _ = _exact_sscp(list(cols.T), [f"x{j}" for j in range(k)])
+        f, _, _ = _fold_columns(list(cols.T), [f"x{j}" for j in range(k)]).finish()
         want = np.empty((k, k))
         for a in range(k):
             for b in range(a, k):
@@ -301,7 +301,7 @@ class TestLapackSolve:
     def test_gram_turns_negative_zero_cross_products_positive(self):
         cols = np.array([[0.0, -1.0], [0.0, -2.0]])
         assert np.signbit(cols[:, 0] * cols[:, 1]).all()
-        f, _, _ = _exact_sscp(list(cols.T), ["a", "b"])
+        f, _, _ = _fold_columns(list(cols.T), ["a", "b"]).finish()
         assert _bits(f) == _bits([[0.0, 0.0], [0.0, 0.5]])
         assert not np.signbit(f).any()
 
