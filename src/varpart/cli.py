@@ -46,6 +46,7 @@ from .report import (
     orderings_payload,
     render_csv,
     render_json,
+    render_orderings_json,
     render_text,
     venn_payload,
 )
@@ -249,6 +250,8 @@ def orderings(c, model, fmt, orders):
         ordering_list = enumerate_orderings(model)
     full = fit_ols(c, model)
     records = ordering_records(c, ordering_list)
+    if fmt == "json":
+        return render_orderings_json(c.response_name, model, full, records)
     return _render(orderings_payload(c.response_name, model, full, records), fmt)
 
 

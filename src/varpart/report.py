@@ -7,13 +7,13 @@ two decimals, and CSV output carries the full-precision values in a flat
 (section, name, statistic, value) layout. Non-finite statistics (a
 perfect fit has infinite F) become JSON null and the text cell "NA".
 
-JSON output is byte for byte ``json.dumps(payload, indent=2,
-allow_nan=False)`` and a newline. The stdlib writes indented JSON in pure
-Python, one object at a time, so ``render_json`` lays the payload out a
-column at a time instead, with an identity memo: a payload object that
-occurs in many places, such as a Type I entry or an orthogonal-function
-term that ``orderings_payload`` shares between orderings, is encoded and
-laid out once.
+JSON output is ``json.dumps(payload, indent=2, allow_nan=False)`` and a
+newline. The one large payload, that of ``orderings`` (12 MB at seven
+predictors), is never built for JSON: ``render_orderings_json`` writes the
+same bytes straight from the ordering records, formatting each Type I
+entry and term that the records share once. Its text and CSV come from
+the payload built from the same records, so all three formats carry the
+same numbers.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ import csv
 import io
 import json
 import math
-from functools import cache
-from itertools import chain, compress, repeat
-from operator import methodcaller, not_
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Sequence
 
 from .decomposition import DecompositionReport, OrderingFit, VennRegions
@@ -229,13 +227,11 @@ def _type1_entry(pair: tuple[str, float]) -> dict[str, Any]:
     return {"name": pair[0], "ss": _num(pair[1])}
 
 
+_SUMMARY_STATS = ("ss_regression", "ss_residual", "r2", "f")
+
+
 def _fit_summary(fit: OlsFit) -> dict[str, Any]:
-    return {
-        "ss_regression": _num(fit.ss_regression),
-        "ss_residual": _num(fit.ss_residual),
-        "r2": _num(fit.r2),
-        "f": _num(fit.f),
-    }
+    return {k: _num(getattr(fit, k)) for k in _SUMMARY_STATS}
 
 
 def venn_payload(
@@ -254,153 +250,115 @@ def venn_payload(
 # --------------------------------------------------------------- renderers
 
 
-_PAD = "  "
-# Leaves joined by NUL: strings are ASCII-escaped, so no encoded leaf holds one.
-_LEAF_ENCODER = json.JSONEncoder(allow_nan=False, separators=("\x00", ":"))
-
-
 def render_json(payload: Any) -> str:
-    """``json.dumps(payload, indent=2, allow_nan=False) + "\\n"``, byte for byte.
+    """The payload as indented JSON and a newline; NaN and infinities raise."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
-    With an indent, ``json`` formats in pure Python, value by value. Here
-    the payload is laid out a column at a time: a column holds the values
-    at one place in the payload's shape, such as the items of an array, or
-    one key's values in objects that have the same keys. Each distinct
-    object of a column is laid out once, and each distinct leaf is encoded
-    once in all; both memos are keyed on ``id``, which stays unique while
-    the payload keeps its objects alive. The new leaves of a column are
-    encoded in one call to the C encoder, which formats floats, ints,
-    strings, null and booleans exactly as the indented path does and
-    raises the same ValueError on NaN and infinities. The objects of a
-    column that have the same keys are filled into one template.
+
+def render_orderings_json(
+    response: str, model: Sequence[str], full: OlsFit, records: Sequence[OrderingFit]
+) -> str:
+    """``render_json(orderings_payload(response, model, full, records))``, byte
+    for byte, written from the records without building the payload.
+
+    Each distinct Type I pair, term and fit summary is formatted once, keyed
+    on identity as the payload shares its dicts, and a term's four
+    statistics once per distinct set of those float objects. Floats are
+    written by ``float.__repr__`` (``null`` where not finite) and strings by
+    the encoder ``json`` uses, so the texts are the ones ``json.dumps``
+    writes at the same depths. Each ordering fills one template, made once
+    per shape (the lengths of its three lists), and all the text is joined
+    once.
     """
-    out: list[str] = []
-    _Layout().write(payload, 0, out)
-    out.append("\n")
-    return "".join(out)
+    head = render_json(orderings_payload(response, model, full, ()))
+    if not records:
+        return head
+    entry = _once([e for r in records for e in r.type1], _type1_json)
+    summary = _once([r.fit for r in records], _summary_json)
+    suffixes: dict[tuple[int, ...], str] = {}
+
+    def term_json(term: Sequence) -> str:
+        key = id(term[1]), id(term[2]), id(term[3]), id(term[4])
+        suffix = suffixes.get(key)
+        if suffix is None:
+            suffix = suffixes[key] = _TERM_STATS % tuple(map(_json_num, term[1:]))
+        return _TERM % (_json_str(term[0]), suffix)
+
+    term = _once([t for r in records for t in r.terms], term_json)
+    rows: dict[tuple[int, int, int], list] = {}
+    parts = [head[:-5] + "["]  # head ends in '[]', the closing brace and a newline
+    for r in records:
+        shape = len(r.order), len(r.type1), len(r.terms)
+        if shape not in rows:
+            rows[shape] = _ordering_row(*shape)
+        row = rows[shape]
+        row[1::2] = (
+            *map(_json_str, r.order),
+            *map(entry.__getitem__, map(id, r.type1)),
+            summary[id(r.fit)],
+            _json_num(r.intercept),
+            *map(term.__getitem__, map(id, r.terms)),
+        )
+        parts += row
+    parts[-1] = parts[-1][:-1]  # no comma after the last ordering
+    parts.append("\n  ]\n}\n")
+    return "".join(parts)
 
 
-_LEAF, _OBJECT, _ARRAY = range(3)
+def _ordering_row(n_order: int, n_type1: int, n_terms: int) -> list:
+    """The text of an ordering whose lists have these lengths, on a new line
+    and followed by a comma, as fragments around a slot for each value: the
+    fragments sit at the even indices and the slots at the odd ones."""
+    lists = (["%s"] * k for k in (n_order, n_type1, n_terms))
+    order, type1, terms = map(_json_array, lists, (6, 6, 8))
+    fragments = f"\n    {_ORDERING % (order, type1, '%s', '%s', terms)},".split("%s")
+    row = [""] * (2 * len(fragments) - 1)
+    row[::2] = fragments
+    return row
 
 
-@cache
-def _kind(t: type) -> int:
-    """How ``json`` writes an instance of ``t``: as a leaf, an object or an array."""
-    return _OBJECT if issubclass(t, dict) else _ARRAY if issubclass(t, (list, tuple)) else _LEAF
+# The texts ``json.dumps(indent=2)`` writes for the parts of an ordering, at
+# the depths they take in the orderings payload, with a slot per value.
+_ORDERING = """{
+      "order": %s,
+      "type1": %s,
+      "orthogonal_fit": {
+%s        "intercept": %s,
+        "terms": %s
+      }
+    }"""
+_SUMMARY = "".join(f'        "{k}": %s,\n' for k in _SUMMARY_STATS)
+_TYPE1 = """{
+          "name": %s,
+          "ss": %s
+        }"""
+_TERM = """{
+            "label": %s,
+%s
+          }"""
+_TERM_STATS = ",\n".join(f'            "{k}": %s' for k in _COEF_STATS)
 
 
-@cache
-def _separators(depth: int) -> tuple[str, str]:
-    """The separator between the items of a container at ``depth``, and the
-    line break and indent before its closing bracket."""
-    return ",\n" + _PAD * (depth + 1), "\n" + _PAD * depth
+def _json_array(texts: list[str], depth: int) -> str:
+    """An array of item texts whose closing bracket is indented ``depth`` spaces."""
+    if not texts:
+        return "[]"
+    sep = ",\n" + " " * (depth + 2)
+    return "[" + sep[1:] + sep.join(texts) + "\n" + " " * depth + "]"
 
 
-class _Layout:
-    """The texts of a payload's values, a column at a time, and the memo of
-    its encoded leaves."""
-
-    def __init__(self) -> None:
-        self._leaves: dict[int, str] = {}
-
-    def write(self, v: Any, depth: int, out: list[str]) -> None:
-        """Append the text of ``v`` at ``depth`` to ``out``: an object field
-        by field, an array's items as one column. Only the final join then
-        copies the text of more than one array item."""
-        kind = _kind(type(v))
-        if kind == _LEAF or not v:
-            out += self.texts([v], depth)
-            return
-        sep, end = _separators(depth)
-        if kind == _ARRAY:
-            out.append("[" + sep[1:])
-            out += chain.from_iterable(zip(self.texts([*v], depth + 1), repeat(sep)))
-            out[-1] = end + "]"
-            return
-        out.append("{")
-        for start, (key, value) in zip(chain([sep[1:]], repeat(sep)), v.items()):
-            out += start, _head(key)
-            self.write(value, depth + 1, out)
-        out.append(end + "}")
-
-    def texts(self, column: list, depth: int) -> list[str]:
-        """The text of each value in ``column``, all of them at ``depth``."""
-        if not column:
-            return []
-        ids = [*map(id, column)]
-        distinct = dict(zip(ids, column))
-        if len(distinct) < len(column):
-            laid_out = dict(zip(distinct, self.texts([*distinct.values()], depth)))
-            return [*map(laid_out.__getitem__, ids)]
-        kinds = [*map(_kind, map(type, column))]
-        if kinds.count(kinds[0]) < len(kinds):
-            return _by_group(column, kinds, lambda kind, part: self._of_kind(kind, part, depth))
-        return self._of_kind(kinds[0], column, depth)
-
-    def _of_kind(self, kind: int, column: list, depth: int) -> list[str]:
-        """The texts of distinct values of one kind."""
-        if kind == _LEAF:
-            return self._leaf_texts(column)
-        if kind == _ARRAY:
-            return self._array_texts(column, depth)
-        keys = [*map(tuple, column)]
-        if keys.count(keys[0]) < len(keys) or not _all_str(keys[0]):
-            # 1, 1.0 and True are equal keys that are written differently,
-            # so only objects whose keys are all strings share a template
-            groups = [k if _all_str(k) else i for i, k in enumerate(keys)]
-            return _by_group(column, groups, lambda _, part: self._object_texts(part, depth))
-        return self._object_texts(column, depth)
-
-    def _leaf_texts(self, column: list) -> list[str]:
-        texts = [*map(self._leaves.get, map(id, column))]
-        if None in texts:
-            new = [*compress(column, map(not_, texts))]
-            self._leaves.update(zip(map(id, new), _LEAF_ENCODER.encode(new)[1:-1].split("\x00")))
-            texts = [*map(self._leaves.__getitem__, map(id, column))]
-        return texts
-
-    def _array_texts(self, column: list, depth: int) -> list[str]:
-        items = self.texts([*chain.from_iterable(column)], depth + 1)
-        sep, end = _separators(depth)
-        out, start = [], 0
-        for n in map(len, column):
-            out.append(f"[{sep[1:]}{sep.join(items[start : start + n])}{end}]" if n else "[]")
-            start += n
-        return out
-
-    def _object_texts(self, column: list, depth: int) -> list[str]:
-        """The texts of objects that have the same keys."""
-        keys = tuple(column[0])
-        if not keys:
-            return ["{}"] * len(column)
-        values = [self.texts([*v], depth + 1) for v in zip(*map(methodcaller("values"), column))]
-        sep, end = _separators(depth)
-        heads = (_head(k).replace("%", "%%") for k in keys)
-        template = f"{{{sep[1:]}{sep.join(h + '%s' for h in heads)}{end}}}"
-        return [*map(template.__mod__, zip(*values))]
+def _json_num(x: float) -> str:
+    """``_num(x)`` as ``json`` writes it."""
+    x = float(x)
+    return float.__repr__(x) if math.isfinite(x) else "null"
 
 
-def _head(key: Any) -> str:
-    """A key and its colon as ``json`` writes them, or its TypeError for a
-    key that is not a str, int, float, bool or None."""
-    return _LEAF_ENCODER.encode({key: None})[1:-5] + " "
+def _type1_json(pair: tuple[str, float]) -> str:
+    return _TYPE1 % (_json_str(pair[0]), _json_num(pair[1]))
 
 
-def _all_str(keys: tuple) -> bool:
-    return all(type(k) is str for k in keys)
-
-
-def _by_group(column: list, groups: list, texts) -> list[str]:
-    """``texts(group, values)`` for the values of each group in ``column``
-    (``groups`` names the group of each value), put back in column order."""
-    members: dict[Any, list[int]] = {}
-    for i, group in enumerate(groups):
-        members.setdefault(group, []).append(i)
-    out = [""] * len(column)
-    for group, idx in members.items():
-        for i, text in zip(idx, texts(group, [column[i] for i in idx])):
-            out[i] = text
-    return out
+def _summary_json(fit: OlsFit) -> str:
+    return _SUMMARY % tuple(_json_num(getattr(fit, k)) for k in _SUMMARY_STATS)
 
 
 def _layout(rows: list[list[str]], align: str) -> list[str]:

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varpart import (
+    Dataset,
     compare_report,
     enumerate_orderings,
     fit_ols,
@@ -27,6 +28,7 @@ from varpart.report import (
     orderings_payload,
     render_csv,
     render_json,
+    render_orderings_json,
     render_text,
     venn_payload,
 )
@@ -168,8 +170,8 @@ def json_oracle(payload):
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-# names a template renderer could trip on: its "@" slot marker, quoted or
-# doubled, "%" and "%s", quotes, backslashes, NUL, non-ASCII and ""
+# names a renderer could trip on: "@" quoted or doubled, "%" and "%s"
+# (template slots), quotes, backslashes, NUL, non-ASCII and ""
 NAMES = st.one_of(
     st.sampled_from(
         ["", "@", "@@", '"@"', "%", "%s", "%%", '"', "\\", "\x00", "é", "\U0001f600", "x1"]
@@ -253,6 +255,7 @@ class TestJsonMatchesStdlib:
         full = fit_ols(c, c.predictor_names)
         payload = orderings_payload(response, names, full, entries)
         assert render_json(payload) == json_oracle(payload)
+        assert render_orderings_json(response, names, full, entries) == json_oracle(payload)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -282,9 +285,77 @@ class TestJsonMatchesStdlib:
         c = mean_center(make_dataset(x, y))
         names = c.predictor_names
         records = ordering_records(c, enumerate_orderings(names))
-        payload = orderings_payload("y", names, fit_ols(c, names), records)
+        full = fit_ols(c, names)
+        payload = orderings_payload("y", names, full, records)
         assert len(payload["orderings"]) == 5040
         assert render_json(payload) == json_oracle(payload)
+        assert render_orderings_json("y", names, full, records) == json_oracle(payload)
+
+
+def correlated_centered(seed, p, names=None):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((12 + 3 * p, p)) + 0.7 * rng.standard_normal((12 + 3 * p, 1))
+    y = x @ rng.standard_normal(p) + rng.standard_normal(len(x))
+    if names is None:
+        return mean_center(make_dataset(x, y))
+    return mean_center(
+        Dataset(
+            columns=(*zip(names, x.T), ("y", y)), response_name="y", predictor_names=names
+        )
+    )
+
+
+class TestOrderingsJson:
+    """``render_orderings_json`` writes, from the records, exactly what
+    ``json.dumps`` writes for the payload built from the same records."""
+
+    @staticmethod
+    def assert_matches_payload(c, model, records):
+        full = fit_ols(c, model)
+        oracle = json_oracle(orderings_payload(c.response_name, model, full, records))
+        assert render_orderings_json(c.response_name, model, full, records) == oracle
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_all_orderings(self, p, seed):
+        c = correlated_centered(seed, p)
+        names = c.predictor_names
+        self.assert_matches_payload(c, names, ordering_records(c, enumerate_orderings(names)))
+
+    def test_explicit_orderings_of_a_sub_model(self):
+        c = correlated_centered(3, 4)
+        model = ("x3", "x1", "x4")
+        orders = [("x4", "x1", "x3"), ("x3", "x1", "x4"), ("x4", "x1", "x3")]
+        records = ordering_records(c, orders)
+        assert records[0].terms[0] is records[2].terms[0]
+        self.assert_matches_payload(c, model, records)
+
+    def test_records_that_share_nothing(self):
+        c = correlated_centered(4, 3)
+        names = c.predictor_names
+        records = [
+            ordering_record(order, sequential_ss(c, order), orthogonal_regression(c, order))
+            for order in enumerate_orderings(names)
+        ]
+        assert isinstance(records[0].terms[0][1], np.float64)
+        self.assert_matches_payload(c, names, records)
+
+    def test_infinite_f_is_null(self, perfect):
+        records = ordering_records(perfect, [("x1",)])
+        assert math.isinf(records[0].fit.f)
+        self.assert_matches_payload(perfect, ("x1",), records)
+        out = render_orderings_json("y", ("x1",), fit_ols(perfect, ("x1",)), records)
+        assert json.loads(out)["orderings"][0]["orthogonal_fit"]["f"] is None
+
+    def test_names_that_need_escaping(self):
+        names = ('say "hi"', "back\\slash", "100%", "caf\u00e9 \U0001f600")
+        c = correlated_centered(5, len(names), names)
+        self.assert_matches_payload(c, names, ordering_records(c, enumerate_orderings(names)))
+
+    def test_no_records(self, centered):
+        out = render_orderings_json("SALES", MODEL, fit_ols(centered, MODEL), [])
+        assert out == json_oracle(orderings_payload("SALES", MODEL, fit_ols(centered, MODEL), []))
+        assert out.endswith('"orderings": []\n}\n')
 
 
 class TestOrderingsPayload:
