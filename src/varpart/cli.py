@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import os
 import sys
-from pathlib import Path
-from typing import NoReturn
+from typing import Iterable, NoReturn
 
 import click
 import numpy as np
@@ -152,20 +151,24 @@ def _model_names(predictor_names: tuple[str, ...], model_arg) -> tuple[str, ...]
     return names
 
 
-def _render(payload, fmt: str) -> str:
+def _render(payload, fmt: str) -> tuple[str]:
     if fmt == "json":
-        return render_json(payload)
+        return (render_json(payload),)
     if fmt == "csv":
-        return render_csv(payload)
-    return render_text(payload)
+        return (render_csv(payload),)
+    return (render_text(payload),)
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(chunks: Iterable[str], out_path) -> None:
+    """Write each chunk of the output as it comes, to ``out_path`` or stdout."""
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        with open(out_path, "w", encoding="utf-8") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
     else:
-        # color=True: click would strip ANSI escape sequences off a non-terminal
-        click.echo(text, nl=False, color=True)
+        for chunk in chunks:
+            # color=True: click would strip ANSI escape sequences off a non-terminal
+            click.echo(chunk, nl=False, color=True)
 
 
 def _run(body) -> None:
@@ -194,7 +197,8 @@ def _analysis(*formats):
     """Register a subcommand on the shared input, --format and --out options.
 
     The decorated ``fn(c, model, fmt, **options)`` receives the centred
-    input and the model, and returns the text to emit.
+    input and the model, and returns the text to emit as an iterable of
+    chunks: a one-chunk tuple, or the chunks of the orderings JSON.
     """
 
     def register(fn):
@@ -249,7 +253,7 @@ def orderings(c, model, fmt, orders):
     else:
         ordering_list = enumerate_orderings(model)
     full = fit_ols(c, model)
-    records = ordering_records(c, ordering_list)
+    records = ordering_records(c, ordering_list)  # every solve before any output
     if fmt == "json":
         return render_orderings_json(c.response_name, model, full, records)
     return _render(orderings_payload(c.response_name, model, full, records), fmt)
@@ -260,7 +264,7 @@ def venn(c, model, fmt):
     """Variance regions: unique per predictor, common, residual, missing."""
     v = venn_regions(c, model)
     if fmt == "svg":
-        return render_venn_svg(v, model, c.response_name)
+        return (render_venn_svg(v, model, c.response_name),)
     return _render(venn_payload(v, c.response_name, model, c.n), fmt)
 
 
@@ -309,7 +313,7 @@ def synth(n, p, rho, coef, noise_sd, seed, out_path):
             noise_sd=noise_sd,
             seed=actual_seed,
         )
-        _emit(dataset_to_csv_text(generate_synthetic(spec)), out_path)
+        _emit((dataset_to_csv_text(generate_synthetic(spec)),), out_path)
 
     _run(body)
 

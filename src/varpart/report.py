@@ -10,10 +10,10 @@ perfect fit has infinite F) become JSON null and the text cell "NA".
 JSON output is ``json.dumps(payload, indent=2, allow_nan=False)`` and a
 newline. The one large payload, that of ``orderings`` (12 MB at seven
 predictors), is never built for JSON: ``render_orderings_json`` writes the
-same bytes straight from the ordering records, formatting each Type I
-entry and term that the records share once. Its text and CSV come from
-the payload built from the same records, so all three formats carry the
-same numbers.
+same bytes straight from the ordering records, in chunks of about 1 MB,
+formatting each Type I entry and term that the records share once. Its
+text and CSV come from the payload built from the same records, so all
+three formats carry the same numbers.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import io
 import json
 import math
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .decomposition import DecompositionReport, OrderingFit, VennRegions
 from .ols_core import OlsFit, anova_table
@@ -257,9 +257,13 @@ def render_json(payload: Any) -> str:
 
 def render_orderings_json(
     response: str, model: Sequence[str], full: OlsFit, records: Sequence[OrderingFit]
-) -> str:
+) -> Iterator[str]:
     """``render_json(orderings_payload(response, model, full, records))``, byte
-    for byte, written from the records without building the payload.
+    for byte, written from the records without building the payload, in
+    chunks of at most ``_CHUNK`` characters that end between orderings, so
+    the whole text is never held. Only a chunk of one ordering, or of the
+    fields before the orderings, can be longer, when that text alone is
+    about as long as the bound.
 
     Each distinct Type I pair, term and fit summary is formatted once, keyed
     on identity as the payload shares its dicts, and a term's four
@@ -267,12 +271,13 @@ def render_orderings_json(
     written by ``float.__repr__`` (``null`` where not finite) and strings by
     the encoder ``json`` uses, so the texts are the ones ``json.dumps``
     writes at the same depths. Each ordering fills one template, made once
-    per shape (the lengths of its three lists), and all the text is joined
+    per shape (the lengths of its three lists), and a chunk's text is joined
     once.
     """
     head = render_json(orderings_payload(response, model, full, ()))
     if not records:
-        return head
+        yield head
+        return
     entry = _once([e for r in records for e in r.type1], _type1_json)
     summary = _once([r.fit for r in records], _summary_json)
     suffixes: dict[tuple[int, ...], str] = {}
@@ -287,6 +292,7 @@ def render_orderings_json(
     term = _once([t for r in records for t in r.terms], term_json)
     rows: dict[tuple[int, int, int], list] = {}
     parts = [head[:-5] + "["]  # head ends in '[]', the closing brace and a newline
+    size = len(parts[0])
     for r in records:
         shape = len(r.order), len(r.type1), len(r.terms)
         if shape not in rows:
@@ -299,10 +305,23 @@ def render_orderings_json(
             _json_num(r.intercept),
             *map(term.__getitem__, map(id, r.terms)),
         )
+        length = sum(map(len, row))
+        # room for the tail, which replaces the last ordering's comma
+        if parts and size + length + len(_TAIL) > _CHUNK:
+            yield "".join(parts)
+            parts.clear()
+            size = 0
         parts += row
+        size += length
     parts[-1] = parts[-1][:-1]  # no comma after the last ordering
-    parts.append("\n  ]\n}\n")
-    return "".join(parts)
+    parts.append(_TAIL)
+    yield "".join(parts)
+
+
+# Characters of orderings JSON per chunk: about 1 MB, some 430 orderings of
+# seven predictors.
+_CHUNK = 1 << 20
+_TAIL = "\n  ]\n}\n"
 
 
 def _ordering_row(n_order: int, n_type1: int, n_terms: int) -> list:

@@ -4,6 +4,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import click
 import jsonschema
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from varpart import (
     orthogonal_regression,
     sequential_ss,
 )
+from varpart import report
 from varpart.cli import main
 from varpart.report import orderings_payload, render_csv
 
@@ -84,6 +86,14 @@ class TestGoldenOutputs:
         a = invoke(runner, "venn", "--dwaine", "--format", fmt)
         b = invoke(runner, "venn", "--dwaine", "--format", fmt)
         assert a.output == b.output
+
+    @pytest.mark.parametrize("cmd", ("fit", "decompose", "orderings", "venn"))
+    def test_text_is_one_write(self, monkeypatch, cmd):
+        # a one-chunk output is written whole, not character by character
+        writes = []
+        monkeypatch.setattr(click, "echo", lambda chunk, **kwargs: writes.append(chunk))
+        main([cmd, "--dwaine"], standalone_mode=False)
+        assert writes == [(GOLDEN / f"{cmd}_dwaine.txt").read_text()]
 
     @pytest.mark.parametrize("cmd", ("fit", "decompose", "orderings", "venn"))
     def test_json_validates_against_schema(self, runner, cmd):
@@ -575,18 +585,45 @@ class TestRealProcess:
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
         assert proc.stdout == ""
 
-    @pytest.mark.parametrize("fmt", ["csv", "text"])
-    def test_stdout_bytes_equal_out_file_bytes(self, tmp_path, fmt):
-        # click strips ANSI escape sequences off text bound for a pipe
+    @pytest.mark.parametrize(
+        "cmd, fmt",
+        [
+            pytest.param("fit", "csv", id="csv"),
+            pytest.param("fit", "text", id="text"),
+            pytest.param("orderings", "json", id="orderings-json"),
+        ],
+    )
+    def test_stdout_bytes_equal_out_file_bytes(self, tmp_path, cmd, fmt):
+        # click strips ANSI escape sequences off text bound for a pipe; the
+        # 720 orderings of six predictors are written in several chunks
         name = "\x1b[31mx1\x1b[0m"
-        path = write(tmp_path, f"y,{name}\n1,2\n2,3\n4,3\n5,7\n")
+        names = [name, *(f"x{i}" for i in range(2, 7))]
+        x = np.random.default_rng(3).standard_normal((12, 7))  # response, predictors
+        rows = "".join(",".join(map(str, r.tolist())) + "\n" for r in x)
+        path = write(tmp_path, f"y,{','.join(names)}\n{rows}")
         out = tmp_path / "out.txt"
-        args = [sys.executable, "-m", "varpart.cli", "fit", "--input", str(path),
-                "--response", "y", "--predictors", name, "--format", fmt]
+        args = [sys.executable, "-m", "varpart.cli", cmd, "--input", str(path),
+                "--response", "y", "--predictors", ",".join(names), "--format", fmt]
         piped = subprocess.run(args, capture_output=True)
         assert subprocess.run([*args, "--out", str(out)]).returncode == 0
-        assert piped.returncode == 0 and name.encode() in piped.stdout
+        shown = json.dumps(name) if fmt == "json" else name
+        assert piped.returncode == 0 and shown.encode() in piped.stdout
         assert piped.stdout == out.read_bytes()
+        if cmd == "orderings":
+            assert len(piped.stdout) > report._CHUNK
+
+    def test_failed_orderings_json_creates_no_out_file(self, tmp_path):
+        # every ordering is solved before the first chunk is written
+        rows = "".join(f"{i},{i},{2 * i},{i % 3}\n" for i in range(1, 9))
+        path = write(tmp_path, "y,a,b,c\n" + rows)
+        out = tmp_path / "out.json"
+        proc = self.run("orderings", "--input", str(path), "--response", "y",
+                        "--predictors", "a,b,c", "--format", "json", "--out", str(out))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert proc.stdout == ""
+        assert not out.exists()
 
     def test_usage_error_prints_one_error_line(self):
         proc = self.run("fit", "--dwaine", "--model", "TARGTPOP,TARGTPOP")

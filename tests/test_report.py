@@ -22,6 +22,7 @@ from varpart import (
     sequential_ss,
     venn_regions,
 )
+from varpart import report
 from varpart.report import (
     decompose_payload,
     fit_payload,
@@ -170,6 +171,11 @@ def json_oracle(payload):
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
+def orderings_json(*args):
+    """The text of render_orderings_json's chunks, joined."""
+    return "".join(render_orderings_json(*args))
+
+
 # names a renderer could trip on: "@" quoted or doubled, "%" and "%s"
 # (template slots), quotes, backslashes, NUL, non-ASCII and ""
 NAMES = st.one_of(
@@ -255,7 +261,7 @@ class TestJsonMatchesStdlib:
         full = fit_ols(c, c.predictor_names)
         payload = orderings_payload(response, names, full, entries)
         assert render_json(payload) == json_oracle(payload)
-        assert render_orderings_json(response, names, full, entries) == json_oracle(payload)
+        assert orderings_json(response, names, full, entries) == json_oracle(payload)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -289,7 +295,7 @@ class TestJsonMatchesStdlib:
         payload = orderings_payload("y", names, full, records)
         assert len(payload["orderings"]) == 5040
         assert render_json(payload) == json_oracle(payload)
-        assert render_orderings_json("y", names, full, records) == json_oracle(payload)
+        assert orderings_json("y", names, full, records) == json_oracle(payload)
 
 
 def correlated_centered(seed, p, names=None):
@@ -313,7 +319,7 @@ class TestOrderingsJson:
     def assert_matches_payload(c, model, records):
         full = fit_ols(c, model)
         oracle = json_oracle(orderings_payload(c.response_name, model, full, records))
-        assert render_orderings_json(c.response_name, model, full, records) == oracle
+        assert orderings_json(c.response_name, model, full, records) == oracle
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
@@ -344,7 +350,7 @@ class TestOrderingsJson:
         records = ordering_records(perfect, [("x1",)])
         assert math.isinf(records[0].fit.f)
         self.assert_matches_payload(perfect, ("x1",), records)
-        out = render_orderings_json("y", ("x1",), fit_ols(perfect, ("x1",)), records)
+        out = orderings_json("y", ("x1",), fit_ols(perfect, ("x1",)), records)
         assert json.loads(out)["orderings"][0]["orthogonal_fit"]["f"] is None
 
     def test_names_that_need_escaping(self):
@@ -353,9 +359,35 @@ class TestOrderingsJson:
         self.assert_matches_payload(c, names, ordering_records(c, enumerate_orderings(names)))
 
     def test_no_records(self, centered):
-        out = render_orderings_json("SALES", MODEL, fit_ols(centered, MODEL), [])
+        (out,) = render_orderings_json("SALES", MODEL, fit_ols(centered, MODEL), [])
         assert out == json_oracle(orderings_payload("SALES", MODEL, fit_ols(centered, MODEL), []))
         assert out.endswith('"orderings": []\n}\n')
+
+    def test_chunks_of_six_predictors(self):
+        # 720 orderings are about 1.5 MB of text: two chunks or more, and no
+        # chunk holds more than the bound
+        c = correlated_centered(6, 6)
+        names = c.predictor_names
+        records = ordering_records(c, enumerate_orderings(names))
+        full = fit_ols(c, names)
+        chunks = list(render_orderings_json("y", names, full, records))
+        assert len(chunks) > 1
+        assert max(map(len, chunks)) <= report._CHUNK
+        assert all(chunk.endswith(("[", "},")) for chunk in chunks[:-1])  # between orderings
+        assert "".join(chunks) == json_oracle(orderings_payload("y", names, full, records))
+
+    def test_a_chunk_per_ordering_past_a_tiny_bound(self, monkeypatch):
+        # the fields before the orderings, and each ordering, make a chunk
+        # of their own when any two together pass the bound
+        monkeypatch.setattr(report, "_CHUNK", 1)
+        c = correlated_centered(8, 4)
+        names = c.predictor_names
+        records = ordering_records(c, enumerate_orderings(names))
+        full = fit_ols(c, names)
+        chunks = list(render_orderings_json("y", names, full, records))
+        assert len(chunks) == 1 + len(records)
+        assert chunks[0].endswith('"orderings": [')
+        assert "".join(chunks) == json_oracle(orderings_payload("y", names, full, records))
 
 
 class TestOrderingsPayload:
