@@ -42,10 +42,9 @@ from .ols_core import CenteredData, fit_ols, mean_center
 from .report import (
     decompose_payload,
     fit_payload,
-    orderings_payload,
     render_csv,
     render_json,
-    render_orderings_json,
+    render_orderings,
     render_text,
     venn_payload,
 )
@@ -198,7 +197,7 @@ def _analysis(*formats):
 
     The decorated ``fn(c, model, fmt, **options)`` receives the centred
     input and the model, and returns the text to emit as an iterable of
-    chunks: a one-chunk tuple, or the chunks of the orderings JSON.
+    chunks: a one-chunk tuple, or the chunks of the orderings report.
     """
 
     def register(fn):
@@ -254,9 +253,7 @@ def orderings(c, model, fmt, orders):
         ordering_list = enumerate_orderings(model)
     full = fit_ols(c, model)
     records = ordering_records(c, ordering_list)  # every solve before any output
-    if fmt == "json":
-        return render_orderings_json(c.response_name, model, full, records)
-    return _render(orderings_payload(c.response_name, model, full, records), fmt)
+    return render_orderings(fmt, c.response_name, model, full, records)
 
 
 @_analysis("text", "json", "csv", "svg")

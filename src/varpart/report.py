@@ -1,28 +1,29 @@
 """Report payloads and their text, JSON, and CSV renderings.
 
-Each subcommand first builds one JSON-able payload dict carrying full
-float precision; every renderer works from that payload. Text output
-therefore shows exactly the JSON numbers rounded half away from zero to
-two decimals, and CSV output carries the full-precision values in a flat
-(section, name, statistic, value) layout. Non-finite statistics (a
-perfect fit has infinite F) become JSON null and the text cell "NA".
+``fit``, ``decompose`` and ``venn`` first build one JSON-able payload dict
+carrying full float precision; every renderer works from that payload.
+Text output therefore shows exactly the JSON numbers rounded half away
+from zero to two decimals, and CSV output carries the full-precision
+values in a flat (section, name, statistic, value) layout. Non-finite
+statistics (a perfect fit has infinite F) become JSON null, the text cell
+"NA" and an empty CSV cell. JSON output is ``json.dumps(payload, indent=2,
+allow_nan=False)`` and a newline.
 
-JSON output is ``json.dumps(payload, indent=2, allow_nan=False)`` and a
-newline. The one large payload, that of ``orderings`` (12 MB at seven
-predictors), is never built for JSON: ``render_orderings_json`` writes the
-same bytes straight from the ordering records, in chunks of about 1 MB,
-formatting each Type I entry and term that the records share once. Its
-text and CSV come from the payload built from the same records, so all
-three formats carry the same numbers.
+``orderings`` (12 MB of JSON at seven predictors) builds no payload:
+``render_orderings`` writes each of the three formats straight from the
+ordering records, in chunks of about 1 MB, formatting each Type I pair,
+term and fit summary that the records share once, with the same cells
+and layout the payload renderers use.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
+from types import SimpleNamespace
 from typing import Any, Iterator, Sequence
 
 from .decomposition import DecompositionReport, OrderingFit, VennRegions
@@ -38,20 +39,17 @@ def _num(x: float) -> float | None:
 
 
 def _cell(x: float | None) -> str:
-    return "NA" if x is None else fmt2(x)
+    return "NA" if x is None or not math.isfinite(x) else fmt2(x)
 
 
 _COEF_STATS = ("b", "se", "z", "t")
 
 
-def _coef(term: Sequence, key: str = "name") -> dict[str, Any]:
-    """The dict of one coefficient given as (name, b, se, z, t)."""
-    nm, b, se, z, t = term
-    return {key: nm, "b": _num(b), "se": _num(se), "z": _num(z), "t": _num(t)}
-
-
 def _coef_list(fit: OlsFit) -> list[dict[str, Any]]:
-    return [_coef(term) for term in zip(fit.predictor_subset, fit.b, fit.se, fit.z, fit.t)]
+    return [
+        {"name": nm, "b": _num(b), "se": _num(se), "z": _num(z), "t": _num(t)}
+        for nm, b, se, z, t in zip(fit.predictor_subset, fit.b, fit.se, fit.z, fit.t)
+    ]
 
 
 def _venn_dict(v: VennRegions) -> dict[str, Any]:
@@ -179,31 +177,8 @@ def decompose_payload(rep: DecompositionReport, response: str) -> dict[str, Any]
     }
 
 
-def orderings_payload(
-    response: str, model: Sequence[str], full: OlsFit, records: Sequence[OrderingFit]
-) -> dict[str, Any]:
-    """Payload for the per-ordering report.
-
-    ``records`` holds each ordering's Type I table and orthogonal-function
-    fit. Each distinct Type I pair, term and fit summary of the records
-    becomes one dict, which every ordering holding that object shares.
-    """
-    records = list(records)
-    entry = _once([e for r in records for e in r.type1], _type1_entry)
-    term = _once([t for r in records for t in r.terms], lambda t: _coef(t, "label"))
-    summary = _once([r.fit for r in records], _fit_summary)
-    items = [
-        {
-            "order": list(r.order),
-            "type1": [*map(entry.__getitem__, map(id, r.type1))],
-            "orthogonal_fit": {
-                **summary[id(r.fit)],
-                "intercept": _num(r.intercept),
-                "terms": [*map(term.__getitem__, map(id, r.terms))],
-            },
-        }
-        for r in records
-    ]
+def _orderings_fields(response: str, model: Sequence[str], full: OlsFit) -> dict[str, Any]:
+    """The fields of the ``orderings`` report before its orderings."""
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "orderings",
@@ -212,26 +187,7 @@ def orderings_payload(
         "n": full.n,
         "ss_regression": _num(full.ss_regression),
         "ss_total": _num(full.ss_total),
-        "orderings": items,
     }
-
-
-def _once(values: list, build) -> dict[int, Any]:
-    """The id of each distinct value -> ``build(value)``, built once. The
-    ids stay unique while the caller keeps the values alive."""
-    distinct = dict(zip(map(id, values), values))
-    return dict(zip(distinct, map(build, distinct.values())))
-
-
-def _type1_entry(pair: tuple[str, float]) -> dict[str, Any]:
-    return {"name": pair[0], "ss": _num(pair[1])}
-
-
-_SUMMARY_STATS = ("ss_regression", "ss_residual", "r2", "f")
-
-
-def _fit_summary(fit: OlsFit) -> dict[str, Any]:
-    return {k: _num(getattr(fit, k)) for k in _SUMMARY_STATS}
 
 
 def venn_payload(
@@ -255,131 +211,6 @@ def render_json(payload: Any) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def render_orderings_json(
-    response: str, model: Sequence[str], full: OlsFit, records: Sequence[OrderingFit]
-) -> Iterator[str]:
-    """``render_json(orderings_payload(response, model, full, records))``, byte
-    for byte, written from the records without building the payload, in
-    chunks of at most ``_CHUNK`` characters that end between orderings, so
-    the whole text is never held. Only a chunk of one ordering, or of the
-    fields before the orderings, can be longer, when that text alone is
-    about as long as the bound.
-
-    Each distinct Type I pair, term and fit summary is formatted once, keyed
-    on identity as the payload shares its dicts, and a term's four
-    statistics once per distinct set of those float objects. Floats are
-    written by ``float.__repr__`` (``null`` where not finite) and strings by
-    the encoder ``json`` uses, so the texts are the ones ``json.dumps``
-    writes at the same depths. Each ordering fills one template, made once
-    per shape (the lengths of its three lists), and a chunk's text is joined
-    once.
-    """
-    head = render_json(orderings_payload(response, model, full, ()))
-    if not records:
-        yield head
-        return
-    entry = _once([e for r in records for e in r.type1], _type1_json)
-    summary = _once([r.fit for r in records], _summary_json)
-    suffixes: dict[tuple[int, ...], str] = {}
-
-    def term_json(term: Sequence) -> str:
-        key = id(term[1]), id(term[2]), id(term[3]), id(term[4])
-        suffix = suffixes.get(key)
-        if suffix is None:
-            suffix = suffixes[key] = _TERM_STATS % tuple(map(_json_num, term[1:]))
-        return _TERM % (_json_str(term[0]), suffix)
-
-    term = _once([t for r in records for t in r.terms], term_json)
-    rows: dict[tuple[int, int, int], list] = {}
-    parts = [head[:-5] + "["]  # head ends in '[]', the closing brace and a newline
-    size = len(parts[0])
-    for r in records:
-        shape = len(r.order), len(r.type1), len(r.terms)
-        if shape not in rows:
-            rows[shape] = _ordering_row(*shape)
-        row = rows[shape]
-        row[1::2] = (
-            *map(_json_str, r.order),
-            *map(entry.__getitem__, map(id, r.type1)),
-            summary[id(r.fit)],
-            _json_num(r.intercept),
-            *map(term.__getitem__, map(id, r.terms)),
-        )
-        length = sum(map(len, row))
-        # room for the tail, which replaces the last ordering's comma
-        if parts and size + length + len(_TAIL) > _CHUNK:
-            yield "".join(parts)
-            parts.clear()
-            size = 0
-        parts += row
-        size += length
-    parts[-1] = parts[-1][:-1]  # no comma after the last ordering
-    parts.append(_TAIL)
-    yield "".join(parts)
-
-
-# Characters of orderings JSON per chunk: about 1 MB, some 430 orderings of
-# seven predictors.
-_CHUNK = 1 << 20
-_TAIL = "\n  ]\n}\n"
-
-
-def _ordering_row(n_order: int, n_type1: int, n_terms: int) -> list:
-    """The text of an ordering whose lists have these lengths, on a new line
-    and followed by a comma, as fragments around a slot for each value: the
-    fragments sit at the even indices and the slots at the odd ones."""
-    lists = (["%s"] * k for k in (n_order, n_type1, n_terms))
-    order, type1, terms = map(_json_array, lists, (6, 6, 8))
-    fragments = f"\n    {_ORDERING % (order, type1, '%s', '%s', terms)},".split("%s")
-    row = [""] * (2 * len(fragments) - 1)
-    row[::2] = fragments
-    return row
-
-
-# The texts ``json.dumps(indent=2)`` writes for the parts of an ordering, at
-# the depths they take in the orderings payload, with a slot per value.
-_ORDERING = """{
-      "order": %s,
-      "type1": %s,
-      "orthogonal_fit": {
-%s        "intercept": %s,
-        "terms": %s
-      }
-    }"""
-_SUMMARY = "".join(f'        "{k}": %s,\n' for k in _SUMMARY_STATS)
-_TYPE1 = """{
-          "name": %s,
-          "ss": %s
-        }"""
-_TERM = """{
-            "label": %s,
-%s
-          }"""
-_TERM_STATS = ",\n".join(f'            "{k}": %s' for k in _COEF_STATS)
-
-
-def _json_array(texts: list[str], depth: int) -> str:
-    """An array of item texts whose closing bracket is indented ``depth`` spaces."""
-    if not texts:
-        return "[]"
-    sep = ",\n" + " " * (depth + 2)
-    return "[" + sep[1:] + sep.join(texts) + "\n" + " " * depth + "]"
-
-
-def _json_num(x: float) -> str:
-    """``_num(x)`` as ``json`` writes it."""
-    x = float(x)
-    return float.__repr__(x) if math.isfinite(x) else "null"
-
-
-def _type1_json(pair: tuple[str, float]) -> str:
-    return _TYPE1 % (_json_str(pair[0]), _json_num(pair[1]))
-
-
-def _summary_json(fit: OlsFit) -> str:
-    return _SUMMARY % tuple(_json_num(getattr(fit, k)) for k in _SUMMARY_STATS)
-
-
 def _layout(rows: list[list[str]], align: str) -> list[str]:
     """Pad columns to a grid; 'l'/'r' per column, two spaces between."""
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
@@ -401,9 +232,13 @@ def _model_line(payload: dict[str, Any]) -> str:
 
 
 def _coef_rows(coefs: list[dict[str, Any]], intercept: float | None) -> list[str]:
-    rows = [["Term", *_COEF_STATS], ["Intercept", _cell(intercept), "", "", ""]]
-    for cf in coefs:
-        rows.append([cf.get("name", cf.get("label")), *(_cell(cf[k]) for k in _COEF_STATS)])
+    terms = [[cf["name"], *(_cell(cf[k]) for k in _COEF_STATS)] for cf in coefs]
+    return _coef_table(terms, intercept)
+
+
+def _coef_table(terms: list[list[str]], intercept: float | None) -> list[str]:
+    """The coefficient table of terms given as their cells."""
+    rows = [["Term", *_COEF_STATS], ["Intercept", _cell(intercept), "", "", ""], *terms]
     return _layout(rows, "lrrrr")
 
 
@@ -478,27 +313,6 @@ def _render_text_decompose(p: dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_text_orderings(p: dict[str, Any]) -> str:
-    lines = [_model_line(p)]
-    lines.append(
-        f"SS(regression) = {_cell(p['ss_regression'])};"
-        f" SS(total) = {_cell(p['ss_total'])}"
-    )
-    for item in p["orderings"]:
-        lines.append("")
-        lines.append(f"Ordering: {', '.join(item['order'])}")
-        rows = [["Term", "Type I SS"]]
-        rows += [[e["name"], _cell(e["ss"])] for e in item["type1"]]
-        lines += _layout(rows, "lr")
-        of = item["orthogonal_fit"]
-        lines.append(
-            f"Orthogonal-function fit: SS(reg) = {_cell(of['ss_regression'])};"
-            f" R2 = {_cell(of['r2'])}; F = {_cell(of['f'])}"
-        )
-        lines += _coef_rows(of["terms"], of["intercept"])
-    return "\n".join(lines) + "\n"
-
-
 def _render_text_venn(p: dict[str, Any]) -> str:
     lines = [_model_line(p), ""]
     lines += _venn_lines(p)
@@ -506,10 +320,7 @@ def _render_text_venn(p: dict[str, Any]) -> str:
 
 
 _TEXT_RENDERERS = {
-    "fit": _render_text_fit,
-    "decompose": _render_text_decompose,
-    "orderings": _render_text_orderings,
-    "venn": _render_text_venn,
+    "fit": _render_text_fit, "decompose": _render_text_decompose, "venn": _render_text_venn
 }
 
 
@@ -527,13 +338,13 @@ def _csv_value(x: Any) -> str:
     return str(x)
 
 
+# The text of one row and its line end: ``writerow`` returns what its
+# file's ``write`` returns, here the text it is given.
+_csv_row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+
+
 def _csv_doc(rows: list[list[Any]], header=("section", "name", "statistic", "value")) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_value(v) for v in row])
-    return buf.getvalue()
+    return _csv_row(header) + "".join(_csv_row([_csv_value(v) for v in row]) for row in rows)
 
 
 def _csv_meta(p: dict[str, Any]) -> list[list[Any]]:
@@ -545,12 +356,7 @@ def _csv_meta(p: dict[str, Any]) -> list[list[Any]]:
 
 
 def _csv_coeffs(section: str, coefs: list[dict[str, Any]]) -> list[list[Any]]:
-    rows = []
-    for cf in coefs:
-        nm = cf.get("name", cf.get("label"))
-        for stat in _COEF_STATS:
-            rows.append([section, nm, stat, cf[stat]])
-    return rows
+    return [[section, cf["name"], stat, cf[stat]] for cf in coefs for stat in _COEF_STATS]
 
 
 def _csv_venn_rows(section: str, v: dict[str, Any]) -> list[list[Any]]:
@@ -587,21 +393,6 @@ def _render_csv_decompose(p: dict[str, Any]) -> str:
     return _csv_doc(rows)
 
 
-def _render_csv_orderings(p: dict[str, Any]) -> str:
-    rows = _csv_meta(p)
-    rows.append(["meta", "", "ss_regression", p["ss_regression"]])
-    rows.append(["meta", "", "ss_total", p["ss_total"]])
-    for item in p["orderings"]:
-        section = "order:" + ">".join(item["order"])
-        for e in item["type1"]:
-            rows.append([section, e["name"], "type1_ss", e["ss"]])
-        of = item["orthogonal_fit"]
-        for stat in ("ss_regression", "ss_residual", "r2", "f", "intercept"):
-            rows.append([section, "", stat, of[stat]])
-        rows += _csv_coeffs(section, of["terms"])
-    return _csv_doc(rows)
-
-
 def _render_csv_venn(p: dict[str, Any]) -> str:
     """One row per region: p unique rows, common, residual, missing, total."""
     rows = [[f"unique:{nm}", ss] for nm, ss in p["unique"].items()]
@@ -611,12 +402,203 @@ def _render_csv_venn(p: dict[str, Any]) -> str:
 
 
 _CSV_RENDERERS = {
-    "fit": _render_csv_fit,
-    "decompose": _render_csv_decompose,
-    "orderings": _render_csv_orderings,
-    "venn": _render_csv_venn,
+    "fit": _render_csv_fit, "decompose": _render_csv_decompose, "venn": _render_csv_venn
 }
 
 
 def render_csv(payload: dict[str, Any]) -> str:
     return _CSV_RENDERERS[payload["command"]](payload)
+
+
+# --------------------------------------------------------------- orderings
+
+
+def render_orderings(
+    fmt: str, response: str, model: Sequence[str], full: OlsFit, records: Sequence[OrderingFit]
+) -> Iterator[str]:
+    """The ``orderings`` report as "json", "text" or "csv", written from the
+    records in chunks of at most ``_CHUNK`` characters that end between
+    orderings; only a chunk of one ordering, or of the head, can be longer.
+
+    Each distinct Type I pair, term and fit summary is formatted once, keyed
+    on identity as the records share them. A format gives its head, a
+    formatter for each of those three, how one ordering is put together from
+    its formatted parts, and the tail that ends the last chunk. The JSON is
+    ``json.dumps(indent=2, allow_nan=False)`` of the report and a newline.
+    """
+    fields = _orderings_fields(response, model, full)
+    head, entry, term, summary, ordering, tail = _ORDERINGS[fmt](fields)
+    entries = _once([e for r in records for e in r.type1], entry)
+    terms = _once([t for r in records for t in r.terms], term)
+    summaries = _once([r.fit for r in records], summary)
+    parts = [head]
+    size = len(head)
+    for r in records:
+        text = ordering(
+            r,
+            [*map(entries.__getitem__, map(id, r.type1))],
+            summaries[id(r.fit)],
+            [*map(terms.__getitem__, map(id, r.terms))],
+        )
+        # room for the tail, which the last chunk takes
+        if size + len(text) + len(_TAIL) > _CHUNK:
+            chunk = "".join(parts)
+            parts.clear()  # the orderings' texts go before the chunk is written
+            yield chunk
+            size = 0
+        parts.append(text)
+        size += len(text)
+    yield tail("".join(parts))
+
+
+# Characters of orderings output per chunk: about 1 MB, some 430 orderings
+# of seven predictors as JSON.
+_CHUNK = 1 << 20
+
+
+def _once(values: list, build) -> dict[int, Any]:
+    """The id of each distinct value -> ``build(value)``, built once. The
+    ids stay unique while the caller keeps the values alive."""
+    distinct = dict(zip(map(id, values), values))
+    return dict(zip(distinct, map(build, distinct.values())))
+
+
+_SUMMARY_STATS = ("ss_regression", "ss_residual", "r2", "f")
+
+
+def _json_orderings(fields: dict[str, Any]) -> tuple:
+    """JSON: a term's four statistics are written once per distinct set of
+    those float objects; floats by ``float.__repr__`` (``null`` where not
+    finite) and strings by ``json``'s encoder, as ``json.dumps`` writes them."""
+    suffixes: dict[tuple[int, ...], str] = {}
+
+    def term(t: Sequence) -> str:
+        key = id(t[1]), id(t[2]), id(t[3]), id(t[4])
+        suffix = suffixes.get(key)
+        if suffix is None:
+            suffix = suffixes[key] = _TERM_STATS % tuple(map(_json_num, t[1:]))
+        return _TERM % (_json_str(t[0]), suffix)
+
+    head = render_json({**fields, "orderings": []})[:-5] + "["  # '[]', '}' and a newline
+    return head, _type1_json, term, _summary_json, _json_ordering, _json_tail
+
+
+def _json_ordering(r: OrderingFit, type1: list[str], summary: str, terms: list[str]) -> str:
+    order = _ITEM8.join(map(_json_str, r.order))
+    fit = summary, _json_num(r.intercept), _ITEM10.join(terms)
+    return _ORDERING % (order, _ITEM8.join(type1), *fit)
+
+
+def _json_tail(text: str) -> str:
+    """``text`` and the end of the document: the last ordering loses its
+    comma, and a list that got none is written ``[]``."""
+    if text.endswith(","):
+        return text[:-1] + _TAIL
+    return text + "]\n}\n"
+
+
+_TAIL = "\n  ]\n}\n"
+# The texts ``json.dumps(indent=2)`` writes for the parts of an ordering, at
+# the depths they take in the report, with a slot per value. No list is
+# empty, as an ordering names a predictor; these join their items.
+_ITEM8 = ",\n        "
+_ITEM10 = ",\n          "
+_ORDERING = """
+    {
+      "order": [
+        %s
+      ],
+      "type1": [
+        %s
+      ],
+      "orthogonal_fit": {
+%s        "intercept": %s,
+        "terms": [
+          %s
+        ]
+      }
+    },"""
+_SUMMARY = "".join(f'        "{k}": %s,\n' for k in _SUMMARY_STATS)
+_TYPE1 = """{
+          "name": %s,
+          "ss": %s
+        }"""
+_TERM = """{
+            "label": %s,
+%s
+          }"""
+_TERM_STATS = ",\n".join(f'            "{k}": %s' for k in _COEF_STATS)
+
+
+def _json_num(x: float) -> str:
+    """``_num(x)`` as ``json`` writes it."""
+    x = float(x)
+    return float.__repr__(x) if math.isfinite(x) else "null"
+
+
+def _type1_json(pair: tuple[str, float]) -> str:
+    return _TYPE1 % (_json_str(pair[0]), _json_num(pair[1]))
+
+
+def _summary_json(fit: OlsFit) -> str:
+    return _SUMMARY % tuple(_json_num(getattr(fit, k)) for k in _SUMMARY_STATS)
+
+
+def _text_orderings(fields: dict[str, Any]) -> tuple:
+    """Text: each ordering's two tables are padded to their own columns."""
+    head = (
+        f"{_model_line(fields)}\nSS(regression) = {_cell(fields['ss_regression'])};"
+        f" SS(total) = {_cell(fields['ss_total'])}\n"
+    )
+    return head, _cells, _cells, _summary_text, _text_ordering, str
+
+
+def _cells(row: Sequence) -> list[str]:
+    """A Type I pair or a term as its table cells: the name, then each number."""
+    return [row[0], *map(_cell, row[1:])]
+
+
+def _summary_text(fit: OlsFit) -> str:
+    cells = map(_cell, (fit.ss_regression, fit.r2, fit.f))
+    return "Orthogonal-function fit: SS(reg) = %s; R2 = %s; F = %s" % tuple(cells)
+
+
+def _text_ordering(r: OrderingFit, type1: list, summary: str, terms: list) -> str:
+    lines = ["", f"Ordering: {', '.join(r.order)}"]
+    lines += _layout([["Term", "Type I SS"], *type1], "lr")
+    lines.append(summary)
+    lines += _coef_table(terms, r.intercept)
+    return "\n".join(lines) + "\n"
+
+
+def _csv_orderings(fields: dict[str, Any]) -> tuple:
+    """CSV: a row is the ordering's section cell and the rest of the row,
+    which belongs to its Type I pair, term or fit summary alone; the writer
+    quotes each cell on its own, so the rest is written once."""
+    stats = [["meta", "", k, fields[k]] for k in ("ss_regression", "ss_total")]
+    head = _csv_doc([*_csv_meta(fields), *stats])
+    return head, _type1_csv, _term_csv, _summary_csv, _csv_ordering, str
+
+
+def _type1_csv(pair: tuple[str, float]) -> str:
+    return _csv_row((pair[0], "type1_ss", _csv_value(_num(pair[1]))))
+
+
+def _term_csv(t: Sequence) -> list[str]:
+    return [_csv_row((t[0], k, _csv_value(_num(x)))) for k, x in zip(_COEF_STATS, t[1:])]
+
+
+def _summary_csv(fit: OlsFit) -> list[str]:
+    return [_csv_row(("", k, _csv_value(_num(getattr(fit, k))))) for k in _SUMMARY_STATS]
+
+
+def _csv_ordering(r: OrderingFit, type1: list[str], summary: list[str], terms: list) -> str:
+    section = _csv_row(("order:" + ">".join(r.order), ""))[:-1]  # the cell and its comma
+    intercept = _csv_row(("", "intercept", _csv_value(_num(r.intercept))))
+    return section + section.join([*type1, *summary, intercept, *chain.from_iterable(terms)])
+
+
+# Each format, from the fields before the orderings: (head, Type I pair,
+# term, fit summary, ordering, tail), as ``render_orderings`` takes them.
+# Text and CSV end as the last ordering does: their tail is ``str``.
+_ORDERINGS = {"json": _json_orderings, "text": _text_orderings, "csv": _csv_orderings}

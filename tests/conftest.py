@@ -1,10 +1,12 @@
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from varpart import Dataset, OrderingFit, dwaine_fixture, mean_center
+from varpart.report import SCHEMA_VERSION
 
 MODEL = ("TARGTPOP", "DISPOINC")
 
@@ -34,11 +36,49 @@ def make_dataset(x: np.ndarray, y: np.ndarray) -> Dataset:
 
 
 def ordering_record(order, seq, fit) -> OrderingFit:
-    """The record ``orderings_payload`` takes, from a Type I table and an
-    orthogonal-function fit computed on their own: no value in it is
+    """The record ``report.render_orderings`` takes, from a Type I table and
+    an orthogonal-function fit computed on their own: no value in it is
     shared with another record."""
     terms = list(zip(fit.predictor_subset, fit.b, fit.se, fit.z, fit.t))
     return OrderingFit(tuple(order), seq, terms, fit.intercept, fit)
+
+
+def _num(x):
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
+def orderings_payload(response, model, full, records) -> dict:
+    """The ``orderings`` report as plain dicts, one per value and nothing
+    shared: ``json.dumps(payload, indent=2, allow_nan=False)`` and a newline
+    is the oracle of ``report.render_orderings("json", ...)``."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": "orderings",
+        "response": response,
+        "predictors": list(model),
+        "n": full.n,
+        "ss_regression": _num(full.ss_regression),
+        "ss_total": _num(full.ss_total),
+        "orderings": [
+            {
+                "order": list(r.order),
+                "type1": [{"name": nm, "ss": _num(ss)} for nm, ss in r.type1],
+                "orthogonal_fit": {
+                    "ss_regression": _num(r.fit.ss_regression),
+                    "ss_residual": _num(r.fit.ss_residual),
+                    "r2": _num(r.fit.r2),
+                    "f": _num(r.fit.f),
+                    "intercept": _num(r.intercept),
+                    "terms": [
+                        {"label": label, "b": _num(b), "se": _num(se), "z": _num(z), "t": _num(t)}
+                        for label, b, se, z, t in r.terms
+                    ],
+                },
+            }
+            for r in records
+        ],
+    }
 
 
 @pytest.fixture(scope="session")

@@ -23,9 +23,9 @@ from varpart import (
 )
 from varpart import report
 from varpart.cli import main
-from varpart.report import orderings_payload, render_csv
+from varpart.report import render_orderings
 
-from conftest import ordering_record
+from conftest import ordering_record, orderings_payload
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -71,10 +71,21 @@ class TestGoldenOutputs:
         assert res.exit_code == 0
         assert res.output == (GOLDEN / "venn_dwaine.svg").read_text()
 
-    def test_decompose_csv(self, runner):
-        res = invoke(runner, "decompose", "--dwaine", "--format", "csv")
+    @pytest.mark.parametrize("cmd", ("decompose", "orderings"))
+    def test_csv(self, runner, cmd):
+        res = invoke(runner, cmd, "--dwaine", "--format", "csv")
         assert res.exit_code == 0
-        assert res.output == (GOLDEN / "decompose_dwaine.csv").read_text()
+        assert res.output == (GOLDEN / f"{cmd}_dwaine.csv").read_text()
+
+    @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("csv", "csv")])
+    def test_orderings_of_names_that_need_quoting(self, runner, fmt, ext):
+        # the response holds the CSV delimiter, a predictor a quote
+        res = invoke(
+            runner, "orderings", "--input", str(GOLDEN / "input_names.csv"),
+            "--response", "a,b", "--predictors", 'say "hi",100%,\u00e9', "--format", fmt,
+        )
+        assert res.exit_code == 0
+        assert res.output == (GOLDEN / f"orderings_names.{ext}").read_text(encoding="utf-8")
 
     def test_fit_single_predictor(self, runner):
         res = invoke(runner, "fit", "--dwaine", "--model", "TARGTPOP")
@@ -363,7 +374,7 @@ class TestOrderingsSharing:
             ),
         ),
     )
-    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    @pytest.mark.parametrize("fmt", ("json", "csv", "text"))
     def test_matches_independent_calls(self, runner, tmp_path, orders, fmt):
         data, preds, args = self.synth(runner, tmp_path, 5)
         flags = [tok for o in orders or () for tok in ("--order", o)]
@@ -380,13 +391,12 @@ class TestOrderingsSharing:
             ordering_record(o, sequential_ss(c, o), orthogonal_regression(c, o))
             for o in ordering_list
         ]
-        payload = orderings_payload("y", preds, fit_ols(c, preds), entries)
-        if fmt == "json":
-            # the stdlib encoder, not the renderer under test, is the oracle
-            expected = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-        else:
-            expected = render_csv(payload)
+        expected = "".join(render_orderings(fmt, "y", preds, fit_ols(c, preds), entries))
         assert res.stdout == expected
+        if fmt == "json":
+            # the stdlib encoder, not the writer under test, is the oracle
+            payload = orderings_payload("y", preds, fit_ols(c, preds), entries)
+            assert expected == json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
     def test_residualizes_each_prefix_once(self, runner, tmp_path, monkeypatch):
         # a prefix is residualized by bordering the solve of the one before
@@ -591,11 +601,14 @@ class TestRealProcess:
             pytest.param("fit", "csv", id="csv"),
             pytest.param("fit", "text", id="text"),
             pytest.param("orderings", "json", id="orderings-json"),
+            pytest.param("orderings", "csv", id="orderings-csv"),
+            pytest.param("orderings", "text", id="orderings-text"),
         ],
     )
     def test_stdout_bytes_equal_out_file_bytes(self, tmp_path, cmd, fmt):
         # click strips ANSI escape sequences off text bound for a pipe; the
-        # 720 orderings of six predictors are written in several chunks
+        # 720 orderings of six predictors are written in several chunks as
+        # JSON or CSV
         name = "\x1b[31mx1\x1b[0m"
         names = [name, *(f"x{i}" for i in range(2, 7))]
         x = np.random.default_rng(3).standard_normal((12, 7))  # response, predictors
@@ -609,16 +622,17 @@ class TestRealProcess:
         shown = json.dumps(name) if fmt == "json" else name
         assert piped.returncode == 0 and shown.encode() in piped.stdout
         assert piped.stdout == out.read_bytes()
-        if cmd == "orderings":
+        if cmd == "orderings" and fmt != "text":
             assert len(piped.stdout) > report._CHUNK
 
-    def test_failed_orderings_json_creates_no_out_file(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ("json", "text", "csv"))
+    def test_failed_orderings_create_no_out_file(self, tmp_path, fmt):
         # every ordering is solved before the first chunk is written
         rows = "".join(f"{i},{i},{2 * i},{i % 3}\n" for i in range(1, 9))
         path = write(tmp_path, "y,a,b,c\n" + rows)
-        out = tmp_path / "out.json"
+        out = tmp_path / "out.txt"
         proc = self.run("orderings", "--input", str(path), "--response", "y",
-                        "--predictors", "a,b,c", "--format", "json", "--out", str(out))
+                        "--predictors", "a,b,c", "--format", fmt, "--out", str(out))
         assert proc.returncode == 3
         assert proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")

@@ -26,16 +26,15 @@ from varpart import report
 from varpart.report import (
     decompose_payload,
     fit_payload,
-    orderings_payload,
     render_csv,
     render_json,
-    render_orderings_json,
+    render_orderings,
     render_text,
     venn_payload,
 )
 from varpart.textfmt import fmt2
 
-from conftest import MODEL, make_dataset, ordering_record
+from conftest import MODEL, make_dataset, ordering_record, orderings_payload
 
 
 class TestFmt2:
@@ -59,20 +58,30 @@ class TestFmt2:
         assert fmt2(-0.0) == "0.00"
 
 
-def all_payloads(c, model):
-    full = fit_ols(c, model)
-    rep = compare_report(c, model)
-    entries = [
-        ordering_record(order, sequential_ss(c, order), orthogonal_regression(c, order))
-        for order in rep.orderings
-    ]
-    response = c.response_name
-    return {
-        "fit": fit_payload(full, response),
-        "decompose": decompose_payload(rep, response),
-        "orderings": orderings_payload(response, model, full, entries),
-        "venn": venn_payload(venn_regions(c, model), response, model, c.n),
-    }
+class Reports(dict):
+    """Each command's payload by name; ``render(key, fmt)`` writes a report
+    as the CLI does: ``orderings`` from its records, the rest from their
+    payloads."""
+
+    def __init__(self, c, model):
+        full = fit_ols(c, model)
+        rep = compare_report(c, model)
+        self.records = [
+            ordering_record(order, sequential_ss(c, order), orthogonal_regression(c, order))
+            for order in rep.orderings
+        ]
+        self.args = c.response_name, model, full
+        super().__init__(
+            fit=fit_payload(full, c.response_name),
+            decompose=decompose_payload(rep, c.response_name),
+            orderings=orderings_payload(*self.args, self.records),
+            venn=venn_payload(venn_regions(c, model), c.response_name, model, c.n),
+        )
+
+    def render(self, key, fmt):
+        if key == "orderings":
+            return "".join(render_orderings(fmt, *self.args, self.records))
+        return {"json": render_json, "text": render_text, "csv": render_csv}[fmt](self[key])
 
 
 def flatten(obj, floats, ints):
@@ -106,7 +115,7 @@ PAYLOAD_KEYS = ("fit", "decompose", "orderings", "venn")
 
 @pytest.fixture(scope="module")
 def dwaine_payloads(centered):
-    return all_payloads(centered, MODEL)
+    return Reports(centered, MODEL)
 
 
 @pytest.fixture(scope="module")
@@ -120,27 +129,26 @@ def synth_centered():
 
 @pytest.fixture(scope="module")
 def synth_payloads(synth_centered):
-    return all_payloads(synth_centered, synth_centered.predictor_names)
+    return Reports(synth_centered, synth_centered.predictor_names)
 
 
 class TestTextMatchesJson:
     """Every number printed in text must be a formatted payload value.
 
-    This pins the renderers to a single source of numbers: the payload.
+    This pins the renderers to a single source of numbers: the payload, or
+    for ``orderings`` the records the oracle payload is built from.
     """
 
     @pytest.mark.parametrize("key", PAYLOAD_KEYS)
     def test_dwaine(self, dwaine_payloads, key):
-        payload = dwaine_payloads[key]
-        allowed = allowed_text_tokens(payload) | {"NA"}
-        for tok in TOKEN.findall(render_text(payload)):
+        allowed = allowed_text_tokens(dwaine_payloads[key]) | {"NA"}
+        for tok in TOKEN.findall(dwaine_payloads.render(key, "text")):
             assert tok in allowed, tok
 
     @pytest.mark.parametrize("key", PAYLOAD_KEYS)
     def test_synthetic(self, synth_payloads, key):
-        payload = synth_payloads[key]
-        allowed = allowed_text_tokens(payload) | {"NA"}
-        for tok in TOKEN.findall(render_text(payload)):
+        allowed = allowed_text_tokens(synth_payloads[key]) | {"NA"}
+        for tok in TOKEN.findall(synth_payloads.render(key, "text")):
             assert tok in allowed, tok
 
 
@@ -148,7 +156,7 @@ class TestJson:
     @pytest.mark.parametrize("key", PAYLOAD_KEYS)
     def test_round_trips_exactly(self, dwaine_payloads, key):
         payload = dwaine_payloads[key]
-        text = render_json(payload)
+        text = dwaine_payloads.render(key, "json")
         assert text.endswith("\n")
         assert json.loads(text) == payload
 
@@ -157,14 +165,14 @@ class TestJson:
         schema = json.loads(
             (resources.files("varpart.schemas") / f"{key}.schema.json").read_text()
         )
-        jsonschema.validate(dwaine_payloads[key], schema)
+        jsonschema.validate(json.loads(dwaine_payloads.render(key, "json")), schema)
 
     @pytest.mark.parametrize("key", PAYLOAD_KEYS)
     def test_synthetic_validates_too(self, synth_payloads, key):
         schema = json.loads(
             (resources.files("varpart.schemas") / f"{key}.schema.json").read_text()
         )
-        jsonschema.validate(synth_payloads[key], schema)
+        jsonschema.validate(json.loads(synth_payloads.render(key, "json")), schema)
 
 
 def json_oracle(payload):
@@ -172,8 +180,8 @@ def json_oracle(payload):
 
 
 def orderings_json(*args):
-    """The text of render_orderings_json's chunks, joined."""
-    return "".join(render_orderings_json(*args))
+    """The text of the orderings JSON chunks, joined."""
+    return "".join(render_orderings("json", *args))
 
 
 # names a renderer could trip on: "@" quoted or doubled, "%" and "%s"
@@ -282,7 +290,7 @@ class TestJsonMatchesStdlib:
 
     @pytest.mark.parametrize("key", PAYLOAD_KEYS)
     def test_dwaine_payloads(self, dwaine_payloads, key):
-        assert render_json(dwaine_payloads[key]) == json_oracle(dwaine_payloads[key])
+        assert dwaine_payloads.render(key, "json") == json_oracle(dwaine_payloads[key])
 
     def test_all_orderings_of_seven_predictors(self):
         rng = np.random.default_rng(7)
@@ -312,8 +320,8 @@ def correlated_centered(seed, p, names=None):
 
 
 class TestOrderingsJson:
-    """``render_orderings_json`` writes, from the records, exactly what
-    ``json.dumps`` writes for the payload built from the same records."""
+    """``render_orderings("json", ...)`` writes, from the records, exactly
+    what ``json.dumps`` writes for the payload built from the same records."""
 
     @staticmethod
     def assert_matches_payload(c, model, records):
@@ -359,9 +367,20 @@ class TestOrderingsJson:
         self.assert_matches_payload(c, names, ordering_records(c, enumerate_orderings(names)))
 
     def test_no_records(self, centered):
-        (out,) = render_orderings_json("SALES", MODEL, fit_ols(centered, MODEL), [])
+        (out,) = render_orderings("json", "SALES", MODEL, fit_ols(centered, MODEL), [])
         assert out == json_oracle(orderings_payload("SALES", MODEL, fit_ols(centered, MODEL), []))
         assert out.endswith('"orderings": []\n}\n')
+
+    def test_the_tail_stays_within_the_bound(self, monkeypatch, centered):
+        # at a bound one character short of the whole text, the tail that
+        # ends the last chunk must not take that chunk past the bound
+        full = fit_ols(centered, MODEL)
+        records = ordering_records(centered, [MODEL])
+        (whole,) = render_orderings("json", "SALES", MODEL, full, records)
+        monkeypatch.setattr(report, "_CHUNK", len(whole) - 1)
+        chunks = list(render_orderings("json", "SALES", MODEL, full, records))
+        assert len(chunks) == 2 and max(map(len, chunks)) <= report._CHUNK
+        assert "".join(chunks) == whole
 
     def test_chunks_of_six_predictors(self):
         # 720 orderings are about 1.5 MB of text: two chunks or more, and no
@@ -370,47 +389,72 @@ class TestOrderingsJson:
         names = c.predictor_names
         records = ordering_records(c, enumerate_orderings(names))
         full = fit_ols(c, names)
-        chunks = list(render_orderings_json("y", names, full, records))
+        chunks = list(render_orderings("json", "y", names, full, records))
         assert len(chunks) > 1
         assert max(map(len, chunks)) <= report._CHUNK
         assert all(chunk.endswith(("[", "},")) for chunk in chunks[:-1])  # between orderings
         assert "".join(chunks) == json_oracle(orderings_payload("y", names, full, records))
 
-    def test_a_chunk_per_ordering_past_a_tiny_bound(self, monkeypatch):
+    # with the text each format starts an ordering with
+    @pytest.mark.parametrize(
+        "fmt, start", [("json", "\n    {"), ("text", "\nOrdering: "), ("csv", "order:")]
+    )
+    def test_a_chunk_per_ordering_past_a_tiny_bound(self, monkeypatch, fmt, start):
         # the fields before the orderings, and each ordering, make a chunk
         # of their own when any two together pass the bound
-        monkeypatch.setattr(report, "_CHUNK", 1)
         c = correlated_centered(8, 4)
         names = c.predictor_names
         records = ordering_records(c, enumerate_orderings(names))
         full = fit_ols(c, names)
-        chunks = list(render_orderings_json("y", names, full, records))
+        (whole,) = render_orderings(fmt, "y", names, full, records)
+        monkeypatch.setattr(report, "_CHUNK", 1)
+        chunks = list(render_orderings(fmt, "y", names, full, records))
         assert len(chunks) == 1 + len(records)
-        assert chunks[0].endswith('"orderings": [')
-        assert "".join(chunks) == json_oracle(orderings_payload("y", names, full, records))
+        assert start not in chunks[0]
+        assert all(chunk.startswith(start) for chunk in chunks[1:])
+        assert "".join(chunks) == whole
+        if fmt == "json":
+            assert chunks[0].endswith('"orderings": [')
+            assert whole == json_oracle(orderings_payload("y", names, full, records))
 
 
-class TestOrderingsPayload:
-    def test_one_dict_per_distinct_entry_and_term(self):
+class TestFormatOnce:
+    @pytest.mark.parametrize("fmt", ("json", "text", "csv"))
+    def test_each_entry_and_term_is_formatted_once(self, monkeypatch, fmt):
         # at p = 4: a Type I entry per (prefix set, predictor), 4 * 2**3, and
-        # a term per ordered prefix, 4 + 12 + 24 + 24, over 24 * 4 positions
+        # a term per ordered prefix, 4 + 12 + 24 + 24, over 24 * 4 positions;
+        # every ordering holds all four predictors, so one fit summary
         rng = np.random.default_rng(5)
         x = rng.standard_normal((30, 4)) + 0.5 * rng.standard_normal((30, 1))
         c = mean_center(make_dataset(x, x.sum(axis=1) + rng.standard_normal(30)))
         names = c.predictor_names
         records = ordering_records(c, enumerate_orderings(names))
-        payload = orderings_payload("y", names, fit_ols(c, names), records)
-        type1 = [e for item in payload["orderings"] for e in item["type1"]]
-        terms = [t for item in payload["orderings"] for t in item["orthogonal_fit"]["terms"]]
-        assert len(type1) == len(terms) == 96
-        assert len({id(e) for e in type1}) == 32
-        assert len({id(t) for t in terms}) == 64
+        full = fit_ols(c, names)
+        want = "".join(render_orderings(fmt, "y", names, full, records))
+        calls = {"entry": [], "term": [], "summary": []}
+        make = report._ORDERINGS[fmt]
+
+        def counted(fields):
+            head, entry, term, summary, ordering, tail = make(fields)
+
+            def spy(kind, formatter):
+                return lambda value: calls[kind].append(value) or formatter(value)
+
+            parts = spy("entry", entry), spy("term", term), spy("summary", summary)
+            return head, *parts, ordering, tail
+
+        monkeypatch.setitem(report._ORDERINGS, fmt, counted)
+        assert "".join(render_orderings(fmt, "y", names, full, records)) == want
+        assert sum(len(r.type1) for r in records) == sum(len(r.terms) for r in records) == 96
+        assert len(calls["entry"]) == len({id(e) for e in calls["entry"]}) == 32
+        assert len(calls["term"]) == len({id(t) for t in calls["term"]}) == 64
+        assert len(calls["summary"]) == 1
 
 
 class TestCsv:
     @pytest.mark.parametrize("key", ("fit", "decompose", "orderings"))
     def test_long_format_header(self, dwaine_payloads, key):
-        out = render_csv(dwaine_payloads[key])
+        out = dwaine_payloads.render(key, "csv")
         assert out.splitlines()[0] == "section,name,statistic,value"
 
     def test_venn_uses_region_table(self, dwaine_payloads):
@@ -426,7 +470,7 @@ class TestCsv:
         floats, ints = [], []
         flatten(payload, floats, ints)
         exact = {repr(x) for x in floats} | {str(i) for i in ints}
-        reader = csv.reader(io.StringIO(render_csv(payload)))
+        reader = csv.reader(io.StringIO(dwaine_payloads.render(key, "csv")))
         next(reader)
         for row in reader:
             for cell in row:
@@ -438,10 +482,8 @@ class TestCsv:
 
     @pytest.mark.parametrize("key", PAYLOAD_KEYS)
     def test_deterministic(self, dwaine_payloads, key):
-        payload = dwaine_payloads[key]
-        assert render_csv(payload) == render_csv(payload)
-        assert render_text(payload) == render_text(payload)
-        assert render_json(payload) == render_json(payload)
+        for fmt in ("csv", "text", "json"):
+            assert dwaine_payloads.render(key, fmt) == dwaine_payloads.render(key, fmt)
 
 
 class TestNotes:
