@@ -13,7 +13,6 @@ import io
 import warnings
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -120,12 +119,11 @@ def load_csv(spec: CsvSpec) -> Dataset:
     underscores (``3_0``) and non-ASCII digits are rejected, although
     Python's ``float()`` accepts them. Cells may be quoted with ``"``.
 
-    The numbers are parsed by numpy's C reader, ``_BLOCK`` lines at a
-    time; a block holding a quote, which may open a field that spans
-    lines, reads on until it has ``_BLOCK`` rows. If numpy rejects the
-    file, it is read again cell by cell, and that pass raises the error
-    with its line number (``ParseError``, ``NonNumericCell``). Both passes
-    accept the same syntax and convert it with the same correctly rounded
+    The numbers are parsed by numpy's C reader straight from the open
+    file, up to ``_BLOCK`` rows a call. If numpy rejects the file, it is
+    read again cell by cell, and that pass raises the error with its line
+    number (``ParseError``, ``NonNumericCell``). Both passes accept the
+    same syntax and convert it with the same correctly rounded
     decimal-to-binary routine, so the columns do not depend on which pass
     read them.
     """
@@ -134,9 +132,9 @@ def load_csv(spec: CsvSpec) -> Dataset:
 
 def center_csv(spec: CsvSpec) -> CenteredData:
     """``mean_center(load_csv(spec))``, with the same result and the same
-    errors, keeping no rows: each block of lines is folded into the exact
+    errors, keeping no rows: each block of rows is folded into the exact
     SSCP as it is parsed, so memory is O(p**2 + ``_BLOCK``) at any number
-    of rows, quoted or not. The result's ``data`` is None.
+    of rows. The result's ``data`` is None.
 
     The checks on the values run once the file is read, so an input with
     several faults reports the one load_csv and mean_center would: a parse
@@ -192,34 +190,25 @@ def _parse(spec: CsvSpec, names: Sequence[str], add: Callable[[np.ndarray], None
 
 def _read_blocks(spec: CsvSpec, names: Sequence[str]) -> Iterator[np.ndarray]:
     """The columns ``names``, as C-contiguous k x m float64 blocks of
-    1 <= m <= ``_BLOCK`` rows, parsed ``_BLOCK`` lines at a time (blank
-    lines hold no row). A quoted field may hold a line break, so a block
-    with a quote reads on past its lines, up to ``_BLOCK`` rows, and ends
-    where a row ends. Raises numpy's ValueError at the first block it cannot
-    parse."""
-    block = ols_core._BLOCK
+    1 <= m <= ``_BLOCK`` rows (blank lines hold no row). Each block is one
+    numpy call on the open file, which takes no line past the block's last
+    row, so a quoted field may hold a line break. Raises numpy's ValueError
+    at the first block it cannot parse."""
     with _open(spec) as fh:
         idx = _read_header(csv.reader(fh, delimiter=spec.delimiter), spec)
         position = dict(zip((spec.response, *spec.predictors), idx))
         usecols = [position[nm] for nm in names]
-        while lines := list(islice(fh, block)):
-            if '"' in "".join(lines):
-                # numpy takes no line past the block's last row from fh
-                table = _loadtxt(chain(lines, fh), spec, usecols, max_rows=block)
-            else:
-                table = _loadtxt(lines, spec, usecols)
-            del lines  # not kept while the consumer folds the block
-            if len(table):
-                # .T.copy() is C-ordered; np.array(table.T) keeps F order,
-                # which slows the fold about threefold
-                yield table.T.copy()
+        while len(table := _loadtxt(fh, spec, usecols, ols_core._BLOCK)):
+            # .T.copy() is C-ordered; np.array(table.T) keeps F order,
+            # which slows the fold about threefold
+            yield table.T.copy()
 
 
 def _open(spec: CsvSpec):
     return open(spec.path, newline="", encoding="utf-8-sig")
 
 
-def _loadtxt(source, spec: CsvSpec, usecols: list[int], max_rows: int | None = None) -> np.ndarray:
+def _loadtxt(source, spec: CsvSpec, usecols: list[int], max_rows: int) -> np.ndarray:
     """numpy's C reader over an iterable of lines: one row per parsed row,
     up to ``max_rows`` rows, one column per entry of ``usecols``."""
     with warnings.catch_warnings():

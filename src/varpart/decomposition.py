@@ -46,6 +46,10 @@ from .ols_core import (
 # Exhaustive ordering enumeration stops here: 8! = 40,320 orderings.
 ORDERING_CAP = 8
 
+# A common region within this fraction of SS(total) of zero is float noise,
+# as on an orthogonal design, not overlap or suppression.
+OVERLAP_NOISE = 1e-9
+
 
 @dataclass(frozen=True)
 class ResidualizedPredictor:
@@ -97,8 +101,7 @@ class VennRegions:
 
     @property
     def suppression(self) -> bool:
-        # threshold keeps float noise on orthogonal designs from flagging
-        return self.common_total < -1e-9 * self.ss_total
+        return self.common_total < -OVERLAP_NOISE * self.ss_total
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from types import SimpleNamespace
 from typing import Any, Iterator, Sequence
 
-from .decomposition import DecompositionReport, OrderingFit, VennRegions
+from .decomposition import OVERLAP_NOISE, DecompositionReport, OrderingFit, VennRegions
 from .ols_core import OlsFit, anova_table
 from .textfmt import fmt2
 
@@ -100,7 +100,7 @@ def _report_notes(rep: DecompositionReport) -> list[str]:
         notes.append(
             "single predictor: traditional and corrected statistics coincide"
         )
-    elif abs(v.common_total) <= 1e-9 * v.ss_total:
+    elif abs(v.common_total) <= OVERLAP_NOISE * v.ss_total:
         notes.append(
             "predictors are orthogonal: traditional and corrected statistics"
             " coincide, and every ordering gives the same sequential SS"

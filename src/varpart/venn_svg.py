@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .decomposition import VennRegions
+from .decomposition import OVERLAP_NOISE, VennRegions
 from .textfmt import fmt2
 
 # Fill colors: predictor circles, residual disc.
@@ -87,9 +87,9 @@ def two_circle_layout(
     Returns the two predictor circles and the residual disc. All three
     share one area scale, so pixel areas are proportional to SS.
     """
-    # float-noise overlap on orthogonal designs counts as zero; the unique
-    # and residual SS are clamped the same way before taking sqrt
-    common = v.common_total if v.common_total > 1e-9 * v.ss_total else 0.0
+    # float-noise overlap counts as zero; the unique and residual SS are
+    # clamped the same way before taking sqrt
+    common = v.common_total if v.common_total > OVERLAP_NOISE * v.ss_total else 0.0
     a1 = max(0.0, v.unique[names[0]] + common)
     a2 = max(0.0, v.unique[names[1]] + common)
     r1, r2 = math.sqrt(a1 / math.pi), math.sqrt(a2 / math.pi)
@@ -213,6 +213,8 @@ def _render_aggregate(
             "common region is negative (suppression):"
             " no proportional-area layout exists"
         )
+    elif len(names) == 1:
+        note = "one predictor: its regression SS is all unique, regions listed"
     else:
         note = "more than two predictors: aggregate regions listed"
     rows = _legend_rows(v, names)

@@ -152,6 +152,19 @@ class TestInputHandling:
         assert res.output == ""
         assert target.read_text() == (GOLDEN / "fit_dwaine.json").read_text()
 
+    @pytest.mark.parametrize(
+        "args",
+        [("fit",), ("decompose",), ("venn",), ("venn", "--format", "svg")],
+        ids=["fit", "decompose", "venn", "venn-svg"],
+    )
+    def test_statistics_past_1e26_are_formatted(self, runner, tmp_path, args):
+        # SS about 1e29: 30 digits and two decimals, past the default 28-digit
+        # decimal context
+        path = write(tmp_path, "y,x\n1e14,1\n3e14,2\n2e14,3\n5e14,4\n4e14,6\n")
+        res = invoke(runner, *args, "--input", str(path), "--response", "y", "--predictors", "x")
+        assert res.exit_code == 0
+        assert "100,000,000,000,000,000,000,000,000,000.00" in res.stdout
+
 
 class TestExitCodes:
     def test_dwaine_conflicts_with_input(self, runner, tmp_path):
@@ -539,19 +552,22 @@ class TestStreamedInput:
         def no_dataset(self):
             raise AssertionError("a Dataset was built")
 
-        loadtxt, sources = np.loadtxt, []
+        loadtxt, sources, rows = np.loadtxt, [], []
 
         def spy(source, *a, **kw):
             sources.append(source)
-            return loadtxt(source, *a, **kw)
+            table = loadtxt(source, *a, **kw)
+            rows.append(len(table))
+            return table
 
         monkeypatch.setattr(varpart.ols_core, "_BLOCK", 3)
         monkeypatch.setattr(varpart.ols_core.Dataset, "__post_init__", no_dataset)
         monkeypatch.setattr(np, "loadtxt", spy)
         res = invoke(runner, *args)
         assert res.exit_code == 0 and res.stdout == want
-        assert len(sources) == 7
-        assert all(isinstance(src, list) and len(src) <= 3 for src in sources)
+        # at most a block of rows a call, then one empty call at end of file
+        assert rows == [3, 3, 3, 3, 3, 3, 2, 0]
+        assert not any(isinstance(src, list) for src in sources)
 
 
 class TestRealProcess:

@@ -448,7 +448,7 @@ class TestCenterCsv:
             warnings.simplefilter("error")
             with mock.patch.object(data_io, "_loadtxt", loadtxt):
                 c = center_csv(spec)
-        assert rows == [2, 2, 1]
+        assert rows == [2, 2, 1, 0]
         assert c.exact.f.tobytes() == whole(spec).exact.f.tobytes()
         assert c.n == 5
 

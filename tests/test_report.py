@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import sys
 from importlib import resources
 
 import jsonschema
@@ -56,6 +57,15 @@ class TestFmt2:
     def test_never_renders_negative_zero(self):
         assert fmt2(-0.001) == "0.00"
         assert fmt2(-0.0) == "0.00"
+
+    def test_any_finite_float_is_rendered_in_full(self):
+        # 1e26 has 27 integer digits: two decimals more overflowed the
+        # default 28-digit decimal context
+        assert fmt2(1e26) == "100,000,000,000,000,000,000,000,000.00"
+        # repr(max) is 1.7976931348623157e+308: 309 integer digits
+        big = "179,769,313,486,231,570" + ",000" * 97 + ".00"
+        assert fmt2(sys.float_info.max) == big
+        assert fmt2(-sys.float_info.max) == "-" + big
 
 
 class Reports(dict):

@@ -119,6 +119,12 @@ class TestRenderedSvg:
         assert "<circle" not in svg
         assert "aggregate" in svg
 
+    def test_one_predictor_gets_its_own_note(self, centered):
+        svg = render_venn_svg(venn_regions(centered, ("TARGTPOP",)), ("TARGTPOP",), "SALES")
+        assert "<circle" not in svg
+        assert "one predictor" in svg
+        assert "two predictors" not in svg
+
     def test_markup_escapes_label_text(self, centered):
         v = venn_regions(centered, MODEL)
         svg = render_venn_svg(v, MODEL, "a<b&c")
