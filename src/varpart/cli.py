@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import sys
+from functools import partial
 from typing import Iterable, NoReturn
 
 import click
@@ -159,15 +160,15 @@ def _render(payload, fmt: str) -> tuple[str]:
 
 
 def _emit(chunks: Iterable[str], out_path) -> None:
-    """Write each chunk of the output as it comes, to ``out_path`` or stdout."""
+    """Write each chunk of the output as it comes, to ``out_path`` or stdout,
+    and let it go before the next chunk is built."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            fh.writelines(chunks)
     else:
-        for chunk in chunks:
-            # color=True: click would strip ANSI escape sequences off a non-terminal
-            click.echo(chunk, nl=False, color=True)
+        # color=True: click would strip ANSI escape sequences off a non-terminal
+        for _ in map(partial(click.echo, nl=False, color=True), chunks):
+            pass  # no chunk is held while the next one is built
 
 
 def _run(body) -> None:

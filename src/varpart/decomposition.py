@@ -20,10 +20,10 @@ import dataclasses
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import cache
-from itertools import accumulate, permutations, repeat
+from itertools import accumulate, permutations
 from operator import or_
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -156,13 +156,6 @@ def _model(c: CenteredData, model: Iterable[str]) -> tuple[str, ...]:
     return model
 
 
-def _check_ordering(c: CenteredData, ordering: Sequence[str]) -> tuple[str, ...]:
-    ordering = _check_names(c, ordering)
-    if len(set(ordering)) != len(ordering):
-        raise ValueError(f"ordering {ordering!r} repeats a predictor")
-    return ordering
-
-
 def _partial(sol: _Solution, i: int) -> Decimal:
     """Partial SS of column i in a solved fit, b_i^2 / (A^-1)_ii: the SS
     lost by dropping it, without subtracting two fits."""
@@ -208,8 +201,10 @@ class OrderingFit(NamedTuple):
     each orthogonal-function term as (label, b, se, z, t). ``fit`` is the
     fit on all of the ordering's predictors, whose SS, R2 and F the
     orthogonal-function fit shares; ``intercept`` is the orthogonal-function
-    fit's own. In the records of one ``ordering_records`` call, each pair,
-    term and fit is one object, shared by every ordering that holds it.
+    fit's own. In the records of one ``ordering_records`` call, each Type I
+    pair, term's four statistics, intercept and fit is derived once and is
+    the same object in every record that holds it; a term itself is one
+    object while consecutive records share its prefix.
     """
 
     order: tuple[str, ...]
@@ -226,9 +221,10 @@ class _Orderings:
     slope is that fit's coefficient, its column (o[k] residualized on
     o[:k]) has SS 1 / (A^-1)_kk, and its Type I SS is slope^2 times that
     SS. Each value is derived once for all orderings that share it: a Type
-    I pair per set of predictors and predictor, a term per ordered prefix,
-    an intercept per first predictor. Sets are bit masks over the
-    predictors' indices.
+    I pair and a term's statistics per set of predictors and predictor, an
+    intercept per first predictor. A term's label names its ordered prefix,
+    so ``records`` keeps the current ordering's terms only. Sets are bit
+    masks over the predictors' indices.
     """
 
     def __init__(self, c: CenteredData):
@@ -237,13 +233,20 @@ class _Orderings:
         self._solve = cache(lambda mask: c._memo.solve(i for i in range(c.p) if mask >> i & 1))
         self._type1 = cache(self._type1_pair)
         self._stats = cache(self._term_stats)
-        self._term = cache(self._term_entry)
         self._intercept = cache(self._first_intercept)
         self._full = cache(lambda mask: fit_ols(c, [nm for nm, b in self._bit.items() if mask & b]))
 
     def _masks(self, ordering: tuple[str, ...]) -> list[int]:
-        """The set of each prefix of ``ordering``."""
-        return [*accumulate(map(self._bit.__getitem__, ordering), or_)]
+        """The set of each prefix of ``ordering``, whose names must be
+        predictors (UnknownName) and distinct (ValueError)."""
+        try:
+            masks = [*accumulate(map(self._bit.__getitem__, ordering), or_)]
+        except KeyError:
+            _check_names(self._c, ordering)  # raises UnknownName
+            raise
+        if masks and masks[-1].bit_count() != len(ordering):
+            raise ValueError(f"ordering {ordering!r} repeats a predictor")
+        return masks
 
     def _type1_pair(self, mask: int, nm: str) -> tuple[str, float]:
         return nm, float(_partial(self._solve(mask), self._c.predictor_index(nm)))
@@ -257,12 +260,6 @@ class _Orderings:
             sd = _column_sd(part.inv[i], c.n)
             return _coef_stats(part.b[i], part.inv[i], sd, mse, c.exact.sds[-1])
 
-    def _term_entry(self, whole: int, prefix: tuple[str, ...], mask: int) -> tuple:
-        """(label, b, se, z, t) of the last predictor of ``prefix``, whose set is ``mask``."""
-        *before, nm = prefix
-        label = f"{nm}|{','.join(before)}" if before else nm
-        return (label, *self._stats(whole, mask, nm))
-
     def _first_intercept(self, nm: str) -> float:
         """Intercept of an orthogonal-function fit whose first column is ``nm``."""
         c, i = self._c, self._c.predictor_index(nm)
@@ -273,20 +270,40 @@ class _Orderings:
     def type1(self, ordering: tuple[str, ...]) -> list[tuple[str, float]]:
         return [*map(self._type1, self._masks(ordering), ordering)]
 
-    def record(self, ordering: tuple[str, ...]) -> OrderingFit:
-        if not ordering:
-            raise EmptySubset("an ordering must name at least one predictor")
-        masks = self._masks(ordering)
-        whole = masks[-1]
-        full = self._full(whole)
-        prefixes = [ordering[:k] for k in range(1, len(ordering) + 1)]
-        return OrderingFit(
-            ordering,
-            [*map(self._type1, masks, ordering)],
-            [*map(self._term, repeat(whole), prefixes, masks)],
-            self._intercept(ordering[0]),
-            full,
-        )
+    def solve_all(self, orderings: Iterable[tuple[str, ...]]) -> None:
+        """Check each ordering, fit its predictors, and solve its prefix sets."""
+        prefixes = set()
+        for ordering in orderings:
+            if not ordering:
+                raise EmptySubset("an ordering must name at least one predictor")
+            masks = self._masks(ordering)
+            self._full(masks[-1])
+            prefixes.update(masks)
+        for mask in sorted(prefixes):
+            self._solve(mask)
+
+    def records(self, orderings: Iterable[tuple[str, ...]]) -> Iterator[OrderingFit]:
+        """The record of each ordering. The terms of the prefixes it shares
+        with the last ordering, if of the same predictors, are reused; any
+        other is built anew, so the records do not depend on the order."""
+        last, last_whole, path = (), 0, []
+        for ordering in orderings:
+            masks = self._masks(ordering)
+            whole = masks[-1]
+            full = self._full(whole)
+            k = 0  # the prefix shared with the last ordering, if of the same predictors
+            for held, nm in zip(last if whole == last_whole else (), ordering):
+                if held != nm:
+                    break
+                k += 1
+            del path[k:]
+            for i in range(k, len(ordering)):
+                nm = ordering[i]
+                label = f"{nm}|{','.join(ordering[:i])}" if i else nm
+                path.append((label, *self._stats(whole, masks[i], nm)))
+            type1 = [*map(self._type1, masks, ordering)]
+            yield OrderingFit(ordering, type1, [*path], self._intercept(ordering[0]), full)
+            last, last_whole = ordering, whole
 
 
 def residualize(
@@ -320,7 +337,7 @@ def sequential_ss(
     predictor to the first k - 1. The entries telescope, so they sum to the
     regression SS of the complete chain.
     """
-    return _Orderings(c).type1(_check_ordering(c, ordering))
+    return _Orderings(c).type1(tuple(ordering))
 
 
 def partial_ss(c: CenteredData, predictor: str, model: Iterable[str]) -> float:
@@ -373,22 +390,27 @@ def orthogonal_regression(c: CenteredData, ordering: Sequence[str]) -> OlsFit:
     Raises EmptySubset for an empty ordering, and SingularDesign where
     fit_ols on the same predictors would.
     """
-    rec = _Orderings(c).record(_check_ordering(c, ordering))
+    (rec,) = ordering_records(c, [ordering])
     labels, *stats = zip(*rec.terms)
     b, se, z, t = map(_readonly, stats)
     return dataclasses.replace(rec.fit, predictor_subset=labels, b=b, se=se, t=t, z=z, intercept=rec.intercept)
 
 
-def ordering_records(c: CenteredData, orderings: Iterable[Sequence[str]]) -> list[OrderingFit]:
-    """Type I table and orthogonal-function fit of each ordering, as shared values.
+def ordering_records(c: CenteredData, orderings: Iterable[Sequence[str]]) -> Iterator[OrderingFit]:
+    """Type I table and orthogonal-function fit of each ordering, one record
+    at a time.
 
     Each record holds ``sequential_ss(c, ordering)`` as ``type1`` and the
     terms, intercept and full fit of ``orthogonal_regression(c,
-    ordering)``, value for value; each pair, term and fit is derived once
-    and is the same object in every record that holds it.
+    ordering)``, value for value. Every ordering is checked and every set
+    it needs solved before this returns. Given depth-first, as
+    ``enumerate_orderings`` lists them, the records hold one ordering's
+    terms at a time besides the values per set of predictors.
     """
+    orderings = [*map(tuple, orderings)]
     stats = _Orderings(c)
-    return [stats.record(_check_ordering(c, ordering)) for ordering in orderings]
+    stats.solve_all(orderings)
+    return stats.records(orderings)
 
 
 def residualized_simple_fits(
@@ -459,7 +481,7 @@ def compare_report(
         raise ValueError(f"orderings must be 'all', None, or a sequence, not {orderings!r}")
     else:
         ordering_list = tuple(
-            _check_ordering(c, tuple(o)) for o in orderings
+            _check_names(c, o) for o in orderings
         )
         for o in ordering_list:
             if set(o) != set(model):

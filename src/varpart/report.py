@@ -11,9 +11,9 @@ allow_nan=False)`` and a newline.
 
 ``orderings`` (12 MB of JSON at seven predictors) builds no payload:
 ``render_orderings`` writes each of the three formats straight from the
-ordering records, in chunks of about 1 MB, formatting each Type I pair,
-term and fit summary that the records share once, with the same cells
-and layout the payload renderers use.
+ordering records as they come, in chunks of about 1 MB, formatting each
+Type I pair, term and fit summary that the records share once, with the
+same cells and layout the payload renderers use.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from types import SimpleNamespace
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .decomposition import OVERLAP_NOISE, DecompositionReport, OrderingFit, VennRegions
 from .ols_core import OlsFit, anova_table
@@ -414,41 +414,38 @@ def render_csv(payload: dict[str, Any]) -> str:
 
 
 def render_orderings(
-    fmt: str, response: str, model: Sequence[str], full: OlsFit, records: Sequence[OrderingFit]
+    fmt: str, response: str, model: Sequence[str], full: OlsFit, records: Iterable[OrderingFit]
 ) -> Iterator[str]:
     """The ``orderings`` report as "json", "text" or "csv", written from the
-    records in chunks of at most ``_CHUNK`` characters that end between
-    orderings; only a chunk of one ordering, or of the head, can be longer.
+    records as they come, in chunks of at most ``_CHUNK`` characters that
+    end between orderings; only a chunk of one ordering, or of the head,
+    can be longer.
 
-    Each distinct Type I pair, term and fit summary is formatted once, keyed
-    on identity as the records share them. A format gives its head, a
-    formatter for each of those three, how one ordering is put together from
-    its formatted parts, and the tail that ends the last chunk. The JSON is
+    A term keeps its text while the next record holds the same terms up to
+    and at its position, so terms walked depth-first, as
+    ``ordering_records`` yields them, are each formatted once. Each distinct Type I pair and
+    fit summary is formatted once. A format gives its head, a formatter
+    for each of those three, how one ordering is put together from its
+    formatted parts, and the tail that ends the last chunk. The JSON is
     ``json.dumps(indent=2, allow_nan=False)`` of the report and a newline.
     """
     fields = _orderings_fields(response, model, full)
     head, entry, term, summary, ordering, tail = _ORDERINGS[fmt](fields)
-    entries = _once([e for r in records for e in r.type1], entry)
-    terms = _once([t for r in records for t in r.terms], term)
-    summaries = _once([r.fit for r in records], summary)
+    entries, summaries, terms = _by_identity(entry), _by_identity(summary), _by_position(term)
     parts = [head]
     size = len(head)
     for r in records:
-        text = ordering(
-            r,
-            [*map(entries.__getitem__, map(id, r.type1))],
-            summaries[id(r.fit)],
-            [*map(terms.__getitem__, map(id, r.terms))],
-        )
+        text = ordering(r, entries(r.type1), summaries([r.fit])[0], terms(r.terms))
         # room for the tail, which the last chunk takes
         if size + len(text) + len(_TAIL) > _CHUNK:
             chunk = "".join(parts)
             parts.clear()  # the orderings' texts go before the chunk is written
             yield chunk
+            del chunk  # and the chunk before the next is built
             size = 0
         parts.append(text)
         size += len(text)
-    yield tail("".join(parts))
+    yield tail(parts)
 
 
 # Characters of orderings output per chunk: about 1 MB, some 430 orderings
@@ -456,11 +453,40 @@ def render_orderings(
 _CHUNK = 1 << 20
 
 
-def _once(values: list, build) -> dict[int, Any]:
-    """The id of each distinct value -> ``build(value)``, built once. The
-    ids stay unique while the caller keeps the values alive."""
-    distinct = dict(zip(map(id, values), values))
-    return dict(zip(distinct, map(build, distinct.values())))
+def _by_identity(build) -> Callable[[list], list]:
+    """Texts of a list of values, ``build(value)`` once per distinct object;
+    each object is kept with its text, so no id is reused while it is a key."""
+    texts: dict[int, Any] = {}
+    kept = []
+
+    def of(values: list) -> list:
+        while None in (out := [*map(texts.get, map(id, values))]):
+            kept.append(value := values[out.index(None)])
+            texts[id(value)] = build(value)
+        return out
+
+    return of
+
+
+def _by_position(build) -> Callable[[list], list]:
+    """Texts of a list of values, ``build(value)`` from the first position
+    whose object is not the last list's; those objects are kept with
+    their texts, so no id is reused while it is compared."""
+    last: list = []
+    texts: list = []
+
+    def of(values: list) -> list:
+        k = 0
+        for held, value in zip(last, values):
+            if held is not value:
+                break
+            k += 1
+        del last[k:], texts[k:]
+        last.extend(values[k:])
+        texts.extend(map(build, values[k:]))
+        return [*texts]
+
+    return of
 
 
 _SUMMARY_STATS = ("ss_regression", "ss_residual", "r2", "f")
@@ -468,16 +494,18 @@ _SUMMARY_STATS = ("ss_regression", "ss_residual", "r2", "f")
 
 def _json_orderings(fields: dict[str, Any]) -> tuple:
     """JSON: a term's four statistics are written once per distinct set of
-    those float objects; floats by ``float.__repr__`` (``null`` where not
-    finite) and strings by ``json``'s encoder, as ``json.dumps`` writes them."""
-    suffixes: dict[tuple[int, ...], str] = {}
+    those float objects, which are kept with their text so that no id is
+    reused while it is a key; floats by ``float.__repr__`` (``null`` where
+    not finite) and strings by ``json``'s encoder, as ``json.dumps`` writes
+    them."""
+    suffixes: dict[tuple[int, ...], tuple[tuple, str]] = {}
 
     def term(t: Sequence) -> str:
         key = id(t[1]), id(t[2]), id(t[3]), id(t[4])
-        suffix = suffixes.get(key)
-        if suffix is None:
-            suffix = suffixes[key] = _TERM_STATS % tuple(map(_json_num, t[1:]))
-        return _TERM % (_json_str(t[0]), suffix)
+        hit = suffixes.get(key)
+        if hit is None:
+            hit = suffixes[key] = t[1:], _TERM_STATS % tuple(map(_json_num, t[1:]))
+        return _TERM % (_json_str(t[0]), hit[1])
 
     head = render_json({**fields, "orderings": []})[:-5] + "["  # '[]', '}' and a newline
     return head, _type1_json, term, _summary_json, _json_ordering, _json_tail
@@ -489,12 +517,16 @@ def _json_ordering(r: OrderingFit, type1: list[str], summary: str, terms: list[s
     return _ORDERING % (order, _ITEM8.join(type1), *fit)
 
 
-def _json_tail(text: str) -> str:
-    """``text`` and the end of the document: the last ordering loses its
-    comma, and a list that got none is written ``[]``."""
-    if text.endswith(","):
-        return text[:-1] + _TAIL
-    return text + "]\n}\n"
+def _json_tail(parts: list[str]) -> str:
+    """The last chunk, from its parts, and the end of the document: the
+    last ordering loses its comma, and a list that got none is written
+    ``[]``."""
+    if parts[-1].endswith(","):
+        parts[-1] = parts[-1][:-1]
+        parts.append(_TAIL)
+    else:
+        parts.append("]\n}\n")
+    return "".join(parts)
 
 
 _TAIL = "\n  ]\n}\n"
@@ -550,7 +582,7 @@ def _text_orderings(fields: dict[str, Any]) -> tuple:
         f"{_model_line(fields)}\nSS(regression) = {_cell(fields['ss_regression'])};"
         f" SS(total) = {_cell(fields['ss_total'])}\n"
     )
-    return head, _cells, _cells, _summary_text, _text_ordering, str
+    return head, _cells, _cells, _summary_text, _text_ordering, "".join
 
 
 def _cells(row: Sequence) -> list[str]:
@@ -577,7 +609,7 @@ def _csv_orderings(fields: dict[str, Any]) -> tuple:
     quotes each cell on its own, so the rest is written once."""
     stats = [["meta", "", k, fields[k]] for k in ("ss_regression", "ss_total")]
     head = _csv_doc([*_csv_meta(fields), *stats])
-    return head, _type1_csv, _term_csv, _summary_csv, _csv_ordering, str
+    return head, _type1_csv, _term_csv, _summary_csv, _csv_ordering, "".join
 
 
 def _type1_csv(pair: tuple[str, float]) -> str:
@@ -600,5 +632,5 @@ def _csv_ordering(r: OrderingFit, type1: list[str], summary: list[str], terms: l
 
 # Each format, from the fields before the orderings: (head, Type I pair,
 # term, fit summary, ordering, tail), as ``render_orderings`` takes them.
-# Text and CSV end as the last ordering does: their tail is ``str``.
+# Text and CSV end as the last ordering does: their tail joins the parts.
 _ORDERINGS = {"json": _json_orderings, "text": _text_orderings, "csv": _csv_orderings}

@@ -385,6 +385,19 @@ class TestOrderingsSharing:
                 "x3,x2,x1,x4,x5",
                 "x5,x4,x3,x2,x1",
             ),
+            # reverse-lexicographic; x5,x4 is left and come back to, and
+            # x5,x4,x3,x2,x1 repeated after other orderings
+            (
+                "x5,x4,x3,x2,x1",
+                "x5,x4,x3,x1,x2",
+                "x5,x4,x2,x3,x1",
+                "x5,x3,x4,x2,x1",
+                "x4,x5,x3,x2,x1",
+                "x5,x4,x3,x1,x2",
+                "x5,x4,x3,x2,x1",
+                "x5,x4,x3,x2,x1",
+                "x1,x2,x3,x4,x5",
+            ),
         ),
     )
     @pytest.mark.parametrize("fmt", ("json", "csv", "text"))

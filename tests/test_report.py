@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from importlib import resources
 
 import jsonschema
@@ -14,9 +15,12 @@ from hypothesis import strategies as st
 
 from varpart import (
     Dataset,
+    SyntheticSpec,
     compare_report,
     enumerate_orderings,
+    exchangeable_correlation,
     fit_ols,
+    generate_synthetic,
     mean_center,
     ordering_records,
     orthogonal_regression,
@@ -308,7 +312,7 @@ class TestJsonMatchesStdlib:
         y = x.sum(axis=1) + rng.standard_normal(60)
         c = mean_center(make_dataset(x, y))
         names = c.predictor_names
-        records = ordering_records(c, enumerate_orderings(names))
+        records = [*ordering_records(c, enumerate_orderings(names))]
         full = fit_ols(c, names)
         payload = orderings_payload("y", names, full, records)
         assert len(payload["orderings"]) == 5040
@@ -344,14 +348,18 @@ class TestOrderingsJson:
     def test_all_orderings(self, p, seed):
         c = correlated_centered(seed, p)
         names = c.predictor_names
-        self.assert_matches_payload(c, names, ordering_records(c, enumerate_orderings(names)))
+        self.assert_matches_payload(c, names, [*ordering_records(c, enumerate_orderings(names))])
 
     def test_explicit_orderings_of_a_sub_model(self):
         c = correlated_centered(3, 4)
         model = ("x3", "x1", "x4")
         orders = [("x4", "x1", "x3"), ("x3", "x1", "x4"), ("x4", "x1", "x3")]
-        records = ordering_records(c, orders)
-        assert records[0].terms[0] is records[2].terms[0]
+        records = [*ordering_records(c, orders)]
+        # the walk left the first ordering's prefixes, so its terms are
+        # built again, from the same statistics
+        assert records[0].terms == records[2].terms
+        assert records[0].terms[0] is not records[2].terms[0]
+        assert records[0].terms[0][1] is records[2].terms[0][1]
         self.assert_matches_payload(c, model, records)
 
     def test_records_that_share_nothing(self):
@@ -365,7 +373,7 @@ class TestOrderingsJson:
         self.assert_matches_payload(c, names, records)
 
     def test_infinite_f_is_null(self, perfect):
-        records = ordering_records(perfect, [("x1",)])
+        records = [*ordering_records(perfect, [("x1",)])]
         assert math.isinf(records[0].fit.f)
         self.assert_matches_payload(perfect, ("x1",), records)
         out = orderings_json("y", ("x1",), fit_ols(perfect, ("x1",)), records)
@@ -374,7 +382,7 @@ class TestOrderingsJson:
     def test_names_that_need_escaping(self):
         names = ('say "hi"', "back\\slash", "100%", "caf\u00e9 \U0001f600")
         c = correlated_centered(5, len(names), names)
-        self.assert_matches_payload(c, names, ordering_records(c, enumerate_orderings(names)))
+        self.assert_matches_payload(c, names, [*ordering_records(c, enumerate_orderings(names))])
 
     def test_no_records(self, centered):
         (out,) = render_orderings("json", "SALES", MODEL, fit_ols(centered, MODEL), [])
@@ -385,7 +393,7 @@ class TestOrderingsJson:
         # at a bound one character short of the whole text, the tail that
         # ends the last chunk must not take that chunk past the bound
         full = fit_ols(centered, MODEL)
-        records = ordering_records(centered, [MODEL])
+        records = [*ordering_records(centered, [MODEL])]
         (whole,) = render_orderings("json", "SALES", MODEL, full, records)
         monkeypatch.setattr(report, "_CHUNK", len(whole) - 1)
         chunks = list(render_orderings("json", "SALES", MODEL, full, records))
@@ -397,7 +405,7 @@ class TestOrderingsJson:
         # chunk holds more than the bound
         c = correlated_centered(6, 6)
         names = c.predictor_names
-        records = ordering_records(c, enumerate_orderings(names))
+        records = [*ordering_records(c, enumerate_orderings(names))]
         full = fit_ols(c, names)
         chunks = list(render_orderings("json", "y", names, full, records))
         assert len(chunks) > 1
@@ -414,7 +422,7 @@ class TestOrderingsJson:
         # of their own when any two together pass the bound
         c = correlated_centered(8, 4)
         names = c.predictor_names
-        records = ordering_records(c, enumerate_orderings(names))
+        records = [*ordering_records(c, enumerate_orderings(names))]
         full = fit_ols(c, names)
         (whole,) = render_orderings(fmt, "y", names, full, records)
         monkeypatch.setattr(report, "_CHUNK", 1)
@@ -432,13 +440,14 @@ class TestFormatOnce:
     @pytest.mark.parametrize("fmt", ("json", "text", "csv"))
     def test_each_entry_and_term_is_formatted_once(self, monkeypatch, fmt):
         # at p = 4: a Type I entry per (prefix set, predictor), 4 * 2**3, and
-        # a term per ordered prefix, 4 + 12 + 24 + 24, over 24 * 4 positions;
-        # every ordering holds all four predictors, so one fit summary
+        # a term per ordered prefix, 4 + 12 + 24 + 24, as the walk enters
+        # it, over 24 * 4 positions; every ordering holds all four
+        # predictors, so one fit summary
         rng = np.random.default_rng(5)
         x = rng.standard_normal((30, 4)) + 0.5 * rng.standard_normal((30, 1))
         c = mean_center(make_dataset(x, x.sum(axis=1) + rng.standard_normal(30)))
         names = c.predictor_names
-        records = ordering_records(c, enumerate_orderings(names))
+        records = [*ordering_records(c, enumerate_orderings(names))]
         full = fit_ols(c, names)
         want = "".join(render_orderings(fmt, "y", names, full, records))
         calls = {"entry": [], "term": [], "summary": []}
@@ -454,11 +463,65 @@ class TestFormatOnce:
             return head, *parts, ordering, tail
 
         monkeypatch.setitem(report._ORDERINGS, fmt, counted)
-        assert "".join(render_orderings(fmt, "y", names, full, records)) == want
+        # and streamed from the walk, as the command writes them
+        streamed = ordering_records(c, enumerate_orderings(names))
+        assert "".join(render_orderings(fmt, "y", names, full, streamed)) == want
         assert sum(len(r.type1) for r in records) == sum(len(r.terms) for r in records) == 96
         assert len(calls["entry"]) == len({id(e) for e in calls["entry"]}) == 32
         assert len(calls["term"]) == len({id(t) for t in calls["term"]}) == 64
         assert len(calls["summary"]) == 1
+
+
+class TestStreamedRecords:
+    @pytest.mark.parametrize("floats", (False, True), ids=("numpy", "python"))
+    @pytest.mark.parametrize("fmt", ("json", "text", "csv"))
+    def test_records_built_one_at_a_time(self, fmt, floats):
+        # each record is built on its own and dropped once it is written, so
+        # the ids of its pairs, terms and floats come back in later records:
+        # a text cache keyed on the id of an object it lets go would write
+        # another record's row
+        c = correlated_centered(9, 4)
+        names = c.predictor_names
+        full = fit_ols(c, names)
+
+        # terms before the Type I table: so built, a record's floats take
+        # ids that an earlier record freed, which a cache of the statistics'
+        # texts that does not keep its floats gets wrong
+        def built():
+            for order in enumerate_orderings(names):
+                r = ordering_record(order, [], orthogonal_regression(c, order))
+                if floats:  # as ordering_records gives them: freed floats are reused first
+                    r = r._replace(terms=[(t[0], *map(float, t[1:])) for t in r.terms])
+                yield r._replace(type1=sequential_ss(c, order))
+
+        streamed = "".join(render_orderings(fmt, "y", names, full, built()))
+        records = [*built()]
+        assert streamed == "".join(render_orderings(fmt, "y", names, full, records))
+        if fmt == "json":
+            assert streamed == json_oracle(orderings_payload("y", names, full, records))
+
+    @pytest.mark.parametrize("fmt", ("json", "text", "csv"))
+    def test_all_orderings_of_seven_predictors_in_bounded_memory(self, fmt):
+        # the walk holds the terms of one path of prefixes and the values per
+        # set of predictors, the writer a chunk of about 1 MB: tracemalloc
+        # read 15.5 (json, text) and 17.1 MB (csv) when every record, term
+        # and text was held until the last chunk
+        spec = SyntheticSpec(
+            n=200, p=7, correlation=exchangeable_correlation(7, 0.6),
+            signal_coefficients=np.ones(7), noise_sd=1.0, seed=4242,
+        )
+        c = mean_center(generate_synthetic(spec))
+        names = c.predictor_names
+        full = fit_ols(c, names)
+        records = ordering_records(c, enumerate_orderings(names))  # every solve
+        tracemalloc.start()
+        try:
+            size = sum(map(len, render_orderings(fmt, "y", names, full, records)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 3_000_000  # 5,040 orderings were written
+        assert peak <= 5_000_000
 
 
 class TestCsv:
