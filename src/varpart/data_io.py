@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -122,10 +123,10 @@ def load_csv(spec: CsvSpec) -> Dataset:
     The numbers are parsed by numpy's C reader straight from the open
     file, up to ``_BLOCK`` rows a call. If numpy rejects the file, it is
     read again cell by cell, and that pass raises the error with its line
-    number (``ParseError``, ``NonNumericCell``). Both passes accept the
-    same syntax and convert it with the same correctly rounded
-    decimal-to-binary routine, so the columns do not depend on which pass
-    read them.
+    number (``ParseError``, also for a byte that is not UTF-8 in any field,
+    or ``NonNumericCell``). Both passes accept the same syntax and convert
+    it with the same correctly rounded decimal-to-binary routine, so the
+    columns do not depend on which pass read them.
     """
     return _dataset(spec, _read_columns(spec))
 
@@ -204,8 +205,8 @@ def _read_blocks(spec: CsvSpec, names: Sequence[str]) -> Iterator[np.ndarray]:
             yield table.T.copy()
 
 
-def _open(spec: CsvSpec):
-    return open(spec.path, newline="", encoding="utf-8-sig")
+def _open(spec: CsvSpec, errors: str = "strict"):
+    return open(spec.path, newline="", encoding="utf-8-sig", errors=errors)
 
 
 def _loadtxt(source, spec: CsvSpec, usecols: list[int], max_rows: int) -> np.ndarray:
@@ -236,6 +237,7 @@ def _read_header(reader, spec: CsvSpec) -> list[int]:
         raise EmptyData(f"{spec.path}: file is empty") from None
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise ParseError(reader.line_num, str(exc)) from None
+    _check_decoded(reader.line_num, header)
 
     wanted = (spec.response, *spec.predictors)
     positions: dict[str, int] = {}
@@ -253,7 +255,7 @@ def _strict_columns(spec: CsvSpec) -> list[array]:
     """load_csv's reference pass: one cell at a time, errors with line
     numbers. The columns are packed float64 arrays, 8 bytes a cell, since
     the pass often runs only to find the line of an error."""
-    with _open(spec) as fh:
+    with _open(spec, "surrogateescape") as fh:
         reader = csv.reader(fh, delimiter=spec.delimiter)
         idx = _read_header(reader, spec)
         wanted = (spec.response, *spec.predictors)
@@ -263,6 +265,7 @@ def _strict_columns(spec: CsvSpec) -> list[array]:
                 if not row:
                     continue
                 line = reader.line_num
+                _check_decoded(line, row)
                 if max(idx) >= len(row):
                     raise ParseError(
                         line, f"expected at least {max(idx) + 1} fields, got {len(row)}"
@@ -276,6 +279,13 @@ def _strict_columns(spec: CsvSpec) -> list[array]:
         except csv.Error as exc:
             raise ParseError(reader.line_num, str(exc)) from None
     return values
+
+
+def _check_decoded(line: int, row: list[str]) -> None:
+    """Raise ParseError if a field of ``row`` holds a byte that is not UTF-8,
+    which the strict pass reads as a lone surrogate."""
+    if not (text := "".join(row)).isascii() and (bad := re.search("[\udc80-\udcff]", text)):
+        raise ParseError(line, f"byte {ord(bad[0]) - 0xDC00:#04x} is not valid UTF-8")
 
 
 def _parse_cell(cell: str) -> float:

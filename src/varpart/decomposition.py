@@ -199,12 +199,12 @@ class OrderingFit(NamedTuple):
 
     ``type1`` pairs each predictor with its Type I SS, and ``terms`` holds
     each orthogonal-function term as (label, b, se, z, t). ``fit`` is the
-    fit on all of the ordering's predictors, whose SS, R2 and F the
-    orthogonal-function fit shares; ``intercept`` is the orthogonal-function
-    fit's own. In the records of one ``ordering_records`` call, each Type I
-    pair, term's four statistics, intercept and fit is derived once and is
-    the same object in every record that holds it; a term itself is one
-    object while consecutive records share its prefix.
+    fit on the predictor set, whose SS, R2 and F the orthogonal-function
+    fit shares; ``intercept`` is the orthogonal-function fit's own. In the
+    records of one ``ordering_records`` call, the fit and each Type I pair,
+    term's four statistics and intercept is one object in every record
+    that holds it; a term is one object while consecutive records share
+    its prefix.
     """
 
     order: tuple[str, ...]
@@ -215,48 +215,53 @@ class OrderingFit(NamedTuple):
 
 
 class _Orderings:
-    """Type I tables and orthogonal-function fits, read off the subset memo.
+    """Type I tables and orthogonal-function fits of the orderings of ``model``.
 
     Term k of an ordering o is predictor o[k] in the fit on o[:k + 1]: its
     slope is that fit's coefficient, its column (o[k] residualized on
     o[:k]) has SS 1 / (A^-1)_kk, and its Type I SS is slope^2 times that
     SS. Each value is derived once for all orderings that share it: a Type
-    I pair and a term's statistics per set of predictors and predictor, an
+    I pair and a term's statistics per prefix set and predictor, an
     intercept per first predictor. A term's label names its ordered prefix,
     so ``records`` keeps the current ordering's terms only. Sets are bit
     masks over the predictors' indices.
     """
 
-    def __init__(self, c: CenteredData):
+    def __init__(self, c: CenteredData, model: Iterable[str]):
         self._c = c
         self._bit = {nm: 1 << i for i, nm in enumerate(c.predictor_names)}
+        self._whole = sum(self._bit.get(nm, 0) for nm in set(model))
+        self.model = tuple(nm for nm, b in self._bit.items() if self._whole & b)
         self._solve = cache(lambda mask: c._memo.solve(i for i in range(c.p) if mask >> i & 1))
         self._type1 = cache(self._type1_pair)
         self._stats = cache(self._term_stats)
         self._intercept = cache(self._first_intercept)
-        self._full = cache(lambda mask: fit_ols(c, [nm for nm, b in self._bit.items() if mask & b]))
 
-    def _masks(self, ordering: tuple[str, ...]) -> list[int]:
-        """The set of each prefix of ``ordering``, whose names must be
-        predictors (UnknownName) and distinct (ValueError)."""
+    def masks(self, ordering: tuple[str, ...]) -> list[int]:
+        """The set of each prefix of ``ordering``: EmptySubset if it is empty, then
+        UnknownName, then ValueError for a repeated name or a set other than ``model``."""
+        if not ordering:
+            raise EmptySubset("an ordering must name at least one predictor")
         try:
             masks = [*accumulate(map(self._bit.__getitem__, ordering), or_)]
         except KeyError:
             _check_names(self._c, ordering)  # raises UnknownName
             raise
-        if masks and masks[-1].bit_count() != len(ordering):
+        if masks[-1].bit_count() != len(ordering):
             raise ValueError(f"ordering {ordering!r} repeats a predictor")
+        if masks[-1] != self._whole:
+            raise ValueError(f"ordering {ordering!r} is not a permutation of {self.model!r}")
         return masks
 
     def _type1_pair(self, mask: int, nm: str) -> tuple[str, float]:
         return nm, float(_partial(self._solve(mask), self._c.predictor_index(nm)))
 
-    def _term_stats(self, whole: int, mask: int, nm: str) -> tuple[float, ...]:
-        """(b, se, z, t) of ``nm`` last in the prefix ``mask`` of an ordering of ``whole``."""
+    def _term_stats(self, mask: int, nm: str) -> tuple[float, ...]:
+        """(b, se, z, t) of ``nm`` last in the prefix set ``mask``."""
         c, i = self._c, self._c.predictor_index(nm)
         part = self._solve(mask)
         with localcontext(_CTX):
-            mse = self._solve(whole).sse / (c.n - whole.bit_count() - 1)
+            mse = self._solve(self._whole).sse / (c.n - len(self.model) - 1)
             sd = _column_sd(part.inv[i], c.n)
             return _coef_stats(part.b[i], part.inv[i], sd, mse, c.exact.sds[-1])
 
@@ -267,43 +272,25 @@ class _Orderings:
             slope = self._solve(self._bit[nm]).b[i]
             return float(c.exact.means[-1] - slope * c.exact.means[i])
 
-    def type1(self, ordering: tuple[str, ...]) -> list[tuple[str, float]]:
-        return [*map(self._type1, self._masks(ordering), ordering)]
+    def type1(self, masks: list[int], ordering: Sequence[str]) -> list[tuple[str, float]]:
+        return [*map(self._type1, masks, ordering)]
 
-    def solve_all(self, orderings: Iterable[tuple[str, ...]]) -> None:
-        """Check each ordering, fit its predictors, and solve its prefix sets."""
-        prefixes = set()
+    def records(self, orderings: Iterable[tuple[str, ...]], fit: OlsFit) -> Iterator[OrderingFit]:
+        """The record of each ordering; the terms of the prefix it shares
+        with the last ordering are reused, and the rest are built anew."""
+        last, path = (), []
         for ordering in orderings:
-            if not ordering:
-                raise EmptySubset("an ordering must name at least one predictor")
-            masks = self._masks(ordering)
-            self._full(masks[-1])
-            prefixes.update(masks)
-        for mask in sorted(prefixes):
-            self._solve(mask)
-
-    def records(self, orderings: Iterable[tuple[str, ...]]) -> Iterator[OrderingFit]:
-        """The record of each ordering. The terms of the prefixes it shares
-        with the last ordering, if of the same predictors, are reused; any
-        other is built anew, so the records do not depend on the order."""
-        last, last_whole, path = (), 0, []
-        for ordering in orderings:
-            masks = self._masks(ordering)
-            whole = masks[-1]
-            full = self._full(whole)
-            k = 0  # the prefix shared with the last ordering, if of the same predictors
-            for held, nm in zip(last if whole == last_whole else (), ordering):
-                if held != nm:
-                    break
-                k += 1
+            masks = self.masks(ordering)
+            # how many leading names this ordering shares with the last
+            k = next((i for i, (held, nm) in enumerate(zip(last, ordering)) if held != nm), len(last))
             del path[k:]
             for i in range(k, len(ordering)):
                 nm = ordering[i]
                 label = f"{nm}|{','.join(ordering[:i])}" if i else nm
-                path.append((label, *self._stats(whole, masks[i], nm)))
+                path.append((label, *self._stats(masks[i], nm)))
             type1 = [*map(self._type1, masks, ordering)]
-            yield OrderingFit(ordering, type1, [*path], self._intercept(ordering[0]), full)
-            last, last_whole = ordering, whole
+            yield OrderingFit(ordering, type1, [*path], self._intercept(ordering[0]), fit)
+            last = ordering
 
 
 def residualize(
@@ -337,7 +324,8 @@ def sequential_ss(
     predictor to the first k - 1. The entries telescope, so they sum to the
     regression SS of the complete chain.
     """
-    return _Orderings(c).type1(tuple(ordering))
+    stats = _Orderings(c, ordering)
+    return stats.type1(stats.masks(tuple(ordering)), ordering)
 
 
 def partial_ss(c: CenteredData, predictor: str, model: Iterable[str]) -> float:
@@ -402,15 +390,19 @@ def ordering_records(c: CenteredData, orderings: Iterable[Sequence[str]]) -> Ite
 
     Each record holds ``sequential_ss(c, ordering)`` as ``type1`` and the
     terms, intercept and full fit of ``orthogonal_regression(c,
-    ordering)``, value for value. Every ordering is checked and every set
-    it needs solved before this returns. Given depth-first, as
-    ``enumerate_orderings`` lists them, the records hold one ordering's
-    terms at a time besides the values per set of predictors.
+    ordering)``, value for value. The orderings permute one predictor set,
+    that of the first. Each is checked and the set fitted before this
+    returns; the fit's guard covers every prefix set, which the walk solves
+    when it first reaches it. Given depth-first, as ``enumerate_orderings``
+    lists them, the records hold one ordering's terms at a time.
     """
     orderings = [*map(tuple, orderings)]
-    stats = _Orderings(c)
-    stats.solve_all(orderings)
-    return stats.records(orderings)
+    if not orderings:
+        return iter(())
+    stats = _Orderings(c, orderings[0])
+    for ordering in orderings:
+        stats.masks(ordering)
+    return stats.records(orderings, fit_ols(c, stats.model))
 
 
 def residualized_simple_fits(
@@ -480,19 +472,15 @@ def compare_report(
     elif isinstance(orderings, str):
         raise ValueError(f"orderings must be 'all', None, or a sequence, not {orderings!r}")
     else:
-        ordering_list = tuple(
-            _check_names(c, o) for o in orderings
-        )
-        for o in ordering_list:
-            if set(o) != set(model):
-                raise ValueError(f"ordering {o!r} is not a permutation of {model!r}")
+        ordering_list = tuple(map(tuple, orderings))
+    stats = _Orderings(c, model)
+    masks = [*map(stats.masks, ordering_list)]  # every ordering is checked before any fit
 
     full = fit_ols(c, model)
     sol, type3 = _partition(c, model)
-    stats = _Orderings(c)
     type1: dict[str, dict[tuple[str, ...], float]] = {nm: {} for nm in model}
-    for ordering in ordering_list:
-        for name, ss in stats.type1(ordering):
+    for ordering, prefixes in zip(ordering_list, masks):
+        for name, ss in stats.type1(prefixes, ordering):
             type1[name][ordering] = ss
     actual, r2, f = _corrected(c, sol, type3)
 

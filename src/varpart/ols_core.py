@@ -48,6 +48,7 @@ _BLOCK = 1 << 14
 # so a column reaching 2**600 has a centered SS beyond float64.
 _MAGNITUDE_MAX = 2.0**600
 _OVERFLOW = "column {!r}: cross-products overflow float64 (rescale the column)"
+_UNDERFLOW = "column {!r}: cross-products underflow float64 (rescale the column)"
 
 
 def _readonly(values) -> np.ndarray:
@@ -360,7 +361,7 @@ class _Fold:
         digits, and the exact column means. Raises, column by column,
         NonFiniteValue for a NaN or infinity and SingularDesign for a
         magnitude of 2**600 or more; then SingularDesign if a column's SS
-        exceeds float64."""
+        exceeds float64, or, in any column but the last, is positive but rounds to 0."""
         for nm, ok, lo, hi in zip(self.names, self.finite, self.lo, self.hi):
             if not ok:
                 raise _non_finite(nm)
@@ -372,7 +373,8 @@ class _Fold:
         den = count << -e  # e <= 0, since the ones column has unit 0
         for a, nm in enumerate(self.names):
             try:
-                num[a, a] / den
+                if num[a, a] and not num[a, a] / den and a < k - 1:
+                    raise SingularDesign(_UNDERFLOW.format(nm))
             except OverflowError:
                 raise SingularDesign(_OVERFLOW.format(nm)) from None
         f = np.empty((k, k))

@@ -525,6 +525,10 @@ TWO_FAULTS = {
         "y,x1,x2\n1,1e160,3\n2,-2e160,1\n3e181,5e159,4\n4,1e159,2\n", (), 3,
         "column 'y': cross-products overflow float64 (rescale the column)",
     ),
+    "underflow-x1-and-overflow-response": (
+        "y,x1,x2\n1e160,1e-163,1\n-2e160,-2e-163,3\n4,3e-163,2\n3,5e-163,7\n7,-1e-163,1\n", (), 3,
+        "column 'x1': cross-products underflow float64 (rescale the column)",
+    ),
     "constant-and-repeated-model": (
         "y,x1,x2\n1,7,3\n2,7,1e200\n3,7,4\n4,7,2\n", ("--model", "x1,x1"), 2,
         "--model names a predictor twice",
@@ -699,6 +703,14 @@ class TestRealProcess:
         assert proc.stderr == (
             "error: column 'x1': cross-products overflow float64 (rescale the column)\n"
         )
+        assert proc.stdout == ""
+
+    def test_invalid_utf8_prints_one_error_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"y,x\n1,2\n2,3\n3,\xff5\n4,4\n")
+        proc = self.run("fit", "--input", str(path), "--response", "y", "--predictors", "x")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: line 4: byte 0xff is not valid UTF-8\n"
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("module", ["varpart", "varpart.cli"])

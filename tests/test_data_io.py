@@ -224,6 +224,25 @@ FILE_SHAPES = [
 ]
 
 
+# a byte that is not UTF-8 in the header, a selected cell and an unselected cell
+INVALID_UTF8 = [
+    (b"y,x\xfe\n1,2\n2,3\n", 1, 0xFE),
+    (b"y,x\n1,2\n2,3\n3,\xff5\n4,4\n", 4, 0xFF),
+    (b"y,note,x\n1,a,2\n2,\xc3,3\n3,\xc3\xa9,4\n", 3, 0xC3),
+]
+
+
+@pytest.mark.parametrize("read", [load_csv, center_csv])
+@pytest.mark.parametrize("data, line, byte", INVALID_UTF8, ids=["header", "selected", "unselected"])
+def test_invalid_utf8_is_a_parse_error_with_its_line(tmp_path, read, data, line, byte):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        read(CsvSpec(path, "y", ("x",)))
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: byte {byte:#04x} is not valid UTF-8"
+
+
 class TestParsePaths:
     """numpy's C reader and the strict per-cell pass give one result."""
 

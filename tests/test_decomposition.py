@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varpart.decomposition
 import varpart.ols_core
 from varpart import (
     ORDERING_CAP,
@@ -508,3 +509,84 @@ def test_decomposition_identities_on_random_data(seed, n, p, rho):
     v = venn_regions(c, model)
     total = sum(v.unique.values()) + v.common_total + v.residual
     assert abs(total - v.ss_total) <= 1e-8 * scale
+
+
+def synth_data(p, rho, seed=5):
+    spec = SyntheticSpec(
+        n=200, p=p, correlation=exchangeable_correlation(p, rho),
+        signal_coefficients=np.ones(p), seed=seed,
+    )
+    return generate_synthetic(spec)
+
+
+class TestOrderingRecords:
+    """``ordering_records`` takes orderings of one predictor set: it checks
+    them all and fits the set before it returns, then walks them."""
+
+    @pytest.mark.parametrize("p", [3, 5, 6])
+    @pytest.mark.parametrize("rho", [0.9, 1 - 1e-6, 1 - 1e-9, 1 - 1e-10])
+    def test_guard_of_the_model_covers_every_subset(self, p, rho):
+        # a principal block of the normalized SSCP has its eigenvalues inside
+        # those of the whole (Cauchy interlacing): once the model passes the
+        # guard, every subset solves and the walk raises nothing
+        ds = synth_data(p, rho)
+        c, names = mean_center(ds), ds.predictor_names
+        try:
+            fit_ols(c, names)
+        except SingularDesign:
+            with pytest.raises(SingularDesign):
+                ordering_records(mean_center(ds), enumerate_orderings(names))
+            return
+        for mask in range(1, 2**p):
+            c._memo.solve(i for i in range(p) if mask >> i & 1)
+        for _ in ordering_records(mean_center(ds), enumerate_orderings(names)):
+            pass
+
+    def test_one_fit_and_no_other_solve_before_the_walk(self, monkeypatch):
+        c = mean_center(synth_data(4, 0.6))
+        fits, solves = [], []
+        fit, solve = varpart.decomposition.fit_ols, varpart.ols_core._Subsets.solve
+
+        def counted(memo, idx, context=None):
+            idx = list(idx)
+            solves.append(frozenset(idx))
+            return solve(memo, idx, context)
+
+        monkeypatch.setattr(varpart.decomposition, "fit_ols", lambda *a: fits.append(a) or fit(*a))
+        monkeypatch.setattr(varpart.ols_core._Subsets, "solve", counted)
+        records = ordering_records(c, [("x4", "x2", "x3", "x1"), ("x1", "x2", "x3", "x4")])
+        assert fits == [(c, ("x1", "x2", "x3", "x4"))]
+        assert solves == [frozenset(range(4))]
+        assert [r.order for r in records] == [("x4", "x2", "x3", "x1"), ("x1", "x2", "x3", "x4")]
+        assert len(set(solves)) == 7  # the distinct prefix sets of the two
+
+    @pytest.mark.parametrize(
+        "bad, error, match",
+        [
+            ((), EmptySubset, "at least one predictor"),
+            (("x9", "x1", "x1"), UnknownName, "x9"),
+            (("x1", "x1", "x9"), UnknownName, "x9"),
+            (("x1", "x1"), ValueError, "repeats a predictor"),
+            (("x1", "x3"), ValueError, r"not a permutation of \('x1', 'x2'\)"),
+            (("x2",), ValueError, r"not a permutation of \('x1', 'x2'\)"),
+        ],
+        ids=["empty", "unknown-first", "unknown-after-repeat", "repeated", "other-set", "subset"],
+    )
+    def test_each_ordering_is_checked_before_any_fit(self, monkeypatch, bad, error, match):
+        c = mean_center(synth_data(3, 0.5))
+        monkeypatch.setattr(varpart.decomposition, "fit_ols", None)  # any fit would raise TypeError
+        with pytest.raises(error, match=match):
+            ordering_records(c, [("x1", "x2"), ("x2", "x1"), bad])
+
+    def test_no_orderings_no_records(self, centered):
+        assert [*ordering_records(centered, [])] == []
+
+    def test_compare_report_checks_orderings_before_a_collinear_fit(self):
+        rng = np.random.default_rng(4)
+        base = rng.standard_normal(30)
+        x = np.column_stack([base, -3.0 * base + 1.0])
+        c = mean_center(make_dataset(x, base + rng.standard_normal(30)))
+        with pytest.raises(ValueError, match="not a permutation"):
+            compare_report(c, ("x1", "x2"), orderings=[("x2", "x1"), ("x1",)])
+        with pytest.raises(SingularDesign):
+            compare_report(c, ("x1", "x2"), orderings=[("x2", "x1")])

@@ -121,6 +121,25 @@ class TestMeanCenter:
             "column 'x1': cross-products overflow float64 (rescale the column)"
         )
 
+    # x1's exact centered SS is about 2.5e-325: below float64's smallest
+    # subnormal at e-163, subnormal but not zero at e-160
+    UNDERFLOW = dict(x2=[1, 3, 2, 7, 1, 2], y=[1, 2, 4, 3, 7, 5])
+
+    def test_underflowing_cross_products_rejected(self):
+        x1 = np.array([1, -2, 3, 5, -1, 2]) * 1e-163
+        ds = Dataset(_cols(x1=x1, **self.UNDERFLOW), "y", ("x1", "x2"))
+        with pytest.raises(SingularDesign) as exc:
+            mean_center(ds)
+        assert str(exc.value) == (
+            "column 'x1': cross-products underflow float64 (rescale the column)"
+        )
+
+    def test_subnormal_cross_products_still_fit(self):
+        x1 = np.array([1, -2, 3, 5, -1, 2]) * 1e-160
+        c = mean_center(Dataset(_cols(x1=x1, **self.UNDERFLOW), "y", ("x1", "x2")))
+        assert 0 < c.exact.f[0, 0] < np.finfo(float).tiny
+        assert fit_ols(c, ("x1", "x2")).r2 == 0.059665444136327045
+
     def test_unknown_lookups(self, centered):
         with pytest.raises(UnknownName):
             centered.predictor_index("nope")
@@ -361,6 +380,13 @@ class TestFitCenteredDesign:
         x = np.arange(10.0)
         with pytest.raises(SingularDesign):
             fit_centered_design(x, np.column_stack([x, 2 * x]), ["a", "b"], [0, 0], [1, 1], 0, 1)
+
+    def test_constant_design_column_has_zero_variation(self):
+        # a zero SS is no underflow: the guard names it
+        x = np.arange(10.0)
+        with pytest.raises(SingularDesign) as exc:
+            fit_centered_design(x, np.column_stack([x, np.ones(10)]), ["a", "b"], [0, 0], [1, 1], 0, 1)
+        assert str(exc.value) == "fit on (a, b): design column with zero variation"
 
 
 class TestFitOls:
