@@ -10,8 +10,8 @@ statistics (a perfect fit has infinite F) become JSON null, the text cell
 allow_nan=False)`` and a newline.
 
 ``orderings`` (12 MB of JSON at seven predictors) builds no payload:
-``render_orderings`` writes each of the three formats straight from the
-ordering records as they come, in chunks of about 1 MB, formatting each
+``render_orderings`` yields each of the three formats straight from the
+ordering records as they come, one text per ordering, formatting each
 Type I pair, term and fit summary that the records share once, with the
 same cells and layout the payload renderers use.
 """
@@ -416,41 +416,27 @@ def render_csv(payload: dict[str, Any]) -> str:
 def render_orderings(
     fmt: str, response: str, model: Sequence[str], full: OlsFit, records: Iterable[OrderingFit]
 ) -> Iterator[str]:
-    """The ``orderings`` report as "json", "text" or "csv", written from the
-    records as they come, in chunks of at most ``_CHUNK`` characters that
-    end between orderings; only a chunk of one ordering, or of the head,
-    can be longer.
+    """The ``orderings`` report as "json", "text" or "csv": the head, one
+    text per record as it comes, then the tail; the caller writes them.
 
     A term keeps its text while the next record holds the same terms up to
     and at its position, so terms walked depth-first, as
-    ``ordering_records`` yields them, are each formatted once. Each distinct Type I pair and
-    fit summary is formatted once. A format gives its head, a formatter
-    for each of those three, how one ordering is put together from its
-    formatted parts, and the tail that ends the last chunk. The JSON is
+    ``ordering_records`` yields them, are each formatted once. Each distinct
+    Type I pair and fit summary is formatted once. A format gives its head,
+    a formatter for each of those three, how one ordering is put together
+    from its formatted parts, the separator written before every ordering
+    but the first, and its tails without and with orderings. The JSON is
     ``json.dumps(indent=2, allow_nan=False)`` of the report and a newline.
     """
     fields = _orderings_fields(response, model, full)
-    head, entry, term, summary, ordering, tail = _ORDERINGS[fmt](fields)
+    head, entry, term, summary, ordering, separator, tails = _ORDERINGS[fmt](fields)
     entries, summaries, terms = _by_identity(entry), _by_identity(summary), _by_position(term)
-    parts = [head]
-    size = len(head)
+    yield head
+    lead, tail = "", tails[0]
     for r in records:
-        text = ordering(r, entries(r.type1), summaries([r.fit])[0], terms(r.terms))
-        # room for the tail, which the last chunk takes
-        if size + len(text) + len(_TAIL) > _CHUNK:
-            chunk = "".join(parts)
-            parts.clear()  # the orderings' texts go before the chunk is written
-            yield chunk
-            del chunk  # and the chunk before the next is built
-            size = 0
-        parts.append(text)
-        size += len(text)
-    yield tail(parts)
-
-
-# Characters of orderings output per chunk: about 1 MB, some 430 orderings
-# of seven predictors as JSON.
-_CHUNK = 1 << 20
+        yield lead + ordering(r, entries(r.type1), summaries([r.fit])[0], terms(r.terms))
+        lead, tail = separator, tails[1]
+    yield tail
 
 
 def _by_identity(build) -> Callable[[list], list]:
@@ -508,7 +494,8 @@ def _json_orderings(fields: dict[str, Any]) -> tuple:
         return _TERM % (_json_str(t[0]), hit[1])
 
     head = render_json({**fields, "orderings": []})[:-5] + "["  # '[]', '}' and a newline
-    return head, _type1_json, term, _summary_json, _json_ordering, _json_tail
+    tails = "]\n}\n", "\n  ]\n}\n"  # without orderings: '[]'
+    return head, _type1_json, term, _summary_json, _json_ordering, ",", tails
 
 
 def _json_ordering(r: OrderingFit, type1: list[str], summary: str, terms: list[str]) -> str:
@@ -517,19 +504,6 @@ def _json_ordering(r: OrderingFit, type1: list[str], summary: str, terms: list[s
     return _ORDERING % (order, _ITEM8.join(type1), *fit)
 
 
-def _json_tail(parts: list[str]) -> str:
-    """The last chunk, from its parts, and the end of the document: the
-    last ordering loses its comma, and a list that got none is written
-    ``[]``."""
-    if parts[-1].endswith(","):
-        parts[-1] = parts[-1][:-1]
-        parts.append(_TAIL)
-    else:
-        parts.append("]\n}\n")
-    return "".join(parts)
-
-
-_TAIL = "\n  ]\n}\n"
 # The texts ``json.dumps(indent=2)`` writes for the parts of an ordering, at
 # the depths they take in the report, with a slot per value. No list is
 # empty, as an ordering names a predictor; these join their items.
@@ -549,7 +523,7 @@ _ORDERING = """
           %s
         ]
       }
-    },"""
+    }"""
 _SUMMARY = "".join(f'        "{k}": %s,\n' for k in _SUMMARY_STATS)
 _TYPE1 = """{
           "name": %s,
@@ -582,7 +556,7 @@ def _text_orderings(fields: dict[str, Any]) -> tuple:
         f"{_model_line(fields)}\nSS(regression) = {_cell(fields['ss_regression'])};"
         f" SS(total) = {_cell(fields['ss_total'])}\n"
     )
-    return head, _cells, _cells, _summary_text, _text_ordering, "".join
+    return head, _cells, _cells, _summary_text, _text_ordering, "", ("", "")
 
 
 def _cells(row: Sequence) -> list[str]:
@@ -609,7 +583,7 @@ def _csv_orderings(fields: dict[str, Any]) -> tuple:
     quotes each cell on its own, so the rest is written once."""
     stats = [["meta", "", k, fields[k]] for k in ("ss_regression", "ss_total")]
     head = _csv_doc([*_csv_meta(fields), *stats])
-    return head, _type1_csv, _term_csv, _summary_csv, _csv_ordering, "".join
+    return head, _type1_csv, _term_csv, _summary_csv, _csv_ordering, "", ("", "")
 
 
 def _type1_csv(pair: tuple[str, float]) -> str:
@@ -631,6 +605,6 @@ def _csv_ordering(r: OrderingFit, type1: list[str], summary: list[str], terms: l
 
 
 # Each format, from the fields before the orderings: (head, Type I pair,
-# term, fit summary, ordering, tail), as ``render_orderings`` takes them.
-# Text and CSV end as the last ordering does: their tail joins the parts.
+# term, fit summary, ordering, separator, (tail, tail after orderings)), as
+# ``render_orderings`` takes them. Text and CSV end as the last ordering does.
 _ORDERINGS = {"json": _json_orderings, "text": _text_orderings, "csv": _csv_orderings}

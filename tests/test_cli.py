@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from importlib import resources
@@ -21,7 +22,7 @@ from varpart import (
     orthogonal_regression,
     sequential_ss,
 )
-from varpart import report
+from varpart import cli
 from varpart.cli import main
 from varpart.report import render_orderings
 
@@ -100,9 +101,10 @@ class TestGoldenOutputs:
 
     @pytest.mark.parametrize("cmd", ("fit", "decompose", "orderings", "venn"))
     def test_text_is_one_write(self, monkeypatch, cmd):
-        # a one-chunk output is written whole, not character by character
+        # an output of one text, or of fewer texts than a batch, is written
+        # whole, not character by character
         writes = []
-        monkeypatch.setattr(click, "echo", lambda chunk, **kwargs: writes.append(chunk))
+        monkeypatch.setattr(click, "echo", lambda text, **kwargs: writes.append(text))
         main([cmd, "--dwaine"], standalone_mode=False)
         assert writes == [(GOLDEN / f"{cmd}_dwaine.txt").read_text()]
 
@@ -307,21 +309,6 @@ class TestSynth:
         assert header == "x1,x2,y"
         assert len(a.output.splitlines()) == 13
 
-    def test_env_seed_overrides_flag(self, runner):
-        via_env = invoke(
-            runner,
-            "synth", "--n", "12", "--p", "2", "--seed", "1",
-            env={"VARPART_SEED": "2"},
-        )
-        direct = invoke(runner, "synth", "--n", "12", "--p", "2", "--seed", "2")
-        assert via_env.output == direct.output
-
-    def test_bad_env_seed(self, runner):
-        res = runner.invoke(
-            main, ["synth", "--n", "12", "--p", "2"], env={"VARPART_SEED": "abc"}
-        )
-        assert_one_error_line(res)
-
     def test_bad_rho(self, runner):
         res = runner.invoke(main, ["synth", "--n", "12", "--p", "2", "--rho", "1.5"])
         assert res.exit_code == 2
@@ -463,6 +450,57 @@ class TestOrderingsSharing:
         assert res.exit_code == 0
         assert len(json.loads(res.stdout)["orderings"]) == 24
         assert calls == []
+
+
+class TestEmit:
+    """The command's one writer joins ``_BATCH`` of the report's texts per
+    write, to stdout and to ``--out`` alike."""
+
+    class Recorder:
+        """A file that records each text ``writelines`` is given."""
+
+        def __init__(self, fh, writes):
+            self.fh, self.writes = fh, writes
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def writelines(self, texts):
+            for text in texts:
+                self.writes.append(text)
+                self.fh.write(text)
+
+    @pytest.mark.parametrize("batch", (1, 5, 26, 32))
+    @pytest.mark.parametrize("to_file", (False, True), ids=("stdout", "out"))
+    def test_a_write_per_batch(self, runner, tmp_path, monkeypatch, to_file, batch):
+        # 24 orderings of four predictors: the head, 24 texts and the tail
+        data = tmp_path / "p4.csv"
+        invoke(runner, "synth", "--n", "30", "--p", "4", "--rho", "0.5", "--out", str(data))
+        args = ["orderings", "--input", str(data), "--response", "y",
+                "--predictors", "x1,x2,x3,x4", "--format", "json"]
+        want = invoke(runner, *args).stdout
+        monkeypatch.setattr(cli, "_BATCH", batch)
+        writes = []
+        if to_file:
+            out = tmp_path / "out.txt"
+            monkeypatch.setattr(
+                cli, "open", lambda *a, **kw: self.Recorder(open(*a, **kw), writes),
+                raising=False,
+            )
+            assert invoke(runner, *args, "--out", str(out)).stdout == ""
+            assert out.read_text(encoding="utf-8") == want
+        else:
+            def echo(text, **kwargs):
+                assert kwargs == {"nl": False, "color": True}
+                writes.append(text)
+
+            monkeypatch.setattr(click, "echo", echo)
+            main(args, standalone_mode=False)
+        assert len(writes) == math.ceil(26 / batch)
+        assert "".join(writes) == want
 
 
 # Files with two faults each, with the exit code and the error line of a
@@ -640,8 +678,7 @@ class TestRealProcess:
     )
     def test_stdout_bytes_equal_out_file_bytes(self, tmp_path, cmd, fmt):
         # click strips ANSI escape sequences off text bound for a pipe; the
-        # 720 orderings of six predictors are written in several chunks as
-        # JSON or CSV
+        # 720 orderings of six predictors are written in 23 batches
         name = "\x1b[31mx1\x1b[0m"
         names = [name, *(f"x{i}" for i in range(2, 7))]
         x = np.random.default_rng(3).standard_normal((12, 7))  # response, predictors
@@ -655,12 +692,38 @@ class TestRealProcess:
         shown = json.dumps(name) if fmt == "json" else name
         assert piped.returncode == 0 and shown.encode() in piped.stdout
         assert piped.stdout == out.read_bytes()
-        if cmd == "orderings" and fmt != "text":
-            assert len(piped.stdout) > report._CHUNK
+        if cmd == "orderings":  # all 720 orderings, in several writes
+            lines = piped.stdout.splitlines()
+            count = {
+                "json": lines.count(b'      "order": ['),
+                "text": sum(ln.startswith(b"Ordering: ") for ln in lines),
+                "csv": len({ln.split(b",")[0] for ln in lines if ln.startswith(b"order:")}),
+            }[fmt]
+            assert count == 720
+
+    def test_closed_stdout_exits_1_with_no_message(self, tmp_path):
+        # the reader stops after 100 bytes, as `| head -c 100` does, of the
+        # 1.5 MB of JSON of 720 orderings: click's own EPIPE exit, not an
+        # input error
+        data = tmp_path / "p6.csv"
+        synth = self.run("synth", "--n", "200", "--p", "6", "--rho", "0.6", "--out", str(data))
+        assert synth.returncode == 0
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "varpart.cli", "orderings", "--input", str(data),
+             "--response", "y", "--predictors", "x1,x2,x3,x4,x5,x6", "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert stderr == b""
 
     @pytest.mark.parametrize("fmt", ("json", "text", "csv"))
     def test_failed_orderings_create_no_out_file(self, tmp_path, fmt):
-        # every ordering is solved before the first chunk is written
+        # every ordering is checked and the model fitted before any output
         rows = "".join(f"{i},{i},{2 * i},{i % 3}\n" for i in range(1, 9))
         path = write(tmp_path, "y,a,b,c\n" + rows)
         out = tmp_path / "out.txt"

@@ -385,55 +385,44 @@ class TestOrderingsJson:
         self.assert_matches_payload(c, names, [*ordering_records(c, enumerate_orderings(names))])
 
     def test_no_records(self, centered):
-        (out,) = render_orderings("json", "SALES", MODEL, fit_ols(centered, MODEL), [])
-        assert out == json_oracle(orderings_payload("SALES", MODEL, fit_ols(centered, MODEL), []))
-        assert out.endswith('"orderings": []\n}\n')
-
-    def test_the_tail_stays_within_the_bound(self, monkeypatch, centered):
-        # at a bound one character short of the whole text, the tail that
-        # ends the last chunk must not take that chunk past the bound
         full = fit_ols(centered, MODEL)
-        records = [*ordering_records(centered, [MODEL])]
-        (whole,) = render_orderings("json", "SALES", MODEL, full, records)
-        monkeypatch.setattr(report, "_CHUNK", len(whole) - 1)
-        chunks = list(render_orderings("json", "SALES", MODEL, full, records))
-        assert len(chunks) == 2 and max(map(len, chunks)) <= report._CHUNK
-        assert "".join(chunks) == whole
+        texts = [*render_orderings("json", "SALES", MODEL, full, [])]
+        assert len(texts) == 2  # the head and the tail
+        assert "".join(texts) == json_oracle(orderings_payload("SALES", MODEL, full, []))
+        assert texts[1] == "]\n}\n" and texts[0].endswith('"orderings": [')
 
-    def test_chunks_of_six_predictors(self):
-        # 720 orderings are about 1.5 MB of text: two chunks or more, and no
-        # chunk holds more than the bound
+    def test_six_predictors(self):
         c = correlated_centered(6, 6)
         names = c.predictor_names
         records = [*ordering_records(c, enumerate_orderings(names))]
         full = fit_ols(c, names)
-        chunks = list(render_orderings("json", "y", names, full, records))
-        assert len(chunks) > 1
-        assert max(map(len, chunks)) <= report._CHUNK
-        assert all(chunk.endswith(("[", "},")) for chunk in chunks[:-1])  # between orderings
-        assert "".join(chunks) == json_oracle(orderings_payload("y", names, full, records))
+        oracle = json_oracle(orderings_payload("y", names, full, records))
+        assert orderings_json("y", names, full, records) == oracle
 
-    # with the text each format starts an ordering with
+
+class TestTextPerOrdering:
+    # with the text each format starts an ordering with; JSON writes its
+    # comma before every ordering but the first
     @pytest.mark.parametrize(
-        "fmt, start", [("json", "\n    {"), ("text", "\nOrdering: "), ("csv", "order:")]
+        "fmt, start, later",
+        [("json", "\n    {", ",\n    {"), ("text", "\nOrdering: ", None), ("csv", "order:", None)],
     )
-    def test_a_chunk_per_ordering_past_a_tiny_bound(self, monkeypatch, fmt, start):
-        # the fields before the orderings, and each ordering, make a chunk
-        # of their own when any two together pass the bound
-        c = correlated_centered(8, 4)
+    @pytest.mark.parametrize("p", (1, 4))
+    def test_the_head_a_text_per_record_and_the_tail(self, fmt, start, later, p):
+        c = correlated_centered(8, p)
         names = c.predictor_names
         records = [*ordering_records(c, enumerate_orderings(names))]
         full = fit_ols(c, names)
-        (whole,) = render_orderings(fmt, "y", names, full, records)
-        monkeypatch.setattr(report, "_CHUNK", 1)
-        chunks = list(render_orderings(fmt, "y", names, full, records))
-        assert len(chunks) == 1 + len(records)
-        assert start not in chunks[0]
-        assert all(chunk.startswith(start) for chunk in chunks[1:])
-        assert "".join(chunks) == whole
+        texts = [*render_orderings(fmt, "y", names, full, records)]
+        assert len(texts) == 2 + len(records)
+        head, first, *rest, tail = texts
+        assert start not in head
+        assert first.startswith(start)
+        assert all(text.startswith(later or start) for text in rest)
+        assert start not in tail
         if fmt == "json":
-            assert chunks[0].endswith('"orderings": [')
-            assert whole == json_oracle(orderings_payload("y", names, full, records))
+            assert head.endswith('"orderings": [') and tail == "\n  ]\n}\n"
+            assert "".join(texts) == json_oracle(orderings_payload("y", names, full, records))
 
 
 class TestFormatOnce:
@@ -454,13 +443,13 @@ class TestFormatOnce:
         make = report._ORDERINGS[fmt]
 
         def counted(fields):
-            head, entry, term, summary, ordering, tail = make(fields)
+            head, entry, term, summary, ordering, *ends = make(fields)
 
             def spy(kind, formatter):
                 return lambda value: calls[kind].append(value) or formatter(value)
 
             parts = spy("entry", entry), spy("term", term), spy("summary", summary)
-            return head, *parts, ordering, tail
+            return head, *parts, ordering, *ends
 
         monkeypatch.setitem(report._ORDERINGS, fmt, counted)
         # and streamed from the walk, as the command writes them
@@ -503,9 +492,10 @@ class TestStreamedRecords:
     @pytest.mark.parametrize("fmt", ("json", "text", "csv"))
     def test_all_orderings_of_seven_predictors_in_bounded_memory(self, fmt):
         # the walk holds the terms of one path of prefixes and the values per
-        # set of predictors, the writer a chunk of about 1 MB: tracemalloc
-        # read 15.5 (json, text) and 17.1 MB (csv) when every record, term
-        # and text was held until the last chunk
+        # set of predictors, the writer one ordering's text: tracemalloc reads
+        # 0.95 (json), 0.27 (text) and 0.31 MB (csv), against 3.1 and 2.5 MB
+        # when the writer built chunks of about 1 MB, and 15.5 (json, text)
+        # and 17.1 MB (csv) when every record, term and text was held
         spec = SyntheticSpec(
             n=200, p=7, correlation=exchangeable_correlation(7, 0.6),
             signal_coefficients=np.ones(7), noise_sd=1.0, seed=4242,
@@ -513,7 +503,7 @@ class TestStreamedRecords:
         c = mean_center(generate_synthetic(spec))
         names = c.predictor_names
         full = fit_ols(c, names)
-        records = ordering_records(c, enumerate_orderings(names))  # every solve
+        records = ordering_records(c, enumerate_orderings(names))  # the walk solves as it goes
         tracemalloc.start()
         try:
             size = sum(map(len, render_orderings(fmt, "y", names, full, records)))
@@ -521,7 +511,7 @@ class TestStreamedRecords:
         finally:
             tracemalloc.stop()
         assert size > 3_000_000  # 5,040 orderings were written
-        assert peak <= 5_000_000
+        assert peak <= 1_500_000
 
 
 class TestCsv:
