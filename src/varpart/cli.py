@@ -35,7 +35,7 @@ from .data_io import (
 from .decomposition import (
     compare_report,
     enumerate_orderings,
-    ordering_records,
+    ordering_walk,
     venn_regions,
 )
 from .errors import ConstantColumn, SingularDesign, TooManyOrderings, VarpartError
@@ -255,18 +255,10 @@ def decompose(c, model, fmt):
 )
 def orderings(c, model, fmt, orders):
     """Sequential (Type I) SS and the orthogonal-function fit per ordering."""
-    if orders:
-        ordering_list = tuple(_split(o) for o in orders)
-        for o in ordering_list:
-            if sorted(o) != sorted(model):
-                _fail(f"--order {','.join(o)} is not a permutation of the model", _EXIT_INPUT)
-    else:
-        ordering_list = enumerate_orderings(model)
-    full = fit_ols(c, model)
     # every ordering is checked and the model fitted before any output; the
     # walk solves each prefix set lazily, under that one fit's guard
-    records = ordering_records(c, ordering_list)
-    return render_orderings(fmt, c.response_name, model, full, records)
+    walk = ordering_walk(c, model, map(_split, orders) if orders else enumerate_orderings(model))
+    return render_orderings(fmt, c.response_name, model, walk)
 
 
 @_analysis("text", "json", "csv", "svg")

@@ -200,11 +200,7 @@ class OrderingFit(NamedTuple):
     ``type1`` pairs each predictor with its Type I SS, and ``terms`` holds
     each orthogonal-function term as (label, b, se, z, t). ``fit`` is the
     fit on the predictor set, whose SS, R2 and F the orthogonal-function
-    fit shares; ``intercept`` is the orthogonal-function fit's own. In the
-    records of one ``ordering_records`` call, the fit and each Type I pair,
-    term's four statistics and intercept is one object in every record
-    that holds it; a term is one object while consecutive records share
-    its prefix.
+    fit shares; ``intercept`` is the orthogonal-function fit's own.
     """
 
     order: tuple[str, ...]
@@ -221,21 +217,20 @@ class _Orderings:
     slope is that fit's coefficient, its column (o[k] residualized on
     o[:k]) has SS 1 / (A^-1)_kk, and its Type I SS is slope^2 times that
     SS. Each value is derived once for all orderings that share it: a Type
-    I pair and a term's statistics per prefix set and predictor, an
-    intercept per first predictor. A term's label names its ordered prefix,
-    so ``records`` keeps the current ordering's terms only. Sets are bit
+    I pair (``entry``) and a term's statistics (``stats``) per prefix set
+    and predictor, an ``intercept`` per first predictor. Sets are bit
     masks over the predictors' indices.
     """
 
     def __init__(self, c: CenteredData, model: Iterable[str]):
         self._c = c
         self._bit = {nm: 1 << i for i, nm in enumerate(c.predictor_names)}
-        self._whole = sum(self._bit.get(nm, 0) for nm in set(model))
-        self.model = tuple(nm for nm, b in self._bit.items() if self._whole & b)
+        self.model = _canonical_model(c, model)
+        self._whole = sum(map(self._bit.__getitem__, self.model))
         self._solve = cache(lambda mask: c._memo.solve(i for i in range(c.p) if mask >> i & 1))
-        self._type1 = cache(self._type1_pair)
-        self._stats = cache(self._term_stats)
-        self._intercept = cache(self._first_intercept)
+        self.entry = cache(self._type1_pair)
+        self.stats = cache(self._term_stats)
+        self.intercept = cache(self._first_intercept)
 
     def masks(self, ordering: tuple[str, ...]) -> list[int]:
         """The set of each prefix of ``ordering``: EmptySubset if it is empty, then
@@ -273,24 +268,43 @@ class _Orderings:
             return float(c.exact.means[-1] - slope * c.exact.means[i])
 
     def type1(self, masks: list[int], ordering: Sequence[str]) -> list[tuple[str, float]]:
-        return [*map(self._type1, masks, ordering)]
+        return [*map(self.entry, masks, ordering)]
 
-    def records(self, orderings: Iterable[tuple[str, ...]], fit: OlsFit) -> Iterator[OrderingFit]:
-        """The record of each ordering; the terms of the prefix it shares
-        with the last ordering are reused, and the rest are built anew."""
-        last, path = (), []
+    def walk(self, orderings: Iterable[tuple[str, ...]]) -> Iterator[tuple]:
+        """Each (checked) ordering as (k, ordering, masks, labels): k is how
+        many leading names it shares with the last ordering, and the set and
+        term label of each prefix are kept for those k and made for the rest.
+        The two lists are the walk's own, changed in place as it moves on."""
+        last, masks, labels = (), [], []
         for ordering in orderings:
-            masks = self.masks(ordering)
-            # how many leading names this ordering shares with the last
-            k = next((i for i, (held, nm) in enumerate(zip(last, ordering)) if held != nm), len(last))
-            del path[k:]
+            k = 0
+            for held, nm in zip(last, ordering):
+                if held != nm:
+                    break
+                k += 1
+            del masks[k:], labels[k:]
+            mask = masks[-1] if k else 0
             for i in range(k, len(ordering)):
                 nm = ordering[i]
-                label = f"{nm}|{','.join(ordering[:i])}" if i else nm
-                path.append((label, *self._stats(masks[i], nm)))
-            type1 = [*map(self._type1, masks, ordering)]
-            yield OrderingFit(ordering, type1, [*path], self._intercept(ordering[0]), fit)
+                mask |= self._bit[nm]
+                masks.append(mask)
+                labels.append(f"{nm}|{','.join(ordering[:i])}" if i else nm)
+            yield k, ordering, masks, labels
             last = ordering
+
+
+class OrderingWalk(NamedTuple):
+    """Orderings of one predictor set, each checked and the set fitted.
+
+    ``steps`` walks them as ``_Orderings.walk`` does, solving each prefix
+    set when it first reaches it, under the guard of ``fit``; ``values``
+    gives each Type I pair and term statistics by (prefix set, predictor)
+    and each intercept by first predictor.
+    """
+
+    fit: OlsFit
+    values: _Orderings
+    steps: Iterator[tuple]
 
 
 def residualize(
@@ -384,6 +398,20 @@ def orthogonal_regression(c: CenteredData, ordering: Sequence[str]) -> OlsFit:
     return dataclasses.replace(rec.fit, predictor_subset=labels, b=b, se=se, t=t, z=z, intercept=rec.intercept)
 
 
+def ordering_walk(
+    c: CenteredData, model: Iterable[str], orderings: Iterable[Sequence[str]]
+) -> OrderingWalk:
+    """Check every ordering against ``model``, fit the model, and return the
+    walk over the orderings. The fit's guard covers every prefix set, which
+    the walk solves when it first reaches it; depth-first, as
+    ``enumerate_orderings`` lists them, each ordered prefix is entered once.
+    """
+    values, orderings = _Orderings(c, model), [*map(tuple, orderings)]
+    for ordering in orderings:
+        values.masks(ordering)
+    return OrderingWalk(fit_ols(c, values.model), values, values.walk(orderings))
+
+
 def ordering_records(c: CenteredData, orderings: Iterable[Sequence[str]]) -> Iterator[OrderingFit]:
     """Type I table and orthogonal-function fit of each ordering, one record
     at a time.
@@ -391,18 +419,21 @@ def ordering_records(c: CenteredData, orderings: Iterable[Sequence[str]]) -> Ite
     Each record holds ``sequential_ss(c, ordering)`` as ``type1`` and the
     terms, intercept and full fit of ``orthogonal_regression(c,
     ordering)``, value for value. The orderings permute one predictor set,
-    that of the first. Each is checked and the set fitted before this
-    returns; the fit's guard covers every prefix set, which the walk solves
-    when it first reaches it. Given depth-first, as ``enumerate_orderings``
-    lists them, the records hold one ordering's terms at a time.
+    that of the first; they are checked and the set fitted before this
+    returns, and the records are built from ``ordering_walk``.
     """
     orderings = [*map(tuple, orderings)]
     if not orderings:
         return iter(())
-    stats = _Orderings(c, orderings[0])
-    for ordering in orderings:
-        stats.masks(ordering)
-    return stats.records(orderings, fit_ols(c, stats.model))
+    fit, values, steps = ordering_walk(c, orderings[0], orderings)
+    return (
+        OrderingFit(
+            order, values.type1(masks, order),
+            [(label, *values.stats(m, nm)) for label, m, nm in zip(labels, masks, order)],
+            values.intercept(order[0]), fit,
+        )
+        for _, order, masks, labels in steps
+    )
 
 
 def residualized_simple_fits(

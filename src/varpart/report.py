@@ -11,9 +11,9 @@ allow_nan=False)`` and a newline.
 
 ``orderings`` (12 MB of JSON at seven predictors) builds no payload:
 ``render_orderings`` yields each of the three formats straight from the
-ordering records as they come, one text per ordering, formatting each
-Type I pair, term and fit summary that the records share once, with the
-same cells and layout the payload renderers use.
+depth-first walk over the orderings, one text per ordering, from a stack
+of texts per depth of the current prefix and texts made once per (prefix
+set, predictor), with the same cells and layout the payload renderers use.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from types import SimpleNamespace
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
-from .decomposition import OVERLAP_NOISE, DecompositionReport, OrderingFit, VennRegions
+from .decomposition import OVERLAP_NOISE, DecompositionReport, OrderingWalk, VennRegions
 from .ols_core import OlsFit, anova_table
 from .textfmt import fmt2
 
@@ -233,12 +234,12 @@ def _model_line(payload: dict[str, Any]) -> str:
 
 def _coef_rows(coefs: list[dict[str, Any]], intercept: float | None) -> list[str]:
     terms = [[cf["name"], *(_cell(cf[k]) for k in _COEF_STATS)] for cf in coefs]
-    return _coef_table(terms, intercept)
+    return _coef_table(terms, _cell(intercept))
 
 
-def _coef_table(terms: list[list[str]], intercept: float | None) -> list[str]:
-    """The coefficient table of terms given as their cells."""
-    rows = [["Term", *_COEF_STATS], ["Intercept", _cell(intercept), "", "", ""], *terms]
+def _coef_table(terms: Sequence[list[str]], intercept: str) -> list[str]:
+    """The coefficient table of terms and the intercept given as their cells."""
+    rows = [["Term", *_COEF_STATS], ["Intercept", intercept, "", "", ""], *terms]
     return _layout(rows, "lrrrr")
 
 
@@ -413,95 +414,69 @@ def render_csv(payload: dict[str, Any]) -> str:
 # --------------------------------------------------------------- orderings
 
 
-def render_orderings(
-    fmt: str, response: str, model: Sequence[str], full: OlsFit, records: Iterable[OrderingFit]
-) -> Iterator[str]:
+def render_orderings(fmt: str, response: str, model: Sequence[str], walk: OrderingWalk) -> Iterator[str]:
     """The ``orderings`` report as "json", "text" or "csv": the head, one
-    text per record as it comes, then the tail; the caller writes them.
+    text per ordering as the walk reaches it, then the tail; the caller
+    writes them.
 
-    A term keeps its text while the next record holds the same terms up to
-    and at its position, so terms walked depth-first, as
-    ``ordering_records`` yields them, are each formatted once. Each distinct
-    Type I pair and fit summary is formatted once. A format gives its head,
-    a formatter for each of those three, how one ordering is put together
-    from its formatted parts, the separator written before every ordering
-    but the first, and its tails without and with orderings. The JSON is
+    The writer keeps a stack of texts, one item per depth of the walk's
+    current prefix: the item holds that position's Type I entry and term
+    (in JSON, their running joins with the items below). An ordering cuts
+    the stack back to the prefix it shares with the last one, pushes its
+    other positions and fills its template once. The texts of a Type I
+    entry and of a term's four statistics are made once per (prefix set,
+    predictor), an intercept's once per first predictor and the fit
+    summary once. A format gives its head, the texts of one (prefix set,
+    predictor), a depth's item, an intercept's text, how one ordering is
+    put together, the separator written before every ordering but the
+    first, and its tails without and with orderings. The JSON is
     ``json.dumps(indent=2, allow_nan=False)`` of the report and a newline.
     """
-    fields = _orderings_fields(response, model, full)
-    head, entry, term, summary, ordering, separator, tails = _ORDERINGS[fmt](fields)
-    entries, summaries, terms = _by_identity(entry), _by_identity(summary), _by_position(term)
+    fit, values, steps = walk
+    head, texts, depth, intercept, ordering, separator, tails = _ORDERINGS[fmt](
+        _orderings_fields(response, model, fit), fit
+    )
+    cells = cache(lambda mask, nm: texts(values.entry(mask, nm), values.stats(mask, nm)))
+    intercepts = cache(lambda nm: intercept(values.intercept(nm)))
+    stack: list = []
     yield head
     lead, tail = "", tails[0]
-    for r in records:
-        yield lead + ordering(r, entries(r.type1), summaries([r.fit])[0], terms(r.terms))
+    for k, order, masks, labels in steps:
+        del stack[k:]
+        for i in range(k, len(order)):
+            stack.append(depth(stack[-1] if i else None, labels[i], cells(masks[i], order[i])))
+        yield lead + ordering(order, stack, intercepts(order[0]))
         lead, tail = separator, tails[1]
     yield tail
-
-
-def _by_identity(build) -> Callable[[list], list]:
-    """Texts of a list of values, ``build(value)`` once per distinct object;
-    each object is kept with its text, so no id is reused while it is a key."""
-    texts: dict[int, Any] = {}
-    kept = []
-
-    def of(values: list) -> list:
-        while None in (out := [*map(texts.get, map(id, values))]):
-            kept.append(value := values[out.index(None)])
-            texts[id(value)] = build(value)
-        return out
-
-    return of
-
-
-def _by_position(build) -> Callable[[list], list]:
-    """Texts of a list of values, ``build(value)`` from the first position
-    whose object is not the last list's; those objects are kept with
-    their texts, so no id is reused while it is compared."""
-    last: list = []
-    texts: list = []
-
-    def of(values: list) -> list:
-        k = 0
-        for held, value in zip(last, values):
-            if held is not value:
-                break
-            k += 1
-        del last[k:], texts[k:]
-        last.extend(values[k:])
-        texts.extend(map(build, values[k:]))
-        return [*texts]
-
-    return of
 
 
 _SUMMARY_STATS = ("ss_regression", "ss_residual", "r2", "f")
 
 
-def _json_orderings(fields: dict[str, Any]) -> tuple:
-    """JSON: a term's four statistics are written once per distinct set of
-    those float objects, which are kept with their text so that no id is
-    reused while it is a key; floats by ``float.__repr__`` (``null`` where
-    not finite) and strings by ``json``'s encoder, as ``json.dumps`` writes
-    them."""
-    suffixes: dict[tuple[int, ...], tuple[tuple, str]] = {}
+def _json_orderings(fields: dict[str, Any], fit: OlsFit) -> tuple:
+    """JSON: a depth's item holds the running joins of the names, Type I
+    entries and terms up to it; floats are written by ``float.__repr__``
+    (``null`` where not finite) and strings by ``json``'s encoder, as
+    ``json.dumps`` writes them."""
+    summary = _SUMMARY % tuple(_json_num(getattr(fit, k)) for k in _SUMMARY_STATS)
 
-    def term(t: Sequence) -> str:
-        key = id(t[1]), id(t[2]), id(t[3]), id(t[4])
-        hit = suffixes.get(key)
-        if hit is None:
-            hit = suffixes[key] = t[1:], _TERM_STATS % tuple(map(_json_num, t[1:]))
-        return _TERM % (_json_str(t[0]), hit[1])
+    def texts(pair: tuple[str, float], stats: Sequence[float]) -> tuple[str, str, str]:
+        entry = _TYPE1 % (_json_str(pair[0]), _json_num(pair[1]))
+        return _json_str(pair[0]), entry, _TERM_STATS % tuple(map(_json_num, stats))
+
+    def depth(below: tuple | None, label: str, cells: tuple[str, str, str]) -> tuple[str, str, str]:
+        name, entry, term = cells[0], cells[1], _TERM % (_json_str(label), cells[2])
+        if below is None:
+            return name, entry, term
+        return below[0] + _ITEM8 + name, below[1] + _ITEM8 + entry, below[2] + _ITEM10 + term
+
+    def ordering(order: tuple[str, ...], stack: list, intercept: str) -> str:
+        names, entries, terms = stack[-1]
+        return _ORDERING % (names, entries, summary, intercept, terms)
 
     head = render_json({**fields, "orderings": []})[:-5] + "["  # '[]', '}' and a newline
     tails = "]\n}\n", "\n  ]\n}\n"  # without orderings: '[]'
-    return head, _type1_json, term, _summary_json, _json_ordering, ",", tails
-
-
-def _json_ordering(r: OrderingFit, type1: list[str], summary: str, terms: list[str]) -> str:
-    order = _ITEM8.join(map(_json_str, r.order))
-    fit = summary, _json_num(r.intercept), _ITEM10.join(terms)
-    return _ORDERING % (order, _ITEM8.join(type1), *fit)
+    return head, texts, depth, _json_num, ordering, ",", tails
 
 
 # The texts ``json.dumps(indent=2)`` writes for the parts of an ordering, at
@@ -542,69 +517,63 @@ def _json_num(x: float) -> str:
     return float.__repr__(x) if math.isfinite(x) else "null"
 
 
-def _type1_json(pair: tuple[str, float]) -> str:
-    return _TYPE1 % (_json_str(pair[0]), _json_num(pair[1]))
-
-
-def _summary_json(fit: OlsFit) -> str:
-    return _SUMMARY % tuple(_json_num(getattr(fit, k)) for k in _SUMMARY_STATS)
-
-
-def _text_orderings(fields: dict[str, Any]) -> tuple:
-    """Text: each ordering's two tables are padded to their own columns."""
+def _text_orderings(fields: dict[str, Any], fit: OlsFit) -> tuple:
+    """Text: a depth's item holds its Type I and term rows as cells; each
+    ordering's two tables are padded to their own columns."""
     head = (
         f"{_model_line(fields)}\nSS(regression) = {_cell(fields['ss_regression'])};"
         f" SS(total) = {_cell(fields['ss_total'])}\n"
     )
-    return head, _cells, _cells, _summary_text, _text_ordering, "", ("", "")
+    summary = "Orthogonal-function fit: SS(reg) = %s; R2 = %s; F = %s" % tuple(
+        map(_cell, (fit.ss_regression, fit.r2, fit.f))
+    )
+
+    def texts(pair: tuple[str, float], stats: Sequence[float]) -> tuple[list[str], list[str]]:
+        return [pair[0], _cell(pair[1])], [*map(_cell, stats)]
+
+    def depth(below: tuple | None, label: str, cells: tuple) -> tuple[list[str], list[str]]:
+        return cells[0], [label, *cells[1]]
+
+    def ordering(order: tuple[str, ...], stack: list, intercept: str) -> str:
+        entries, terms = zip(*stack)
+        lines = ["", f"Ordering: {', '.join(order)}"]
+        lines += _layout([["Term", "Type I SS"], *entries], "lr")
+        lines.append(summary)
+        lines += _coef_table(terms, intercept)
+        return "\n".join(lines) + "\n"
+
+    return head, texts, depth, _cell, ordering, "", ("", "")
 
 
-def _cells(row: Sequence) -> list[str]:
-    """A Type I pair or a term as its table cells: the name, then each number."""
-    return [row[0], *map(_cell, row[1:])]
-
-
-def _summary_text(fit: OlsFit) -> str:
-    cells = map(_cell, (fit.ss_regression, fit.r2, fit.f))
-    return "Orthogonal-function fit: SS(reg) = %s; R2 = %s; F = %s" % tuple(cells)
-
-
-def _text_ordering(r: OrderingFit, type1: list, summary: str, terms: list) -> str:
-    lines = ["", f"Ordering: {', '.join(r.order)}"]
-    lines += _layout([["Term", "Type I SS"], *type1], "lr")
-    lines.append(summary)
-    lines += _coef_table(terms, r.intercept)
-    return "\n".join(lines) + "\n"
-
-
-def _csv_orderings(fields: dict[str, Any]) -> tuple:
-    """CSV: a row is the ordering's section cell and the rest of the row,
-    which belongs to its Type I pair, term or fit summary alone; the writer
-    quotes each cell on its own, so the rest is written once."""
+def _csv_orderings(fields: dict[str, Any], fit: OlsFit) -> tuple:
+    """CSV: a row is the ordering's section cell and the rest of the row; a
+    term's rows are its label cell and the rows of its statistics. The
+    writer quotes each cell on its own, so each part is written once."""
     stats = [["meta", "", k, fields[k]] for k in ("ss_regression", "ss_total")]
     head = _csv_doc([*_csv_meta(fields), *stats])
-    return head, _type1_csv, _term_csv, _summary_csv, _csv_ordering, "", ("", "")
+    summary = [_csv_row(("", k, _csv_value(_num(getattr(fit, k))))) for k in _SUMMARY_STATS]
+
+    def texts(pair: tuple[str, float], stats: Sequence[float]) -> tuple[str, list[str]]:
+        entry = _csv_row((pair[0], "type1_ss", _csv_value(_num(pair[1]))))
+        return entry, [_csv_row((k, _csv_value(_num(x)))) for k, x in zip(_COEF_STATS, stats)]
+
+    def depth(below: tuple | None, label: str, cells: tuple) -> tuple[str, list[str]]:
+        cell = _csv_row((label, ""))[:-1]  # the cell and its comma
+        return cells[0], [cell + row for row in cells[1]]
+
+    def intercept(x: float) -> str:
+        return _csv_row(("", "intercept", _csv_value(_num(x))))
+
+    def ordering(order: tuple[str, ...], stack: list, intercept: str) -> str:
+        entries, terms = zip(*stack)
+        section = _csv_row(("order:" + ">".join(order), ""))[:-1]
+        return section + section.join([*entries, *summary, intercept, *chain.from_iterable(terms)])
+
+    return head, texts, depth, intercept, ordering, "", ("", "")
 
 
-def _type1_csv(pair: tuple[str, float]) -> str:
-    return _csv_row((pair[0], "type1_ss", _csv_value(_num(pair[1]))))
-
-
-def _term_csv(t: Sequence) -> list[str]:
-    return [_csv_row((t[0], k, _csv_value(_num(x)))) for k, x in zip(_COEF_STATS, t[1:])]
-
-
-def _summary_csv(fit: OlsFit) -> list[str]:
-    return [_csv_row(("", k, _csv_value(_num(getattr(fit, k))))) for k in _SUMMARY_STATS]
-
-
-def _csv_ordering(r: OrderingFit, type1: list[str], summary: list[str], terms: list) -> str:
-    section = _csv_row(("order:" + ">".join(r.order), ""))[:-1]  # the cell and its comma
-    intercept = _csv_row(("", "intercept", _csv_value(_num(r.intercept))))
-    return section + section.join([*type1, *summary, intercept, *chain.from_iterable(terms)])
-
-
-# Each format, from the fields before the orderings: (head, Type I pair,
-# term, fit summary, ordering, separator, (tail, tail after orderings)), as
-# ``render_orderings`` takes them. Text and CSV end as the last ordering does.
+# Each format, from the fields before the orderings and the fit: (head, the
+# texts of one (prefix set, predictor), depth item, intercept, ordering,
+# separator, (tail, tail after orderings)), as ``render_orderings`` takes
+# them. Text and CSV end as the last ordering does.
 _ORDERINGS = {"json": _json_orderings, "text": _text_orderings, "csv": _csv_orderings}

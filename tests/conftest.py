@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from varpart import Dataset, OrderingFit, dwaine_fixture, mean_center
-from varpart.report import SCHEMA_VERSION
+from varpart.decomposition import ordering_walk
+from varpart.report import SCHEMA_VERSION, render_orderings
 
 MODEL = ("TARGTPOP", "DISPOINC")
 
@@ -36,9 +37,9 @@ def make_dataset(x: np.ndarray, y: np.ndarray) -> Dataset:
 
 
 def ordering_record(order, seq, fit) -> OrderingFit:
-    """The record ``report.render_orderings`` takes, from a Type I table and
-    an orthogonal-function fit computed on their own: no value in it is
-    shared with another record."""
+    """The record ``decomposition.ordering_records`` gives, from a Type I
+    table and an orthogonal-function fit computed on their own: no value in
+    it is shared with another record."""
     terms = list(zip(fit.predictor_subset, fit.b, fit.se, fit.z, fit.t))
     return OrderingFit(tuple(order), seq, terms, fit.intercept, fit)
 
@@ -51,7 +52,8 @@ def _num(x):
 def orderings_payload(response, model, full, records) -> dict:
     """The ``orderings`` report as plain dicts, one per value and nothing
     shared: ``json.dumps(payload, indent=2, allow_nan=False)`` and a newline
-    is the oracle of ``report.render_orderings("json", ...)``."""
+    is the oracle of ``report.render_orderings("json", ...)`` of the walk
+    over the records' orderings."""
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "orderings",
@@ -79,6 +81,18 @@ def orderings_payload(response, model, full, records) -> dict:
             for r in records
         ],
     }
+
+
+def report_by_ordering(fmt, response, model, c, orderings) -> str:
+    """The ``orderings`` report put together from one-ordering reports: the
+    head, each ordering's section as the report of that ordering alone
+    writes it (JSON separates them with a comma), and the tail; nothing is
+    shared between orderings."""
+    if not orderings:
+        return "".join(render_orderings(fmt, response, model, ordering_walk(c, model, [])))
+    reports = [[*render_orderings(fmt, response, model, ordering_walk(c, model, [o]))] for o in orderings]
+    (head, _, tail), sep = reports[0], "," if fmt == "json" else ""
+    return head + sep.join(section for _, section, _ in reports) + tail
 
 
 @pytest.fixture(scope="session")

@@ -24,9 +24,7 @@ from varpart import (
 )
 from varpart import cli
 from varpart.cli import main
-from varpart.report import render_orderings
-
-from conftest import ordering_record, orderings_payload
+from conftest import ordering_record, orderings_payload, report_by_ordering
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -283,11 +281,31 @@ class TestExitCodes:
         )
         assert res.exit_code == 0
 
-    def test_order_must_be_permutation(self, runner):
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ("TARGTPOP,TARGTPOP", "repeats a predictor"),
+            ("TARGTPOP", "is not a permutation of ('TARGTPOP', 'DISPOINC')"),
+            ("TARGTPOP,SALES", "SALES"),
+            (",", "at least one predictor"),
+        ],
+        ids=["repeat", "missing", "unknown", "empty"],
+    )
+    def test_order_must_be_permutation(self, runner, order, message):
+        # every --order list goes through the library's one ordering check,
+        # which the model passes too, before any output
         res = runner.invoke(
-            main, ["orderings", "--dwaine", "--order", "TARGTPOP"]
+            main, ["orderings", "--dwaine", "--order", "TARGTPOP,DISPOINC", "--order", order]
         )
         assert_one_error_line(res)
+        assert message in res.stderr
+
+    def test_unknown_model_name_with_order(self, runner):
+        res = runner.invoke(
+            main, ["orderings", "--dwaine", "--model", "TARGTPOP,NOPE", "--order", "TARGTPOP"]
+        )
+        assert_one_error_line(res)
+        assert "NOPE" in res.stderr
 
     def test_svg_is_venn_only(self, runner):
         res = runner.invoke(main, ["fit", "--dwaine", "--format", "svg"])
@@ -400,16 +418,15 @@ class TestOrderingsSharing:
             if orders
             else enumerate_orderings(preds)
         )
-        entries = [
-            ordering_record(o, sequential_ss(c, o), orthogonal_regression(c, o))
-            for o in ordering_list
-        ]
-        expected = "".join(render_orderings(fmt, "y", preds, fit_ols(c, preds), entries))
-        assert res.stdout == expected
+        assert res.stdout == report_by_ordering(fmt, "y", preds, c, ordering_list)
         if fmt == "json":
             # the stdlib encoder, not the writer under test, is the oracle
+            entries = [
+                ordering_record(o, sequential_ss(c, o), orthogonal_regression(c, o))
+                for o in ordering_list
+            ]
             payload = orderings_payload("y", preds, fit_ols(c, preds), entries)
-            assert expected == json.dumps(payload, indent=2, allow_nan=False) + "\n"
+            assert res.stdout == json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
     def test_residualizes_each_prefix_once(self, runner, tmp_path, monkeypatch):
         # a prefix is residualized by bordering the solve of the one before

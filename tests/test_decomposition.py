@@ -581,6 +581,16 @@ class TestOrderingRecords:
     def test_no_orderings_no_records(self, centered):
         assert [*ordering_records(centered, [])] == []
 
+    def test_walk_keeps_the_prefix_shared_with_the_last_ordering(self):
+        c = mean_center(synth_data(3, 0.5))
+        orders = [("x1", "x2", "x3"), ("x1", "x3", "x2"), ("x1", "x3", "x2"), ("x2", "x1", "x3")]
+        walk = varpart.decomposition.ordering_walk(c, ("x3", "x2", "x1"), orders)
+        steps = [(k, order, [*masks], [*labels]) for k, order, masks, labels in walk.steps]
+        assert [k for k, *_ in steps] == [0, 1, 3, 0]
+        assert [order for _, order, *_ in steps] == orders
+        assert steps[1][2:] == ([0b001, 0b101, 0b111], ["x1", "x3|x1", "x2|x1,x3"])
+        assert steps[3][2:] == ([0b010, 0b011, 0b111], ["x2", "x1|x2", "x3|x2,x1"])
+
     def test_compare_report_checks_orderings_before_a_collinear_fit(self):
         rng = np.random.default_rng(4)
         base = rng.standard_normal(30)

@@ -28,6 +28,7 @@ from varpart import (
     venn_regions,
 )
 from varpart import report
+from varpart.decomposition import ordering_walk
 from varpart.report import (
     decompose_payload,
     fit_payload,
@@ -39,7 +40,7 @@ from varpart.report import (
 )
 from varpart.textfmt import fmt2
 
-from conftest import MODEL, make_dataset, ordering_record, orderings_payload
+from conftest import MODEL, make_dataset, ordering_record, orderings_payload, report_by_ordering
 
 
 class TestFmt2:
@@ -74,27 +75,29 @@ class TestFmt2:
 
 class Reports(dict):
     """Each command's payload by name; ``render(key, fmt)`` writes a report
-    as the CLI does: ``orderings`` from its records, the rest from their
-    payloads."""
+    as the CLI does: ``orderings`` from the walk over its orderings, the rest
+    from their payloads. The ``orderings`` payload is built from records
+    computed one ordering at a time."""
 
     def __init__(self, c, model):
         full = fit_ols(c, model)
         rep = compare_report(c, model)
-        self.records = [
+        records = [
             ordering_record(order, sequential_ss(c, order), orthogonal_regression(c, order))
             for order in rep.orderings
         ]
-        self.args = c.response_name, model, full
+        self.c, self.model, self.orderings = c, model, rep.orderings
         super().__init__(
             fit=fit_payload(full, c.response_name),
             decompose=decompose_payload(rep, c.response_name),
-            orderings=orderings_payload(*self.args, self.records),
+            orderings=orderings_payload(c.response_name, model, full, records),
             venn=venn_payload(venn_regions(c, model), c.response_name, model, c.n),
         )
 
     def render(self, key, fmt):
         if key == "orderings":
-            return "".join(render_orderings(fmt, *self.args, self.records))
+            walk = ordering_walk(self.c, self.model, self.orderings)
+            return "".join(render_orderings(fmt, self.c.response_name, self.model, walk))
         return {"json": render_json, "text": render_text, "csv": render_csv}[fmt](self[key])
 
 
@@ -193,9 +196,9 @@ def json_oracle(payload):
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def orderings_json(*args):
-    """The text of the orderings JSON chunks, joined."""
-    return "".join(render_orderings("json", *args))
+def orderings_json(response, model, c, orderings):
+    """The orderings JSON of the walk over ``orderings``, joined."""
+    return "".join(render_orderings("json", response, model, ordering_walk(c, model, orderings)))
 
 
 # names a renderer could trip on: "@" quoted or doubled, "%" and "%s"
@@ -271,19 +274,17 @@ class TestJsonMatchesStdlib:
         assert render_json(payload) == json_oracle(payload)
 
     @settings(max_examples=50, deadline=None)
-    @given(NAMES, st.lists(NAMES, min_size=3, max_size=3))
-    def test_orderings_of_different_lengths(self, synth_centered, response, names):
-        c = synth_centered
-        entries = []
-        for order in (c.predictor_names[:1], c.predictor_names):
-            seq = sequential_ss(c, order)
-            relabelled = [(nm, ss) for nm, (_, ss) in zip(names, seq)]
-            fit = orthogonal_regression(c, order)
-            entries.append(ordering_record(names[: len(order)], relabelled, fit))
-        full = fit_ols(c, c.predictor_names)
-        payload = orderings_payload(response, names, full, entries)
+    @given(
+        NAMES,
+        st.lists(NAMES.filter(lambda nm: nm != "y"), min_size=3, max_size=3, unique=True),
+        st.lists(st.permutations(range(3)), max_size=4),
+    )
+    def test_generated_names(self, response, names, perms):
+        c = correlated_centered(13, 3, tuple(names))
+        orders = [tuple(names[i] for i in perm) for perm in perms]
+        payload = orderings_payload(response, names, fit_ols(c, names), [*ordering_records(c, orders)])
         assert render_json(payload) == json_oracle(payload)
-        assert orderings_json(response, names, full, entries) == json_oracle(payload)
+        assert orderings_json(response, names, c, orders) == json_oracle(payload)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -313,11 +314,10 @@ class TestJsonMatchesStdlib:
         c = mean_center(make_dataset(x, y))
         names = c.predictor_names
         records = [*ordering_records(c, enumerate_orderings(names))]
-        full = fit_ols(c, names)
-        payload = orderings_payload("y", names, full, records)
+        payload = orderings_payload("y", names, fit_ols(c, names), records)
         assert len(payload["orderings"]) == 5040
         assert render_json(payload) == json_oracle(payload)
-        assert orderings_json("y", names, full, records) == json_oracle(payload)
+        assert orderings_json("y", names, c, enumerate_orderings(names)) == json_oracle(payload)
 
 
 def correlated_centered(seed, p, names=None):
@@ -334,70 +334,91 @@ def correlated_centered(seed, p, names=None):
 
 
 class TestOrderingsJson:
-    """``render_orderings("json", ...)`` writes, from the records, exactly
-    what ``json.dumps`` writes for the payload built from the same records."""
+    """``render_orderings("json", ...)`` writes, from the walk, exactly what
+    ``json.dumps`` writes for the payload built from the records of the same
+    orderings."""
 
     @staticmethod
-    def assert_matches_payload(c, model, records):
-        full = fit_ols(c, model)
-        oracle = json_oracle(orderings_payload(c.response_name, model, full, records))
-        assert orderings_json(c.response_name, model, full, records) == oracle
+    def assert_matches_payload(c, model, orderings, records=None):
+        records = [*ordering_records(c, orderings)] if records is None else records
+        oracle = json_oracle(orderings_payload(c.response_name, model, fit_ols(c, model), records))
+        assert orderings_json(c.response_name, model, c, orderings) == oracle
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
     def test_all_orderings(self, p, seed):
         c = correlated_centered(seed, p)
         names = c.predictor_names
-        self.assert_matches_payload(c, names, [*ordering_records(c, enumerate_orderings(names))])
+        self.assert_matches_payload(c, names, enumerate_orderings(names))
 
     def test_explicit_orderings_of_a_sub_model(self):
         c = correlated_centered(3, 4)
         model = ("x3", "x1", "x4")
         orders = [("x4", "x1", "x3"), ("x3", "x1", "x4"), ("x4", "x1", "x3")]
         records = [*ordering_records(c, orders)]
-        # the walk left the first ordering's prefixes, so its terms are
-        # built again, from the same statistics
+        # the walk left the first ordering's prefixes and comes back to them
         assert records[0].terms == records[2].terms
-        assert records[0].terms[0] is not records[2].terms[0]
-        assert records[0].terms[0][1] is records[2].terms[0][1]
-        self.assert_matches_payload(c, model, records)
+        self.assert_matches_payload(c, model, orders, records)
 
     def test_records_that_share_nothing(self):
         c = correlated_centered(4, 3)
         names = c.predictor_names
+        orders = enumerate_orderings(names)
         records = [
             ordering_record(order, sequential_ss(c, order), orthogonal_regression(c, order))
-            for order in enumerate_orderings(names)
+            for order in orders
         ]
         assert isinstance(records[0].terms[0][1], np.float64)
-        self.assert_matches_payload(c, names, records)
+        self.assert_matches_payload(c, names, orders, records)
 
     def test_infinite_f_is_null(self, perfect):
         records = [*ordering_records(perfect, [("x1",)])]
         assert math.isinf(records[0].fit.f)
-        self.assert_matches_payload(perfect, ("x1",), records)
-        out = orderings_json("y", ("x1",), fit_ols(perfect, ("x1",)), records)
+        self.assert_matches_payload(perfect, ("x1",), [("x1",)], records)
+        out = orderings_json("y", ("x1",), perfect, [("x1",)])
         assert json.loads(out)["orderings"][0]["orthogonal_fit"]["f"] is None
 
     def test_names_that_need_escaping(self):
         names = ('say "hi"', "back\\slash", "100%", "caf\u00e9 \U0001f600")
         c = correlated_centered(5, len(names), names)
-        self.assert_matches_payload(c, names, [*ordering_records(c, enumerate_orderings(names))])
+        self.assert_matches_payload(c, names, enumerate_orderings(names))
 
     def test_no_records(self, centered):
-        full = fit_ols(centered, MODEL)
-        texts = [*render_orderings("json", "SALES", MODEL, full, [])]
+        texts = [*render_orderings("json", "SALES", MODEL, ordering_walk(centered, MODEL, []))]
         assert len(texts) == 2  # the head and the tail
+        full = fit_ols(centered, MODEL)
         assert "".join(texts) == json_oracle(orderings_payload("SALES", MODEL, full, []))
         assert texts[1] == "]\n}\n" and texts[0].endswith('"orderings": [')
 
     def test_six_predictors(self):
         c = correlated_centered(6, 6)
         names = c.predictor_names
-        records = [*ordering_records(c, enumerate_orderings(names))]
-        full = fit_ols(c, names)
-        oracle = json_oracle(orderings_payload("y", names, full, records))
-        assert orderings_json("y", names, full, records) == oracle
+        self.assert_matches_payload(c, names, enumerate_orderings(names))
+
+
+class TestPrefixSharing:
+    """Orderings that share a prefix share its texts, and nothing else: in
+    every format, the report of any list of orderings of one model, repeats
+    and any order included, is the head, each ordering's section as the
+    report of that ordering alone writes it, and the tail."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_any_list_of_orderings(self, data):
+        p = data.draw(st.integers(1, 5), label="p")
+        c = correlated_centered(data.draw(st.integers(0, 2**32 - 1), label="seed"), p)
+        model = data.draw(st.permutations(c.predictor_names), label="model")
+        model = model[: data.draw(st.integers(1, p), label="size")]
+        # a few orderings drawn again and again, so that lists repeat them,
+        # one after another and after others
+        pool = data.draw(st.lists(st.permutations(model).map(tuple), min_size=1, max_size=4))
+        orders = data.draw(st.lists(st.sampled_from(pool), max_size=10), label="orders")
+        for fmt in ("json", "text", "csv"):
+            report = "".join(render_orderings(fmt, "y", model, ordering_walk(c, model, orders)))
+            assert report == report_by_ordering(fmt, "y", model, c, orders)
+        records = [*ordering_records(c, orders)]
+        oracle = json_oracle(orderings_payload("y", model, fit_ols(c, model), records))
+        assert orderings_json("y", model, c, orders) == oracle
 
 
 class TestTextPerOrdering:
@@ -411,10 +432,9 @@ class TestTextPerOrdering:
     def test_the_head_a_text_per_record_and_the_tail(self, fmt, start, later, p):
         c = correlated_centered(8, p)
         names = c.predictor_names
-        records = [*ordering_records(c, enumerate_orderings(names))]
-        full = fit_ols(c, names)
-        texts = [*render_orderings(fmt, "y", names, full, records)]
-        assert len(texts) == 2 + len(records)
+        orders = enumerate_orderings(names)
+        texts = [*render_orderings(fmt, "y", names, ordering_walk(c, names, orders))]
+        assert len(texts) == 2 + len(orders)
         head, first, *rest, tail = texts
         assert start not in head
         assert first.startswith(start)
@@ -422,91 +442,63 @@ class TestTextPerOrdering:
         assert start not in tail
         if fmt == "json":
             assert head.endswith('"orderings": [') and tail == "\n  ]\n}\n"
-            assert "".join(texts) == json_oracle(orderings_payload("y", names, full, records))
+            records = [*ordering_records(c, orders)]
+            oracle = json_oracle(orderings_payload("y", names, fit_ols(c, names), records))
+            assert "".join(texts) == oracle
 
 
 class TestFormatOnce:
     @pytest.mark.parametrize("fmt", ("json", "text", "csv"))
     def test_each_entry_and_term_is_formatted_once(self, monkeypatch, fmt):
-        # at p = 4: a Type I entry per (prefix set, predictor), 4 * 2**3, and
-        # a term per ordered prefix, 4 + 12 + 24 + 24, as the walk enters
-        # it, over 24 * 4 positions; every ordering holds all four
-        # predictors, so one fit summary
+        # at p = 4: the texts of a Type I entry and a term's statistics per
+        # (prefix set, predictor), 4 * 2**3, a depth's item per ordered
+        # prefix, 4 + 12 + 24 + 24, as the walk enters it, and an intercept
+        # per first predictor, over 24 orderings of 4 positions
         rng = np.random.default_rng(5)
         x = rng.standard_normal((30, 4)) + 0.5 * rng.standard_normal((30, 1))
         c = mean_center(make_dataset(x, x.sum(axis=1) + rng.standard_normal(30)))
         names = c.predictor_names
-        records = [*ordering_records(c, enumerate_orderings(names))]
-        full = fit_ols(c, names)
-        want = "".join(render_orderings(fmt, "y", names, full, records))
-        calls = {"entry": [], "term": [], "summary": []}
+        orders = enumerate_orderings(names)
+        want = report_by_ordering(fmt, "y", names, c, orders)
+        calls = {"texts": [], "depth": [], "intercept": [], "ordering": []}
         make = report._ORDERINGS[fmt]
 
-        def counted(fields):
-            head, entry, term, summary, ordering, *ends = make(fields)
+        def counted(fields, fit):
+            head, texts, depth, intercept, ordering, *ends = make(fields, fit)
 
             def spy(kind, formatter):
-                return lambda value: calls[kind].append(value) or formatter(value)
+                return lambda *args: calls[kind].append(args) or formatter(*args)
 
-            parts = spy("entry", entry), spy("term", term), spy("summary", summary)
-            return head, *parts, ordering, *ends
+            parts = [spy(kind, f) for kind, f in zip(calls, (texts, depth, intercept, ordering))]
+            return head, *parts, *ends
 
         monkeypatch.setitem(report._ORDERINGS, fmt, counted)
-        # and streamed from the walk, as the command writes them
-        streamed = ordering_records(c, enumerate_orderings(names))
-        assert "".join(render_orderings(fmt, "y", names, full, streamed)) == want
-        assert sum(len(r.type1) for r in records) == sum(len(r.terms) for r in records) == 96
-        assert len(calls["entry"]) == len({id(e) for e in calls["entry"]}) == 32
-        assert len(calls["term"]) == len({id(t) for t in calls["term"]}) == 64
-        assert len(calls["summary"]) == 1
+        assert "".join(render_orderings(fmt, "y", names, ordering_walk(c, names, orders))) == want
+        assert len(calls["texts"]) == len(set(calls["texts"])) == 32
+        assert len(calls["depth"]) == 64
+        assert len(calls["intercept"]) == 4
+        assert len(calls["ordering"]) == 24
 
 
 class TestStreamedRecords:
-    @pytest.mark.parametrize("floats", (False, True), ids=("numpy", "python"))
-    @pytest.mark.parametrize("fmt", ("json", "text", "csv"))
-    def test_records_built_one_at_a_time(self, fmt, floats):
-        # each record is built on its own and dropped once it is written, so
-        # the ids of its pairs, terms and floats come back in later records:
-        # a text cache keyed on the id of an object it lets go would write
-        # another record's row
-        c = correlated_centered(9, 4)
-        names = c.predictor_names
-        full = fit_ols(c, names)
-
-        # terms before the Type I table: so built, a record's floats take
-        # ids that an earlier record freed, which a cache of the statistics'
-        # texts that does not keep its floats gets wrong
-        def built():
-            for order in enumerate_orderings(names):
-                r = ordering_record(order, [], orthogonal_regression(c, order))
-                if floats:  # as ordering_records gives them: freed floats are reused first
-                    r = r._replace(terms=[(t[0], *map(float, t[1:])) for t in r.terms])
-                yield r._replace(type1=sequential_ss(c, order))
-
-        streamed = "".join(render_orderings(fmt, "y", names, full, built()))
-        records = [*built()]
-        assert streamed == "".join(render_orderings(fmt, "y", names, full, records))
-        if fmt == "json":
-            assert streamed == json_oracle(orderings_payload("y", names, full, records))
-
     @pytest.mark.parametrize("fmt", ("json", "text", "csv"))
     def test_all_orderings_of_seven_predictors_in_bounded_memory(self, fmt):
-        # the walk holds the terms of one path of prefixes and the values per
-        # set of predictors, the writer one ordering's text: tracemalloc reads
-        # 0.95 (json), 0.27 (text) and 0.31 MB (csv), against 3.1 and 2.5 MB
-        # when the writer built chunks of about 1 MB, and 15.5 (json, text)
-        # and 17.1 MB (csv) when every record, term and text was held
+        # the walk holds the sets and labels of one path of prefixes, the
+        # writer their texts, the texts per (prefix set, predictor) and one
+        # ordering's text: tracemalloc reads 0.95 (json), 0.27 (text) and
+        # 0.31 MB (csv) when a record per ordering was written, 3.1 and
+        # 2.5 MB in chunks of about 1 MB, and 15.5 (json, text) and 17.1 MB
+        # (csv) when every record, term and text was held
         spec = SyntheticSpec(
             n=200, p=7, correlation=exchangeable_correlation(7, 0.6),
             signal_coefficients=np.ones(7), noise_sd=1.0, seed=4242,
         )
         c = mean_center(generate_synthetic(spec))
         names = c.predictor_names
-        full = fit_ols(c, names)
-        records = ordering_records(c, enumerate_orderings(names))  # the walk solves as it goes
+        walk = ordering_walk(c, names, enumerate_orderings(names))  # the walk solves as it goes
         tracemalloc.start()
         try:
-            size = sum(map(len, render_orderings(fmt, "y", names, full, records)))
+            size = sum(map(len, render_orderings(fmt, "y", names, walk)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
