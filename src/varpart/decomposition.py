@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from functools import cache
+from functools import cached_property
 from itertools import accumulate, permutations
 from operator import or_
 from types import MappingProxyType
@@ -35,6 +35,7 @@ from .ols_core import (
     _coef_stats,
     _column_sd,
     _make_fit,
+    _mask,
     _project,
     _ratio,
     _readonly,
@@ -166,7 +167,7 @@ def _partial(sol: _Solution, i: int) -> Decimal:
 def _partition(c: CenteredData, model: tuple[str, ...]) -> tuple[_Solution, dict[str, Decimal]]:
     """The full-model solve and each predictor's Type III SS."""
     idx = [c.predictor_index(nm) for nm in model]
-    sol = c._memo.solve(idx, f"fit on ({', '.join(model)})")
+    sol = c._memo.solve(_mask(idx), idx, "fit on")
     return sol, {nm: _partial(sol, i) for nm, i in zip(model, idx)}
 
 
@@ -216,10 +217,10 @@ class _Orderings:
     Term k of an ordering o is predictor o[k] in the fit on o[:k + 1]: its
     slope is that fit's coefficient, its column (o[k] residualized on
     o[:k]) has SS 1 / (A^-1)_kk, and its Type I SS is slope^2 times that
-    SS. Each value is derived once for all orderings that share it: a Type
-    I pair (``entry``) and a term's statistics (``stats``) per prefix set
-    and predictor, an ``intercept`` per first predictor. Sets are bit
-    masks over the predictors' indices.
+    SS. Sets are bit masks over the predictors' indices. A Type I pair
+    (``entry``) is read off the memo; a term's statistics (``stats``) per
+    prefix set and predictor, and an ``intercept`` per first predictor,
+    are derived once and kept in plain dicts.
     """
 
     def __init__(self, c: CenteredData, model: Iterable[str]):
@@ -227,10 +228,8 @@ class _Orderings:
         self._bit = {nm: 1 << i for i, nm in enumerate(c.predictor_names)}
         self.model = _canonical_model(c, model)
         self._whole = sum(map(self._bit.__getitem__, self.model))
-        self._solve = cache(lambda mask: c._memo.solve(i for i in range(c.p) if mask >> i & 1))
-        self.entry = cache(self._type1_pair)
-        self.stats = cache(self._term_stats)
-        self.intercept = cache(self._first_intercept)
+        self._stats: dict[tuple[int, str], tuple[float, ...]] = {}
+        self._intercepts: dict[str, float] = {}
 
     def masks(self, ordering: tuple[str, ...]) -> list[int]:
         """The set of each prefix of ``ordering``: EmptySubset if it is empty, then
@@ -248,27 +247,32 @@ class _Orderings:
             raise ValueError(f"ordering {ordering!r} is not a permutation of {self.model!r}")
         return masks
 
-    def _type1_pair(self, mask: int, nm: str) -> tuple[str, float]:
-        return nm, float(_partial(self._solve(mask), self._c.predictor_index(nm)))
+    def entry(self, mask: int, nm: str) -> tuple[str, float]:
+        return nm, self._c._memo.type1(mask)[self._c.predictor_index(nm)]
 
-    def _term_stats(self, mask: int, nm: str) -> tuple[float, ...]:
+    @cached_property
+    def _mse(self) -> Decimal:
+        """The model's residual MS, once per walk."""
+        with localcontext(_CTX):
+            return self._c._memo.solve(self._whole).sse / (self._c.n - len(self.model) - 1)
+
+    def stats(self, mask: int, nm: str) -> tuple[float, ...]:
         """(b, se, z, t) of ``nm`` last in the prefix set ``mask``."""
-        c, i = self._c, self._c.predictor_index(nm)
-        part = self._solve(mask)
-        with localcontext(_CTX):
-            mse = self._solve(self._whole).sse / (c.n - len(self.model) - 1)
-            sd = _column_sd(part.inv[i], c.n)
-            return _coef_stats(part.b[i], part.inv[i], sd, mse, c.exact.sds[-1])
+        if (mask, nm) not in self._stats:
+            c, i, part = self._c, self._c.predictor_index(nm), self._c._memo.solve(mask)
+            with localcontext(_CTX):
+                sd = _column_sd(part.inv[i], c.n)
+                self._stats[mask, nm] = _coef_stats(part.b[i], part.inv[i], sd, self._mse, c.exact.sds[-1])
+        return self._stats[mask, nm]
 
-    def _first_intercept(self, nm: str) -> float:
+    def intercept(self, nm: str) -> float:
         """Intercept of an orthogonal-function fit whose first column is ``nm``."""
-        c, i = self._c, self._c.predictor_index(nm)
-        with localcontext(_CTX):
-            slope = self._solve(self._bit[nm]).b[i]
-            return float(c.exact.means[-1] - slope * c.exact.means[i])
-
-    def type1(self, masks: list[int], ordering: Sequence[str]) -> list[tuple[str, float]]:
-        return [*map(self.entry, masks, ordering)]
+        if nm not in self._intercepts:
+            c, i = self._c, self._c.predictor_index(nm)
+            with localcontext(_CTX):
+                slope = c._memo.solve(self._bit[nm]).b[i]
+                self._intercepts[nm] = float(c.exact.means[-1] - slope * c.exact.means[i])
+        return self._intercepts[nm]
 
     def walk(self, orderings: Iterable[tuple[str, ...]]) -> Iterator[tuple]:
         """Each (checked) ordering as (k, ordering, masks, labels): k is how
@@ -323,7 +327,7 @@ def residualize(
     if not against:
         return ResidualizedPredictor(target, (), col)
     idx = [c.predictor_index(nm) for nm in against]
-    sol = c._memo.solve(idx, f"residualize {target} on ({', '.join(against)})")
+    sol = c._memo.solve(_mask(idx), idx, f"residualize {target} on")
     u = dict(zip(sol.b, _project(c.exact.s, sol, c._col(target))[1]))
     design = np.array([c.column(nm) for nm in against]).T  # F-order: the layout moves last bits
     return ResidualizedPredictor(target, against, _readonly(col - design @ [float(u[i]) for i in idx]))
@@ -338,8 +342,8 @@ def sequential_ss(
     predictor to the first k - 1. The entries telescope, so they sum to the
     regression SS of the complete chain.
     """
-    stats = _Orderings(c, ordering)
-    return stats.type1(stats.masks(tuple(ordering)), ordering)
+    values = _Orderings(c, ordering)
+    return [*map(values.entry, values.masks(tuple(ordering)), ordering)]
 
 
 def partial_ss(c: CenteredData, predictor: str, model: Iterable[str]) -> float:
@@ -428,7 +432,7 @@ def ordering_records(c: CenteredData, orderings: Iterable[Sequence[str]]) -> Ite
     fit, values, steps = ordering_walk(c, orderings[0], orderings)
     return (
         OrderingFit(
-            order, values.type1(masks, order),
+            order, [*map(values.entry, masks, order)],
             [(label, *values.stats(m, nm)) for label, m, nm in zip(labels, masks, order)],
             values.intercept(order[0]), fit,
         )
@@ -493,7 +497,9 @@ def compare_report(
     With ``orderings=None`` every ordering is included while the model has
     at most ORDERING_CAP predictors; for larger models none are, and the
     caller must pass them explicitly. ``orderings="all"`` demands the
-    exhaustive set and raises TooManyOrderings above the cap.
+    exhaustive set and raises TooManyOrderings above the cap. Only the
+    orderings a caller passes are checked, before any fit. Each Type I SS
+    is read off the memo by the mask of its ordering's prefix.
     """
     model = _model(c, model)
     if orderings == "all" or (orderings is None and len(model) <= ORDERING_CAP):
@@ -504,15 +510,19 @@ def compare_report(
         raise ValueError(f"orderings must be 'all', None, or a sequence, not {orderings!r}")
     else:
         ordering_list = tuple(map(tuple, orderings))
-    stats = _Orderings(c, model)
-    masks = [*map(stats.masks, ordering_list)]  # every ordering is checked before any fit
+        values = _Orderings(c, model)
+        for ordering in ordering_list:  # every ordering is checked before any fit
+            values.masks(ordering)
 
     full = fit_ols(c, model)
     sol, type3 = _partition(c, model)
+    memo, cols = c._memo, {nm: c.predictor_index(nm) for nm in model}
     type1: dict[str, dict[tuple[str, ...], float]] = {nm: {} for nm in model}
-    for ordering, prefixes in zip(ordering_list, masks):
-        for name, ss in stats.type1(prefixes, ordering):
-            type1[name][ordering] = ss
+    for ordering in ordering_list:
+        mask = 0
+        for nm in ordering:
+            mask |= 1 << cols[nm]
+            type1[nm][ordering] = memo.type1(mask)[cols[nm]]
     actual, r2, f = _corrected(c, sol, type3)
 
     return DecompositionReport(

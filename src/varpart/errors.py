@@ -22,11 +22,12 @@ class ConstantColumn(VarpartError):
 
 
 class UnknownName(VarpartError):
-    """A referenced column name does not exist in the data."""
+    """A referenced column name does not exist in the data, or names the
+    response where a predictor is wanted."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, message: str | None = None):
         self.name = name
-        super().__init__(f"unknown column {name!r}")
+        super().__init__(message or f"unknown column {name!r}")
 
 
 class RowsNotKept(VarpartError):

@@ -7,11 +7,12 @@ on the centered sum-of-squares-and-cross-products (SSCP) matrix.
 The SSCP is formed exactly, by error-free splitting of the columns into
 slices whose float64 gram holds only exact integers (Ozaki, Ogita, Oishi &
 Rump 2012), so it does not depend on the BLAS or the order of the rows.
-Each subset is solved once in ``decimal`` arithmetic at ``_DIGITS`` digits,
-by bordering the solve of its subset without the last column, and every
-statistic is derived from that solve and rounded to float64 once: each is
-the correctly rounded exact value, barring one within about 1e-25 relative
-of a rounding boundary. The SSCP rounded to float64 feeds only the guard.
+Each subset, keyed by bit mask, is solved once in ``decimal`` arithmetic at
+``_DIGITS`` digits, by bordering the solve of the set without its highest
+column, and every statistic is derived from that solve and rounded to
+float64 once: each is the correctly rounded exact value, barring one within
+about 1e-25 relative of a rounding boundary. The SSCP rounded to float64
+feeds only the guard.
 """
 
 from __future__ import annotations
@@ -192,6 +193,8 @@ class CenteredData:
         try:
             return self._index[name]
         except KeyError:
+            if name == self.response_name:
+                raise UnknownName(name, f"{name!r} is the response, not a predictor") from None
             raise UnknownName(name) from None
 
     def _col(self, name: str) -> int:
@@ -443,21 +446,25 @@ def sscp(c: CenteredData, labels: Sequence[str] | None = None) -> SscpMatrix:
     return SscpMatrix(labels, _readonly(c.exact.f[np.ix_(ix, ix)]))
 
 
-def _guard(a: np.ndarray, context: str) -> None:
+def _guard(a: np.ndarray) -> None:
     """Reject a design whose SSCP block ``a`` is (nearly) singular: near-
     duplicate columns fail loudly on the reciprocal condition number of the
     diagonally normalized matrix instead of giving garbage coefficients."""
     diag = np.diag(a)
     if np.any(diag <= 0.0):
-        raise SingularDesign(f"{context}: design column with zero variation")
+        raise SingularDesign("design column with zero variation")
     scale = np.sqrt(diag)
     evals = np.linalg.eigvalsh(a / np.outer(scale, scale))
     if evals[0] <= 0.0 or evals[0] / evals[-1] < RCOND_MIN:
         raise SingularDesign(
-            f"{context}: reciprocal condition number "
-            f"{max(evals[0] / evals[-1], 0.0):.2e} below {RCOND_MIN:g} "
+            f"reciprocal condition number {max(evals[0] / evals[-1], 0.0):.2e} below {RCOND_MIN:g} "
             "(collinear predictors)"
         )
+
+
+def _mask(idx: Iterable[int]) -> int:
+    """The set of columns ``idx`` as a bit mask, bit i for column i."""
+    return sum({1 << i for i in idx})
 
 
 def _project(s: list[list[Decimal]], sol: _Solution, col: int) -> tuple[list, list]:
@@ -493,37 +500,44 @@ def _extend(s: list[list[Decimal]], sol: _Solution, col: int) -> _Solution:
 
 class _Subsets:
     """Regressions of the response (the last column) on sets of the others,
-    each solved once and shared by every use of the same data. A set is
-    solved by bordering the solution of the set without its last column."""
+    keyed by bit mask (``_mask``), each solved once, by bordering the set
+    without its highest column, and shared by every use of the same data;
+    ``type1`` keeps each set's Type I SS once asked for."""
 
     def __init__(self, ex: _Exact, names: Sequence[str]):
         self._ex, self._names = ex, names
-        self._cache = {frozenset(): _Solution({}, {}, Decimal(0), ex.s[-1][-1], [])}
-        self._guarded: list[frozenset[int]] = []
+        self._cache = {0: _Solution({}, {}, Decimal(0), ex.s[-1][-1], [])}
+        self._guarded: list[int] = []
+        self._type1: dict[int, dict[int, float]] = {}
 
-    def solve(self, idx: Iterable[int], context: str | None = None) -> _Solution:
-        """Solution on the columns ``idx``, behind the guard; ``context``
-        names the design in errors (default: "subset (names)")."""
-        idx = list(idx)
-        key = frozenset(idx)
-        context = context or f"subset ({', '.join(self._names[i] for i in idx)})"
-        # A set inside one that passed the guard passes it too: a principal
-        # block of the normalized SSCP has its eigenvalues inside those of
-        # the whole (Cauchy interlacing). A repeated column never passes.
-        if len(key) < len(idx) or not any(key <= done for done in self._guarded):
-            _guard(self._ex.f[idx][:, idx], context)
-            self._guarded.append(key)
+    def solve(self, mask: int, idx: Sequence[int] | None = None, what: str = "subset") -> _Solution:
+        """Solution on the columns of ``mask``, behind the guard, which sees them
+        in the order of ``idx`` (default: ascending); errors name them "what (names)"."""
+        idx = [i for i in range(mask.bit_length()) if mask >> i & 1] if idx is None else idx
         try:
-            return self._border(sorted(key))
+            # A set inside one that passed the guard passes it too: a principal
+            # block of the normalized SSCP has its eigenvalues inside those of
+            # the whole (Cauchy interlacing). A repeated column never passes.
+            if len(idx) > mask.bit_count() or all(mask & ~done for done in self._guarded):
+                _guard(self._ex.f[idx][:, idx])
+                self._guarded.append(mask)
+            return self._border(mask)
         except SingularDesign as exc:
-            raise SingularDesign(f"{context}: {exc}") from None
+            raise SingularDesign(f"{what} ({', '.join(self._names[i] for i in idx)}): {exc}") from None
 
-    def _border(self, cols: list[int]) -> _Solution:
-        key = frozenset(cols)
-        if key not in self._cache:
-            parent = self._border(cols[:-1])
-            self._cache[key] = _extend(self._ex.s, parent, cols[-1])
-        return self._cache[key]
+    def _border(self, mask: int) -> _Solution:
+        if mask not in self._cache:
+            top = mask.bit_length() - 1
+            self._cache[mask] = _extend(self._ex.s, self._border(mask ^ 1 << top), top)
+        return self._cache[mask]
+
+    def type1(self, mask: int) -> dict[int, float]:
+        """Type I SS of each column of ``mask`` entering it last, b_i^2 / (A^-1)_ii rounded once."""
+        if mask not in self._type1:
+            sol = self.solve(mask)
+            with localcontext(_CTX):
+                self._type1[mask] = {i: float(b * b / sol.inv[i]) for i, b in sol.b.items()}
+        return self._type1[mask]
 
 
 def _ratio(a: Decimal, b: Decimal) -> float:
@@ -597,7 +611,7 @@ def fit_centered_design(
     f, s, _ = _fold_columns([*design.T, y], (*labels, "y")).finish()
     dec = [Decimal(float(v)) for v in (*col_means, mean_y, *col_sds, sd_y)]
     ex = _Exact(f, s, dec[: k + 1], dec[k + 1 :], n)
-    sol = _Subsets(ex, labels).solve(range(k), f"fit on ({', '.join(labels)})")
+    sol = _Subsets(ex, labels).solve(_mask(range(k)), range(k), "fit on")
     b, inv = list(sol.b.values()), list(sol.inv.values())
     return _make_fit(ex, labels, b, inv, ex.means[:k], ex.sds[:k], sol.ssr, sol.sse)
 
@@ -614,7 +628,7 @@ def fit_ols(c: CenteredData, subset: Iterable[str]) -> OlsFit:
     if not subset:
         raise EmptySubset("fit_ols requires a non-empty predictor subset")
     idx = [c.predictor_index(nm) for nm in subset]
-    sol = c._memo.solve(idx, f"fit on ({', '.join(subset)})")
+    sol = c._memo.solve(_mask(idx), idx, "fit on")
     ex = c.exact
     return _make_fit(
         ex, subset, [sol.b[i] for i in idx], [sol.inv[i] for i in idx],

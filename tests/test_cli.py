@@ -300,6 +300,19 @@ class TestExitCodes:
         assert_one_error_line(res)
         assert message in res.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fit", "--dwaine", "--model", "TARGTPOP,SALES"],
+            ["orderings", "--dwaine", "--order", "TARGTPOP,SALES"],
+        ],
+        ids=["fit-model", "orderings-order"],
+    )
+    def test_response_named_as_a_predictor(self, runner, args):
+        res = runner.invoke(main, args)
+        assert_one_error_line(res)
+        assert res.stderr == "error: 'SALES' is the response, not a predictor\n"
+
     def test_unknown_model_name_with_order(self, runner):
         res = runner.invoke(
             main, ["orderings", "--dwaine", "--model", "TARGTPOP,NOPE", "--order", "TARGTPOP"]

@@ -1,3 +1,4 @@
+import gc
 import math
 from itertools import permutations
 
@@ -28,6 +29,7 @@ from varpart import (
     sequential_ss,
     venn_regions,
 )
+from varpart.decomposition import _partial
 from varpart.errors import EmptySubset, SingularDesign, TooManyOrderings, UnknownName
 
 from conftest import MODEL, make_dataset
@@ -538,7 +540,7 @@ class TestOrderingRecords:
                 ordering_records(mean_center(ds), enumerate_orderings(names))
             return
         for mask in range(1, 2**p):
-            c._memo.solve(i for i in range(p) if mask >> i & 1)
+            c._memo.solve(mask)
         for _ in ordering_records(mean_center(ds), enumerate_orderings(names)):
             pass
 
@@ -547,16 +549,15 @@ class TestOrderingRecords:
         fits, solves = [], []
         fit, solve = varpart.decomposition.fit_ols, varpart.ols_core._Subsets.solve
 
-        def counted(memo, idx, context=None):
-            idx = list(idx)
-            solves.append(frozenset(idx))
-            return solve(memo, idx, context)
+        def counted(memo, mask, *args):
+            solves.append(mask)
+            return solve(memo, mask, *args)
 
         monkeypatch.setattr(varpart.decomposition, "fit_ols", lambda *a: fits.append(a) or fit(*a))
         monkeypatch.setattr(varpart.ols_core._Subsets, "solve", counted)
         records = ordering_records(c, [("x4", "x2", "x3", "x1"), ("x1", "x2", "x3", "x4")])
         assert fits == [(c, ("x1", "x2", "x3", "x4"))]
-        assert solves == [frozenset(range(4))]
+        assert solves == [0b1111]
         assert [r.order for r in records] == [("x4", "x2", "x3", "x1"), ("x1", "x2", "x3", "x4")]
         assert len(set(solves)) == 7  # the distinct prefix sets of the two
 
@@ -600,3 +601,85 @@ class TestOrderingRecords:
             compare_report(c, ("x1", "x2"), orderings=[("x2", "x1"), ("x1",)])
         with pytest.raises(SingularDesign):
             compare_report(c, ("x1", "x2"), orderings=[("x2", "x1")])
+
+
+class TestMaskMemo:
+    """The subset memo is keyed by bit mask, bit i for predictor i, and
+    keeps the Type I SS of each column of a set entering it last."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        p=st.integers(1, 6),
+        rho=st.sampled_from([0.0, 0.6, 0.99, 1 - 1e-8]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_kept_type1_is_the_partial_ss_of_the_solve(self, p, rho, seed):
+        c = mean_center(synth_data(p, rho, seed))
+        memo = c._memo
+        memo.solve(2**p - 1)  # its guard covers every subset
+        for mask in range(1, 2**p):
+            sol = memo.solve(mask)
+            assert [*sol.b] == [i for i in range(p) if mask >> i & 1]
+            kept = memo.type1(mask)
+            assert kept == {i: float(_partial(sol, i)) for i in sol.b}
+            for i, ss in kept.items():
+                # the SS the set loses without column i, from two solves
+                assert ss == pytest.approx(float(sol.ssr - memo.solve(mask & ~(1 << i)).ssr), rel=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    def test_explicit_orderings_give_the_enumerated_type1_table(self, seed, data):
+        ds = synth_data(6, 0.6, seed)
+        model = data.draw(st.lists(st.sampled_from(ds.predictor_names), min_size=1, max_size=5, unique=True))
+        shuffled = data.draw(st.permutations(enumerate_orderings(model)))
+        everything = compare_report(mean_center(ds), model, orderings="all")
+        explicit = compare_report(mean_center(ds), model[::-1], orderings=shuffled)
+        assert explicit.orderings == tuple(shuffled)
+        assert [d.name for d in explicit.per_predictor] == [d.name for d in everything.per_predictor]
+        for got, want in zip(explicit.per_predictor, everything.per_predictor):
+            assert dict(got.type1_by_ordering) == dict(want.type1_by_ordering)
+
+    @pytest.mark.parametrize(
+        "bad, error, match",
+        [
+            ([()], EmptySubset, "at least one predictor"),
+            ([("x9", "x1", "x1")], UnknownName, "x9"),
+            ([("x1", "x1")], ValueError, "repeats a predictor"),
+            ([("x1", "x3")], ValueError, r"not a permutation of \('x1', 'x2'\)"),
+            ([("x2",), ()], ValueError, r"not a permutation of \('x1', 'x2'\)"),
+            ([(), ("x2",)], EmptySubset, "at least one predictor"),
+        ],
+        ids=["empty", "unknown", "repeated", "other-set", "first-of-two", "empty-first"],
+    )
+    def test_bad_explicit_orderings_raise_before_any_solve(self, monkeypatch, bad, error, match):
+        c = mean_center(synth_data(3, 0.5))
+        solves = []
+        solve = varpart.ols_core._Subsets.solve
+        monkeypatch.setattr(
+            varpart.ols_core._Subsets, "solve", lambda memo, *a: solves.append(a) or solve(memo, *a)
+        )
+        with pytest.raises(error, match=match):
+            compare_report(c, ("x1", "x2"), orderings=[("x1", "x2"), ("x2", "x1"), *bad])
+        assert solves == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c, names: compare_report(c, names),
+        lambda c, names: [*ordering_records(c, [names, names[::-1]])],
+        lambda c, names: venn_regions(c, names),
+    ],
+    ids=["compare_report", "ordering_records", "venn_regions"],
+)
+def test_report_calls_leave_no_cyclic_garbage(dwaine, call):
+    # garbage in a reference cycle keeps the centering and its memo alive
+    # until the cyclic collector runs
+    c = mean_center(dwaine)
+    gc.collect()
+    gc.disable()
+    try:
+        call(c, dwaine.predictor_names)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -146,6 +146,14 @@ class TestMeanCenter:
         with pytest.raises(UnknownName):
             centered.column("nope")
 
+    def test_response_is_named_as_the_response_not_unknown(self, centered):
+        with pytest.raises(UnknownName, match=r"^'SALES' is the response, not a predictor$") as got:
+            centered.predictor_index("SALES")
+        assert got.value.name == "SALES"
+        with pytest.raises(UnknownName, match=r"^'SALES' is the response"):
+            fit_ols(centered, ("TARGTPOP", "SALES"))
+        assert centered.mean("SALES") == centered.mean_y  # still a column
+
     def test_keeps_no_per_observation_vector(self, dwaine):
         # the observations live only in the Dataset; columns are centered on demand
         c = mean_center(dwaine)
@@ -343,7 +351,7 @@ class TestLapackSolve:
         ex = _Exact(np.array(s, dtype=float), s, [Decimal(0)] * 3, [Decimal(1)] * 3, 10)
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array([1.0, 1.0]))
         with pytest.raises(SingularDesign) as got:
-            _Subsets(ex, ("a", "b")).solve([0, 1])
+            _Subsets(ex, ("a", "b")).solve(0b11)
         assert str(got.value) == (
             "subset (a, b): 2-th leading minor of the array is not positive definite"
         )
