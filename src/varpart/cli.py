@@ -16,6 +16,7 @@ as an unknown flag, gets click's usage block (exit 2).
 
 from __future__ import annotations
 
+import gc
 import sys
 from itertools import islice
 from typing import Iterable, NoReturn
@@ -170,7 +171,7 @@ def _emit(texts: Iterable[str], out_path) -> None:
     ``out_path`` or stdout."""
     texts = iter(texts)
     batches = map("".join, iter(lambda: [*islice(texts, _BATCH)], []))
-    if out_path:
+    if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.writelines(batches)
     else:
@@ -302,5 +303,19 @@ def synth(n, p, rho, coef, noise_sd, seed, out_path):
     _run(body)
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """Run the CLI as its own process: ``python -m varpart.cli`` and the
+    ``varpart`` script.
+
+    What is imported by now (numpy, click, varpart) lives until the process
+    exits, so it is frozen first: the collector no longer scans it, during
+    the command or at interpreter exit. Library calls of ``main``, as in
+    tests, do not freeze, since a freeze keeps every object alive then,
+    garbage of earlier calls included, for the rest of the process.
+    """
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":
+    entry()

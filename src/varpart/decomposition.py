@@ -16,8 +16,6 @@ report path residualizes a column or reads the observations again.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import cached_property
 from itertools import accumulate, permutations
@@ -52,8 +50,7 @@ ORDERING_CAP = 8
 OVERLAP_NOISE = 1e-9
 
 
-@dataclass(frozen=True)
-class ResidualizedPredictor:
+class ResidualizedPredictor(NamedTuple):
     """A predictor with the influence of other predictors removed.
 
     ``values`` are the residuals of the target column after projecting it
@@ -80,8 +77,7 @@ class ResidualizedPredictor:
         return float(self.values.std(ddof=1))
 
 
-@dataclass(frozen=True)
-class VennRegions:
+class VennRegions(NamedTuple):
     """Where the response variation goes once overlap is removed.
 
     ``unique`` holds each predictor's partial (Type III) contribution;
@@ -105,8 +101,7 @@ class VennRegions:
         return self.common_total < -OVERLAP_NOISE * self.ss_total
 
 
-@dataclass(frozen=True)
-class PredictorDecomposition:
+class PredictorDecomposition(NamedTuple):
     """Per-predictor summary: partial SS plus its sequential SS per ordering."""
 
     name: str
@@ -114,8 +109,7 @@ class PredictorDecomposition:
     type1_by_ordering: Mapping[tuple[str, ...], float]
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """Traditional fit side by side with the partial-SS decomposition.
 
     ``actual_model_ss`` is the summed Type III SS, ``corrected_r2`` that sum
@@ -399,7 +393,7 @@ def orthogonal_regression(c: CenteredData, ordering: Sequence[str]) -> OlsFit:
     (rec,) = ordering_records(c, [ordering])
     labels, *stats = zip(*rec.terms)
     b, se, z, t = map(_readonly, stats)
-    return dataclasses.replace(rec.fit, predictor_subset=labels, b=b, se=se, t=t, z=z, intercept=rec.intercept)
+    return rec.fit._replace(predictor_subset=labels, b=b, se=se, t=t, z=z, intercept=rec.intercept)
 
 
 def ordering_walk(

@@ -217,8 +217,7 @@ class CenteredData:
         return float(self.exact.sds[self._col(name)])
 
 
-@dataclass(frozen=True)
-class SscpMatrix:
+class SscpMatrix(NamedTuple):
     """Symmetric matrix of cross-products over centered columns."""
 
     labels: tuple[str, ...]
@@ -232,8 +231,7 @@ class SscpMatrix:
         return float(self.m[self.labels.index(a), self.labels.index(b)])
 
 
-@dataclass(frozen=True)
-class OlsFit:
+class OlsFit(NamedTuple):
     """Least-squares fit of the centered response on a predictor subset.
 
     Slopes solve the normal equations on centered data; the intercept is
@@ -267,8 +265,7 @@ class OlsFit:
             raise UnknownName(name) from None
 
 
-@dataclass(frozen=True)
-class AnovaRow:
+class AnovaRow(NamedTuple):
     source: str
     ss: float
     df: int
@@ -276,8 +273,7 @@ class AnovaRow:
     f: float | None
 
 
-@dataclass(frozen=True)
-class AnovaTable:
+class AnovaTable(NamedTuple):
     """Regression/Residual/Total rows plus the coefficient of determination."""
 
     rows: tuple[AnovaRow, ...]

@@ -15,7 +15,7 @@ Output is plain SVG 1.1 text, deterministic for identical inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .decomposition import OVERLAP_NOISE, VennRegions
 from .textfmt import fmt2
@@ -31,8 +31,7 @@ _MARGIN = 20.0
 _ROW_H = 18.0
 
 
-@dataclass(frozen=True)
-class CirclePlacement:
+class CirclePlacement(NamedTuple):
     label: str
     cx: float
     cy: float

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -655,6 +657,35 @@ class TestStreamedInput:
         assert not any(isinstance(src, list) for src in sources)
 
 
+class TestEntry:
+    """A CLI process freezes its imported heap before click parses; library
+    calls of ``main`` leave the collector as it is."""
+
+    def test_library_calls_do_not_freeze(self, runner):
+        before = gc.get_freeze_count()
+        assert invoke(runner, "fit", "--dwaine").exit_code == 0
+        main(["fit", "--dwaine"], standalone_mode=False)
+        assert gc.get_freeze_count() == before
+
+    def test_entry_freezes_before_main(self):
+        code = (
+            "import gc, varpart.cli as cli\n"
+            "print(gc.get_freeze_count())\n"
+            "cli.main = lambda: print(gc.get_freeze_count())\n"
+            "cli.entry()\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        before, during = map(int, proc.stdout.split())
+        assert before == 0 and during > 0
+
+    def test_module_and_script_run_the_entry(self):
+        source = Path(cli.__file__).read_text(encoding="utf-8")
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        (module,) = re.findall(r'^if __name__ == "__main__":\n    (\w+)\(\)$', source, re.M)
+        (script,) = re.findall(r'^varpart = "varpart\.cli:(\w+)"$', pyproject, re.M)
+        assert module == script == cli.entry.__name__
+
+
 class TestRealProcess:
     """One end-to-end pass through the actual interpreter exit path."""
 
@@ -767,6 +798,16 @@ class TestRealProcess:
 
     def test_usage_error_prints_one_error_line(self):
         proc = self.run("fit", "--dwaine", "--model", "TARGTPOP,TARGTPOP")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("args", [("fit", "--dwaine"), ("synth",)], ids=("fit", "synth"))
+    def test_empty_out_path_prints_one_error_line(self, args):
+        # as an unset shell variable gives it: a path that cannot be opened,
+        # not stdout
+        proc = self.run(*args, "--out", "")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")

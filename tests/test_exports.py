@@ -1,5 +1,8 @@
-"""The package's exports: one list, each name imported on first access."""
+"""The package's exports: one list, each name imported on first access; the
+records among them are named tuples, except the four dataclasses that
+validate or cache."""
 
+import dataclasses
 import subprocess
 import sys
 
@@ -55,3 +58,34 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         varpart.no_such_name  # noqa: B018
     assert not hasattr(varpart, "ordering_fits")
+
+
+RECORDS = [
+    ols_core.SscpMatrix, ols_core.OlsFit, ols_core.AnovaRow, ols_core.AnovaTable,
+    decomposition.ResidualizedPredictor, decomposition.VennRegions,
+    decomposition.PredictorDecomposition, decomposition.DecompositionReport,
+    venn_svg.CirclePlacement,
+]
+
+
+def test_dataclasses_are_the_four_that_validate_or_cache():
+    found = [name for name in varpart.__all__ if dataclasses.is_dataclass(getattr(varpart, name))]
+    assert sorted(found) == ["CenteredData", "CsvSpec", "Dataset", "SyntheticSpec"]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_plain_records_are_immutable_named_tuples(cls):
+    assert issubclass(cls, tuple)
+    record = cls(*range(len(cls._fields)))
+    with pytest.raises(AttributeError):
+        setattr(record, cls._fields[0], None)
+    assert record == cls(*range(len(cls._fields)))
+
+
+def test_anova_row_repr_names_each_field():
+    c = ols_core.mean_center(data_io.dwaine_fixture())
+    table = ols_core.anova_table(ols_core.fit_ols(c, ("TARGTPOP", "DISPOINC")))
+    assert repr(table.row("Regression")) == (
+        "AnovaRow(source='Regression', ss=24015.282112382014, df=2, "
+        "ms=12007.641056191007, f=99.10349967584082)"
+    )

@@ -416,9 +416,9 @@ class TestFitOls:
 
     def test_keeps_no_per_observation_vector(self, centered):
         fit = fit_ols(centered, MODEL)
-        for field in dataclasses.fields(fit):
-            value = getattr(fit, field.name)
-            assert np.ndim(value) == 0 or len(value) == len(MODEL), field.name
+        for name in fit._fields:
+            value = getattr(fit, name)
+            assert np.ndim(value) == 0 or len(value) == len(MODEL), name
 
     def test_prediction_at_means_is_mean_response(self, dwaine, centered):
         fit = fit_ols(centered, MODEL)
