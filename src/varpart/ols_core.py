@@ -6,13 +6,16 @@ on the centered sum-of-squares-and-cross-products (SSCP) matrix.
 
 The SSCP is formed exactly, by error-free splitting of the columns into
 slices whose float64 gram holds only exact integers (Ozaki, Ogita, Oishi &
-Rump 2012), so it does not depend on the BLAS or the order of the rows.
-Each subset, keyed by bit mask, is solved once in ``decimal`` arithmetic at
-``_DIGITS`` digits, by bordering the solve of the set without its highest
-column, and every statistic is derived from that solve and rounded to
-float64 once: each is the correctly rounded exact value, barring one within
-about 1e-25 relative of a rounding boundary. The SSCP rounded to float64
-feeds only the guard.
+Rump 2012), each column on its own grid of units so that the gram reduces
+per column pair and slice-index sum in int64 (``_Fold``); it does not depend
+on the BLAS or the order of the rows. Each subset, keyed by bit mask, is
+solved once in ``decimal`` arithmetic at ``_DIGITS`` digits, by bordering
+the solve of the set without its highest column, and every statistic is
+derived from that solve and rounded to float64 once. The solves lose about
+2 * log10(cond) digits, so a statistic is the correctly rounded exact value
+only as far as measured: on exchangeable designs at n = 200, every one was
+at rho <= 1 - 1e-8, but not all are nearer the guard (ROADMAP item 16). The
+SSCP rounded to float64 feeds only the guard.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
-from fractions import Fraction
 from functools import cached_property
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
@@ -290,12 +292,20 @@ class _Fold:
     """Exact moments of float64 columns ``names``, fed one block of rows at
     a time, with each column's running min and max and the row count.
 
-    In a block of m rows, each column is split into slices q * 2**u with
-    integers |q| <= 2**w, m * 4**w <= 2**53, so the float64 gram of the
-    slices and a ones column holds exact integers in any summation order.
-    Blocks add up in Python integers, so the moments do not depend on the
-    block sizes or the order of the rows (per-block moments merged as in
-    Chan, Golub & LeVeque 1983, here without rounding).
+    In a block of m rows, column a is split on its own grid, fixed by
+    |x| < 2**top_a: slice j is q * 2**(top_a - w - j * (w + 1)) with integers
+    |q| <= 2**w, m * 4**w <= 2**53, as the rounding leaves a residual of at
+    most half the unit; a column stops once its residual is zero. The float64
+    gram of the slices and a ones column (top w, one slice) then holds exact
+    integers in any summation order, and slices i and j of columns a and b
+    meet at the one scale 2**(top_a + top_b - 2 * w - (i + j) * (w + 1)).
+    So each column pair's gram entries are summed per i + j in int64, which
+    is exact, as a column has fewer than 90 slices (tops <= 600, bits >=
+    -1074, w >= 19), and those anti-diagonal sums are combined by Horner's
+    rule in Python integers. Blocks add up in Python integers, so the
+    moments do not depend on the block sizes or the order of the rows
+    (per-block moments merged as in Chan, Golub & LeVeque 1983, here without
+    rounding).
     """
 
     def __init__(self, names: Sequence[str]):
@@ -316,51 +326,54 @@ class _Fold:
         self.n += m
         np.minimum(self.lo, r.min(axis=1), out=self.lo)
         np.maximum(self.hi, r.max(axis=1), out=self.hi)
-        if not (np.maximum(-self.lo, self.hi) < _MAGNITUDE_MAX).all():
+        amax = np.abs(r).max(axis=1)
+        if not (amax < _MAGNITUDE_MAX).all():
             return  # finish raises; past 2**600, sigma below may overflow
         w = (53 - (m - 1).bit_length()) // 2
-        pieces, units, owners = [], [], []
-        rows, top = np.arange(k), np.abs(r).max(axis=1)
+        step = w + 1
+        top = np.frexp(amax)[1]  # int32: ldexp is far slower on int64
+        # z's rows are slices, the ones column first; slot j * (k + 1) + a is slice j of column a
+        pieces, slots = [np.ones((1, m))], [np.array([k])]
+        unit, slot, top = top - w, np.arange(k), np.append(top, w)
         while True:
-            live = top > 0  # slice only the rows that still hold bits
+            live = r.any(axis=1)  # slice only the columns that still hold bits
             if not live.all():
-                rows, top, r = rows[live], top[live], r[live]
-            if not rows.size:
+                unit, slot, r = unit[live], slot[live], r[live]
+            if not slot.size:
                 break
-            unit = np.frexp(top)[1] - w
             # rounds r to multiples of 2**unit, row by row; r - q is exact
             sigma = np.ldexp(1.5, unit + 52)[:, None]
             q = r + sigma
             q -= sigma
             r -= q
             pieces.append(np.ldexp(q, -unit[:, None], out=q))
-            units += unit.tolist()
-            owners += rows.tolist()
-            top = np.abs(r).max(axis=1)
-        pieces.append(np.ones((1, m)))
-        units.append(0)
-        owners.append(k)
-        order = np.argsort(owners, kind="stable")
-        # a column that is zero throughout the block owns no slice
-        groups, bounds = np.unique(np.array(owners)[order], return_index=True)
-        low = min(units)
-        scale = np.array([1 << (units[i] - low) for i in order], dtype=object)
-        z = np.vstack(pieces)
-        g = (z @ z.T)[np.ix_(order, order)].astype(np.int64).astype(object) * scale[:, None] * scale
-        g = np.add.reduceat(np.add.reduceat(g, bounds, axis=0), bounds, axis=1)
-        if len(groups) <= k:
-            g, sub = np.zeros((k + 1, k + 1), dtype=object), g
-            g[np.ix_(groups, groups)] = sub
-        common = min(self._e, 2 * low)  # g holds the block's moments times 2**(-2 * low)
-        self._t = self._t * (1 << (self._e - common)) + g * (1 << (2 * low - common))
+            slots.append(slot)
+            unit, slot = unit - step, slot + (k + 1)
+        z, slot = np.vstack(pieces), np.concatenate(slots)
+        s = int(slot[-1]) // (k + 1) + 1  # slices of the longest column
+        grid = np.zeros((s * (k + 1),) * 2, dtype=np.int64)
+        grid[np.ix_(slot, slot)] = z @ z.T
+        grid = grid.reshape(s, k + 1, s, k + 1).transpose(0, 2, 1, 3)
+        diag = np.zeros((2 * s - 1, k + 1, k + 1), dtype=np.int64)
+        for i in range(s):
+            diag[i : i + s] += grid[i]  # slices i and j of each pair add to diag[i + j]
+        g = diag[0].astype(object)
+        for d in diag[1:].astype(object):
+            g = (g << step) + d
+        shift = top - top.min()
+        g <<= shift[:, None] + shift
+        low = 2 * (int(top.min()) - w - (s - 1) * step)  # g holds the block's moments times 2**(-low)
+        common = min(self._e, low)
+        self._t = self._t * (1 << (self._e - common)) + g * (1 << (low - common))
         self._e = common
 
     def finish(self) -> tuple:
         """The centered SSCP rounded once to float64 and to ``_DIGITS``
-        digits, and the exact column means. Raises, column by column,
-        NonFiniteValue for a NaN or infinity and SingularDesign for a
-        magnitude of 2**600 or more; then SingularDesign if a column's SS
-        exceeds float64, or, in any column but the last, is positive but rounds to 0."""
+        digits, and the exact column means as (numerator, denominator)
+        integer pairs. Raises, column by column, NonFiniteValue for a NaN or
+        infinity and SingularDesign for a magnitude of 2**600 or more; then
+        SingularDesign if a column's SS exceeds float64, or, in any column
+        but the last, is positive but rounds to 0."""
         for nm, ok, lo, hi in zip(self.names, self.finite, self.lo, self.hi):
             if not ok:
                 raise _non_finite(nm)
@@ -378,13 +391,14 @@ class _Fold:
                 raise SingularDesign(_OVERFLOW.format(nm)) from None
         f = np.empty((k, k))
         s: list[list[Decimal]] = [[Decimal(0)] * k for _ in range(k)]
+        rows, decimal_den = num.tolist(), Decimal(den)
         with localcontext(_CTX):
-            for a in range(k):
+            for a, row in enumerate(rows):
                 for b in range(a, k):
-                    f[a, b] = f[b, a] = num[a, b] / den  # int / int is correctly rounded
-                    s[a][b] = s[b][a] = Decimal(num[a, b]) / Decimal(den)
+                    f[a, b] = f[b, a] = row[b] / den  # int / int is correctly rounded
+                    s[a][b] = s[b][a] = Decimal(row[b]) / decimal_den
         f.setflags(write=False)
-        return f, s, [Fraction(int(v), count) for v in sums]
+        return f, s, [(int(v), count) for v in sums]
 
 
 def _fold_columns(columns: Sequence[np.ndarray], names: Sequence[str]) -> _Fold:
@@ -402,9 +416,9 @@ def _centered(
     checks of Dataset and mean_center in their order: NonFiniteValue (the
     response first), InvalidDataset if n < p + 2, ConstantColumn, then the
     SingularDesign of ``_Fold.finish``."""
-    names, n = fold.names, fold.n
+    names, n, finite = fold.names, fold.n, fold.finite
     for a in (-1, *range(len(names) - 1)):
-        if not fold.finite[a]:
+        if not finite[a]:
             raise _non_finite(names[a])
     _check_n(n, len(predictor_names))
     for nm, lo, hi in zip(names, fold.lo, fold.hi):
@@ -413,8 +427,9 @@ def _centered(
     f, s, means = fold.finish()
     with localcontext(_CTX):
         sds = [(s[a][a] / (n - 1)).sqrt() for a in range(len(names))]
-        exact = _Exact(f, s, [Decimal(m.numerator) / m.denominator for m in means], sds, n)
-    return CenteredData(response_name, predictor_names, data, tuple(map(float, means)), exact)
+        exact = _Exact(f, s, [Decimal(num) / den for num, den in means], sds, n)
+    floats = tuple(num / den for num, den in means)  # int / int is correctly rounded
+    return CenteredData(response_name, predictor_names, data, floats, exact)
 
 
 def mean_center(d: Dataset) -> CenteredData:
@@ -463,35 +478,45 @@ def _mask(idx: Iterable[int]) -> int:
     return sum({1 << i for i in idx})
 
 
+def _columns(mask: int) -> list[int]:
+    """The columns of a bit mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def _project(s: list[list[Decimal]], sol: _Solution, col: int) -> tuple[list, list]:
     """Cross-products a of column ``col`` with the columns of ``sol``, and its
     coefficients on them u = A^-1 a, both in the order of sol.b."""
-    a = [s[col][j] for j in sol.b]
     with localcontext(_CTX):
-        return a, [sum(map(mul, row, a)) for row in sol.ainv]
+        return _projection(s, sol, col)
+
+
+def _projection(s: list[list[Decimal]], sol: _Solution, col: int) -> tuple[list, list]:
+    """``_project`` in the caller's decimal context."""
+    a = [s[col][j] for j in sol.b]
+    return a, [sum(map(mul, row, a)) for row in sol.ainv]
 
 
 def _extend(s: list[list[Decimal]], sol: _Solution, col: int) -> _Solution:
-    """Border a solution of the response with one more column, in O(k^2).
+    """Border a solution of the response with one more column, in O(k^2);
+    the caller enters ``_CTX``.
 
     With u = A^-1 a from ``_project``, d = s_cc - a'u is the new column's SS
     residualized on the others, and the regression SS grows by d * b_new^2
     (Golub & Van Loan, bordering).
     """
-    a, u = _project(s, sol, col)
-    with localcontext(_CTX):
-        d = s[col][col] - sum(map(mul, a, u))
-        if d <= 0:  # only a design the guard wrongly passed gets here
-            raise SingularDesign(f"{len(a) + 1}-th leading minor of the array is not positive definite")
-        bk = (s[col][-1] - sum(map(mul, a, sol.b.values()))) / d
-        b = {j: bj - uj * bk for (j, bj), uj in zip(sol.b.items(), u)}
-        b[col] = bk
-        w = [uj / d for uj in u]
-        ainv = [[*map(add, row, map(wi.__mul__, u)), -wi] for row, wi in zip(sol.ainv, w)]
-        ainv.append([*(-wi for wi in w), 1 / d])
-        ssr = sol.ssr + bk * bk * d
-        sse = max(s[-1][-1] - ssr, Decimal(0))
-        return _Solution(b, {j: ainv[t][t] for t, j in enumerate(b)}, ssr, sse, ainv)
+    a, u = _projection(s, sol, col)
+    d = s[col][col] - sum(map(mul, a, u))
+    if d <= 0:  # only a design the guard wrongly passed gets here
+        raise SingularDesign(f"{len(a) + 1}-th leading minor of the array is not positive definite")
+    bk = (s[col][-1] - sum(map(mul, a, sol.b.values()))) / d
+    b = {j: bj - uj * bk for (j, bj), uj in zip(sol.b.items(), u)}
+    b[col] = bk
+    w = [uj / d for uj in u]
+    ainv = [[*map(add, row, map(wi.__mul__, u)), -wi] for row, wi in zip(sol.ainv, w)]
+    ainv.append([*(-wi for wi in w), 1 / d])
+    ssr = sol.ssr + bk * bk * d
+    sse = max(s[-1][-1] - ssr, Decimal(0))
+    return _Solution(b, {j: ainv[t][t] for t, j in enumerate(b)}, ssr, sse, ainv)
 
 
 class _Subsets:
@@ -509,23 +534,32 @@ class _Subsets:
     def solve(self, mask: int, idx: Sequence[int] | None = None, what: str = "subset") -> _Solution:
         """Solution on the columns of ``mask``, behind the guard, which sees them
         in the order of ``idx`` (default: ascending); errors name them "what (names)"."""
-        idx = [i for i in range(mask.bit_length()) if mask >> i & 1] if idx is None else idx
         try:
             # A set inside one that passed the guard passes it too: a principal
             # block of the normalized SSCP has its eigenvalues inside those of
             # the whole (Cauchy interlacing). A repeated column never passes.
-            if len(idx) > mask.bit_count() or all(mask & ~done for done in self._guarded):
+            repeats = idx is not None and len(idx) > mask.bit_count()
+            if repeats or all(mask & ~done for done in self._guarded):
+                idx = _columns(mask) if idx is None else idx
                 _guard(self._ex.f[idx][:, idx])
                 self._guarded.append(mask)
             return self._border(mask)
         except SingularDesign as exc:
+            idx = _columns(mask) if idx is None else idx
             raise SingularDesign(f"{what} ({', '.join(self._names[i] for i in idx)}): {exc}") from None
 
     def _border(self, mask: int) -> _Solution:
-        if mask not in self._cache:
-            top = mask.bit_length() - 1
-            self._cache[mask] = _extend(self._ex.s, self._border(mask ^ 1 << top), top)
-        return self._cache[mask]
+        """The solution on ``mask``, bordered up from its longest solved
+        prefix (the set less its highest columns) in one decimal context."""
+        chain = []
+        while mask not in self._cache:
+            chain.append(mask)
+            mask ^= 1 << mask.bit_length() - 1
+        sol = self._cache[mask]
+        with localcontext(_CTX):
+            for link in reversed(chain):
+                sol = self._cache[link] = _extend(self._ex.s, sol, link.bit_length() - 1)
+        return sol
 
     def type1(self, mask: int) -> dict[int, float]:
         """Type I SS of each column of ``mask`` entering it last, b_i^2 / (A^-1)_ii rounded once."""

@@ -1,5 +1,8 @@
+import dataclasses
 import gc
 import math
+from collections.abc import Mapping
+from decimal import ROUND_DOWN, Context, Decimal, getcontext, localcontext
 from itertools import permutations
 
 import numpy as np
@@ -683,3 +686,47 @@ def test_report_calls_leave_no_cyclic_garbage(dwaine, call):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _bits(v):
+    """``v`` with every float, array and Decimal replaced by its exact bits,
+    so that two results compare equal only when they are bit-identical."""
+    if isinstance(v, np.ndarray):
+        return v.dtype.str, v.shape, v.tobytes()
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, Decimal):
+        return v.as_tuple()
+    if isinstance(v, Mapping):
+        return {k: _bits(x) for k, x in v.items()}
+    if dataclasses.is_dataclass(v):
+        return type(v).__name__, [_bits(getattr(v, f.name)) for f in dataclasses.fields(v)]
+    if isinstance(v, (tuple, list)):
+        return type(v).__name__, [_bits(x) for x in v]
+    return v
+
+
+def _every_entry_point(ds):
+    c = mean_center(ds)
+    model = ds.predictor_names
+    return [
+        c,
+        fit_ols(c, model[1:]),
+        compare_report(c, model, orderings="all"),
+        residualize(c, model[0], model[1:]),
+        [*ordering_records(c, enumerate_orderings(model))],
+    ]
+
+
+def test_results_ignore_the_callers_decimal_context():
+    # every decimal step runs in the library's 38-digit context, entered
+    # once per bordering chain: a step left in the caller's context would
+    # round here to 6 digits, and set the caller's flags
+    ds = synth_data(4, 0.99, seed=11)
+    want = _bits(_every_entry_point(ds))
+    with localcontext(Context(prec=6, rounding=ROUND_DOWN)) as ctx:
+        got = _bits(_every_entry_point(ds))
+        assert getcontext() is ctx
+        assert (ctx.prec, ctx.rounding) == (6, ROUND_DOWN)
+        assert not any(ctx.flags.values())
+    assert got == want

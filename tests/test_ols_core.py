@@ -1,8 +1,9 @@
 import dataclasses
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import mul
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -289,6 +290,18 @@ class TestExactSscp:
         monkeypatch.setattr(varpart.ols_core, "_BLOCK", 4)
         self.assert_matches_integer_reference(d)
 
+    def test_columns_stop_slicing_at_different_steps_across_full_blocks(self):
+        # two full blocks and part of a third: x1 near 2**500 and y near
+        # 2**-900 are sliced on grids far apart, and x2, zero throughout
+        # the first block, owns no slice there
+        block = varpart.ols_core._BLOCK
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((2 * block + 1234, 2))
+        x[:, 0] *= 2.0**500
+        x[:block, 1] = 0.0
+        y = (x[:, 1] + rng.standard_normal(len(x))) * 2.0**-900
+        self.assert_matches_integer_reference(make_dataset(x, y))
+
     def test_independent_of_row_order_and_block_size(self, monkeypatch):
         d = _tall()
         rows = np.random.default_rng(1).permutation(d.n)
@@ -300,6 +313,68 @@ class TestExactSscp:
         for other in (mean_center(d).exact, mean_center(shuffled).exact):
             assert other.f.tobytes() == first.f.tobytes()
             assert other.s == first.s
+
+
+def _exact_fold(cols, names):
+    """``_Fold.finish()`` of the columns from exact Fraction sums: f, s and
+    the means, or the message of the SingularDesign it raises."""
+    unit = Fraction(1, 2**1074)  # every float64 is an integer times unit
+    xs = [[int(v / unit) for v in map(Fraction, col)] for col in cols]
+    n, sums, k = len(xs[0]), [sum(x) for x in xs], len(xs)
+    ss = [[Fraction(0)] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a, k):
+            cross = sum(map(mul, xs[a], xs[b])) - Fraction(sums[a] * sums[b], n)
+            ss[a][b] = ss[b][a] = cross * unit**2
+    sums = [v * unit for v in sums]
+    for a, nm in enumerate(names):
+        try:
+            if ss[a][a] and not float(ss[a][a]) and a < k - 1:
+                return f"column {nm!r}: cross-products underflow float64 (rescale the column)"
+        except OverflowError:
+            return f"column {nm!r}: cross-products overflow float64 (rescale the column)"
+    with localcontext(varpart.ols_core._CTX):
+        s = [[Decimal(v.numerator) / v.denominator for v in row] for row in ss]
+    return np.array([[float(v) for v in row] for row in ss]), s, [v / n for v in sums]
+
+
+@st.composite
+def _fold_cases(draw):
+    """Up to 6 columns of up to 64 rows, each value zero, subnormal or a
+    normal scaled by its column's 2**e, and a block size that splits them."""
+    k, m = draw(st.integers(1, 6)), draw(st.integers(1, 64))
+    cols = []
+    for _ in range(k):
+        # half the scales keep every SS inside float64, so finish returns
+        e = draw(st.integers(-1000, 590) | st.integers(-500, 500))
+        value = st.one_of(
+            st.just(0.0),
+            st.integers(1 - 2**52, 2**52 - 1).map(lambda i: i * 2.0**-1074),
+            st.floats(-2.0, 2.0, allow_subnormal=False).map(lambda v, e=e: math.ldexp(v, e)),
+        )
+        cols.append(np.array(draw(st.lists(value, min_size=m, max_size=m))))
+    return cols, draw(st.integers(1, m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fold_cases())
+def test_fold_matches_exact_fraction_sums(case):
+    # every block is split on per-column grids and summed per anti-diagonal
+    # in int64: the moments stay exact across blocks, zeros and subnormals
+    cols, block = case
+    names = [f"x{j}" for j in range(len(cols))]
+    with mock.patch.object(varpart.ols_core, "_BLOCK", block):
+        fold = _fold_columns(cols, names)
+    want = _exact_fold(cols, names)
+    try:
+        f, s, means = fold.finish()
+    except SingularDesign as exc:
+        assert str(exc) == want
+        return
+    assert not isinstance(want, str), want
+    assert _bits(f) == _bits(want[0])
+    assert s == want[1]
+    assert [Fraction(num, den) for num, den in means] == want[2]
 
 
 def _bits(a):
