@@ -19,14 +19,14 @@ __version__ = "0.1.0"
 # The public names, by the module that defines each.
 _MODULES = {
     "data_io": (
-        "CsvSpec", "SyntheticSpec", "center_csv", "dataset_to_csv_text", "dwaine_fixture",
-        "exchangeable_correlation", "generate_synthetic", "load_csv", "save_csv",
+        "CsvSpec", "SyntheticSpec", "center_csv", "dwaine_fixture", "exchangeable_correlation",
+        "generate_synthetic", "load_csv", "save_csv",
     ),
     "decomposition": (
-        "ORDERING_CAP", "DecompositionReport", "OrderingFit", "PredictorDecomposition",
-        "ResidualizedPredictor", "VennRegions", "actual_model_ss", "compare_report", "corrected_f",
-        "corrected_r2", "enumerate_orderings", "ordering_records", "orthogonal_regression",
-        "partial_ss", "residualize", "residualized_simple_fits", "sequential_ss", "venn_regions",
+        "ORDERING_CAP", "DecompositionReport", "PredictorDecomposition", "ResidualizedPredictor",
+        "VennRegions", "actual_model_ss", "compare_report", "corrected_f", "corrected_r2",
+        "enumerate_orderings", "orthogonal_regression", "partial_ss", "residualize",
+        "residualized_simple_fits", "sequential_ss", "venn_regions",
     ),
     "ols_core": (
         "RCOND_MIN", "AnovaRow", "AnovaTable", "CenteredData", "Dataset", "OlsFit", "SscpMatrix",

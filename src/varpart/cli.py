@@ -4,7 +4,6 @@ Four subcommands share the input options: ``fit`` (ANOVA table and
 coefficients), ``decompose`` (traditional vs corrected side by side),
 ``orderings`` (per-ordering Type I tables with orthogonal-function fits),
 and ``venn`` (region accounting, optionally as a proportional-area SVG).
-A hidden ``synth`` subcommand emits seeded synthetic CSVs for testing.
 
 Exit codes: 0 success, 1 stdout closed early (click's own EPIPE exit, with
 no message), 2 input or usage error, 3 degenerate design (constant column,
@@ -22,17 +21,8 @@ from itertools import islice
 from typing import Iterable, NoReturn
 
 import click
-import numpy as np
 
-from .data_io import (
-    CsvSpec,
-    SyntheticSpec,
-    center_csv,
-    dataset_to_csv_text,
-    dwaine_fixture,
-    exchangeable_correlation,
-    generate_synthetic,
-)
+from .data_io import CsvSpec, center_csv, dwaine_fixture
 from .decomposition import (
     compare_report,
     enumerate_orderings,
@@ -269,38 +259,6 @@ def venn(c, model, fmt):
     if fmt == "svg":
         return (render_venn_svg(v, model, c.response_name),)
     return _render(venn_payload(v, c.response_name, model, c.n), fmt)
-
-
-@main.command(hidden=True)
-@click.option("--n", type=int, default=100, show_default=True)
-@click.option("--p", type=int, default=2, show_default=True)
-@click.option(
-    "--rho",
-    type=float,
-    default=0.0,
-    show_default=True,
-    help="Common pairwise predictor correlation.",
-)
-@click.option("--coef", default=None, help="Comma-separated signal coefficients.")
-@click.option("--noise-sd", type=float, default=1.0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True, help="RNG seed.")
-@click.option("--out", "out_path", type=click.Path(), default=None)
-def synth(n, p, rho, coef, noise_sd, seed, out_path):
-    """Emit a seeded synthetic dataset as CSV (testing helper)."""
-
-    def body():
-        coefs = np.array([float(tok) for tok in _split(coef)]) if coef else np.ones(p)
-        spec = SyntheticSpec(
-            n=n,
-            p=p,
-            correlation=exchangeable_correlation(p, rho),
-            signal_coefficients=coefs,
-            noise_sd=noise_sd,
-            seed=seed,
-        )
-        _emit((dataset_to_csv_text(generate_synthetic(spec)),), out_path)
-
-    _run(body)
 
 
 def entry() -> None:

@@ -9,7 +9,6 @@ output is stable across platforms, so property tests are reproducible.
 from __future__ import annotations
 
 import csv
-import io
 import re
 import warnings
 from array import array
@@ -301,25 +300,18 @@ def _parse_cell(cell: str) -> float:
     return float(text)
 
 
-def dataset_to_csv_text(d: Dataset, delimiter: str = ",") -> str:
-    """Render a Dataset as CSV text at full precision.
+def save_csv(d: Dataset, path: str | Path, delimiter: str = ",") -> None:
+    """Write every column of a Dataset as CSV at full precision.
 
     Floats are written with ``repr``, which round-trips exactly, so loading
-    the text back reproduces the values bit for bit.
+    the file back reproduces the values bit for bit.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
-    writer.writerow([name for name, _ in d.columns])
     arrays = [col for _, col in d.columns]
-    for i in range(d.n):
-        writer.writerow([repr(float(col[i])) for col in arrays])
-    return buf.getvalue()
-
-
-def save_csv(d: Dataset, path: str | Path, delimiter: str = ",") -> None:
-    """Write every column of a Dataset back out at full precision."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(dataset_to_csv_text(d, delimiter))
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer.writerow([name for name, _ in d.columns])
+        for i in range(d.n):
+            writer.writerow([repr(float(col[i])) for col in arrays])
 
 
 # 21 photo-portrait city observations: target population (thousands),

@@ -189,22 +189,6 @@ def _corrected(c: CenteredData, sol: _Solution, type3: Mapping[str, Decimal]) ->
         return float(total), float(total / c.exact.s[-1][-1]), _ratio(total / len(type3), mse)
 
 
-class OrderingFit(NamedTuple):
-    """One ordering's Type I table and orthogonal-function fit.
-
-    ``type1`` pairs each predictor with its Type I SS, and ``terms`` holds
-    each orthogonal-function term as (label, b, se, z, t). ``fit`` is the
-    fit on the predictor set, whose SS, R2 and F the orthogonal-function
-    fit shares; ``intercept`` is the orthogonal-function fit's own.
-    """
-
-    order: tuple[str, ...]
-    type1: list[tuple[str, float]]
-    terms: list[tuple[str, float, float, float, float]]
-    intercept: float
-    fit: OlsFit
-
-
 class _Orderings:
     """Type I tables and orthogonal-function fits of the orderings of ``model``.
 
@@ -212,9 +196,10 @@ class _Orderings:
     slope is that fit's coefficient, its column (o[k] residualized on
     o[:k]) has SS 1 / (A^-1)_kk, and its Type I SS is slope^2 times that
     SS. Sets are bit masks over the predictors' indices. A Type I pair
-    (``entry``) is read off the memo; a term's statistics (``stats``) per
-    prefix set and predictor, and an ``intercept`` per first predictor,
-    are derived once and kept in plain dicts.
+    (``entry``), a term's statistics (``stats``) per prefix set and
+    predictor, and an ``intercept`` per first predictor are read off the
+    memo's solves on each call; a caller that reads one more than once
+    keeps it.
     """
 
     def __init__(self, c: CenteredData, model: Iterable[str]):
@@ -222,8 +207,6 @@ class _Orderings:
         self._bit = {nm: 1 << i for i, nm in enumerate(c.predictor_names)}
         self.model = _canonical_model(c, model)
         self._whole = sum(map(self._bit.__getitem__, self.model))
-        self._stats: dict[tuple[int, str], tuple[float, ...]] = {}
-        self._intercepts: dict[str, float] = {}
 
     def masks(self, ordering: tuple[str, ...]) -> list[int]:
         """The set of each prefix of ``ordering``: EmptySubset if it is empty, then
@@ -252,21 +235,17 @@ class _Orderings:
 
     def stats(self, mask: int, nm: str) -> tuple[float, ...]:
         """(b, se, z, t) of ``nm`` last in the prefix set ``mask``."""
-        if (mask, nm) not in self._stats:
-            c, i, part = self._c, self._c.predictor_index(nm), self._c._memo.solve(mask)
-            with localcontext(_CTX):
-                sd = _column_sd(part.inv[i], c.n)
-                self._stats[mask, nm] = _coef_stats(part.b[i], part.inv[i], sd, self._mse, c.exact.sds[-1])
-        return self._stats[mask, nm]
+        c, i, part = self._c, self._c.predictor_index(nm), self._c._memo.solve(mask)
+        with localcontext(_CTX):
+            sd = _column_sd(part.inv[i], c.n)
+            return _coef_stats(part.b[i], part.inv[i], sd, self._mse, c.exact.sds[-1])
 
     def intercept(self, nm: str) -> float:
         """Intercept of an orthogonal-function fit whose first column is ``nm``."""
-        if nm not in self._intercepts:
-            c, i = self._c, self._c.predictor_index(nm)
-            with localcontext(_CTX):
-                slope = c._memo.solve(self._bit[nm]).b[i]
-                self._intercepts[nm] = float(c.exact.means[-1] - slope * c.exact.means[i])
-        return self._intercepts[nm]
+        c, i = self._c, self._c.predictor_index(nm)
+        with localcontext(_CTX):
+            slope = c._memo.solve(self._bit[nm]).b[i]
+            return float(c.exact.means[-1] - slope * c.exact.means[i])
 
     def walk(self, orderings: Iterable[tuple[str, ...]]) -> Iterator[tuple]:
         """Each (checked) ordering as (k, ordering, masks, labels): k is how
@@ -336,8 +315,9 @@ def sequential_ss(
     predictor to the first k - 1. The entries telescope, so they sum to the
     regression SS of the complete chain.
     """
+    ordering = tuple(ordering)
     values = _Orderings(c, ordering)
-    return [*map(values.entry, values.masks(tuple(ordering)), ordering)]
+    return [*map(values.entry, values.masks(ordering), ordering)]
 
 
 def partial_ss(c: CenteredData, predictor: str, model: Iterable[str]) -> float:
@@ -390,10 +370,13 @@ def orthogonal_regression(c: CenteredData, ordering: Sequence[str]) -> OlsFit:
     Raises EmptySubset for an empty ordering, and SingularDesign where
     fit_ols on the same predictors would.
     """
-    (rec,) = ordering_records(c, [ordering])
-    labels, *stats = zip(*rec.terms)
-    b, se, z, t = map(_readonly, stats)
-    return rec.fit._replace(predictor_subset=labels, b=b, se=se, t=t, z=z, intercept=rec.intercept)
+    ordering = tuple(ordering)
+    fit, values, steps = ordering_walk(c, ordering, [ordering])
+    ((_, order, masks, labels),) = steps
+    b, se, z, t = map(_readonly, zip(*map(values.stats, masks, order)))
+    return fit._replace(
+        predictor_subset=tuple(labels), b=b, se=se, t=t, z=z, intercept=values.intercept(order[0])
+    )
 
 
 def ordering_walk(
@@ -408,30 +391,6 @@ def ordering_walk(
     for ordering in orderings:
         values.masks(ordering)
     return OrderingWalk(fit_ols(c, values.model), values, values.walk(orderings))
-
-
-def ordering_records(c: CenteredData, orderings: Iterable[Sequence[str]]) -> Iterator[OrderingFit]:
-    """Type I table and orthogonal-function fit of each ordering, one record
-    at a time.
-
-    Each record holds ``sequential_ss(c, ordering)`` as ``type1`` and the
-    terms, intercept and full fit of ``orthogonal_regression(c,
-    ordering)``, value for value. The orderings permute one predictor set,
-    that of the first; they are checked and the set fitted before this
-    returns, and the records are built from ``ordering_walk``.
-    """
-    orderings = [*map(tuple, orderings)]
-    if not orderings:
-        return iter(())
-    fit, values, steps = ordering_walk(c, orderings[0], orderings)
-    return (
-        OrderingFit(
-            order, [*map(values.entry, masks, order)],
-            [(label, *values.stats(m, nm)) for label, m, nm in zip(labels, masks, order)],
-            values.intercept(order[0]), fit,
-        )
-        for _, order, masks, labels in steps
-    )
 
 
 def residualized_simple_fits(

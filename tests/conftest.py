@@ -1,11 +1,23 @@
 import importlib.util
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from varpart import Dataset, OrderingFit, dwaine_fixture, mean_center
+from varpart import (
+    Dataset,
+    OlsFit,
+    SyntheticSpec,
+    dwaine_fixture,
+    exchangeable_correlation,
+    generate_synthetic,
+    mean_center,
+    orthogonal_regression,
+    save_csv,
+    sequential_ss,
+)
 from varpart.decomposition import ordering_walk
 from varpart.report import SCHEMA_VERSION, render_orderings
 
@@ -36,12 +48,43 @@ def make_dataset(x: np.ndarray, y: np.ndarray) -> Dataset:
     )
 
 
-def ordering_record(order, seq, fit) -> OrderingFit:
-    """The record ``decomposition.ordering_records`` gives, from a Type I
-    table and an orthogonal-function fit computed on their own: no value in
-    it is shared with another record."""
-    terms = list(zip(fit.predictor_subset, fit.b, fit.se, fit.z, fit.t))
-    return OrderingFit(tuple(order), seq, terms, fit.intercept, fit)
+def write_synth(path, n, p, rho=0.0, seed=0) -> Path:
+    """Write a seeded synthetic dataset (predictors x1..xp, response y, all
+    signal coefficients 1, noise sd 1) as CSV to ``path``; return the path."""
+    spec = SyntheticSpec(
+        n=n,
+        p=p,
+        correlation=exchangeable_correlation(p, rho),
+        signal_coefficients=np.ones(p),
+        noise_sd=1.0,
+        seed=seed,
+    )
+    save_csv(generate_synthetic(spec), path)
+    return Path(path)
+
+
+class OrderingRecord(NamedTuple):
+    """One ordering's Type I table and orthogonal-function fit: ``terms``
+    holds each term as (label, b, se, z, t) and ``fit`` the fit whose SS,
+    R2, F and intercept the report prints."""
+
+    order: tuple[str, ...]
+    type1: list[tuple[str, float]]
+    terms: list[tuple[str, float, float, float, float]]
+    intercept: float
+    fit: OlsFit
+
+
+def records_by_ordering(c, orderings) -> list[OrderingRecord]:
+    """The record of each ordering from its own Type I table
+    (``sequential_ss``) and orthogonal-function fit
+    (``orthogonal_regression``): no value in one is shared with another."""
+    records = []
+    for order in orderings:
+        fit = orthogonal_regression(c, order)
+        terms = list(zip(fit.predictor_subset, fit.b, fit.se, fit.z, fit.t))
+        records.append(OrderingRecord(tuple(order), sequential_ss(c, order), terms, fit.intercept, fit))
+    return records
 
 
 def _num(x):

@@ -35,6 +35,8 @@ from varpart import (
 )
 from varpart.cli import main
 
+from conftest import write_synth
+
 MODEL = ("TARGTPOP", "DISPOINC")
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -378,8 +380,7 @@ def test_9_cli_contract(centered):
             ["fit", "--input", "const.csv", "--response", "y", "--predictors", "x"],
         )
         assert res.exit_code == 3
-        gen = runner.invoke(main, ["synth", "--n", "30", "--p", "9", "--out", "w.csv"])
-        assert gen.exit_code == 0
+        write_synth("w.csv", n=30, p=9)
         preds = ",".join(f"x{i}" for i in range(1, 10))
         res = runner.invoke(
             main,

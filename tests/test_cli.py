@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import re
@@ -21,12 +22,10 @@ from varpart import (
     fit_ols,
     load_csv,
     mean_center,
-    orthogonal_regression,
-    sequential_ss,
 )
 from varpart import cli
 from varpart.cli import main
-from conftest import ordering_record, orderings_payload, report_by_ordering
+from conftest import orderings_payload, records_by_ordering, report_by_ordering, write_synth
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -87,6 +86,21 @@ class TestGoldenOutputs:
         )
         assert res.exit_code == 0
         assert res.output == (GOLDEN / f"orderings_names.{ext}").read_text(encoding="utf-8")
+
+    def test_seeded_input_and_its_orderings(self, runner, tmp_path):
+        # the generator's bytes at seed 4242, p = 7, and the text and CSV
+        # reports of all 5,040 orderings of that file; the CSV digest holds
+        # full-precision floats and falls under the golden policy, as the
+        # CSV goldens do
+        data = write_synth(tmp_path / "p7.csv", n=200, p=7, rho=0.6, seed=4242)
+        assert hashlib.md5(data.read_bytes()).hexdigest() == "0d7a2a722a20db6919735f40ba62b801"
+        preds = ",".join(f"x{j}" for j in range(1, 8))
+        digests = {"text": "fc863115cf674b3db9893d53f8d17fb8", "csv": "08a0ef981fd5bbcf4a18b146fb149d36"}
+        for fmt, digest in digests.items():
+            out = tmp_path / f"orderings.{fmt}"
+            invoke(runner, "orderings", "--input", str(data), "--response", "y",
+                   "--predictors", preds, "--format", fmt, "--out", str(out))
+            assert hashlib.md5(out.read_bytes()).hexdigest() == digest
 
     def test_fit_single_predictor(self, runner):
         res = invoke(runner, "fit", "--dwaine", "--model", "TARGTPOP")
@@ -250,11 +264,7 @@ class TestExitCodes:
         assert res.exit_code == 3
 
     def test_ordering_cap(self, runner, tmp_path):
-        data = tmp_path / "wide.csv"
-        gen = runner.invoke(
-            main, ["synth", "--n", "30", "--p", "9", "--out", str(data)]
-        )
-        assert gen.exit_code == 0
+        data = write_synth(tmp_path / "wide.csv", n=30, p=9)
         preds = ",".join(f"x{i}" for i in range(1, 10))
         res = runner.invoke(
             main,
@@ -268,8 +278,7 @@ class TestExitCodes:
         assert res.exit_code == 4
 
     def test_explicit_order_bypasses_cap(self, runner, tmp_path):
-        data = tmp_path / "wide.csv"
-        runner.invoke(main, ["synth", "--n", "30", "--p", "9", "--out", str(data)])
+        data = write_synth(tmp_path / "wide.csv", n=30, p=9)
         preds = ",".join(f"x{i}" for i in range(1, 10))
         res = runner.invoke(
             main,
@@ -327,68 +336,12 @@ class TestExitCodes:
         assert res.exit_code == 2
 
 
-class TestSynth:
-    def test_hidden_from_help_but_invocable(self, runner):
-        help_res = invoke(runner, "--help")
-        assert "synth" not in help_res.output
-        res = invoke(runner, "synth", "--help")
-        assert res.exit_code == 0
-
-    def test_deterministic(self, runner):
-        a = invoke(runner, "synth", "--n", "12", "--p", "2", "--seed", "5")
-        b = invoke(runner, "synth", "--n", "12", "--p", "2", "--seed", "5")
-        assert a.output == b.output
-        header = a.output.splitlines()[0]
-        assert header == "x1,x2,y"
-        assert len(a.output.splitlines()) == 13
-
-    def test_bad_rho(self, runner):
-        res = runner.invoke(main, ["synth", "--n", "12", "--p", "2", "--rho", "1.5"])
-        assert res.exit_code == 2
-
-    @pytest.mark.parametrize(
-        "args, field",
-        [
-            (("--rho", "nan"), "correlation"),
-            (("--rho", "inf"), "correlation"),
-            (("--coef", "nan,1"), "signal_coefficients"),
-            (("--noise-sd", "inf"), "noise_sd"),
-            (("--noise-sd", "nan"), "noise_sd"),
-        ],
-    )
-    def test_non_finite_parameters_name_the_field(self, runner, args, field):
-        res = runner.invoke(main, ["synth", "--n", "5", "--p", "2", *args])
-        assert_one_error_line(res)
-        assert res.stderr == f"error: {field} must be finite\n"
-
-    def test_output_feeds_back_into_fit(self, runner, tmp_path):
-        data = tmp_path / "s.csv"
-        invoke(
-            runner,
-            "synth", "--n", "25", "--p", "3", "--rho", "0.5", "--out", str(data),
-        )
-        res = invoke(
-            runner,
-            "decompose",
-            "--input", str(data),
-            "--response", "y",
-            "--predictors", "x1,x2,x3",
-        )
-        assert res.exit_code == 0
-        assert "Traditional vs corrected" in res.output
-
-
 class TestOrderingsSharing:
     """All orderings share one subset memo; the output must equal
     independent per-ordering calls byte for byte."""
 
-    def synth(self, runner, tmp_path, p):
-        data = tmp_path / f"p{p}.csv"
-        invoke(
-            runner,
-            "synth", "--n", "40", "--p", str(p), "--rho", "0.6", "--seed", "3",
-            "--out", str(data),
-        )
+    def synth(self, tmp_path, p):
+        data = write_synth(tmp_path / f"p{p}.csv", n=40, p=p, rho=0.6, seed=3)
         preds = tuple(f"x{i}" for i in range(1, p + 1))
         args = ["--input", str(data), "--response", "y", "--predictors", ",".join(preds)]
         return data, preds, args
@@ -422,7 +375,7 @@ class TestOrderingsSharing:
     )
     @pytest.mark.parametrize("fmt", ("json", "csv", "text"))
     def test_matches_independent_calls(self, runner, tmp_path, orders, fmt):
-        data, preds, args = self.synth(runner, tmp_path, 5)
+        data, preds, args = self.synth(tmp_path, 5)
         flags = [tok for o in orders or () for tok in ("--order", o)]
         res = invoke(runner, "orderings", *args, "--format", fmt, *flags)
         assert res.exit_code == 0
@@ -436,18 +389,15 @@ class TestOrderingsSharing:
         assert res.stdout == report_by_ordering(fmt, "y", preds, c, ordering_list)
         if fmt == "json":
             # the stdlib encoder, not the writer under test, is the oracle
-            entries = [
-                ordering_record(o, sequential_ss(c, o), orthogonal_regression(c, o))
-                for o in ordering_list
-            ]
-            payload = orderings_payload("y", preds, fit_ols(c, preds), entries)
+            records = records_by_ordering(c, ordering_list)
+            payload = orderings_payload("y", preds, fit_ols(c, preds), records)
             assert res.stdout == json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
     def test_residualizes_each_prefix_once(self, runner, tmp_path, monkeypatch):
         # a prefix is residualized by bordering the solve of the one before
         # it; across all 24 orderings of 4 predictors there are 15 distinct
         # prefixes, and the memo solves each of them once
-        _, _, args = self.synth(runner, tmp_path, 4)
+        _, _, args = self.synth(tmp_path, 4)
         calls = []
         extend = varpart.ols_core._extend
 
@@ -463,7 +413,7 @@ class TestOrderingsSharing:
     def test_no_residualized_column_or_n_length_fit(self, runner, tmp_path, monkeypatch):
         # every term is read off the subset memo; the n-length routes stay
         # only as oracles, so the report path must not reach them
-        _, _, args = self.synth(runner, tmp_path, 4)
+        _, _, args = self.synth(tmp_path, 4)
         calls = []
 
         def spy(module, name):
@@ -509,8 +459,7 @@ class TestEmit:
     @pytest.mark.parametrize("to_file", (False, True), ids=("stdout", "out"))
     def test_a_write_per_batch(self, runner, tmp_path, monkeypatch, to_file, batch):
         # 24 orderings of four predictors: the head, 24 texts and the tail
-        data = tmp_path / "p4.csv"
-        invoke(runner, "synth", "--n", "30", "--p", "4", "--rho", "0.5", "--out", str(data))
+        data = write_synth(tmp_path / "p4.csv", n=30, p=4, rho=0.5)
         args = ["orderings", "--input", str(data), "--response", "y",
                 "--predictors", "x1,x2,x3,x4", "--format", "json"]
         want = invoke(runner, *args).stdout
@@ -766,9 +715,7 @@ class TestRealProcess:
         # the reader stops after 100 bytes, as `| head -c 100` does, of the
         # 1.5 MB of JSON of 720 orderings: click's own EPIPE exit, not an
         # input error
-        data = tmp_path / "p6.csv"
-        synth = self.run("synth", "--n", "200", "--p", "6", "--rho", "0.6", "--out", str(data))
-        assert synth.returncode == 0
+        data = write_synth(tmp_path / "p6.csv", n=200, p=6, rho=0.6)
         proc = subprocess.Popen(
             [sys.executable, "-m", "varpart.cli", "orderings", "--input", str(data),
              "--response", "y", "--predictors", "x1,x2,x3,x4,x5,x6", "--format", "json"],
@@ -803,11 +750,10 @@ class TestRealProcess:
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
         assert proc.stdout == ""
 
-    @pytest.mark.parametrize("args", [("fit", "--dwaine"), ("synth",)], ids=("fit", "synth"))
-    def test_empty_out_path_prints_one_error_line(self, args):
+    def test_empty_out_path_prints_one_error_line(self):
         # as an unset shell variable gives it: a path that cannot be opened,
         # not stdout
-        proc = self.run(*args, "--out", "")
+        proc = self.run("fit", "--dwaine", "--out", "")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")

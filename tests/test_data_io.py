@@ -14,7 +14,6 @@ from varpart import (
     CsvSpec,
     SyntheticSpec,
     center_csv,
-    dataset_to_csv_text,
     dwaine_fixture,
     exchangeable_correlation,
     fit_ols,
@@ -726,8 +725,9 @@ def test_exchangeable_correlation_structure():
     assert m[0, 1] == m[2, 0] == 0.4
 
 
-def test_dataset_to_csv_text_full_precision(dwaine):
-    text = dataset_to_csv_text(dwaine)
+def test_save_csv_full_precision(dwaine, tmp_path):
+    save_csv(dwaine, tmp_path / "d.csv")
+    text = (tmp_path / "d.csv").read_text(encoding="utf-8")
     lines = text.splitlines()
     assert lines[0] == "TARGTPOP,DISPOINC,SALES"
     assert len(lines) == dwaine.n + 1
@@ -736,6 +736,6 @@ def test_dataset_to_csv_text_full_precision(dwaine):
     assert first == [68.5, 16.7, 174.4]
 
 
-def test_dataset_to_csv_text_custom_delimiter(dwaine):
-    text = dataset_to_csv_text(dwaine, delimiter=";")
-    assert text.splitlines()[0] == "TARGTPOP;DISPOINC;SALES"
+def test_save_csv_custom_delimiter(dwaine, tmp_path):
+    save_csv(dwaine, tmp_path / "d.csv", delimiter=";")
+    assert (tmp_path / "d.csv").read_text(encoding="utf-8").splitlines()[0] == "TARGTPOP;DISPOINC;SALES"

@@ -24,7 +24,6 @@ from varpart import (
     fit_ols,
     generate_synthetic,
     mean_center,
-    ordering_records,
     orthogonal_regression,
     partial_ss,
     residualize,
@@ -32,7 +31,7 @@ from varpart import (
     sequential_ss,
     venn_regions,
 )
-from varpart.decomposition import _partial
+from varpart.decomposition import _partial, ordering_walk
 from varpart.errors import EmptySubset, SingularDesign, TooManyOrderings, UnknownName
 
 from conftest import MODEL, make_dataset
@@ -269,7 +268,7 @@ class TestOrthogonalRegression:
         with pytest.raises(EmptySubset):
             orthogonal_regression(centered, ())
         with pytest.raises(EmptySubset):
-            ordering_records(centered, [()])
+            ordering_walk(centered, MODEL, [()])
         with pytest.raises(EmptySubset):
             fit_ols(centered, ())
 
@@ -524,9 +523,20 @@ def synth_data(p, rho, seed=5):
     return generate_synthetic(spec)
 
 
-class TestOrderingRecords:
-    """``ordering_records`` takes orderings of one predictor set: it checks
-    them all and fits the set before it returns, then walks them."""
+def walk_values(walk):
+    """Each ordering of the walk with its Type I table, term statistics and
+    intercept, read as the walk reaches it."""
+    _, values, steps = walk
+    return [
+        (order, [*map(values.entry, masks, order)], [*map(values.stats, masks, order)],
+         values.intercept(order[0]))
+        for _, order, masks, _ in steps
+    ]
+
+
+class TestOrderingWalk:
+    """``ordering_walk`` takes orderings of one predictor set, the model: it
+    checks them all and fits the set before it returns, then walks them."""
 
     @pytest.mark.parametrize("p", [3, 5, 6])
     @pytest.mark.parametrize("rho", [0.9, 1 - 1e-6, 1 - 1e-9, 1 - 1e-10])
@@ -540,12 +550,11 @@ class TestOrderingRecords:
             fit_ols(c, names)
         except SingularDesign:
             with pytest.raises(SingularDesign):
-                ordering_records(mean_center(ds), enumerate_orderings(names))
+                ordering_walk(mean_center(ds), names, enumerate_orderings(names))
             return
         for mask in range(1, 2**p):
             c._memo.solve(mask)
-        for _ in ordering_records(mean_center(ds), enumerate_orderings(names)):
-            pass
+        walk_values(ordering_walk(mean_center(ds), names, enumerate_orderings(names)))
 
     def test_one_fit_and_no_other_solve_before_the_walk(self, monkeypatch):
         c = mean_center(synth_data(4, 0.6))
@@ -558,10 +567,11 @@ class TestOrderingRecords:
 
         monkeypatch.setattr(varpart.decomposition, "fit_ols", lambda *a: fits.append(a) or fit(*a))
         monkeypatch.setattr(varpart.ols_core._Subsets, "solve", counted)
-        records = ordering_records(c, [("x4", "x2", "x3", "x1"), ("x1", "x2", "x3", "x4")])
+        orders = [("x4", "x2", "x3", "x1"), ("x1", "x2", "x3", "x4")]
+        walk = ordering_walk(c, orders[0], orders)
         assert fits == [(c, ("x1", "x2", "x3", "x4"))]
         assert solves == [0b1111]
-        assert [r.order for r in records] == [("x4", "x2", "x3", "x1"), ("x1", "x2", "x3", "x4")]
+        assert [order for order, *_ in walk_values(walk)] == orders
         assert len(set(solves)) == 7  # the distinct prefix sets of the two
 
     @pytest.mark.parametrize(
@@ -580,10 +590,12 @@ class TestOrderingRecords:
         c = mean_center(synth_data(3, 0.5))
         monkeypatch.setattr(varpart.decomposition, "fit_ols", None)  # any fit would raise TypeError
         with pytest.raises(error, match=match):
-            ordering_records(c, [("x1", "x2"), ("x2", "x1"), bad])
+            ordering_walk(c, ("x1", "x2"), [("x1", "x2"), ("x2", "x1"), bad])
 
-    def test_no_orderings_no_records(self, centered):
-        assert [*ordering_records(centered, [])] == []
+    def test_no_orderings_no_steps(self, centered):
+        walk = ordering_walk(centered, MODEL, [])
+        assert walk.fit.predictor_subset == MODEL
+        assert [*walk.steps] == []
 
     def test_walk_keeps_the_prefix_shared_with_the_last_ordering(self):
         c = mean_center(synth_data(3, 0.5))
@@ -670,10 +682,10 @@ class TestMaskMemo:
     "call",
     [
         lambda c, names: compare_report(c, names),
-        lambda c, names: [*ordering_records(c, [names, names[::-1]])],
+        lambda c, names: walk_values(ordering_walk(c, names, [names, names[::-1]])),
         lambda c, names: venn_regions(c, names),
     ],
-    ids=["compare_report", "ordering_records", "venn_regions"],
+    ids=["compare_report", "ordering_walk", "venn_regions"],
 )
 def test_report_calls_leave_no_cyclic_garbage(dwaine, call):
     # garbage in a reference cycle keeps the centering and its memo alive
@@ -686,6 +698,12 @@ def test_report_calls_leave_no_cyclic_garbage(dwaine, call):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("fn", [sequential_ss, orthogonal_regression], ids=lambda fn: fn.__name__)
+def test_an_ordering_may_be_a_one_pass_iterable(centered, fn):
+    # the ordering names the predictor set and the order of its terms
+    assert _bits(fn(centered, iter(MODEL))) == _bits(fn(centered, MODEL))
 
 
 def _bits(v):
@@ -714,7 +732,7 @@ def _every_entry_point(ds):
         fit_ols(c, model[1:]),
         compare_report(c, model, orderings="all"),
         residualize(c, model[0], model[1:]),
-        [*ordering_records(c, enumerate_orderings(model))],
+        walk_values(ordering_walk(c, model, enumerate_orderings(model))),
     ]
 
 

@@ -13,12 +13,11 @@ from varpart import data_io, decomposition, ols_core, venn_svg
 
 EXPORTS = [
     "AnovaRow", "AnovaTable", "CenteredData", "CsvSpec", "Dataset", "DecompositionReport",
-    "ORDERING_CAP", "OlsFit", "OrderingFit", "PredictorDecomposition", "RCOND_MIN",
-    "ResidualizedPredictor", "SscpMatrix", "SyntheticSpec", "VennRegions", "actual_model_ss",
-    "anova_table", "center_csv", "compare_report", "corrected_f", "corrected_r2",
-    "dataset_to_csv_text", "dwaine_fixture", "enumerate_orderings", "errors",
-    "exchangeable_correlation", "fit_ols", "generate_synthetic", "load_csv", "mean_center",
-    "ordering_records", "orthogonal_regression", "partial_ss", "render_venn_svg", "residualize",
+    "ORDERING_CAP", "OlsFit", "PredictorDecomposition", "RCOND_MIN", "ResidualizedPredictor",
+    "SscpMatrix", "SyntheticSpec", "VennRegions", "actual_model_ss", "anova_table", "center_csv",
+    "compare_report", "corrected_f", "corrected_r2", "dwaine_fixture", "enumerate_orderings",
+    "errors", "exchangeable_correlation", "fit_ols", "generate_synthetic", "load_csv",
+    "mean_center", "orthogonal_regression", "partial_ss", "render_venn_svg", "residualize",
     "residualized_simple_fits", "save_csv", "sequential_ss", "solve_center_distance", "sscp",
     "two_circle_layout", "venn_regions",
 ]

@@ -22,9 +22,6 @@ from varpart import (
     fit_ols,
     generate_synthetic,
     mean_center,
-    ordering_records,
-    orthogonal_regression,
-    sequential_ss,
     venn_regions,
 )
 from varpart import report
@@ -40,7 +37,7 @@ from varpart.report import (
 )
 from varpart.textfmt import fmt2
 
-from conftest import MODEL, make_dataset, ordering_record, orderings_payload, report_by_ordering
+from conftest import MODEL, make_dataset, orderings_payload, records_by_ordering, report_by_ordering
 
 
 class TestFmt2:
@@ -82,10 +79,7 @@ class Reports(dict):
     def __init__(self, c, model):
         full = fit_ols(c, model)
         rep = compare_report(c, model)
-        records = [
-            ordering_record(order, sequential_ss(c, order), orthogonal_regression(c, order))
-            for order in rep.orderings
-        ]
+        records = records_by_ordering(c, rep.orderings)
         self.c, self.model, self.orderings = c, model, rep.orderings
         super().__init__(
             fit=fit_payload(full, c.response_name),
@@ -282,7 +276,7 @@ class TestJsonMatchesStdlib:
     def test_generated_names(self, response, names, perms):
         c = correlated_centered(13, 3, tuple(names))
         orders = [tuple(names[i] for i in perm) for perm in perms]
-        payload = orderings_payload(response, names, fit_ols(c, names), [*ordering_records(c, orders)])
+        payload = orderings_payload(response, names, fit_ols(c, names), records_by_ordering(c, orders))
         assert render_json(payload) == json_oracle(payload)
         assert orderings_json(response, names, c, orders) == json_oracle(payload)
 
@@ -313,7 +307,7 @@ class TestJsonMatchesStdlib:
         y = x.sum(axis=1) + rng.standard_normal(60)
         c = mean_center(make_dataset(x, y))
         names = c.predictor_names
-        records = [*ordering_records(c, enumerate_orderings(names))]
+        records = records_by_ordering(c, enumerate_orderings(names))
         payload = orderings_payload("y", names, fit_ols(c, names), records)
         assert len(payload["orderings"]) == 5040
         assert render_json(payload) == json_oracle(payload)
@@ -340,7 +334,7 @@ class TestOrderingsJson:
 
     @staticmethod
     def assert_matches_payload(c, model, orderings, records=None):
-        records = [*ordering_records(c, orderings)] if records is None else records
+        records = records_by_ordering(c, orderings) if records is None else records
         oracle = json_oracle(orderings_payload(c.response_name, model, fit_ols(c, model), records))
         assert orderings_json(c.response_name, model, c, orderings) == oracle
 
@@ -355,24 +349,19 @@ class TestOrderingsJson:
         c = correlated_centered(3, 4)
         model = ("x3", "x1", "x4")
         orders = [("x4", "x1", "x3"), ("x3", "x1", "x4"), ("x4", "x1", "x3")]
-        records = [*ordering_records(c, orders)]
-        # the walk left the first ordering's prefixes and comes back to them
-        assert records[0].terms == records[2].terms
-        self.assert_matches_payload(c, model, orders, records)
+        # the walk leaves the first ordering's prefixes and comes back to them
+        self.assert_matches_payload(c, model, orders)
 
     def test_records_that_share_nothing(self):
         c = correlated_centered(4, 3)
         names = c.predictor_names
         orders = enumerate_orderings(names)
-        records = [
-            ordering_record(order, sequential_ss(c, order), orthogonal_regression(c, order))
-            for order in orders
-        ]
+        records = records_by_ordering(c, orders)
         assert isinstance(records[0].terms[0][1], np.float64)
         self.assert_matches_payload(c, names, orders, records)
 
     def test_infinite_f_is_null(self, perfect):
-        records = [*ordering_records(perfect, [("x1",)])]
+        records = records_by_ordering(perfect, [("x1",)])
         assert math.isinf(records[0].fit.f)
         self.assert_matches_payload(perfect, ("x1",), [("x1",)], records)
         out = orderings_json("y", ("x1",), perfect, [("x1",)])
@@ -416,7 +405,7 @@ class TestPrefixSharing:
         for fmt in ("json", "text", "csv"):
             report = "".join(render_orderings(fmt, "y", model, ordering_walk(c, model, orders)))
             assert report == report_by_ordering(fmt, "y", model, c, orders)
-        records = [*ordering_records(c, orders)]
+        records = records_by_ordering(c, orders)
         oracle = json_oracle(orderings_payload("y", model, fit_ols(c, model), records))
         assert orderings_json("y", model, c, orders) == oracle
 
@@ -442,7 +431,7 @@ class TestTextPerOrdering:
         assert start not in tail
         if fmt == "json":
             assert head.endswith('"orderings": [') and tail == "\n  ]\n}\n"
-            records = [*ordering_records(c, orders)]
+            records = records_by_ordering(c, orders)
             oracle = json_oracle(orderings_payload("y", names, fit_ols(c, names), records))
             assert "".join(texts) == oracle
 
