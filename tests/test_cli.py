@@ -87,20 +87,38 @@ class TestGoldenOutputs:
         assert res.exit_code == 0
         assert res.output == (GOLDEN / f"orderings_names.{ext}").read_text(encoding="utf-8")
 
-    def test_seeded_input_and_its_orderings(self, runner, tmp_path):
-        # the generator's bytes at seed 4242, p = 7, and the text and CSV
-        # reports of all 5,040 orderings of that file; the CSV digest holds
-        # full-precision floats and falls under the golden policy, as the
-        # CSV goldens do
+    @pytest.mark.parametrize(
+        "n, p, rho, seed, digest",
+        [
+            (200, 7, 0.6, 4242, "0d7a2a722a20db6919735f40ba62b801"),
+            (200, 8, 0.6, 4242, "c160c1db131d496308f351da83396a35"),
+            (50, 3, 0.6, 7, "9b1763779806ec49c789d063cb09cd38"),  # README's recipe
+        ],
+        ids=("p7", "p8", "readme"),
+    )
+    def test_seeded_input(self, tmp_path, n, p, rho, seed, digest):
+        # the generator's bytes, written through save_csv
+        data = write_synth(tmp_path / "in.csv", n=n, p=p, rho=rho, seed=seed)
+        assert hashlib.md5(data.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("text", "fc863115cf674b3db9893d53f8d17fb8"),
+            ("csv", "08a0ef981fd5bbcf4a18b146fb149d36"),
+            ("json", "81d980b88edf5057af108bbe72bb571f"),
+        ],
+    )
+    def test_orderings_of_the_seeded_input(self, runner, tmp_path, fmt, digest):
+        # all 5,040 orderings of the seed-4242 p = 7 input; the CSV and JSON
+        # digests hold full-precision floats and fall under the golden
+        # policy, as the CSV goldens do
         data = write_synth(tmp_path / "p7.csv", n=200, p=7, rho=0.6, seed=4242)
-        assert hashlib.md5(data.read_bytes()).hexdigest() == "0d7a2a722a20db6919735f40ba62b801"
         preds = ",".join(f"x{j}" for j in range(1, 8))
-        digests = {"text": "fc863115cf674b3db9893d53f8d17fb8", "csv": "08a0ef981fd5bbcf4a18b146fb149d36"}
-        for fmt, digest in digests.items():
-            out = tmp_path / f"orderings.{fmt}"
-            invoke(runner, "orderings", "--input", str(data), "--response", "y",
-                   "--predictors", preds, "--format", fmt, "--out", str(out))
-            assert hashlib.md5(out.read_bytes()).hexdigest() == digest
+        out = tmp_path / f"orderings.{fmt}"
+        invoke(runner, "orderings", "--input", str(data), "--response", "y",
+               "--predictors", preds, "--format", fmt, "--out", str(out))
+        assert hashlib.md5(out.read_bytes()).hexdigest() == digest
 
     def test_fit_single_predictor(self, runner):
         res = invoke(runner, "fit", "--dwaine", "--model", "TARGTPOP")
@@ -750,10 +768,11 @@ class TestRealProcess:
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
         assert proc.stdout == ""
 
-    def test_empty_out_path_prints_one_error_line(self):
+    @pytest.mark.parametrize("cmd", ("fit", "decompose", "orderings", "venn"))
+    def test_empty_out_path_prints_one_error_line(self, cmd):
         # as an unset shell variable gives it: a path that cannot be opened,
         # not stdout
-        proc = self.run("fit", "--dwaine", "--out", "")
+        proc = self.run(cmd, "--dwaine", "--out", "")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")

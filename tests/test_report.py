@@ -25,7 +25,7 @@ from varpart import (
     venn_regions,
 )
 from varpart import report
-from varpart.decomposition import ordering_walk
+from varpart.decomposition import _Orderings, ordering_walk
 from varpart.report import (
     decompose_payload,
     fit_payload,
@@ -467,6 +467,28 @@ class TestFormatOnce:
         assert len(calls["depth"]) == 64
         assert len(calls["intercept"]) == 4
         assert len(calls["ordering"]) == 24
+
+    @pytest.mark.parametrize("fmt", ("json", "text", "csv"))
+    def test_each_value_is_read_off_the_memo_once(self, monkeypatch, fmt):
+        # the walk's values compute on each call, so the writer keeps them:
+        # a Type I pair and a term's statistics per (prefix set, predictor),
+        # 4 * 2**3 at p = 4, and an intercept per first predictor
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((30, 4)) + 0.5 * rng.standard_normal((30, 1))
+        c = mean_center(make_dataset(x, x.sum(axis=1) + rng.standard_normal(30)))
+        names = c.predictor_names
+        orders = enumerate_orderings(names)
+        want = report_by_ordering(fmt, "y", names, c, orders)
+        calls = {"entry": [], "stats": [], "intercept": []}
+        for kind in calls:
+            read = getattr(_Orderings, kind)
+            monkeypatch.setattr(
+                _Orderings, kind, lambda self, *args, kind=kind, read=read: calls[kind].append(args) or read(self, *args)
+            )
+        assert "".join(render_orderings(fmt, "y", names, ordering_walk(c, names, orders))) == want
+        assert len(calls["entry"]) == len(set(calls["entry"])) == 32
+        assert sorted(calls["stats"]) == sorted(calls["entry"])
+        assert sorted(calls["intercept"]) == [(nm,) for nm in names]
 
 
 class TestStreamedRecords:
