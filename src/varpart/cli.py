@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import gc
 import sys
-from itertools import islice
 from typing import Iterable, NoReturn
 
 import click
@@ -150,24 +149,16 @@ def _render(payload, fmt: str) -> tuple[str]:
     return (render_text(payload),)
 
 
-# Texts joined per write. A write per ordering wakes a pipe's reader 5,042
-# times at seven predictors: the orderings-p7 benchmark's median op read
-# 0.46-0.49 s so, against 0.44-0.46 s at 8, 32 or 128 texts per write.
-_BATCH = 32
-
-
 def _emit(texts: Iterable[str], out_path) -> None:
-    """Write the texts as they come, ``_BATCH`` joined per write, to
-    ``out_path`` or stdout."""
-    texts = iter(texts)
-    batches = map("".join, iter(lambda: [*islice(texts, _BATCH)], []))
+    """Write each text as it comes to ``out_path`` or stdout: a command's one
+    text, or the orderings report's head, batches of orderings and tail."""
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.writelines(batches)
+            fh.writelines(texts)
     else:
-        for batch in batches:
+        for text in texts:
             # color=True: click would strip ANSI escape sequences off a non-terminal
-            click.echo(batch, nl=False, color=True)
+            click.echo(text, nl=False, color=True)
 
 
 def _run(body) -> None:

@@ -250,22 +250,24 @@ class _Orderings:
     def walk(self, orderings: Iterable[tuple[str, ...]]) -> Iterator[tuple]:
         """Each (checked) ordering as (k, ordering, masks, labels): k is how
         many leading names it shares with the last ordering, and the set and
-        term label of each prefix are kept for those k and made for the rest.
-        The two lists are the walk's own, changed in place as it moves on."""
-        last, masks, labels = (), [], []
+        term label of each prefix are kept for those k and made for the rest,
+        each label from its parent prefix's names, joined by commas once per
+        prefix. The two lists are the walk's own, changed in place as it
+        moves on."""
+        last, masks, labels, joins = (), [], [], []
         for ordering in orderings:
             k = 0
             for held, nm in zip(last, ordering):
                 if held != nm:
                     break
                 k += 1
-            del masks[k:], labels[k:]
+            del masks[k:], labels[k:], joins[k:]
             mask = masks[-1] if k else 0
-            for i in range(k, len(ordering)):
-                nm = ordering[i]
+            for nm in ordering[k:]:
                 mask |= self._bit[nm]
                 masks.append(mask)
-                labels.append(f"{nm}|{','.join(ordering[:i])}" if i else nm)
+                labels.append(f"{nm}|{joins[-1]}" if joins else nm)
+                joins.append(f"{joins[-1]},{nm}" if joins else nm)
             yield k, ordering, masks, labels
             last = ordering
 
@@ -471,11 +473,15 @@ def compare_report(
     sol, type3 = _partition(c, model)
     memo, cols = c._memo, {nm: c.predictor_index(nm) for nm in model}
     type1: dict[str, dict[tuple[str, ...], float]] = {nm: {} for nm in model}
+    sets: dict[int, dict[int, float]] = {}  # each prefix set's Type I SS, read once
     for ordering in ordering_list:
         mask = 0
         for nm in ordering:
             mask |= 1 << cols[nm]
-            type1[nm][ordering] = memo.type1(mask)[cols[nm]]
+            ss = sets.get(mask)
+            if ss is None:
+                ss = sets[mask] = memo.type1(mask)
+            type1[nm][ordering] = ss[cols[nm]]
     actual, r2, f = _corrected(c, sol, type3)
 
     return DecompositionReport(

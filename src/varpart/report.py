@@ -11,9 +11,11 @@ allow_nan=False)`` and a newline.
 
 ``orderings`` (12 MB of JSON at seven predictors) builds no payload:
 ``render_orderings`` yields each of the three formats straight from the
-depth-first walk over the orderings, one text per ordering, from a stack
-of texts per depth of the current prefix and texts made once per (prefix
-set, predictor), with the same cells and layout the payload renderers use.
+depth-first walk over the orderings, a batch of orderings per text, with
+the same cells and layout the payload renderers use. Each ordering is a
+row of parts, the template's pieces and its positions' texts, made once
+per (prefix set, predictor) or per ordered prefix and joined once per
+batch; text carries its column widths per depth of the walk.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import csv
 import json
 import math
 from functools import cache
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from types import SimpleNamespace
 from typing import Any, Iterator, Sequence
@@ -234,12 +235,7 @@ def _model_line(payload: dict[str, Any]) -> str:
 
 def _coef_rows(coefs: list[dict[str, Any]], intercept: float | None) -> list[str]:
     terms = [[cf["name"], *(_cell(cf[k]) for k in _COEF_STATS)] for cf in coefs]
-    return _coef_table(terms, _cell(intercept))
-
-
-def _coef_table(terms: Sequence[list[str]], intercept: str) -> list[str]:
-    """The coefficient table of terms and the intercept given as their cells."""
-    rows = [["Term", *_COEF_STATS], ["Intercept", intercept, "", "", ""], *terms]
+    rows = [["Term", *_COEF_STATS], ["Intercept", _cell(intercept), "", "", ""], *terms]
     return _layout(rows, "lrrrr")
 
 
@@ -340,8 +336,10 @@ def _csv_value(x: Any) -> str:
 
 
 # The text of one row and its line end: ``writerow`` returns what its
-# file's ``write`` returns, here the text it is given.
+# file's ``write`` returns, here the text it is given. ``_csv_cells`` writes
+# the leading cells of a row, each with its comma, when given them and "".
 _csv_row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+_csv_cells = csv.writer(SimpleNamespace(write=str), lineterminator="").writerow
 
 
 def _csv_doc(rows: list[list[Any]], header=("section", "name", "statistic", "value")) -> str:
@@ -413,75 +411,96 @@ def render_csv(payload: dict[str, Any]) -> str:
 
 # --------------------------------------------------------------- orderings
 
+# Orderings joined into one text, which the caller writes as it comes: at
+# seven predictors 79 texts of about 160 KB of JSON (40 KB of text). Written
+# to a file in process, 8 to 64 per text took alike there, and 128 about 10%
+# longer.
+_BATCH = 64
+
 
 def render_orderings(fmt: str, response: str, model: Sequence[str], walk: OrderingWalk) -> Iterator[str]:
-    """The ``orderings`` report as "json", "text" or "csv": the head, one
-    text per ordering as the walk reaches it, then the tail; the caller
-    writes them.
+    """The ``orderings`` report as "json", "text" or "csv": the head, the
+    orderings as the walk reaches them, ``_BATCH`` of them joined per text,
+    then the tail; the caller writes each text as it comes.
 
-    The writer keeps a stack of texts, one item per depth of the walk's
-    current prefix: the item holds that position's Type I entry and term
-    (in JSON, their running joins with the items below). An ordering cuts
-    the stack back to the prefix it shares with the last one, pushes its
-    other positions and fills its template once. The texts of a Type I
-    entry and of a term's four statistics are made once per (prefix set,
-    predictor), an intercept's once per first predictor and the fit
-    summary once. A format gives its head, the texts of one (prefix set,
-    predictor), a depth's item, an intercept's text, how one ordering is
-    put together, the separator written before every ordering but the
-    first, and its tails without and with orderings. The JSON is
+    No text is copied per depth or per ordering. A format keeps one row of
+    parts: its template's pieces and a slot for each text of a position.
+    Each position the walk enters puts its texts in its slots, so the row
+    always holds the current ordering, and the row's parts join the batch
+    as they stand. The texts of a name, a Type I entry and a term's four
+    statistics (and, for a set of one predictor, the intercept's) are made
+    once per (prefix set, predictor), a term's once per ordered prefix, as
+    the walk enters it, and the fit summary once. The JSON is
     ``json.dumps(indent=2, allow_nan=False)`` of the report and a newline.
     """
     fit, values, steps = walk
-    head, texts, depth, intercept, ordering, separator, tails = _ORDERINGS[fmt](
-        _orderings_fields(response, model, fit), fit
+    head, texts, depth, ordering, separator, tails = _ORDERINGS[fmt](
+        _orderings_fields(response, model, fit), fit, len(values.model)
     )
-    cells = cache(lambda mask, nm: texts(values.entry(mask, nm), values.stats(mask, nm)))
-    intercepts = cache(lambda nm: intercept(values.intercept(nm)))
-    stack: list = []
+
+    @cache
+    def cells(mask: int, nm: str) -> tuple:
+        intercept = None if mask & mask - 1 else values.intercept(nm)  # a first position
+        return texts(values.entry(mask, nm), values.stats(mask, nm), intercept)
+
+    parts: list[str] = []
     yield head
     lead, tail = "", tails[0]
-    for k, order, masks, labels in steps:
-        del stack[k:]
+    for count, (k, order, masks, labels) in enumerate(steps, 1):
         for i in range(k, len(order)):
-            stack.append(depth(stack[-1] if i else None, labels[i], cells(masks[i], order[i])))
-        yield lead + ordering(order, stack, intercepts(order[0]))
+            depth(i, labels[i], cells(masks[i], order[i]))
+        parts.append(lead)
+        parts += ordering(order, k)
         lead, tail = separator, tails[1]
+        if count % _BATCH == 0:
+            yield "".join(parts)
+            parts.clear()
+    if parts:
+        yield "".join(parts)
     yield tail
 
 
 _SUMMARY_STATS = ("ss_regression", "ss_residual", "r2", "f")
 
 
-def _json_orderings(fields: dict[str, Any], fit: OlsFit) -> tuple:
-    """JSON: a depth's item holds the running joins of the names, Type I
-    entries and terms up to it; floats are written by ``float.__repr__``
-    (``null`` where not finite) and strings by ``json``'s encoder, as
-    ``json.dumps`` writes them."""
+def _json_orderings(fields: dict[str, Any], fit: OlsFit, n: int) -> tuple:
+    """JSON: the row is ``_ORDERING``'s pieces and a slot for each name, Type
+    I entry and term and for the intercept; a text at a position after the
+    first starts with its list's item separator. A term is its label's text
+    between the pieces of ``_TERM`` and its statistics'. Floats are written
+    by ``float.__repr__`` (``null`` where not finite) and strings by
+    ``json``'s encoder, as ``json.dumps`` writes them."""
     summary = _SUMMARY % tuple(_json_num(getattr(fit, k)) for k in _SUMMARY_STATS)
+    term_open, stats_open, term_close = _TERM.split("%s")
+    first_term, later_term = term_open, _ITEM10 + term_open
 
-    def texts(pair: tuple[str, float], stats: Sequence[float]) -> tuple[str, str, str]:
-        entry = _TYPE1 % (_json_str(pair[0]), _json_num(pair[1]))
-        return _json_str(pair[0]), entry, _TERM_STATS % tuple(map(_json_num, stats))
+    def texts(pair: tuple[str, float], stats: Sequence[float], intercept: float | None) -> tuple:
+        lead = _ITEM8 if intercept is None else ""
+        name = _json_str(pair[0])
+        entry = _TYPE1 % (name, _json_num(pair[1]))
+        term = stats_open + _TERM_STATS % tuple(map(_json_num, stats)) + term_close
+        return lead + name, lead + entry, term, None if intercept is None else _json_num(intercept)
 
-    def depth(below: tuple | None, label: str, cells: tuple[str, str, str]) -> tuple[str, str, str]:
-        name, entry, term = cells[0], cells[1], _TERM % (_json_str(label), cells[2])
-        if below is None:
-            return name, entry, term
-        return below[0] + _ITEM8 + name, below[1] + _ITEM8 + entry, below[2] + _ITEM10 + term
+    opening, names, entries, fit_head, terms, close = _ORDERING.split("%s")
+    row = [opening, *[""] * n, names, *[""] * n, entries + summary + fit_head, "", terms, *[""] * n, close]
 
-    def ordering(order: tuple[str, ...], stack: list, intercept: str) -> str:
-        names, entries, terms = stack[-1]
-        return _ORDERING % (names, entries, summary, intercept, terms)
+    def depth(i: int, label: str, cells: tuple) -> None:
+        name, entry, term, intercept = cells
+        row[1 + i], row[n + 2 + i] = name, entry
+        row[2 * n + 5 + i] = "".join((later_term if i else first_term, _json_str(label), term))
+        if intercept is not None:
+            row[2 * n + 3] = intercept
 
     head = render_json({**fields, "orderings": []})[:-5] + "["  # '[]', '}' and a newline
     tails = "]\n}\n", "\n  ]\n}\n"  # without orderings: '[]'
-    return head, texts, depth, _json_num, ordering, ",", tails
+    return head, texts, depth, lambda order, k: row, ",", tails
 
 
 # The texts ``json.dumps(indent=2)`` writes for the parts of an ordering, at
-# the depths they take in the report, with a slot per value. No list is
-# empty, as an ordering names a predictor; these join their items.
+# the depths they take in the report: ``_ORDERING``'s slots are its names,
+# Type I entries, the fit summary (``_SUMMARY``), the intercept and its
+# terms. No list is empty, as an ordering names a predictor; ``_ITEM8`` and
+# ``_ITEM10`` separate a list's items.
 _ITEM8 = ",\n        "
 _ITEM10 = ",\n          "
 _ORDERING = """
@@ -517,63 +536,106 @@ def _json_num(x: float) -> str:
     return float.__repr__(x) if math.isfinite(x) else "null"
 
 
-def _text_orderings(fields: dict[str, Any], fit: OlsFit) -> tuple:
-    """Text: a depth's item holds its Type I and term rows as cells; each
-    ordering's two tables are padded to their own columns."""
+# The narrowest columns of an ordering's two tables, as their heads set
+# them: name and Type I SS, then b, se, z, t and the term's label (the
+# intercept's row is headed "Intercept").
+_TEXT_WIDTHS = (4, 9, 1, 2, 1, 1, 9)
+
+
+def _text_orderings(fields: dict[str, Any], fit: OlsFit, n: int) -> tuple:
+    """Text: the item of each depth of the current ordering holds its cells
+    and the widths of the columns of its rows and of those above it, so the
+    deepest item's are the ordering's. Rows are padded as ``_layout`` pads
+    them (no cell that ends a row ends in a space) when their position is
+    new or the widths changed, and the table heads, with the intercept's
+    row, when the widths or the first predictor changed."""
     head = (
         f"{_model_line(fields)}\nSS(regression) = {_cell(fields['ss_regression'])};"
         f" SS(total) = {_cell(fields['ss_total'])}\n"
     )
-    summary = "Orthogonal-function fit: SS(reg) = %s; R2 = %s; F = %s" % tuple(
+    summary = "Orthogonal-function fit: SS(reg) = %s; R2 = %s; F = %s\n" % tuple(
         map(_cell, (fit.ss_regression, fit.r2, fit.f))
     )
 
-    def texts(pair: tuple[str, float], stats: Sequence[float]) -> tuple[list[str], list[str]]:
-        return [pair[0], _cell(pair[1])], [*map(_cell, stats)]
+    def texts(pair: tuple[str, float], stats: Sequence[float], intercept: float | None) -> tuple:
+        entry, cells = (pair[0], _cell(pair[1])), [*map(_cell, stats)]
+        first = None if intercept is None else _cell(intercept)
+        widths = (*map(len, entry), max(len(cells[0]), len(first or "")), *map(len, cells[1:]))
+        return ("" if first else ", ") + pair[0], entry, cells, first, widths
 
-    def depth(below: tuple | None, label: str, cells: tuple) -> tuple[list[str], list[str]]:
-        return cells[0], [label, *cells[1]]
+    row = ["\nOrdering: ", *[""] * n, "", *[""] * n, "", *[""] * n]
+    items: list[tuple] = [()] * n
 
-    def ordering(order: tuple[str, ...], stack: list, intercept: str) -> str:
-        entries, terms = zip(*stack)
-        lines = ["", f"Ordering: {', '.join(order)}"]
-        lines += _layout([["Term", "Type I SS"], *entries], "lr")
-        lines.append(summary)
-        lines += _coef_table(terms, intercept)
-        return "\n".join(lines) + "\n"
+    def depth(i: int, label: str, cells: tuple) -> None:
+        name, entry, stats, intercept, widths = cells
+        row[1 + i] = name
+        w = items[i - 1][-1] if i else _TEXT_WIDTHS
+        items[i] = entry, (label, *stats), intercept, (*map(max, w, widths), max(w[6], len(label)))
 
-    return head, texts, depth, _cell, ordering, "", ("", "")
+    last, entry_line, term_line = None, "", ""
+
+    def ordering(order: tuple[str, ...], k: int) -> list[str]:
+        nonlocal last, entry_line, term_line
+        widths = items[-1][-1]
+        if k and widths == last:
+            start = k
+        else:
+            start, last = 0, widths
+            nm, ss, b, se, z, t, label = widths
+            entry_line = f"%-{nm}s  %{ss}s\n"
+            term_line = f"%-{label}s  %{b}s  %{se}s  %{z}s  %{t}s\n"
+            row[n + 1] = "\n" + entry_line % ("Term", "Type I SS")
+            intercept = f"%-{label}s  %{b}s\n" % ("Intercept", items[0][2])
+            row[2 * n + 2] = summary + term_line % ("Term", *_COEF_STATS) + intercept
+        for i in range(start, n):
+            entry, term, _, _ = items[i]
+            row[n + 2 + i] = entry_line % entry
+            row[2 * n + 3 + i] = term_line % term
+        return row
+
+    return head, texts, depth, ordering, "", ("", "")
 
 
-def _csv_orderings(fields: dict[str, Any], fit: OlsFit) -> tuple:
-    """CSV: a row is the ordering's section cell and the rest of the row; a
-    term's rows are its label cell and the rows of its statistics. The
-    writer quotes each cell on its own, so each part is written once."""
+def _csv_orderings(fields: dict[str, Any], fit: OlsFit, n: int) -> tuple:
+    """CSV: the row alternates the ordering's section cell, made once per
+    ordering, with the rest of each of its rows: the Type I rows, the
+    summary's, the intercept's and each term's four. A term's rows are its
+    label cell and the rows of its statistics. The writer quotes each cell
+    on its own, so each part is written once."""
     stats = [["meta", "", k, fields[k]] for k in ("ss_regression", "ss_total")]
     head = _csv_doc([*_csv_meta(fields), *stats])
     summary = [_csv_row(("", k, _csv_value(_num(getattr(fit, k))))) for k in _SUMMARY_STATS]
 
-    def texts(pair: tuple[str, float], stats: Sequence[float]) -> tuple[str, list[str]]:
+    def texts(pair: tuple[str, float], stats: Sequence[float], intercept: float | None) -> tuple:
         entry = _csv_row((pair[0], "type1_ss", _csv_value(_num(pair[1]))))
-        return entry, [_csv_row((k, _csv_value(_num(x)))) for k, x in zip(_COEF_STATS, stats)]
+        rows = [_csv_row((k, _csv_value(_num(x)))) for k, x in zip(_COEF_STATS, stats)]
+        first = None if intercept is None else _csv_row(("", "intercept", _csv_value(_num(intercept))))
+        return entry, rows, first
 
-    def depth(below: tuple | None, label: str, cells: tuple) -> tuple[str, list[str]]:
-        cell = _csv_row((label, ""))[:-1]  # the cell and its comma
-        return cells[0], [cell + row for row in cells[1]]
+    rows = 5 * n + 5  # n Type I rows, 4 summary rows, the intercept's and 4 per term
+    row = [""] * (2 * rows)
+    row[2 * n + 1 : 2 * n + 9 : 2] = summary
 
-    def intercept(x: float) -> str:
-        return _csv_row(("", "intercept", _csv_value(_num(x))))
+    def depth(i: int, label: str, cells: tuple) -> None:
+        entry, stat_rows, intercept = cells
+        cell = _csv_cells((label, ""))
+        row[2 * i + 1] = entry
+        row[2 * n + 11 + 8 * i : 2 * n + 19 + 8 * i : 2] = [cell + r for r in stat_rows]
+        if intercept is not None:
+            row[2 * n + 9] = intercept
 
-    def ordering(order: tuple[str, ...], stack: list, intercept: str) -> str:
-        entries, terms = zip(*stack)
-        section = _csv_row(("order:" + ">".join(order), ""))[:-1]
-        return section + section.join([*entries, *summary, intercept, *chain.from_iterable(terms)])
+    def ordering(order: tuple[str, ...], k: int) -> list[str]:
+        row[::2] = [_csv_cells(("order:" + ">".join(order), ""))] * rows
+        return row
 
-    return head, texts, depth, intercept, ordering, "", ("", "")
+    return head, texts, depth, ordering, "", ("", "")
 
 
-# Each format, from the fields before the orderings and the fit: (head, the
-# texts of one (prefix set, predictor), depth item, intercept, ordering,
-# separator, (tail, tail after orderings)), as ``render_orderings`` takes
-# them. Text and CSV end as the last ordering does.
+# Each format, from the fields before the orderings, the fit and the number
+# of positions, as ``render_orderings`` takes them: (head; the texts of one
+# (prefix set, predictor); what puts the texts of position i, given its
+# label and (prefix set, predictor) texts, in the row; an ordering's row,
+# given how many leading positions it shares with the last ordering; the
+# separator written before every ordering but the first; (tail, tail
+# after orderings)). Text and CSV end as the last ordering does.
 _ORDERINGS = {"json": _json_orderings, "text": _text_orderings, "csv": _csv_orderings}

@@ -63,6 +63,27 @@ def write_synth(path, n, p, rho=0.0, seed=0) -> Path:
     return Path(path)
 
 
+# Names that JSON escapes and CSV quotes, and orderings of them with
+# repeats, some sharing a prefix but not their text column widths
+# (``widths_dataset``).
+WIDTH_NAMES = ('z"q', "x \u00e9", "w")
+WIDTH_ORDERS = [
+    ("w", "x \u00e9", 'z"q'), ("w", 'z"q', "x \u00e9"), ("w", 'z"q', "x \u00e9"),
+    ("w", "x \u00e9", 'z"q'), ('z"q', "w", "x \u00e9"), ("w", 'z"q', "x \u00e9"),
+]
+
+
+def widths_dataset() -> Dataset:
+    """12 rows of ``WIDTH_NAMES`` and y: the b column of the orderings report
+    of (w, x \u00e9, z"q) is narrower than that of (w, z"q, x \u00e9)."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((12, 3))
+    x[:, 1] = 0.9 * x[:, 0] + 0.3 * x[:, 1]
+    x *= [1.0, 30.0, 0.5]
+    y = x @ [40.0, -3.0, 100.0] + 5 * rng.standard_normal(12)
+    return Dataset(columns=(*zip(WIDTH_NAMES, x.T), ("y", y)), response_name="y", predictor_names=WIDTH_NAMES)
+
+
 class OrderingRecord(NamedTuple):
     """One ordering's Type I table and orthogonal-function fit: ``terms``
     holds each term as (label, b, se, z, t) and ``fit`` the fit whose SS,
@@ -126,16 +147,23 @@ def orderings_payload(response, model, full, records) -> dict:
     }
 
 
-def report_by_ordering(fmt, response, model, c, orderings) -> str:
-    """The ``orderings`` report put together from one-ordering reports: the
-    head, each ordering's section as the report of that ordering alone
-    writes it (JSON separates them with a comma), and the tail; nothing is
-    shared between orderings."""
+def sections_by_ordering(fmt, response, model, c, orderings) -> tuple[str, list[str], str]:
+    """The ``orderings`` report's head, each ordering's section as the report
+    of that ordering alone writes it (JSON puts a comma before every section
+    but the first), and its tail; nothing is shared between orderings."""
     if not orderings:
-        return "".join(render_orderings(fmt, response, model, ordering_walk(c, model, [])))
+        head, tail = render_orderings(fmt, response, model, ordering_walk(c, model, []))
+        return head, [], tail
     reports = [[*render_orderings(fmt, response, model, ordering_walk(c, model, [o]))] for o in orderings]
     (head, _, tail), sep = reports[0], "," if fmt == "json" else ""
-    return head + sep.join(section for _, section, _ in reports) + tail
+    return head, [(sep if i else "") + section for i, (_, section, _) in enumerate(reports)], tail
+
+
+def report_by_ordering(fmt, response, model, c, orderings) -> str:
+    """The ``orderings`` report put together from one-ordering reports: the
+    head, each ordering's section and the tail (``sections_by_ordering``)."""
+    head, sections, tail = sections_by_ordering(fmt, response, model, c, orderings)
+    return head + "".join(sections) + tail
 
 
 @pytest.fixture(scope="session")

@@ -22,10 +22,19 @@ from varpart import (
     fit_ols,
     load_csv,
     mean_center,
+    save_csv,
 )
-from varpart import cli
+from varpart import cli, report
 from varpart.cli import main
-from conftest import orderings_payload, records_by_ordering, report_by_ordering, write_synth
+from conftest import (
+    WIDTH_NAMES,
+    WIDTH_ORDERS,
+    orderings_payload,
+    records_by_ordering,
+    report_by_ordering,
+    widths_dataset,
+    write_synth,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -131,14 +140,23 @@ class TestGoldenOutputs:
         b = invoke(runner, "venn", "--dwaine", "--format", fmt)
         assert a.output == b.output
 
-    @pytest.mark.parametrize("cmd", ("fit", "decompose", "orderings", "venn"))
+    @pytest.mark.parametrize("cmd", ("fit", "decompose", "venn"))
     def test_text_is_one_write(self, monkeypatch, cmd):
-        # an output of one text, or of fewer texts than a batch, is written
-        # whole, not character by character
+        # an output of one text is written whole, not character by character
         writes = []
         monkeypatch.setattr(click, "echo", lambda text, **kwargs: writes.append(text))
         main([cmd, "--dwaine"], standalone_mode=False)
         assert writes == [(GOLDEN / f"{cmd}_dwaine.txt").read_text()]
+
+    def test_orderings_text_is_a_write_per_part(self, monkeypatch):
+        # the head, one batch of both orderings and the tail (empty in
+        # text), each written whole
+        writes = []
+        monkeypatch.setattr(click, "echo", lambda text, **kwargs: writes.append(text))
+        main(["orderings", "--dwaine"], standalone_mode=False)
+        assert len(writes) == 3 and writes[0].startswith("Model: ") and writes[2] == ""
+        assert writes[1].count("\nOrdering: ") == 2 and writes[1].startswith("\nOrdering: ")
+        assert "".join(writes) == (GOLDEN / "orderings_dwaine.txt").read_text()
 
     @pytest.mark.parametrize("cmd", ("fit", "decompose", "orderings", "venn"))
     def test_json_validates_against_schema(self, runner, cmd):
@@ -411,6 +429,21 @@ class TestOrderingsSharing:
             payload = orderings_payload("y", preds, fit_ols(c, preds), records)
             assert res.stdout == json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
+    @pytest.mark.parametrize("explicit", (False, True), ids=("all", "explicit"))
+    @pytest.mark.parametrize("fmt", ("json", "csv", "text"))
+    def test_orderings_that_need_other_widths(self, runner, tmp_path, explicit, fmt):
+        # names JSON escapes and CSV quotes, and orderings that share a
+        # prefix but not their text column widths (conftest.widths_dataset)
+        data = tmp_path / "widths.csv"
+        save_csv(widths_dataset(), data)
+        orders = WIDTH_ORDERS if explicit else enumerate_orderings(WIDTH_NAMES)
+        flags = [tok for o in orders for tok in ("--order", ",".join(o))] if explicit else []
+        res = invoke(runner, "orderings", "--input", str(data), "--response", "y",
+                     "--predictors", ",".join(WIDTH_NAMES), "--format", fmt, *flags)
+        assert res.exit_code == 0
+        c = mean_center(load_csv(CsvSpec(data, "y", WIDTH_NAMES)))
+        assert res.stdout == report_by_ordering(fmt, "y", WIDTH_NAMES, c, orders)
+
     def test_residualizes_each_prefix_once(self, runner, tmp_path, monkeypatch):
         # a prefix is residualized by bordering the solve of the one before
         # it; across all 24 orderings of 4 predictors there are 15 distinct
@@ -453,8 +486,9 @@ class TestOrderingsSharing:
 
 
 class TestEmit:
-    """The command's one writer joins ``_BATCH`` of the report's texts per
-    write, to stdout and to ``--out`` alike."""
+    """The command's one writer writes each text of the report as it comes,
+    to stdout and to ``--out`` alike: the head, a batch of ``_BATCH``
+    orderings per write, and the tail."""
 
     class Recorder:
         """A file that records each text ``writelines`` is given."""
@@ -473,15 +507,15 @@ class TestEmit:
                 self.writes.append(text)
                 self.fh.write(text)
 
-    @pytest.mark.parametrize("batch", (1, 5, 26, 32))
+    @pytest.mark.parametrize("batch", (1, 5, 24, 64))
     @pytest.mark.parametrize("to_file", (False, True), ids=("stdout", "out"))
-    def test_a_write_per_batch(self, runner, tmp_path, monkeypatch, to_file, batch):
-        # 24 orderings of four predictors: the head, 24 texts and the tail
+    def test_a_write_per_batch_of_orderings(self, runner, tmp_path, monkeypatch, to_file, batch):
+        # 24 orderings of four predictors: the head, the batches and the tail
         data = write_synth(tmp_path / "p4.csv", n=30, p=4, rho=0.5)
         args = ["orderings", "--input", str(data), "--response", "y",
                 "--predictors", "x1,x2,x3,x4", "--format", "json"]
         want = invoke(runner, *args).stdout
-        monkeypatch.setattr(cli, "_BATCH", batch)
+        monkeypatch.setattr(report, "_BATCH", batch)
         writes = []
         if to_file:
             out = tmp_path / "out.txt"
@@ -498,7 +532,8 @@ class TestEmit:
 
             monkeypatch.setattr(click, "echo", echo)
             main(args, standalone_mode=False)
-        assert len(writes) == math.ceil(26 / batch)
+        assert len(writes) == 2 + math.ceil(24 / batch)
+        assert [text.count('"order"') for text in writes[1:-1]] == [*[batch] * (24 // batch), *[24 % batch] * (24 % batch > 0)]
         assert "".join(writes) == want
 
 

@@ -37,7 +37,17 @@ from varpart.report import (
 )
 from varpart.textfmt import fmt2
 
-from conftest import MODEL, make_dataset, orderings_payload, records_by_ordering, report_by_ordering
+from conftest import (
+    MODEL,
+    WIDTH_NAMES,
+    WIDTH_ORDERS,
+    make_dataset,
+    orderings_payload,
+    records_by_ordering,
+    report_by_ordering,
+    sections_by_ordering,
+    widths_dataset,
+)
 
 
 class TestFmt2:
@@ -410,25 +420,51 @@ class TestPrefixSharing:
         assert orderings_json("y", model, c, orders) == oracle
 
 
-class TestTextPerOrdering:
-    # with the text each format starts an ordering with; JSON writes its
-    # comma before every ordering but the first
-    @pytest.mark.parametrize(
-        "fmt, start, later",
-        [("json", "\n    {", ",\n    {"), ("text", "\nOrdering: ", None), ("csv", "order:", None)],
-    )
-    @pytest.mark.parametrize("p", (1, 4))
-    def test_the_head_a_text_per_record_and_the_tail(self, fmt, start, later, p):
+class TestWidthsPerDepth:
+    """Orderings that share a prefix may need other text column widths, on
+    names that JSON escapes and CSV quotes (``conftest.widths_dataset``):
+    each format writes each ordering as the report of it alone does, over
+    all orderings and over an explicit list with repeats."""
+
+    @pytest.fixture(scope="class")
+    def c(self):
+        return mean_center(widths_dataset())
+
+    def test_orderings_that_share_a_prefix_need_other_widths(self, c):
+        # the coefficient table's head is padded to the ordering's widths
+        text = report_by_ordering("text", "y", WIDTH_NAMES, c, WIDTH_ORDERS)
+        heads = [
+            (section.split(", ")[0], re.findall(r"^Term .*$", section, re.M))
+            for section in text.split("\nOrdering: ")[1:]
+        ]
+        assert heads[0][0] == heads[1][0] == "w" and heads[0][1] != heads[1][1]
+
+    @pytest.mark.parametrize("fmt", ("json", "text", "csv"))
+    @pytest.mark.parametrize("explicit", (False, True), ids=("all", "explicit"))
+    def test_each_ordering_as_if_alone(self, c, fmt, explicit):
+        orders = WIDTH_ORDERS if explicit else enumerate_orderings(WIDTH_NAMES)
+        written = "".join(render_orderings(fmt, "y", WIDTH_NAMES, ordering_walk(c, WIDTH_NAMES, orders)))
+        assert written == report_by_ordering(fmt, "y", WIDTH_NAMES, c, orders)
+        if fmt == "json":
+            records = records_by_ordering(c, orders)
+            assert written == json_oracle(orderings_payload("y", WIDTH_NAMES, fit_ols(c, WIDTH_NAMES), records))
+
+
+class TestSections:
+    @pytest.mark.parametrize("fmt", ("json", "text", "csv"))
+    @pytest.mark.parametrize("p, batch", [(1, 64), (4, 1), (4, 5), (4, 24), (4, 64)])
+    def test_the_head_batches_of_sections_and_the_tail(self, monkeypatch, fmt, p, batch):
+        # the report is the head, then each ordering's own section as the
+        # report of that ordering alone writes it, ``_BATCH`` of them joined
+        # per text, then the tail
+        monkeypatch.setattr(report, "_BATCH", batch)
         c = correlated_centered(8, p)
         names = c.predictor_names
         orders = enumerate_orderings(names)
+        head, sections, tail = sections_by_ordering(fmt, "y", names, c, orders)
         texts = [*render_orderings(fmt, "y", names, ordering_walk(c, names, orders))]
-        assert len(texts) == 2 + len(orders)
-        head, first, *rest, tail = texts
-        assert start not in head
-        assert first.startswith(start)
-        assert all(text.startswith(later or start) for text in rest)
-        assert start not in tail
+        batches = ["".join(sections[i : i + batch]) for i in range(0, len(orders), batch)]
+        assert texts == [head, *batches, tail]
         if fmt == "json":
             assert head.endswith('"orderings": [') and tail == "\n  ]\n}\n"
             records = records_by_ordering(c, orders)
@@ -438,34 +474,35 @@ class TestTextPerOrdering:
 
 class TestFormatOnce:
     @pytest.mark.parametrize("fmt", ("json", "text", "csv"))
-    def test_each_entry_and_term_is_formatted_once(self, monkeypatch, fmt):
+    def test_each_shared_text_is_made_once(self, monkeypatch, fmt):
         # at p = 4: the texts of a Type I entry and a term's statistics per
-        # (prefix set, predictor), 4 * 2**3, a depth's item per ordered
-        # prefix, 4 + 12 + 24 + 24, as the walk enters it, and an intercept
-        # per first predictor, over 24 orderings of 4 positions
+        # (prefix set, predictor), 4 * 2**3, an intercept's with those of
+        # the 4 sets of one predictor, a term's per ordered prefix, 4 + 12 +
+        # 24 + 24, as the walk enters it, and a row per ordering, over 24
+        # orderings of 4 positions
         rng = np.random.default_rng(5)
         x = rng.standard_normal((30, 4)) + 0.5 * rng.standard_normal((30, 1))
         c = mean_center(make_dataset(x, x.sum(axis=1) + rng.standard_normal(30)))
         names = c.predictor_names
         orders = enumerate_orderings(names)
         want = report_by_ordering(fmt, "y", names, c, orders)
-        calls = {"texts": [], "depth": [], "intercept": [], "ordering": []}
+        calls = {"texts": [], "depth": [], "ordering": []}
         make = report._ORDERINGS[fmt]
 
-        def counted(fields, fit):
-            head, texts, depth, intercept, ordering, *ends = make(fields, fit)
+        def counted(fields, fit, n):
+            head, texts, depth, ordering, *ends = make(fields, fit, n)
 
             def spy(kind, formatter):
                 return lambda *args: calls[kind].append(args) or formatter(*args)
 
-            parts = [spy(kind, f) for kind, f in zip(calls, (texts, depth, intercept, ordering))]
-            return head, *parts, *ends
+            return head, *(spy(kind, f) for kind, f in zip(calls, (texts, depth, ordering))), *ends
 
         monkeypatch.setitem(report._ORDERINGS, fmt, counted)
         assert "".join(render_orderings(fmt, "y", names, ordering_walk(c, names, orders))) == want
         assert len(calls["texts"]) == len(set(calls["texts"])) == 32
-        assert len(calls["depth"]) == 64
-        assert len(calls["intercept"]) == 4
+        assert sorted(args[0][0] for args in calls["texts"] if args[2] is not None) == sorted(names)
+        prefixes = [(i, label) for i, label, _ in calls["depth"]]
+        assert len(prefixes) == len(set(prefixes)) == 64
         assert len(calls["ordering"]) == 24
 
     @pytest.mark.parametrize("fmt", ("json", "text", "csv"))
