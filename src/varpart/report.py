@@ -45,6 +45,9 @@ def _cell(x: float | None) -> str:
 
 
 _COEF_STATS = ("b", "se", "z", "t")
+# The heads of a coefficient table: its columns' and its first row's.
+_COEF_HEAD = ("Term", *_COEF_STATS)
+_INTERCEPT = "Intercept"
 
 
 def _coef_list(fit: OlsFit) -> list[dict[str, Any]]:
@@ -213,17 +216,16 @@ def render_json(payload: Any) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def _layout(rows: list[list[str]], align: str) -> list[str]:
-    """Pad columns to a grid; 'l'/'r' per column, two spaces between."""
+def _row_format(widths: Sequence[int], align: str) -> str:
+    """The %-format of a grid row: 'l'/'r' per column, two spaces between."""
+    return "  ".join(f"%{'-' if a == 'l' else ''}{w}s" for w, a in zip(widths, align))
+
+
+def _layout(rows: Sequence[Sequence[str]], align: str) -> list[str]:
+    """Pad columns to a grid (``_row_format``); no line ends in a space."""
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    lines = []
-    for r in rows:
-        cells = [
-            c.ljust(w) if a == "l" else c.rjust(w)
-            for c, w, a in zip(r, widths, align)
-        ]
-        lines.append("  ".join(cells).rstrip())
-    return lines
+    line = _row_format(widths, align)
+    return [(line % tuple(r)).rstrip() for r in rows]
 
 
 def _model_line(payload: dict[str, Any]) -> str:
@@ -235,7 +237,7 @@ def _model_line(payload: dict[str, Any]) -> str:
 
 def _coef_rows(coefs: list[dict[str, Any]], intercept: float | None) -> list[str]:
     terms = [[cf["name"], *(_cell(cf[k]) for k in _COEF_STATS)] for cf in coefs]
-    rows = [["Term", *_COEF_STATS], ["Intercept", _cell(intercept), "", "", ""], *terms]
+    rows = [_COEF_HEAD, [_INTERCEPT, _cell(intercept), "", "", ""], *terms]
     return _layout(rows, "lrrrr")
 
 
@@ -336,10 +338,11 @@ def _csv_value(x: Any) -> str:
 
 
 # The text of one row and its line end: ``writerow`` returns what its
-# file's ``write`` returns, here the text it is given. ``_csv_cells`` writes
-# the leading cells of a row, each with its comma, when given them and "".
+# file's ``write`` returns, here the text it is given. ``_csv_row((cell,
+# ""))[:-1]`` is a row's leading cell and its comma: the writer quotes a
+# cell holding a line end only if that end is in its terminator (Python
+# 3.10 and 3.11), so no writer without "\n" in it writes the cell alone.
 _csv_row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
-_csv_cells = csv.writer(SimpleNamespace(write=str), lineterminator="").writerow
 
 
 def _csv_doc(rows: list[list[Any]], header=("section", "name", "statistic", "value")) -> str:
@@ -481,15 +484,17 @@ def _json_orderings(fields: dict[str, Any], fit: OlsFit, n: int) -> tuple:
         term = stats_open + _TERM_STATS % tuple(map(_json_num, stats)) + term_close
         return lead + name, lead + entry, term, None if intercept is None else _json_num(intercept)
 
-    opening, names, entries, fit_head, terms, close = _ORDERING.split("%s")
-    row = [opening, *[""] * n, names, *[""] * n, entries + summary + fit_head, "", terms, *[""] * n, close]
+    opening, order_to_type1, type1_to_fit, fit_to_intercept, intercept_to_terms, closing = _ORDERING.split("%s")
+    fit_head = type1_to_fit + summary + fit_to_intercept
+    row = [opening, *[""] * n, order_to_type1, *[""] * n, fit_head, "", intercept_to_terms, *[""] * n, closing]
+    name_at, entry_at, intercept_at, term_at = 1, n + 2, 2 * n + 3, 2 * n + 5  # each slot's first
 
     def depth(i: int, label: str, cells: tuple) -> None:
         name, entry, term, intercept = cells
-        row[1 + i], row[n + 2 + i] = name, entry
-        row[2 * n + 5 + i] = "".join((later_term if i else first_term, _json_str(label), term))
+        row[name_at + i], row[entry_at + i] = name, entry
+        row[term_at + i] = "".join((later_term if i else first_term, _json_str(label), term))
         if intercept is not None:
-            row[2 * n + 3] = intercept
+            row[intercept_at] = intercept
 
     head = render_json({**fields, "orderings": []})[:-5] + "["  # '[]', '}' and a newline
     tails = "]\n}\n", "\n  ]\n}\n"  # without orderings: '[]'
@@ -536,19 +541,20 @@ def _json_num(x: float) -> str:
     return float.__repr__(x) if math.isfinite(x) else "null"
 
 
+_TYPE1_HEAD = ("Term", "Type I SS")
 # The narrowest columns of an ordering's two tables, as their heads set
-# them: name and Type I SS, then b, se, z, t and the term's label (the
-# intercept's row is headed "Intercept").
-_TEXT_WIDTHS = (4, 9, 1, 2, 1, 1, 9)
+# them: name and Type I SS, then b, se, z, t and the term's label.
+_TEXT_WIDTHS = (*map(len, _TYPE1_HEAD), *map(len, _COEF_STATS), max(len(_COEF_HEAD[0]), len(_INTERCEPT)))
 
 
 def _text_orderings(fields: dict[str, Any], fit: OlsFit, n: int) -> tuple:
     """Text: the item of each depth of the current ordering holds its cells
     and the widths of the columns of its rows and of those above it, so the
-    deepest item's are the ordering's. Rows are padded as ``_layout`` pads
-    them (no cell that ends a row ends in a space) when their position is
-    new or the widths changed, and the table heads, with the intercept's
-    row, when the widths or the first predictor changed."""
+    deepest item's are the ordering's. Rows are padded by ``_layout``'s
+    ``_row_format`` when their position is new or the widths changed, and
+    the table heads, with the intercept's row, when the widths or the first
+    predictor changed. Only the intercept's row has empty cells at its end,
+    and it alone is stripped, as ``_layout`` strips it."""
     head = (
         f"{_model_line(fields)}\nSS(regression) = {_cell(fields['ss_regression'])};"
         f" SS(total) = {_cell(fields['ss_total'])}\n"
@@ -564,11 +570,12 @@ def _text_orderings(fields: dict[str, Any], fit: OlsFit, n: int) -> tuple:
         return ("" if first else ", ") + pair[0], entry, cells, first, widths
 
     row = ["\nOrdering: ", *[""] * n, "", *[""] * n, "", *[""] * n]
+    name_at, type1_head_at, entry_at, fit_head_at, term_at = 1, n + 1, n + 2, 2 * n + 2, 2 * n + 3
     items: list[tuple] = [()] * n
 
     def depth(i: int, label: str, cells: tuple) -> None:
         name, entry, stats, intercept, widths = cells
-        row[1 + i] = name
+        row[name_at + i] = name
         w = items[i - 1][-1] if i else _TEXT_WIDTHS
         items[i] = entry, (label, *stats), intercept, (*map(max, w, widths), max(w[6], len(label)))
 
@@ -581,16 +588,15 @@ def _text_orderings(fields: dict[str, Any], fit: OlsFit, n: int) -> tuple:
             start = k
         else:
             start, last = 0, widths
-            nm, ss, b, se, z, t, label = widths
-            entry_line = f"%-{nm}s  %{ss}s\n"
-            term_line = f"%-{label}s  %{b}s  %{se}s  %{z}s  %{t}s\n"
-            row[n + 1] = "\n" + entry_line % ("Term", "Type I SS")
-            intercept = f"%-{label}s  %{b}s\n" % ("Intercept", items[0][2])
-            row[2 * n + 2] = summary + term_line % ("Term", *_COEF_STATS) + intercept
+            entry_line = _row_format(widths[:2], "lr") + "\n"
+            term_line = _row_format((widths[6], *widths[2:6]), "lrrrr") + "\n"
+            row[type1_head_at] = "\n" + entry_line % _TYPE1_HEAD
+            intercept = (term_line % (_INTERCEPT, items[0][2], "", "", "")).rstrip() + "\n"
+            row[fit_head_at] = summary + term_line % _COEF_HEAD + intercept
         for i in range(start, n):
             entry, term, _, _ = items[i]
-            row[n + 2 + i] = entry_line % entry
-            row[2 * n + 3 + i] = term_line % term
+            row[entry_at + i] = entry_line % entry
+            row[term_at + i] = term_line % term
         return row
 
     return head, texts, depth, ordering, "", ("", "")
@@ -614,18 +620,20 @@ def _csv_orderings(fields: dict[str, Any], fit: OlsFit, n: int) -> tuple:
 
     rows = 5 * n + 5  # n Type I rows, 4 summary rows, the intercept's and 4 per term
     row = [""] * (2 * rows)
-    row[2 * n + 1 : 2 * n + 9 : 2] = summary
+    # row r's section cell is at 2 * r and the rest of it at 2 * r + 1
+    entry_at, summary_at, intercept_at, term_at = 1, 2 * n + 1, 2 * n + 9, 2 * n + 11
+    row[summary_at:intercept_at:2] = summary
 
     def depth(i: int, label: str, cells: tuple) -> None:
         entry, stat_rows, intercept = cells
-        cell = _csv_cells((label, ""))
-        row[2 * i + 1] = entry
-        row[2 * n + 11 + 8 * i : 2 * n + 19 + 8 * i : 2] = [cell + r for r in stat_rows]
+        cell, at = _csv_row((label, ""))[:-1], term_at + 8 * i
+        row[entry_at + 2 * i] = entry
+        row[at : at + 8 : 2] = [cell + r for r in stat_rows]
         if intercept is not None:
-            row[2 * n + 9] = intercept
+            row[intercept_at] = intercept
 
     def ordering(order: tuple[str, ...], k: int) -> list[str]:
-        row[::2] = [_csv_cells(("order:" + ">".join(order), ""))] * rows
+        row[::2] = [_csv_row(("order:" + ">".join(order), ""))[:-1]] * rows
         return row
 
     return head, texts, depth, ordering, "", ("", "")

@@ -1,4 +1,6 @@
+import csv
 import importlib.util
+import io
 import math
 from pathlib import Path
 from typing import NamedTuple
@@ -63,19 +65,19 @@ def write_synth(path, n, p, rho=0.0, seed=0) -> Path:
     return Path(path)
 
 
-# Names that JSON escapes and CSV quotes, and orderings of them with
-# repeats, some sharing a prefix but not their text column widths
-# (``widths_dataset``).
-WIDTH_NAMES = ('z"q', "x \u00e9", "w")
+# Names that JSON escapes and CSV quotes (a quote, a line end, non-ASCII),
+# and orderings of them with repeats, some sharing a prefix but not their
+# text column widths (``widths_dataset``).
+WIDTH_NAMES = ('z"q', "x\n\u00e9", "w")
 WIDTH_ORDERS = [
-    ("w", "x \u00e9", 'z"q'), ("w", 'z"q', "x \u00e9"), ("w", 'z"q', "x \u00e9"),
-    ("w", "x \u00e9", 'z"q'), ('z"q', "w", "x \u00e9"), ("w", 'z"q', "x \u00e9"),
+    ("w", "x\n\u00e9", 'z"q'), ("w", 'z"q', "x\n\u00e9"), ("w", 'z"q', "x\n\u00e9"),
+    ("w", "x\n\u00e9", 'z"q'), ('z"q', "w", "x\n\u00e9"), ("w", 'z"q', "x\n\u00e9"),
 ]
 
 
 def widths_dataset() -> Dataset:
     """12 rows of ``WIDTH_NAMES`` and y: the b column of the orderings report
-    of (w, x \u00e9, z"q) is narrower than that of (w, z"q, x \u00e9)."""
+    of (w, x\\n\u00e9, z"q) is narrower than that of (w, z"q, x\\n\u00e9)."""
     rng = np.random.default_rng(0)
     x = rng.standard_normal((12, 3))
     x[:, 1] = 0.9 * x[:, 0] + 0.3 * x[:, 1]
@@ -145,6 +147,28 @@ def orderings_payload(response, model, full, records) -> dict:
             for r in records
         ],
     }
+
+
+def _csv_text(x) -> str:
+    return "" if x is None else repr(x) if isinstance(x, float) else str(x)
+
+
+def orderings_csv(payload) -> str:
+    """``orderings_payload``'s report as CSV, each row written by the stdlib
+    ``csv.writer``: the oracle of ``report.render_orderings("csv", ...)``."""
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(("section", "name", "statistic", "value"))
+    w.writerow(("meta", "", "response", payload["response"]))
+    w.writerow(("meta", "", "predictors", " ".join(payload["predictors"])))
+    w.writerows(("meta", "", k, _csv_text(payload[k])) for k in ("n", "ss_regression", "ss_total"))
+    for o in payload["orderings"]:
+        section, fit = "order:" + ">".join(o["order"]), o["orthogonal_fit"]
+        w.writerows((section, e["name"], "type1_ss", _csv_text(e["ss"])) for e in o["type1"])
+        stats = ("ss_regression", "ss_residual", "r2", "f", "intercept")
+        w.writerows((section, "", k, _csv_text(fit[k])) for k in stats)
+        w.writerows((section, t["label"], k, _csv_text(t[k])) for t in fit["terms"] for k in ("b", "se", "z", "t"))
+    return out.getvalue()
 
 
 def sections_by_ordering(fmt, response, model, c, orderings) -> tuple[str, list[str], str]:

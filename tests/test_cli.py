@@ -29,6 +29,7 @@ from varpart.cli import main
 from conftest import (
     WIDTH_NAMES,
     WIDTH_ORDERS,
+    orderings_csv,
     orderings_payload,
     records_by_ordering,
     report_by_ordering,
@@ -443,6 +444,11 @@ class TestOrderingsSharing:
         assert res.exit_code == 0
         c = mean_center(load_csv(CsvSpec(data, "y", WIDTH_NAMES)))
         assert res.stdout == report_by_ordering(fmt, "y", WIDTH_NAMES, c, orders)
+        if fmt != "text":
+            # the stdlib writers are the oracles of JSON and CSV
+            payload = orderings_payload("y", WIDTH_NAMES, fit_ols(c, WIDTH_NAMES), records_by_ordering(c, orders))
+            oracle = json.dumps(payload, indent=2, allow_nan=False) + "\n" if fmt == "json" else orderings_csv(payload)
+            assert res.stdout == oracle
 
     def test_residualizes_each_prefix_once(self, runner, tmp_path, monkeypatch):
         # a prefix is residualized by bordering the solve of the one before

@@ -42,6 +42,7 @@ from conftest import (
     WIDTH_NAMES,
     WIDTH_ORDERS,
     make_dataset,
+    orderings_csv,
     orderings_payload,
     records_by_ordering,
     report_by_ordering,
@@ -206,10 +207,11 @@ def orderings_json(response, model, c, orderings):
 
 
 # names a renderer could trip on: "@" quoted or doubled, "%" and "%s"
-# (template slots), quotes, backslashes, NUL, non-ASCII and ""
+# (template slots), quotes, backslashes, NUL, a comma, a line end,
+# non-ASCII and ""
 NAMES = st.one_of(
     st.sampled_from(
-        ["", "@", "@@", '"@"', "%", "%s", "%%", '"', "\\", "\x00", "é", "\U0001f600", "x1"]
+        ["", "@", "@@", '"@"', "%", "%s", "%%", '"', "\\", "\x00", ",", "a\nb", "é", "\U0001f600", "x1"]
     ),
     st.text(max_size=6),
 )
@@ -289,6 +291,8 @@ class TestJsonMatchesStdlib:
         payload = orderings_payload(response, names, fit_ols(c, names), records_by_ordering(c, orders))
         assert render_json(payload) == json_oracle(payload)
         assert orderings_json(response, names, c, orders) == json_oracle(payload)
+        written = "".join(render_orderings("csv", response, names, ordering_walk(c, names, orders)))
+        assert written == orderings_csv(payload)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -423,8 +427,9 @@ class TestPrefixSharing:
 class TestWidthsPerDepth:
     """Orderings that share a prefix may need other text column widths, on
     names that JSON escapes and CSV quotes (``conftest.widths_dataset``):
-    each format writes each ordering as the report of it alone does, over
-    all orderings and over an explicit list with repeats."""
+    each format writes each ordering as the report of it alone does, and
+    JSON and CSV as the stdlib writes them, over all orderings and over an
+    explicit list with repeats."""
 
     @pytest.fixture(scope="class")
     def c(self):
@@ -445,9 +450,9 @@ class TestWidthsPerDepth:
         orders = WIDTH_ORDERS if explicit else enumerate_orderings(WIDTH_NAMES)
         written = "".join(render_orderings(fmt, "y", WIDTH_NAMES, ordering_walk(c, WIDTH_NAMES, orders)))
         assert written == report_by_ordering(fmt, "y", WIDTH_NAMES, c, orders)
-        if fmt == "json":
-            records = records_by_ordering(c, orders)
-            assert written == json_oracle(orderings_payload("y", WIDTH_NAMES, fit_ols(c, WIDTH_NAMES), records))
+        if fmt != "text":
+            payload = orderings_payload("y", WIDTH_NAMES, fit_ols(c, WIDTH_NAMES), records_by_ordering(c, orders))
+            assert written == (json_oracle if fmt == "json" else orderings_csv)(payload)
 
 
 class TestSections:
