@@ -22,12 +22,7 @@ from typing import Iterable, NoReturn
 import click
 
 from .data_io import CsvSpec, center_csv, dwaine_fixture
-from .decomposition import (
-    compare_report,
-    enumerate_orderings,
-    ordering_walk,
-    venn_regions,
-)
+from .decomposition import compare_report, ordering_walk, venn_regions
 from .errors import ConstantColumn, SingularDesign, TooManyOrderings, VarpartError
 from .ols_core import CenteredData, fit_ols, mean_center
 from .report import (
@@ -237,9 +232,9 @@ def decompose(c, model, fmt):
 )
 def orderings(c, model, fmt, orders):
     """Sequential (Type I) SS and the orthogonal-function fit per ordering."""
-    # every ordering is checked and the model fitted before any output; the
-    # walk solves each prefix set lazily, under that one fit's guard
-    walk = ordering_walk(c, model, map(_split, orders) if orders else enumerate_orderings(model))
+    # every --order list is checked and the model fitted before any output;
+    # the walk solves each prefix set lazily, under that one fit's guard
+    walk = ordering_walk(c, model, map(_split, orders) if orders else None)
     return render_orderings(fmt, c.response_name, model, walk)
 
 

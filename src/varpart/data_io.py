@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
 )
 from . import ols_core
-from .ols_core import CenteredData, Dataset, _centered, _Fold, _readonly, mean_center
+from .ols_core import CenteredData, Dataset, _centered, _Fold, _fold_columns, _readonly
 
 # Eigenvalues of a correlation matrix this far below zero (relative to the
 # largest) are treated as rank deficiency, not as a PSD violation.
@@ -127,14 +127,22 @@ def load_csv(spec: CsvSpec) -> Dataset:
     it with the same correctly rounded decimal-to-binary routine, so the
     columns do not depend on which pass read them.
     """
-    return _dataset(spec, _read_columns(spec))
+    columns = _read_columns(spec)
+    if len(columns[0]) == 0:
+        raise _no_rows(spec)
+    return Dataset(
+        columns=tuple(zip((spec.response, *spec.predictors), columns)),
+        response_name=spec.response,
+        predictor_names=spec.predictors,
+    )
 
 
 def center_csv(spec: CsvSpec) -> CenteredData:
     """``mean_center(load_csv(spec))``, with the same result and the same
     errors, keeping no rows: each block of rows is folded into the exact
     SSCP as it is parsed, so memory is O(p**2 + ``_BLOCK``) at any number
-    of rows. The result's ``data`` is None.
+    of rows. If numpy rejects a block, the strict pass's columns are folded
+    instead. On either route the result's ``data`` is None.
 
     The checks on the values run once the file is read, so an input with
     several faults reports the one load_csv and mean_center would: a parse
@@ -143,22 +151,11 @@ def center_csv(spec: CsvSpec) -> CenteredData:
     """
     fold = _Fold((*spec.predictors, spec.response))
     strict = _parse(spec, fold.names, fold.add)
-    if strict is not None:
-        return mean_center(_dataset(spec, strict))
+    if strict is not None:  # its columns are response first
+        fold = _fold_columns([*strict[1:], strict[0]], fold.names)
     if not fold.n:
         raise _no_rows(spec)
     return _centered(fold, spec.response, spec.predictors)
-
-
-def _dataset(spec: CsvSpec, columns: Sequence) -> Dataset:
-    """The Dataset of the selected columns, response first."""
-    if len(columns[0]) == 0:
-        raise _no_rows(spec)
-    return Dataset(
-        columns=tuple(zip((spec.response, *spec.predictors), columns)),
-        response_name=spec.response,
-        predictor_names=spec.predictors,
-    )
 
 
 def _no_rows(spec: CsvSpec) -> EmptyData:

@@ -34,6 +34,7 @@ from .ols_core import (
     _column_sd,
     _make_fit,
     _mask,
+    _partial,
     _project,
     _ratio,
     _readonly,
@@ -151,18 +152,12 @@ def _model(c: CenteredData, model: Iterable[str]) -> tuple[str, ...]:
     return model
 
 
-def _partial(sol: _Solution, i: int) -> Decimal:
-    """Partial SS of column i in a solved fit, b_i^2 / (A^-1)_ii: the SS
-    lost by dropping it, without subtracting two fits."""
-    with localcontext(_CTX):
-        return sol.b[i] * sol.b[i] / sol.inv[i]
-
-
 def _partition(c: CenteredData, model: tuple[str, ...]) -> tuple[_Solution, dict[str, Decimal]]:
     """The full-model solve and each predictor's Type III SS."""
     idx = [c.predictor_index(nm) for nm in model]
     sol = c._memo.solve(_mask(idx), idx, "fit on")
-    return sol, {nm: _partial(sol, i) for nm, i in zip(model, idx)}
+    with localcontext(_CTX):
+        return sol, {nm: _partial(sol, i) for nm, i in zip(model, idx)}
 
 
 def _venn(c: CenteredData, sol: _Solution, type3: Mapping[str, Decimal]) -> VennRegions:
@@ -273,7 +268,8 @@ class _Orderings:
 
 
 class OrderingWalk(NamedTuple):
-    """Orderings of one predictor set, each checked and the set fitted.
+    """Orderings of one predictor set, with the set fitted: all of its
+    orderings, or those a caller gave, each of them checked.
 
     ``steps`` walks them as ``_Orderings.walk`` does, solving each prefix
     set when it first reaches it, under the guard of ``fit``; ``values``
@@ -303,7 +299,8 @@ def residualize(
         return ResidualizedPredictor(target, (), col)
     idx = [c.predictor_index(nm) for nm in against]
     sol = c._memo.solve(_mask(idx), idx, f"residualize {target} on")
-    u = dict(zip(sol.b, _project(c.exact.s, sol, c._col(target))[1]))
+    with localcontext(_CTX):
+        u = dict(zip(sol.b, _project(c.exact.s, sol, c._col(target))[1]))
     design = np.array([c.column(nm) for nm in against]).T  # F-order: the layout moves last bits
     return ResidualizedPredictor(target, against, _readonly(col - design @ [float(u[i]) for i in idx]))
 
@@ -382,16 +379,24 @@ def orthogonal_regression(c: CenteredData, ordering: Sequence[str]) -> OlsFit:
 
 
 def ordering_walk(
-    c: CenteredData, model: Iterable[str], orderings: Iterable[Sequence[str]]
+    c: CenteredData, model: Iterable[str], orderings: Iterable[Sequence[str]] | None = None
 ) -> OrderingWalk:
-    """Check every ordering against ``model``, fit the model, and return the
-    walk over the orderings. The fit's guard covers every prefix set, which
-    the walk solves when it first reaches it; depth-first, as
-    ``enumerate_orderings`` lists them, each ordered prefix is entered once.
+    """Fit the model and return the walk over its orderings. By default
+    these are all of them, as ``enumerate_orderings`` lists them: its
+    TooManyOrderings comes before any name check, and they need none.
+    Given ``orderings`` are each checked against ``model`` before the fit.
+    The fit's guard covers every prefix set, which the walk solves when it
+    first reaches it; depth-first, as ``enumerate_orderings`` lists them,
+    each ordered prefix is entered once.
     """
-    values, orderings = _Orderings(c, model), [*map(tuple, orderings)]
-    for ordering in orderings:
-        values.masks(ordering)
+    model = tuple(model)
+    if orderings is None:
+        orderings = enumerate_orderings(set(model))  # each name once, as _Orderings keeps it
+        values = _Orderings(c, model)
+    else:
+        values, orderings = _Orderings(c, model), [*map(tuple, orderings)]
+        for ordering in orderings:
+            values.masks(ordering)
     return OrderingWalk(fit_ols(c, values.model), values, values.walk(orderings))
 
 
@@ -473,15 +478,11 @@ def compare_report(
     sol, type3 = _partition(c, model)
     memo, cols = c._memo, {nm: c.predictor_index(nm) for nm in model}
     type1: dict[str, dict[tuple[str, ...], float]] = {nm: {} for nm in model}
-    sets: dict[int, dict[int, float]] = {}  # each prefix set's Type I SS, read once
     for ordering in ordering_list:
         mask = 0
         for nm in ordering:
             mask |= 1 << cols[nm]
-            ss = sets.get(mask)
-            if ss is None:
-                ss = sets[mask] = memo.type1(mask)
-            type1[nm][ordering] = ss[cols[nm]]
+            type1[nm][ordering] = memo.type1(mask)[cols[nm]]
     actual, r2, f = _corrected(c, sol, type3)
 
     return DecompositionReport(

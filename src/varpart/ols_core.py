@@ -15,7 +15,8 @@ derived from that solve and rounded to float64 once. The solves lose about
 2 * log10(cond) digits, so a statistic is the correctly rounded exact value
 only as far as measured: on exchangeable designs at n = 200, every one was
 at rho <= 1 - 1e-8, but not all are nearer the guard (ROADMAP item 16). The
-SSCP rounded to float64 feeds only the guard.
+SSCP rounded to float64 feeds the guard, ``sscp`` and
+``CenteredData.ss_total``.
 """
 
 from __future__ import annotations
@@ -485,13 +486,8 @@ def _columns(mask: int) -> list[int]:
 
 def _project(s: list[list[Decimal]], sol: _Solution, col: int) -> tuple[list, list]:
     """Cross-products a of column ``col`` with the columns of ``sol``, and its
-    coefficients on them u = A^-1 a, both in the order of sol.b."""
-    with localcontext(_CTX):
-        return _projection(s, sol, col)
-
-
-def _projection(s: list[list[Decimal]], sol: _Solution, col: int) -> tuple[list, list]:
-    """``_project`` in the caller's decimal context."""
+    coefficients on them u = A^-1 a, both in the order of sol.b; the caller
+    enters ``_CTX``."""
     a = [s[col][j] for j in sol.b]
     return a, [sum(map(mul, row, a)) for row in sol.ainv]
 
@@ -504,7 +500,7 @@ def _extend(s: list[list[Decimal]], sol: _Solution, col: int) -> _Solution:
     residualized on the others, and the regression SS grows by d * b_new^2
     (Golub & Van Loan, bordering).
     """
-    a, u = _projection(s, sol, col)
+    a, u = _project(s, sol, col)
     d = s[col][col] - sum(map(mul, a, u))
     if d <= 0:  # only a design the guard wrongly passed gets here
         raise SingularDesign(f"{len(a) + 1}-th leading minor of the array is not positive definite")
@@ -562,12 +558,19 @@ class _Subsets:
         return sol
 
     def type1(self, mask: int) -> dict[int, float]:
-        """Type I SS of each column of ``mask`` entering it last, b_i^2 / (A^-1)_ii rounded once."""
+        """Type I SS of each column of ``mask`` entering it last, ``_partial`` rounded once."""
         if mask not in self._type1:
             sol = self.solve(mask)
             with localcontext(_CTX):
-                self._type1[mask] = {i: float(b * b / sol.inv[i]) for i, b in sol.b.items()}
+                self._type1[mask] = {i: float(_partial(sol, i)) for i in sol.b}
         return self._type1[mask]
+
+
+def _partial(sol: _Solution, i: int) -> Decimal:
+    """Partial SS of column i in a solved fit, b_i^2 / (A^-1)_ii: the SS
+    lost by dropping it, without subtracting two fits; the caller enters
+    ``_CTX``."""
+    return sol.b[i] * sol.b[i] / sol.inv[i]
 
 
 def _ratio(a: Decimal, b: Decimal) -> float:

@@ -431,7 +431,7 @@ def render_orderings(fmt: str, response: str, model: Sequence[str], walk: Orderi
     Each position the walk enters puts its texts in its slots, so the row
     always holds the current ordering, and the row's parts join the batch
     as they stand. The texts of a name, a Type I entry and a term's four
-    statistics (and, for a set of one predictor, the intercept's) are made
+    statistics (and, at the first position, the intercept's) are made
     once per (prefix set, predictor), a term's once per ordered prefix, as
     the walk enters it, and the fit summary once. The JSON is
     ``json.dumps(indent=2, allow_nan=False)`` of the report and a newline.
@@ -442,8 +442,8 @@ def render_orderings(fmt: str, response: str, model: Sequence[str], walk: Orderi
     )
 
     @cache
-    def cells(mask: int, nm: str) -> tuple:
-        intercept = None if mask & mask - 1 else values.intercept(nm)  # a first position
+    def cells(mask: int, nm: str, first: bool) -> tuple:
+        intercept = values.intercept(nm) if first else None
         return texts(values.entry(mask, nm), values.stats(mask, nm), intercept)
 
     parts: list[str] = []
@@ -451,7 +451,7 @@ def render_orderings(fmt: str, response: str, model: Sequence[str], walk: Orderi
     lead, tail = "", tails[0]
     for count, (k, order, masks, labels) in enumerate(steps, 1):
         for i in range(k, len(order)):
-            depth(i, labels[i], cells(masks[i], order[i]))
+            depth(i, labels[i], cells(masks[i], order[i], not i))
         parts.append(lead)
         parts += ordering(order, k)
         lead, tail = separator, tails[1]

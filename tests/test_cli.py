@@ -314,6 +314,29 @@ class TestExitCodes:
         )
         assert res.exit_code == 4
 
+    def test_ordering_cap_comes_before_an_unknown_model_name(self, runner, tmp_path):
+        data = write_synth(tmp_path / "wide.csv", n=30, p=8)
+        out = tmp_path / "orderings.json"
+        preds = ",".join(f"x{i}" for i in range(1, 9))
+        res = runner.invoke(
+            main,
+            [
+                "orderings",
+                "--input", str(data),
+                "--response", "y",
+                "--predictors", preds,
+                "--model", preds + ",nope",
+                "--format", "json",
+                "--out", str(out),
+            ],
+        )
+        assert res.exit_code == 4
+        assert res.output == (
+            "error: 9 predictors means 9! orderings; exhaustive enumeration is capped at 8 predictors"
+            " -- pass explicit orderings instead\n"
+        )
+        assert not out.exists()
+
     def test_explicit_order_bypasses_cap(self, runner, tmp_path):
         data = write_synth(tmp_path / "wide.csv", n=30, p=9)
         preds = ",".join(f"x{i}" for i in range(1, 10))

@@ -503,6 +503,18 @@ def test_strict_pass_reads_a_file_numpy_rejected(tmp_path, monkeypatch, rejected
     assert (columns, moments) == want
 
 
+@pytest.mark.parametrize("rejected", [1, 3])
+def test_strict_pass_keeps_no_rows(tmp_path, monkeypatch, rejected):
+    # center_csv keeps no rows on either route, also once numpy rejects a block
+    monkeypatch.setattr(varpart.ols_core, "_BLOCK", 3)
+    path = write(tmp_path, "y,a,b\n" + "".join(f"{i},{i * i % 7},{i % 3}\n" for i in range(10)))
+    with mock.patch.object(data_io, "_loadtxt", rejecting(rejected)):
+        c = center_csv(CsvSpec(path, "y", ("a", "b")))
+    assert c.data is None
+    with pytest.raises(RowsNotKept):
+        c.column("a")
+
+
 def test_strict_pass_keeps_cells_packed(tmp_path):
     # 10**5 rows like the ingest benchmark's, then a response numpy rejects:
     # the strict pass reads the whole file again to name the line; holding

@@ -31,8 +31,9 @@ from varpart import (
     sequential_ss,
     venn_regions,
 )
-from varpart.decomposition import _partial, ordering_walk
+from varpart.decomposition import ordering_walk
 from varpart.errors import EmptySubset, SingularDesign, TooManyOrderings, UnknownName
+from varpart.ols_core import _partial
 
 from conftest import MODEL, make_dataset
 
@@ -592,6 +593,30 @@ class TestOrderingWalk:
         with pytest.raises(error, match=match):
             ordering_walk(c, ("x1", "x2"), [("x1", "x2"), ("x2", "x1"), bad])
 
+    def test_default_walk_is_the_enumerated_walk(self, monkeypatch):
+        c = mean_center(synth_data(4, 0.6))
+        names = ("x3", "x1", "x4", "x2")
+        want = walk_values(ordering_walk(c, names, enumerate_orderings(names)))
+        checks = []
+        masks = varpart.decomposition._Orderings.masks
+        monkeypatch.setattr(
+            varpart.decomposition._Orderings, "masks", lambda self, o: checks.append(o) or masks(self, o)
+        )
+        walk = ordering_walk(c, names)
+        assert walk.fit.predictor_subset == ("x1", "x2", "x3", "x4")
+        assert walk_values(walk) == want
+        assert checks == []  # each enumerated ordering is a permutation of the model
+
+    def test_default_walk_raises_the_cap_before_any_name_check_or_fit(self, monkeypatch):
+        c = mean_center(synth_data(3, 0.5))
+        monkeypatch.setattr(varpart.decomposition, "fit_ols", None)  # any fit would raise TypeError
+        monkeypatch.setattr(varpart.decomposition, "_Orderings", None)  # and any name check
+        names = ("x1", "x2", "x3", *(f"z{i}" for i in range(ORDERING_CAP - 2)))
+        with pytest.raises(TooManyOrderings):
+            ordering_walk(c, names)
+        with pytest.raises(TooManyOrderings):
+            ordering_walk(c, iter(names))
+
     def test_no_orderings_no_steps(self, centered):
         walk = ordering_walk(centered, MODEL, [])
         assert walk.fit.predictor_subset == MODEL
@@ -636,7 +661,8 @@ class TestMaskMemo:
             sol = memo.solve(mask)
             assert [*sol.b] == [i for i in range(p) if mask >> i & 1]
             kept = memo.type1(mask)
-            assert kept == {i: float(_partial(sol, i)) for i in sol.b}
+            with localcontext(varpart.ols_core._CTX):
+                assert kept == {i: float(_partial(sol, i)) for i in sol.b}
             for i, ss in kept.items():
                 # the SS the set loses without column i, from two solves
                 assert ss == pytest.approx(float(sol.ssr - memo.solve(mask & ~(1 << i)).ssr), rel=1e-12)

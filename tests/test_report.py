@@ -428,8 +428,8 @@ class TestWidthsPerDepth:
     """Orderings that share a prefix may need other text column widths, on
     names that JSON escapes and CSV quotes (``conftest.widths_dataset``):
     each format writes each ordering as the report of it alone does, and
-    JSON and CSV as the stdlib writes them, over all orderings and over an
-    explicit list with repeats."""
+    JSON and CSV as the stdlib writes them, over all orderings (enumerated by
+    the walk or by the caller) and over an explicit list with repeats."""
 
     @pytest.fixture(scope="class")
     def c(self):
@@ -445,10 +445,12 @@ class TestWidthsPerDepth:
         assert heads[0][0] == heads[1][0] == "w" and heads[0][1] != heads[1][1]
 
     @pytest.mark.parametrize("fmt", ("json", "text", "csv"))
-    @pytest.mark.parametrize("explicit", (False, True), ids=("all", "explicit"))
-    def test_each_ordering_as_if_alone(self, c, fmt, explicit):
-        orders = WIDTH_ORDERS if explicit else enumerate_orderings(WIDTH_NAMES)
-        written = "".join(render_orderings(fmt, "y", WIDTH_NAMES, ordering_walk(c, WIDTH_NAMES, orders)))
+    @pytest.mark.parametrize("given", ("default", "all", "explicit"))
+    def test_each_ordering_as_if_alone(self, c, fmt, given):
+        # by default the walk enumerates all orderings itself
+        orders = WIDTH_ORDERS if given == "explicit" else enumerate_orderings(WIDTH_NAMES)
+        walk = ordering_walk(c, WIDTH_NAMES, None if given == "default" else orders)
+        written = "".join(render_orderings(fmt, "y", WIDTH_NAMES, walk))
         assert written == report_by_ordering(fmt, "y", WIDTH_NAMES, c, orders)
         if fmt != "text":
             payload = orderings_payload("y", WIDTH_NAMES, fit_ols(c, WIDTH_NAMES), records_by_ordering(c, orders))
