@@ -11,10 +11,9 @@ from __future__ import annotations
 import csv
 import re
 import warnings
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .errors import (
     ParseError,
 )
 from . import ols_core
-from .ols_core import CenteredData, Dataset, _centered, _Fold, _fold_columns, _readonly
+from .ols_core import CenteredData, Dataset, _centered, _Fold, _readonly
 
 # Eigenvalues of a correlation matrix this far below zero (relative to the
 # largest) are treated as rank deficiency, not as a PSD violation.
@@ -57,10 +56,17 @@ class CsvSpec:
             raise InvalidDataset(
                 f"response {self.response!r} cannot also be a predictor"
             )
-        if len(self.delimiter) != 1:
-            raise ValueError("delimiter must be a single character")
-        if self.delimiter in '"\r\n':
-            raise ValueError("delimiter cannot be the quote character or a line break")
+        _check_delimiter(self.delimiter)
+
+
+def _check_delimiter(delimiter: str) -> None:
+    """Raise ValueError unless no quote, line break or number can hold ``delimiter``."""
+    if len(delimiter) != 1:
+        raise ValueError("delimiter must be a single character")
+    if delimiter in '"\r\n':
+        raise ValueError("delimiter cannot be the quote character or a line break")
+    if delimiter in "0123456789+-.eEnNaAiIfFtTyY":  # float syntax, nan, infinity
+        raise ValueError(f"delimiter {delimiter!r} can occur in a number")
 
 
 @dataclass(frozen=True)
@@ -120,12 +126,11 @@ def load_csv(spec: CsvSpec) -> Dataset:
     Python's ``float()`` accepts them. Cells may be quoted with ``"``.
 
     The numbers are parsed by numpy's C reader straight from the open
-    file, up to ``_BLOCK`` rows a call. If numpy rejects the file, it is
-    read again cell by cell, and that pass raises the error with its line
-    number (``ParseError``, also for a byte that is not UTF-8 in any field,
-    or ``NonNumericCell``). Both passes accept the same syntax and convert
-    it with the same correctly rounded decimal-to-binary routine, so the
-    columns do not depend on which pass read them.
+    file, up to ``_BLOCK`` rows a call, and by nothing else. If numpy
+    rejects the file, a strict pass reads it again cell by cell only to
+    raise its fault with the line number (``ParseError``, also for a byte
+    that is not UTF-8 in any field, or ``NonNumericCell``); if that pass
+    finds none, numpy's own ValueError is raised.
     """
     columns = _read_columns(spec)
     if len(columns[0]) == 0:
@@ -140,9 +145,8 @@ def load_csv(spec: CsvSpec) -> Dataset:
 def center_csv(spec: CsvSpec) -> CenteredData:
     """``mean_center(load_csv(spec))``, with the same result and the same
     errors, keeping no rows: each block of rows is folded into the exact
-    SSCP as it is parsed, so memory is O(p**2 + ``_BLOCK``) at any number
-    of rows. If numpy rejects a block, the strict pass's columns are folded
-    instead. On either route the result's ``data`` is None.
+    SSCP as numpy parses it, so memory is O(p**2 + ``_BLOCK``) at any number
+    of rows, and the result's ``data`` is None.
 
     The checks on the values run once the file is read, so an input with
     several faults reports the one load_csv and mean_center would: a parse
@@ -150,9 +154,7 @@ def center_csv(spec: CsvSpec) -> CenteredData:
     ConstantColumn and SingularDesign.
     """
     fold = _Fold((*spec.predictors, spec.response))
-    strict = _parse(spec, fold.names, fold.add)
-    if strict is not None:  # its columns are response first
-        fold = _fold_columns([*strict[1:], strict[0]], fold.names)
+    _parse(spec, fold.names, fold.add)
     if not fold.n:
         raise _no_rows(spec)
     return _centered(fold, spec.response, spec.predictors)
@@ -166,39 +168,32 @@ def _read_columns(spec: CsvSpec) -> list:
     """The selected columns, response first, as load_csv parses them."""
     names = (spec.response, *spec.predictors)
     blocks: list[np.ndarray] = []
-    strict = _parse(spec, names, blocks.append)
-    if strict is not None:
-        return strict
+    _parse(spec, names, blocks.append)
     return list(np.concatenate(blocks or [np.empty((len(names), 0))], axis=1))
 
 
-def _parse(spec: CsvSpec, names: Sequence[str], add: Callable[[np.ndarray], None]) -> list[array] | None:
-    """Feed ``add`` each block of the columns ``names`` as numpy parses it.
-    Returns None; or, if numpy rejects a block, the strict pass's columns,
-    response first, as that pass raises the file's error with its line."""
+def _parse(spec: CsvSpec, names: Sequence[str], add: Callable[[np.ndarray], None]) -> None:
+    """Feed ``add`` the columns ``names`` as C-contiguous k x m float64 blocks
+    of 1 <= m <= ``_BLOCK`` rows, each one numpy call on the open file, which
+    takes no line past the block's last row (so a quoted field may hold a
+    line break). If numpy rejects a block, the strict pass raises the file's
+    fault with its line, or numpy's ValueError is raised if it finds none."""
     try:
-        for block in _read_blocks(spec, names):
-            add(block)
-        return None
-    except ValueError:  # numpy's, as add raises nothing
-        pass
-    return _strict_columns(spec)  # outside the except, once the rejected block is freed
-
-
-def _read_blocks(spec: CsvSpec, names: Sequence[str]) -> Iterator[np.ndarray]:
-    """The columns ``names``, as C-contiguous k x m float64 blocks of
-    1 <= m <= ``_BLOCK`` rows (blank lines hold no row). Each block is one
-    numpy call on the open file, which takes no line past the block's last
-    row, so a quoted field may hold a line break. Raises numpy's ValueError
-    at the first block it cannot parse."""
-    with _open(spec) as fh:
-        idx = _read_header(csv.reader(fh, delimiter=spec.delimiter), spec)
-        position = dict(zip((spec.response, *spec.predictors), idx))
-        usecols = [position[nm] for nm in names]
-        while len(table := _loadtxt(fh, spec, usecols, ols_core._BLOCK)):
-            # .T.copy() is C-ordered; np.array(table.T) keeps F order,
-            # which slows the fold about threefold
-            yield table.T.copy()
+        with _open(spec) as fh:
+            idx = _read_header(csv.reader(fh, delimiter=spec.delimiter), spec)
+            position = dict(zip((spec.response, *spec.predictors), idx))
+            usecols = [position[nm] for nm in names]
+            while len(table := _loadtxt(fh, spec, usecols, ols_core._BLOCK)):
+                # .T.copy() is C-ordered: F order slows the fold threefold.
+                # ``block`` outlives the next parse, or malloc returns its
+                # pages and faults them in again: 7 times the page faults
+                add(block := table.T.copy())
+        return
+    except ValueError as exc:  # numpy's, as add raises nothing
+        # no traceback frame, nor a local, keeps a block alive in the strict pass
+        error, table, block = exc.with_traceback(None), None, None
+    _strict_pass(spec)
+    raise error
 
 
 def _open(spec: CsvSpec, errors: str = "strict"):
@@ -247,15 +242,13 @@ def _read_header(reader, spec: CsvSpec) -> list[int]:
     return [positions[name] for name in wanted]
 
 
-def _strict_columns(spec: CsvSpec) -> list[array]:
-    """load_csv's reference pass: one cell at a time, errors with line
-    numbers. The columns are packed float64 arrays, 8 bytes a cell, since
-    the pass often runs only to find the line of an error."""
+def _strict_pass(spec: CsvSpec) -> None:
+    """Raise the file's first fault with its line: a short row, a byte that is
+    not UTF-8, a cell ``_parse_cell`` rejects. Keeps no value of any row."""
     with _open(spec, "surrogateescape") as fh:
         reader = csv.reader(fh, delimiter=spec.delimiter)
         idx = _read_header(reader, spec)
-        wanted = (spec.response, *spec.predictors)
-        values = [array("d") for _ in wanted]
+        wanted = tuple(zip((spec.response, *spec.predictors), idx))
         try:
             for row in reader:
                 if not row:
@@ -266,15 +259,13 @@ def _strict_columns(spec: CsvSpec) -> list[array]:
                     raise ParseError(
                         line, f"expected at least {max(idx) + 1} fields, got {len(row)}"
                     )
-                for name, j, acc in zip(wanted, idx, values):
-                    cell = row[j]
+                for name, j in wanted:
                     try:
-                        acc.append(_parse_cell(cell))
+                        _parse_cell(row[j])
                     except ValueError:
-                        raise NonNumericCell(line, name, cell) from None
+                        raise NonNumericCell(line, name, row[j]) from None
         except csv.Error as exc:
             raise ParseError(reader.line_num, str(exc)) from None
-    return values
 
 
 def _check_decoded(line: int, row: list[str]) -> None:
@@ -303,6 +294,7 @@ def save_csv(d: Dataset, path: str | Path, delimiter: str = ",") -> None:
     Floats are written with ``repr``, which round-trips exactly, so loading
     the file back reproduces the values bit for bit.
     """
+    _check_delimiter(delimiter)
     arrays = [col for _, col in d.columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")

@@ -114,7 +114,7 @@ def two_circle_layout(
 
 
 def _esc(s: str) -> str:
-    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
 
 
 def _legend_rows(v: VennRegions, names: tuple[str, ...]) -> list[str]:

@@ -196,6 +196,15 @@ class TestInputHandling:
         )
         assert res.exit_code == 0
 
+    @pytest.mark.parametrize("delimiter", list("0123456789+-.eEnNaAiIfFtTyY"))
+    def test_delimiter_a_number_can_hold_is_a_usage_error(self, runner, tmp_path, delimiter):
+        # split at '.', this file would fit y = 1..5 on x = 5, 7, 1, 9, 2
+        path = write(tmp_path, "y.x\n1.5\n2.7\n3.1\n4.9\n5.2\n")
+        res = runner.invoke(main, ["fit", "--input", str(path), "--response", "y",
+                                   "--predictors", "x", "--delimiter", delimiter])
+        assert_one_error_line(res)
+        assert res.stderr == f"error: delimiter {delimiter!r} can occur in a number\n"
+
     def test_out_writes_file_and_keeps_stdout_empty(self, runner, tmp_path):
         target = tmp_path / "report.json"
         res = invoke(

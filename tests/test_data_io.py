@@ -1,3 +1,4 @@
+import csv
 import re
 import tracemalloc
 import warnings
@@ -6,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +26,7 @@ from varpart import (
     save_csv,
 )
 from varpart import data_io
+from varpart.cli import main
 from varpart.errors import (
     EmptyData,
     InvalidDataset,
@@ -38,6 +41,10 @@ from varpart.errors import (
 )
 
 from conftest import make_dataset
+
+
+# every character a numeric cell can hold: float syntax, nan, inf, infinity
+NUMBER_CHARS = "0123456789+-.eEnNaAiIfFtTyY"
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -76,6 +83,19 @@ class TestCsvSpec:
     def test_rejects_quote_and_line_break_delimiters(self, tmp_path, delimiter):
         with pytest.raises(ValueError):
             CsvSpec(tmp_path / "f.csv", "y", ("a",), delimiter=delimiter)
+
+    @pytest.mark.parametrize("delimiter", list(NUMBER_CHARS))
+    def test_rejects_a_delimiter_a_number_can_hold(self, tmp_path, dwaine, delimiter):
+        # 'y.x' then '1.5' split at '.' would read y = 1 and x = 5
+        with pytest.raises(ValueError, match="can occur in a number"):
+            CsvSpec(tmp_path / "f.csv", "y", ("x",), delimiter=delimiter)
+        with pytest.raises(ValueError, match="can occur in a number"):
+            save_csv(dwaine, tmp_path / "d.csv", delimiter=delimiter)
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t", " ", "|"])
+    def test_accepts_the_delimiters_the_fuzz_uses(self, tmp_path, delimiter):
+        assert CsvSpec(tmp_path / "f.csv", "y", ("x",), delimiter=delimiter).delimiter == delimiter
 
 
 class TestLoadCsv:
@@ -184,17 +204,28 @@ def outcome(read, spec):
     return [np.asarray(col, dtype=np.float64).tobytes() for col in columns]
 
 
+def reference_columns(spec):
+    """The selected columns, response first, read one cell at a time: the
+    strict pass finds no fault, then ``data_io._parse_cell`` converts each
+    selected cell."""
+    data_io._strict_pass(spec)
+    with open(spec.path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh, delimiter=spec.delimiter)
+        idx = data_io._read_header(reader, spec)
+        rows = [row for row in reader if row]
+    return [[data_io._parse_cell(row[j]) for row in rows] for j in idx]
+
+
 def assert_paths_agree(path, delimiter=","):
-    """load_csv's columns equal the strict pass's, bit for bit or error for error.
+    """load_csv's columns equal the cell-by-cell reference reading's, bit for
+    bit, or the strict pass's error.
 
     Also checks that a file the strict pass accepts never needs it: the C
     reader must take every such file itself.
     """
     spec = CsvSpec(path, "y", ("x",), delimiter=delimiter)
-    want = outcome(data_io._strict_columns, spec)
-    with mock.patch.object(
-        data_io, "_strict_columns", wraps=data_io._strict_columns
-    ) as strict:
+    want = outcome(reference_columns, spec)
+    with mock.patch.object(data_io, "_strict_pass", wraps=data_io._strict_pass) as strict:
         got = outcome(data_io._read_columns, spec)
     assert got == want
     if isinstance(want, list):
@@ -243,7 +274,8 @@ def test_invalid_utf8_is_a_parse_error_with_its_line(tmp_path, read, data, line,
 
 
 class TestParsePaths:
-    """numpy's C reader and the strict per-cell pass give one result."""
+    """numpy's C reader gives the cell-by-cell reference reading's values,
+    and the strict pass names the fault of every file numpy rejects."""
 
     @pytest.mark.parametrize(
         "cell, value",
@@ -290,7 +322,7 @@ class TestParsePaths:
         def fail(spec):
             raise AssertionError("the strict pass read a clean file")
 
-        monkeypatch.setattr(data_io, "_strict_columns", fail)
+        monkeypatch.setattr(data_io, "_strict_pass", fail)
         path = tmp_path / "clean.csv"
         path.write_bytes(
             b'\xef\xbb\xbfy,x,note\r\n1," 2 ",a\r\n\r\n3,4e0,"b,c"\r\n'
@@ -312,7 +344,10 @@ class TestParsePaths:
                 load_csv(CsvSpec(path, "y", ("x",)))
 
 
-_PAD = st.sampled_from(["", " ", "\t", "\xa0", "\u2003", "\x0c"])
+# Unicode whitespace that str.strip removes, so numpy and the strict pass ignore it
+_PAD = st.sampled_from(
+    ["", " ", "\t", "\xa0", "\u2003", "\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u3000"]
+)
 _CELL = st.one_of(
     st.floats().map(repr),
     st.integers(-(10**20), 10**20).map(str),
@@ -484,44 +519,40 @@ def rejecting(k):
 
 
 @pytest.mark.parametrize("rejected", [1, 3])
-def test_strict_pass_reads_a_file_numpy_rejected(tmp_path, monkeypatch, rejected):
-    # numpy rejects one block of a clean 4-block file; the strict pass then
-    # reads it all, and the blocks fed before the rejection leave no trace
+def test_numpy_error_when_the_strict_pass_finds_no_fault(tmp_path, monkeypatch, rejected):
+    # numpy rejects one block of a clean 4-block file: the strict pass reads
+    # it all, finds no fault, and numpy's error is raised; no value is read
+    # a second way
     monkeypatch.setattr(varpart.ols_core, "_BLOCK", 3)
     rng = np.random.default_rng(11)
     x = rng.standard_normal((10, 2)) * [1e-3, 1e4]
     path = tmp_path / "clean.csv"
     save_csv(make_dataset(x, x @ [2.0, 1e-4] + rng.standard_normal(10)), path)
     spec = CsvSpec(path, "y", ("x2", "x1"))
-    want = [col.tobytes() for _, col in load_csv(spec).columns], centering(center_csv, spec)
-    with mock.patch.object(data_io, "_strict_columns", wraps=data_io._strict_columns) as strict:
-        with mock.patch.object(data_io, "_loadtxt", rejecting(rejected)):
-            columns = [col.tobytes() for _, col in load_csv(spec).columns]
-        with mock.patch.object(data_io, "_loadtxt", rejecting(rejected)):
-            moments = centering(center_csv, spec)
-    assert strict.call_count == 2
-    assert (columns, moments) == want
+    out = tmp_path / "report.json"
+    args = ["decompose", "--input", str(path), "--response", "y", "--predictors", "x2,x1",
+            "--format", "json", "--out", str(out)]
+    for read in (load_csv, center_csv, lambda spec: CliRunner().invoke(main, args)):
+        with mock.patch.object(data_io, "_strict_pass", wraps=data_io._strict_pass) as strict:
+            with mock.patch.object(data_io, "_loadtxt", rejecting(rejected)):
+                try:
+                    res = read(spec)
+                except ValueError as exc:
+                    assert (type(exc), str(exc)) == (ValueError, "rejected")
+                else:  # the CLI
+                    assert (res.exit_code, res.stderr, res.stdout) == (2, "error: rejected\n", "")
+        assert strict.call_count == 1
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("rejected", [1, 3])
-def test_strict_pass_keeps_no_rows(tmp_path, monkeypatch, rejected):
-    # center_csv keeps no rows on either route, also once numpy rejects a block
-    monkeypatch.setattr(varpart.ols_core, "_BLOCK", 3)
-    path = write(tmp_path, "y,a,b\n" + "".join(f"{i},{i * i % 7},{i % 3}\n" for i in range(10)))
-    with mock.patch.object(data_io, "_loadtxt", rejecting(rejected)):
-        c = center_csv(CsvSpec(path, "y", ("a", "b")))
-    assert c.data is None
-    with pytest.raises(RowsNotKept):
-        c.column("a")
-
-
-def test_strict_pass_keeps_cells_packed(tmp_path):
-    # 10**5 rows like the ingest benchmark's, then a response numpy rejects:
-    # the strict pass reads the whole file again to name the line; holding
-    # its cells as Python floats in lists peaked at 16.8 MB
+@pytest.mark.parametrize("n", [10**4, 10**5])
+def test_strict_pass_memory_is_flat_in_the_rows(tmp_path, n):
+    # rows like the ingest benchmark's, then a response numpy rejects: the
+    # strict pass reads the whole file again to name the line, keeping no
+    # value, and starts once the rejected block is freed
     ds = generate_synthetic(
         SyntheticSpec(
-            n=100_000, p=4, correlation=exchangeable_correlation(4, 0.6),
+            n=n, p=4, correlation=exchangeable_correlation(4, 0.6),
             signal_coefficients=np.ones(4), seed=5,
         )
     )
@@ -529,15 +560,27 @@ def test_strict_pass_keeps_cells_packed(tmp_path):
     save_csv(ds, path)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("0.5,0.5,0.5,0.5,oops\n")
+    real, traced = data_io._strict_pass, []
+
+    def strict_pass(spec):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            real(spec)
+        finally:
+            traced.append((held, tracemalloc.get_traced_memory()[1] - held))
+
     tracemalloc.start()
     try:
-        with pytest.raises(NonNumericCell) as exc:
-            center_csv(CsvSpec(path, "y", ds.predictor_names))
-        peak = tracemalloc.get_traced_memory()[1]
+        with mock.patch.object(data_io, "_strict_pass", strict_pass):
+            with pytest.raises(NonNumericCell) as exc:
+                center_csv(CsvSpec(path, "y", ds.predictor_names))
     finally:
         tracemalloc.stop()
-    assert (exc.value.line, exc.value.column, exc.value.value) == (100_002, "y", "oops")
-    assert peak <= 8.4e6
+    assert (exc.value.line, exc.value.column, exc.value.value) == (n + 2, "y", "oops")
+    [(held, growth)] = traced
+    assert held <= 2e5, held  # no block is alive
+    assert growth <= 2e5, growth  # a row at a time, whatever n
 
 
 class TestDwaineFixture:

@@ -1,8 +1,11 @@
 import math
+import xml.etree.ElementTree as ET
 
 import pytest
 
 from varpart import (
+    Dataset,
+    mean_center,
     render_venn_svg,
     solve_center_distance,
     two_circle_layout,
@@ -130,3 +133,18 @@ class TestRenderedSvg:
         svg = render_venn_svg(v, MODEL, "a<b&c")
         assert "a&lt;b&amp;c" in svg
         assert "a<b" not in svg
+
+    @pytest.mark.parametrize("name", ['a"b', "x<&>y"])
+    @pytest.mark.parametrize("model", [2, 1], ids=["geometric", "aggregate"])
+    def test_names_with_markup_characters_give_well_formed_svg(self, dwaine, name, model):
+        # dwaine's predictors are positively correlated: two draw circles
+        (_, a), (_, b), (_, y) = dwaine.columns
+        names = (name, "c")[:model]
+        c = mean_center(Dataset(((name, a), ("c", b), ("y", y)), "y", (name, "c")))
+        root = ET.fromstring(render_venn_svg(venn_regions(c, names), names, "y"))
+        ns = "{http://www.w3.org/2000/svg}"
+        assert root.find(f"{ns}title").text == f"Variance regions: y ~ {', '.join(names)}"
+        ids = [circle.get("id") for circle in root.iter(f"{ns}circle")]
+        assert ids == ([f"region-{name}", "region-c", "region-residual"] if model == 2 else [])
+        texts = [t.text for t in root.iter(f"{ns}text")]
+        assert any(t.startswith(f"unique {name} = ") for t in texts)
