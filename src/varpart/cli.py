@@ -25,15 +25,7 @@ from .data_io import CsvSpec, center_csv, dwaine_fixture
 from .decomposition import compare_report, ordering_walk, venn_regions
 from .errors import ConstantColumn, SingularDesign, TooManyOrderings, VarpartError
 from .ols_core import CenteredData, fit_ols, mean_center
-from .report import (
-    decompose_payload,
-    fit_payload,
-    render_csv,
-    render_json,
-    render_orderings,
-    render_text,
-    venn_payload,
-)
+from .report import decompose_payload, fit_payload, render_orderings, render_payload, venn_payload
 from .venn_svg import render_venn_svg
 
 _EXIT_INPUT = 2
@@ -136,14 +128,6 @@ def _model_names(predictor_names: tuple[str, ...], model_arg) -> tuple[str, ...]
     return names
 
 
-def _render(payload, fmt: str) -> tuple[str]:
-    if fmt == "json":
-        return (render_json(payload),)
-    if fmt == "csv":
-        return (render_csv(payload),)
-    return (render_text(payload),)
-
-
 def _emit(texts: Iterable[str], out_path) -> None:
     """Write each text as it comes to ``out_path`` or stdout: a command's one
     text, or the orderings report's head, batches of orderings and tail."""
@@ -213,14 +197,14 @@ def _analysis(*formats):
 @_analysis("text", "json", "csv")
 def fit(c, model, fmt):
     """ANOVA table and coefficients of one least-squares fit."""
-    return _render(fit_payload(fit_ols(c, model), c.response_name), fmt)
+    return (render_payload(fit_payload(fit_ols(c, model), c.response_name), fmt),)
 
 
 @_analysis("text", "json", "csv")
 def decompose(c, model, fmt):
     """Traditional summary next to the partial-SS decomposition."""
     rep = compare_report(c, model, orderings=())
-    return _render(decompose_payload(rep, c.response_name), fmt)
+    return (render_payload(decompose_payload(rep, c.response_name), fmt),)
 
 
 @_analysis("text", "json", "csv")
@@ -244,7 +228,7 @@ def venn(c, model, fmt):
     v = venn_regions(c, model)
     if fmt == "svg":
         return (render_venn_svg(v, model, c.response_name),)
-    return _render(venn_payload(v, c.response_name, model, c.n), fmt)
+    return (render_payload(venn_payload(v, c.response_name, model, c.n), fmt),)
 
 
 def entry() -> None:

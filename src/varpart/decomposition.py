@@ -51,6 +51,12 @@ ORDERING_CAP = 8
 OVERLAP_NOISE = 1e-9
 
 
+def _label(target: str, joined: str | None) -> str:
+    """The term label of ``target`` residualized against the names that
+    ``joined`` joins by commas, or against none: ``target|a,b``."""
+    return target if joined is None else f"{target}|{joined}"
+
+
 class ResidualizedPredictor(NamedTuple):
     """A predictor with the influence of other predictors removed.
 
@@ -65,9 +71,7 @@ class ResidualizedPredictor(NamedTuple):
 
     @property
     def label(self) -> str:
-        if not self.conditioned_on:
-            return self.target
-        return f"{self.target}|{','.join(self.conditioned_on)}"
+        return _label(self.target, ",".join(self.conditioned_on) if self.conditioned_on else None)
 
     @property
     def ss(self) -> float:
@@ -249,20 +253,20 @@ class _Orderings:
         each label from its parent prefix's names, joined by commas once per
         prefix. The two lists are the walk's own, changed in place as it
         moves on."""
-        last, masks, labels, joins = (), [], [], []
+        last, masks, labels, joins = (), [], [], [None]
         for ordering in orderings:
             k = 0
             for held, nm in zip(last, ordering):
                 if held != nm:
                     break
                 k += 1
-            del masks[k:], labels[k:], joins[k:]
+            del masks[k:], labels[k:], joins[k + 1 :]
             mask = masks[-1] if k else 0
             for nm in ordering[k:]:
                 mask |= self._bit[nm]
                 masks.append(mask)
-                labels.append(f"{nm}|{joins[-1]}" if joins else nm)
-                joins.append(f"{joins[-1]},{nm}" if joins else nm)
+                labels.append(_label(nm, joins[-1]))
+                joins.append(nm if joins[-1] is None else f"{joins[-1]},{nm}")
             yield k, ordering, masks, labels
             last = ordering
 
@@ -418,7 +422,7 @@ def residualized_simple_fits(
         i, rest = c.predictor_index(nm), tuple(o for o in model if o != nm)
         with localcontext(_CTX):
             sse, sd = max(ex.s[-1][-1] - type3[nm], Decimal(0)), _column_sd(sol.inv[i], c.n)
-        label, mean = (f"{nm}|{','.join(rest)}", Decimal(0)) if rest else (nm, ex.means[i])
+        label, mean = (_label(nm, ",".join(rest)), Decimal(0)) if rest else (nm, ex.means[i])
         out[nm] = _make_fit(ex, (label,), [sol.b[i]], [sol.inv[i]], [mean], [sd], type3[nm], sse)
     return out
 

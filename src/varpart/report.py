@@ -1,13 +1,16 @@
 """Report payloads and their text, JSON, and CSV renderings.
 
 ``fit``, ``decompose`` and ``venn`` first build one JSON-able payload dict
-carrying full float precision; every renderer works from that payload.
-Text output therefore shows exactly the JSON numbers rounded half away
-from zero to two decimals, and CSV output carries the full-precision
-values in a flat (section, name, statistic, value) layout. Non-finite
-statistics (a perfect fit has infinite F) become JSON null, the text cell
-"NA" and an empty CSV cell. JSON output is ``json.dumps(payload, indent=2,
-allow_nan=False)`` and a newline.
+carrying full float precision, which starts with the fields every report
+starts with (``_head``). ``render_payload(payload, fmt)`` is the one way
+from a payload to its text, JSON or CSV: one table, keyed by the payload's
+command, holds each command's text body and CSV renderer, and the model
+line heads every text body. Text output therefore shows exactly the JSON
+numbers rounded half away from zero to two decimals, and CSV output
+carries the full-precision values in a flat (section, name, statistic,
+value) layout. Non-finite statistics (a perfect fit has infinite F)
+become JSON null, the text cell "NA" and an empty CSV cell. JSON output
+is ``json.dumps(payload, indent=2, allow_nan=False)`` and a newline.
 
 ``orderings`` (12 MB of JSON at seven predictors) builds no payload:
 ``render_orderings`` yields each of the three formats straight from the
@@ -73,6 +76,17 @@ def _venn_dict(v: VennRegions) -> dict[str, Any]:
 # ---------------------------------------------------------------- payloads
 
 
+def _head(command: str, response: str, predictors: Sequence[str], n: int) -> dict[str, Any]:
+    """The fields every report starts with."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "response": response,
+        "predictors": list(predictors),
+        "n": n,
+    }
+
+
 def fit_payload(fit: OlsFit, response: str) -> dict[str, Any]:
     at = anova_table(fit)
     anova: dict[str, Any] = {}
@@ -86,11 +100,7 @@ def fit_payload(fit: OlsFit, response: str) -> dict[str, Any]:
             entry["f"] = _num(row.f)
         anova[row.source.lower()] = entry
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "fit",
-        "response": response,
-        "predictors": list(fit.predictor_subset),
-        "n": fit.n,
+        **_head("fit", response, fit.predictor_subset, fit.n),
         "anova": anova,
         "r2": _num(fit.r2),
         "intercept": _num(fit.intercept),
@@ -137,11 +147,7 @@ def _report_notes(rep: DecompositionReport) -> list[str]:
 def decompose_payload(rep: DecompositionReport, response: str) -> dict[str, Any]:
     trad = rep.traditional
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "decompose",
-        "response": response,
-        "predictors": list(rep.model),
-        "n": trad.n,
+        **_head("decompose", response, rep.model, trad.n),
         "traditional": {
             "ss_regression": _num(trad.ss_regression),
             "ss_residual": _num(trad.ss_residual),
@@ -185,11 +191,7 @@ def decompose_payload(rep: DecompositionReport, response: str) -> dict[str, Any]
 def _orderings_fields(response: str, model: Sequence[str], full: OlsFit) -> dict[str, Any]:
     """The fields of the ``orderings`` report before its orderings."""
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "orderings",
-        "response": response,
-        "predictors": list(model),
-        "n": full.n,
+        **_head("orderings", response, model, full.n),
         "ss_regression": _num(full.ss_regression),
         "ss_total": _num(full.ss_total),
     }
@@ -198,14 +200,7 @@ def _orderings_fields(response: str, model: Sequence[str], full: OlsFit) -> dict
 def venn_payload(
     v: VennRegions, response: str, model: Sequence[str], n: int
 ) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "venn",
-        "response": response,
-        "predictors": list(model),
-        "n": n,
-        **_venn_dict(v),
-    }
+    return {**_head("venn", response, model, n), **_venn_dict(v)}
 
 
 # --------------------------------------------------------------- renderers
@@ -259,26 +254,21 @@ def _venn_lines(v: dict[str, Any]) -> list[str]:
     rows.append(["accounted total", _cell(v["accounted_total"])])
     rows.append(["missing", _cell(v["missing"])])
     lines = _layout(rows, "lr")
-    lines.append("")
-    lines.append(f"Total SS = {_cell(v['ss_total'])}")
-    lines.append(f"Missing fraction = {_cell(v['missing_fraction'])}")
+    lines += ["", f"Total SS = {_cell(v['ss_total'])}", f"Missing fraction = {_cell(v['missing_fraction'])}"]
     if v["suppression"]:
         lines.append("Suppression: the common region is negative.")
     return lines
 
 
-def _render_text_fit(p: dict[str, Any]) -> str:
-    lines = [_model_line(p), ""]
-    lines += _anova_lines(p["anova"])
+def _fit_lines(p: dict[str, Any]) -> list[str]:
+    lines = _anova_lines(p["anova"])
     lines += ["", f"R2 = {_cell(p['r2'])}", ""]
-    lines += _coef_rows(p["coefficients"], p["intercept"])
-    return "\n".join(lines) + "\n"
+    return lines + _coef_rows(p["coefficients"], p["intercept"])
 
 
-def _render_text_decompose(p: dict[str, Any]) -> str:
+def _decompose_lines(p: dict[str, Any]) -> list[str]:
     trad, corr = p["traditional"], p["corrected"]
-    lines = [_model_line(p), ""]
-    lines.append("Traditional vs corrected")
+    lines = ["Traditional vs corrected"]
     lines += _layout(
         [
             ["Statistic", "Traditional", "Corrected"],
@@ -288,43 +278,16 @@ def _render_text_decompose(p: dict[str, Any]) -> str:
         ],
         "lrr",
     )
-    lines.append("")
-    lines.append("Coefficients (full model)")
-    lines += _coef_rows(trad["coefficients"], trad["intercept"])
-    lines.append("")
-    lines.append("Partial (Type III) SS")
-    rows = [["Term", "SS"]]
-    rows += [[e["name"], _cell(e["ss"])] for e in p["type3"]]
-    lines += _layout(rows, "lr")
-    lines.append("")
-    lines.append("Simple regressions on residualized predictors")
+    lines += ["", "Coefficients (full model)", *_coef_rows(trad["coefficients"], trad["intercept"])]
+    rows = [["Term", "SS"], *([e["name"], _cell(e["ss"])] for e in p["type3"])]
+    lines += ["", "Partial (Type III) SS", *_layout(rows, "lr")]
     rows = [["Term", "SS(reg)", "f", "R2", "b", "z", "t", "df(res)"]]
     for e in p["residualized_fits"]:
         cells = (_cell(e[k]) for k in ("ss_regression", "f", "r2", "b", "z", "t"))
         rows.append([e["label"], *cells, str(e["df_residual"])])
-    lines += _layout(rows, "lrrrrrrr")
-    lines.append("")
-    lines.append("Variance accounting")
-    lines += _venn_lines(p["venn"])
-    lines.append("")
-    lines.append("Notes")
-    lines += [f"- {note}" for note in p["notes"]]
-    return "\n".join(lines) + "\n"
-
-
-def _render_text_venn(p: dict[str, Any]) -> str:
-    lines = [_model_line(p), ""]
-    lines += _venn_lines(p)
-    return "\n".join(lines) + "\n"
-
-
-_TEXT_RENDERERS = {
-    "fit": _render_text_fit, "decompose": _render_text_decompose, "venn": _render_text_venn
-}
-
-
-def render_text(payload: dict[str, Any]) -> str:
-    return _TEXT_RENDERERS[payload["command"]](payload)
+    lines += ["", "Simple regressions on residualized predictors", *_layout(rows, "lrrrrrrr")]
+    lines += ["", "Variance accounting", *_venn_lines(p["venn"]), "", "Notes"]
+    return lines + [f"- {note}" for note in p["notes"]]
 
 
 def _csv_value(x: Any) -> str:
@@ -361,41 +324,29 @@ def _csv_coeffs(section: str, coefs: list[dict[str, Any]]) -> list[list[Any]]:
     return [[section, cf["name"], stat, cf[stat]] for cf in coefs for stat in _COEF_STATS]
 
 
-def _csv_venn_rows(section: str, v: dict[str, Any]) -> list[list[Any]]:
-    rows = [[section, nm, "unique", ss] for nm, ss in v["unique"].items()]
-    return rows + [[section, "", stat, x] for stat, x in v.items() if stat != "unique"]
-
-
-def _render_csv_fit(p: dict[str, Any]) -> str:
+def _fit_csv(p: dict[str, Any]) -> str:
     rows = _csv_meta(p)
-    for source, e in p["anova"].items():
-        for stat in ("ss", "df", "ms"):
-            rows.append(["anova", source, stat, e[stat]])
-        if "f" in e:
-            rows.append(["anova", source, "f", e["f"]])
-    rows.append(["fit", "", "r2", p["r2"]])
-    rows.append(["fit", "", "intercept", p["intercept"]])
+    rows += [["anova", source, stat, x] for source, e in p["anova"].items() for stat, x in e.items()]
+    rows += [["fit", "", "r2", p["r2"]], ["fit", "", "intercept", p["intercept"]]]
     rows += _csv_coeffs("coefficient", p["coefficients"])
     return _csv_doc(rows)
 
 
-def _render_csv_decompose(p: dict[str, Any]) -> str:
-    rows = _csv_meta(p)
-    trad = p["traditional"]
+def _decompose_csv(p: dict[str, Any]) -> str:
+    rows, trad, venn = _csv_meta(p), p["traditional"], p["venn"]
     rows += [["traditional", "", stat, x] for stat, x in trad.items() if stat != "coefficients"]
     rows += _csv_coeffs("coefficient", trad["coefficients"])
-    for stat in ("actual_model_ss", "r2", "f"):
-        rows.append(["corrected", "", stat, p["corrected"][stat]])
-    for e in p["type3"]:
-        rows.append(["type3", e["name"], "ss", e["ss"]])
+    rows += [["corrected", "", stat, x] for stat, x in p["corrected"].items()]
+    rows += [["type3", e["name"], "ss", e["ss"]] for e in p["type3"]]
     for e in p["residualized_fits"]:
         for stat in ("ss_regression", "f", "r2", "b", "se", "z", "t", "df_residual"):
             rows.append(["residualized", e["label"], stat, e[stat]])
-    rows += _csv_venn_rows("venn", p["venn"])
+    rows += [["venn", nm, "unique", ss] for nm, ss in venn["unique"].items()]
+    rows += [["venn", "", stat, x] for stat, x in venn.items() if stat != "unique"]
     return _csv_doc(rows)
 
 
-def _render_csv_venn(p: dict[str, Any]) -> str:
+def _venn_csv(p: dict[str, Any]) -> str:
     """One row per region: p unique rows, common, residual, missing, total."""
     rows = [[f"unique:{nm}", ss] for nm, ss in p["unique"].items()]
     rows += [["common", p["common_total"]], ["residual", p["residual"]]]
@@ -403,13 +354,22 @@ def _render_csv_venn(p: dict[str, Any]) -> str:
     return _csv_doc(rows, header=("region", "ss"))
 
 
-_CSV_RENDERERS = {
-    "fit": _render_csv_fit, "decompose": _render_csv_decompose, "venn": _render_csv_venn
+# Each command's text body, under its model line, and its CSV document.
+_RENDERERS = {
+    "fit": (_fit_lines, _fit_csv),
+    "decompose": (_decompose_lines, _decompose_csv),
+    "venn": (_venn_lines, _venn_csv),
 }
 
 
-def render_csv(payload: dict[str, Any]) -> str:
-    return _CSV_RENDERERS[payload["command"]](payload)
+def render_payload(payload: dict[str, Any], fmt: str) -> str:
+    """A ``fit``, ``decompose`` or ``venn`` payload as "json", "text" or "csv"."""
+    if fmt == "json":
+        return render_json(payload)
+    body, csv_doc = _RENDERERS[payload["command"]]
+    if fmt == "csv":
+        return csv_doc(payload)
+    return "\n".join([_model_line(payload), "", *body(payload)]) + "\n"
 
 
 # --------------------------------------------------------------- orderings

@@ -117,21 +117,18 @@ def _esc(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
 
 
-def _legend_rows(v: VennRegions, names: tuple[str, ...]) -> list[str]:
-    rows = [f"unique {nm} = {fmt2(v.unique[nm])}" for nm in names]
-    common_label = "common (overlap)"
-    if v.suppression:
-        common_label = "common (overlap, suppression)"
-    rows.append(f"{common_label} = {fmt2(v.common_total)}")
-    rows.append(f"residual = {fmt2(v.residual)}")
-    rows.append(
+def _legend_doc(v: VennRegions, names: tuple[str, ...], title: str, body: list[str], y0: float) -> str:
+    """The document: ``body``, which ends inside the opened legend group,
+    then a legend row per region from ``y0`` down, and the group closed."""
+    common = "common (overlap, suppression)" if v.suppression else "common (overlap)"
+    rows = [
+        *(f"unique {nm} = {fmt2(v.unique[nm])}" for nm in names),
+        f"{common} = {fmt2(v.common_total)}",
+        f"residual = {fmt2(v.residual)}",
         f"missing from total = {fmt2(v.missing)}"
-        f" (fraction {fmt2(v.missing_fraction)} of {fmt2(v.ss_total)})"
-    )
-    return rows
-
-
-def _svg_doc(width: float, height: float, title: str, body: list[str]) -> str:
+        f" (fraction {fmt2(v.missing_fraction)} of {fmt2(v.ss_total)})",
+    ]
+    width, height = 2 * _MARGIN + _DRAW_W, y0 + len(rows) * _ROW_H + _MARGIN
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -139,6 +136,8 @@ def _svg_doc(width: float, height: float, title: str, body: list[str]) -> str:
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
         f"  <title>{_esc(title)}</title>",
         *body,
+        *(_text(_MARGIN, y0 + i * _ROW_H, row) for i, row in enumerate(rows)),
+        "  </g>",
         "</svg>",
     ]
     return "\n".join(lines) + "\n"
@@ -166,13 +165,9 @@ def _render_geometric(
 ) -> str:
     placements = two_circle_layout(v, names)
     body = ['  <g id="regions">']
-    tips = (
-        f"{names[0]}: unique {fmt2(v.unique[names[0]])}"
-        f" + common {fmt2(max(0.0, v.common_total))}",
-        f"{names[1]}: unique {fmt2(v.unique[names[1]])}"
-        f" + common {fmt2(max(0.0, v.common_total))}",
-        f"residual: {fmt2(v.residual)}",
-    )
+    common = fmt2(max(0.0, v.common_total))
+    tips = [f"{nm}: unique {fmt2(v.unique[nm])} + common {common}" for nm in names]
+    tips.append(f"residual: {fmt2(v.residual)}")
     for c, fill, stroke, tip in zip(placements, _PALETTE, _STROKE, tips):
         body.append(
             f'    <circle id="region-{_esc(c.label)}" cx="{c.cx:.4f}" '
@@ -191,17 +186,8 @@ def _render_geometric(
     body.append(_text(c1.cx - 0.5 * c1.r, caption_y, c1.label, anchor="middle"))
     body.append(_text(c2.cx + 0.5 * c2.r, caption_y, c2.label, anchor="middle"))
     body.append(_text(cr.cx, caption_y, cr.label, anchor="middle"))
-    body.append("  </g>")
-
-    rows = _legend_rows(v, names)
-    y0 = _MARGIN + _DRAW_H + 40.0
-    body.append('  <g id="legend">')
-    for i, row in enumerate(rows):
-        body.append(_text(_MARGIN, y0 + i * _ROW_H, row))
-    body.append("  </g>")
-
-    height = y0 + len(rows) * _ROW_H + _MARGIN
-    return _svg_doc(2 * _MARGIN + _DRAW_W, height, title, body)
+    body += ["  </g>", '  <g id="legend">']
+    return _legend_doc(v, names, title, body, _MARGIN + _DRAW_H + 40.0)
 
 
 def _render_aggregate(
@@ -216,13 +202,9 @@ def _render_aggregate(
         note = "one predictor: its regression SS is all unique, regions listed"
     else:
         note = "more than two predictors: aggregate regions listed"
-    rows = _legend_rows(v, names)
-    body = ['  <g id="legend">']
-    body.append(_text(_MARGIN, _MARGIN + 16.0, title, size=15))
-    body.append(_text(_MARGIN, _MARGIN + 16.0 + _ROW_H, note))
-    y0 = _MARGIN + 16.0 + 2.5 * _ROW_H
-    for i, row in enumerate(rows):
-        body.append(_text(_MARGIN, y0 + i * _ROW_H, row))
-    body.append("  </g>")
-    height = y0 + len(rows) * _ROW_H + _MARGIN
-    return _svg_doc(2 * _MARGIN + _DRAW_W, height, title, body)
+    body = [
+        '  <g id="legend">',
+        _text(_MARGIN, _MARGIN + 16.0, title, size=15),
+        _text(_MARGIN, _MARGIN + 16.0 + _ROW_H, note),
+    ]
+    return _legend_doc(v, names, title, body, _MARGIN + 16.0 + 2.5 * _ROW_H)

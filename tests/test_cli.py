@@ -81,7 +81,7 @@ class TestGoldenOutputs:
         assert res.exit_code == 0
         assert res.output == (GOLDEN / "venn_dwaine.svg").read_text()
 
-    @pytest.mark.parametrize("cmd", ("decompose", "orderings"))
+    @pytest.mark.parametrize("cmd", ("fit", "decompose", "orderings", "venn"))
     def test_csv(self, runner, cmd):
         res = invoke(runner, cmd, "--dwaine", "--format", "csv")
         assert res.exit_code == 0
@@ -127,6 +127,32 @@ class TestGoldenOutputs:
         preds = ",".join(f"x{j}" for j in range(1, 8))
         out = tmp_path / f"orderings.{fmt}"
         invoke(runner, "orderings", "--input", str(data), "--response", "y",
+               "--predictors", preds, "--format", fmt, "--out", str(out))
+        assert hashlib.md5(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "cmd, fmt, digest",
+        [
+            ("fit", "text", "f7aa92a5110fa03ef28ec7a845c294d0"),
+            ("fit", "json", "21ad42bcb16aeb49416d332659322b88"),
+            ("fit", "csv", "a7ea7c4b92227315e7bed97beac45a71"),
+            ("decompose", "text", "9ddcc0902bf0065189ffa1876a2db701"),
+            ("decompose", "json", "5775956eee34ebb213a2e834d68a04ec"),
+            ("decompose", "csv", "2c84e96d3cc2fba431f5f4a9234e41a6"),
+            ("venn", "text", "1e09c7543b446b5918b242b9ef881d7b"),
+            ("venn", "json", "e56a2a168069b99de638ce6e65879b6a"),
+            ("venn", "csv", "cb7afaf6e163dfdb3383eec182934e2a"),
+            ("venn", "svg", "0c2395128041eda8d1f63c2b9e3e10e9"),
+        ],
+    )
+    def test_reports_of_the_seeded_input(self, runner, tmp_path, cmd, fmt, digest):
+        # seven predictors: multi-row tables and the aggregate SVG panel,
+        # which no Dwaine golden shows; the digests of full-precision
+        # floats fall under the golden policy, as the CSV goldens do
+        data = write_synth(tmp_path / "p7.csv", n=200, p=7, rho=0.6, seed=4242)
+        preds = ",".join(f"x{j}" for j in range(1, 8))
+        out = tmp_path / f"{cmd}.{fmt}"
+        invoke(runner, cmd, "--input", str(data), "--response", "y",
                "--predictors", preds, "--format", fmt, "--out", str(out))
         assert hashlib.md5(out.read_bytes()).hexdigest() == digest
 

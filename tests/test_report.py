@@ -29,10 +29,9 @@ from varpart.decomposition import _Orderings, ordering_walk
 from varpart.report import (
     decompose_payload,
     fit_payload,
-    render_csv,
     render_json,
     render_orderings,
-    render_text,
+    render_payload,
     venn_payload,
 )
 from varpart.textfmt import fmt2
@@ -103,7 +102,7 @@ class Reports(dict):
         if key == "orderings":
             walk = ordering_walk(self.c, self.model, self.orderings)
             return "".join(render_orderings(fmt, self.c.response_name, self.model, walk))
-        return {"json": render_json, "text": render_text, "csv": render_csv}[fmt](self[key])
+        return render_payload(self[key], fmt)
 
 
 def flatten(obj, floats, ints):
@@ -568,7 +567,7 @@ class TestCsv:
         assert out.splitlines()[0] == "section,name,statistic,value"
 
     def test_venn_uses_region_table(self, dwaine_payloads):
-        out = render_csv(dwaine_payloads["venn"])
+        out = render_payload(dwaine_payloads["venn"], "csv")
         lines = out.splitlines()
         assert lines[0] == "region,ss"
         # one row per predictor plus common, residual, missing, total
@@ -648,10 +647,10 @@ class TestNonFiniteValues:
 
     def test_text_prints_na(self, perfect):
         fit = fit_ols(perfect, ("x1",))
-        out = render_text(fit_payload(fit, "y"))
+        out = render_payload(fit_payload(fit, "y"), "text")
         assert "NA" in out
 
     def test_csv_leaves_cell_empty(self, perfect):
         fit = fit_ols(perfect, ("x1",))
-        out = render_csv(fit_payload(fit, "y"))
+        out = render_payload(fit_payload(fit, "y"), "csv")
         assert any(line.endswith(",f,") for line in out.splitlines())
