@@ -10,8 +10,10 @@ Venn-style accounting of where the response variation actually went.
 
 Every reported number is read off the subset memo of ``ols_core``: Type III
 SS as b_j^2 / (A^-1)_jj from the one full-model solve, each ordering's Type
-I SS and orthogonal-function terms from the solves of its prefixes. No
-report path residualizes a column or reads the observations again.
+I SS and orthogonal-function terms from the solves of its prefixes.
+``compare_report`` makes the Type I rows of all its prefix sets in one pass
+before it fills a table. No report path residualizes a column or reads the
+observations again.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .ols_core import (
     _ratio,
     _readonly,
     _Solution,
+    _submasks,
     fit_centered_design,  # noqa: F401 - bench/spans.py traces this binding
     fit_ols,
 )
@@ -462,31 +465,36 @@ def compare_report(
     at most ORDERING_CAP predictors; for larger models none are, and the
     caller must pass them explicitly. ``orderings="all"`` demands the
     exhaustive set and raises TooManyOrderings above the cap. Only the
-    orderings a caller passes are checked, before any fit. Each Type I SS
-    is read off the memo by the mask of its ordering's prefix.
+    orderings a caller passes are checked, before any fit. After the fit,
+    one pass over the prefix sets makes the Type I row of each (every
+    subset of the model, or the given orderings' prefix sets), and each
+    Type I SS is read off the row of its ordering's prefix.
     """
     model = _model(c, model)
     if orderings == "all" or (orderings is None and len(model) <= ORDERING_CAP):
         ordering_list = enumerate_orderings(model)
+        sets = _submasks(_mask(map(c.predictor_index, model)))
     elif orderings is None:
-        ordering_list = ()
+        ordering_list, sets = (), ()
     elif isinstance(orderings, str):
         raise ValueError(f"orderings must be 'all', None, or a sequence, not {orderings!r}")
     else:
         ordering_list = tuple(map(tuple, orderings))
         values = _Orderings(c, model)
-        for ordering in ordering_list:  # every ordering is checked before any fit
-            values.masks(ordering)
+        # every ordering is checked before any fit
+        sets = {mask for ordering in ordering_list for mask in values.masks(ordering)}
 
     full = fit_ols(c, model)
     sol, type3 = _partition(c, model)
-    memo, cols = c._memo, {nm: c.predictor_index(nm) for nm in model}
+    col = {nm: c.predictor_index(nm) for nm in model}
+    bit = {nm: 1 << i for nm, i in col.items()}
+    rows = c._memo.type1_rows(sets)
     type1: dict[str, dict[tuple[str, ...], float]] = {nm: {} for nm in model}
     for ordering in ordering_list:
         mask = 0
         for nm in ordering:
-            mask |= 1 << cols[nm]
-            type1[nm][ordering] = memo.type1(mask)[cols[nm]]
+            mask |= bit[nm]
+            type1[nm][ordering] = rows[mask][col[nm]]
     actual, r2, f = _corrected(c, sol, type3)
 
     return DecompositionReport(

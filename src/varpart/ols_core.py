@@ -484,6 +484,15 @@ def _columns(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def _submasks(mask: int) -> list[int]:
+    """The nonempty subsets of a bit mask, ascending."""
+    subs, sub = [], mask
+    while sub:
+        subs.append(sub)
+        sub = (sub - 1) & mask
+    return subs[::-1]
+
+
 def _project(s: list[list[Decimal]], sol: _Solution, col: int) -> tuple[list, list]:
     """Cross-products a of column ``col`` with the columns of ``sol``, and its
     coefficients on them u = A^-1 a, both in the order of sol.b; the caller
@@ -518,8 +527,9 @@ def _extend(s: list[list[Decimal]], sol: _Solution, col: int) -> _Solution:
 class _Subsets:
     """Regressions of the response (the last column) on sets of the others,
     keyed by bit mask (``_mask``), each solved once, by bordering the set
-    without its highest column, and shared by every use of the same data;
-    ``type1`` keeps each set's Type I SS once asked for."""
+    without its highest column, and shared by every use of the same data.
+    Each set's Type I row is kept once made: ``type1`` makes one set's, and
+    ``type1_rows`` the rows of many subsets of a guarded set in one pass."""
 
     def __init__(self, ex: _Exact, names: Sequence[str]):
         self._ex, self._names = ex, names
@@ -539,31 +549,49 @@ class _Subsets:
                 idx = _columns(mask) if idx is None else idx
                 _guard(self._ex.f[idx][:, idx])
                 self._guarded.append(mask)
-            return self._border(mask)
+            with localcontext(_CTX):
+                return self._border(mask)
         except SingularDesign as exc:
-            idx = _columns(mask) if idx is None else idx
-            raise SingularDesign(f"{what} ({', '.join(self._names[i] for i in idx)}): {exc}") from None
+            raise self._named(what, _columns(mask) if idx is None else idx, exc) from None
+
+    def _named(self, what: str, idx: Iterable[int], exc: SingularDesign) -> SingularDesign:
+        return SingularDesign(f"{what} ({', '.join(self._names[i] for i in idx)}): {exc}")
 
     def _border(self, mask: int) -> _Solution:
         """The solution on ``mask``, bordered up from its longest solved
-        prefix (the set less its highest columns) in one decimal context."""
+        prefix (the set less its highest columns); the caller enters ``_CTX``."""
         chain = []
         while mask not in self._cache:
             chain.append(mask)
             mask ^= 1 << mask.bit_length() - 1
         sol = self._cache[mask]
-        with localcontext(_CTX):
-            for link in reversed(chain):
-                sol = self._cache[link] = _extend(self._ex.s, sol, link.bit_length() - 1)
+        for link in reversed(chain):
+            sol = self._cache[link] = _extend(self._ex.s, sol, link.bit_length() - 1)
         return sol
 
     def type1(self, mask: int) -> dict[int, float]:
         """Type I SS of each column of ``mask`` entering it last, ``_partial`` rounded once."""
         if mask not in self._type1:
-            sol = self.solve(mask)
-            with localcontext(_CTX):
-                self._type1[mask] = {i: float(_partial(sol, i)) for i in sol.b}
+            self.solve(mask)  # behind the guard
+            self.type1_rows((mask,))
         return self._type1[mask]
+
+    def type1_rows(self, masks: Iterable[int]) -> dict[int, dict[int, float]]:
+        """The ``type1`` row of each of ``masks``, subsets of a set that passed
+        the guard, in one pass: the sets without a row are solved in ascending
+        order in one decimal context, so a set whose parent (the set less its
+        highest column) came before is bordered once from it. Errors name the
+        set "subset (names)"."""
+        masks = sorted(masks)
+        try:
+            with localcontext(_CTX):
+                for mask in masks:
+                    if mask not in self._type1:
+                        sol = self._border(mask)
+                        self._type1[mask] = {i: float(_partial(sol, i)) for i in sol.b}
+        except SingularDesign as exc:
+            raise self._named("subset", _columns(mask), exc) from None
+        return {mask: self._type1[mask] for mask in masks}
 
 
 def _partial(sol: _Solution, i: int) -> Decimal:

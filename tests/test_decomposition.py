@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import math
 from collections.abc import Mapping
 from decimal import ROUND_DOWN, Context, Decimal, getcontext, localcontext
@@ -398,13 +399,19 @@ class TestCompareReport:
             assert total == pytest.approx(rep.traditional.ss_regression, rel=1e-9)
 
     def test_type1_matches_sequential_ss(self, centered):
-        rep = compare_report(centered, MODEL)
-        for order in rep.orderings:
-            seq = dict(sequential_ss(centered, order))
-            for pd in rep.per_predictor:
-                assert pd.type1_by_ordering[order] == pytest.approx(
-                    seq[pd.name], rel=1e-12
-                )
+        # both read the same rows, each set bordered from its parent, so the
+        # floats are equal, not merely close, whichever call solves a set first
+        ds = synth_data(5, 1 - 1e-10)
+        cases = [
+            (compare_report(centered, MODEL), centered),
+            (compare_report(mean_center(ds), ds.predictor_names, orderings="all"), mean_center(ds)),
+        ]
+        for rep, c in cases:
+            assert rep.orderings
+            for order in rep.orderings:
+                seq = dict(sequential_ss(c, order))
+                for pd in rep.per_predictor:
+                    assert pd.type1_by_ordering[order] == seq[pd.name]
 
     def test_explicit_orderings_only(self, centered):
         rep = compare_report(centered, MODEL, orderings=[("DISPOINC", "TARGTPOP")])
@@ -702,6 +709,128 @@ class TestMaskMemo:
         with pytest.raises(error, match=match):
             compare_report(c, ("x1", "x2"), orderings=[("x1", "x2"), ("x2", "x1"), *bad])
         assert solves == []
+
+
+class _CountedRows(dict):
+    """A Type I store that counts the rows read out of it."""
+
+    reads = 0
+
+    def __getitem__(self, mask):
+        self.reads += 1
+        return super().__getitem__(mask)
+
+
+def _chain(mask):
+    """``mask`` and the sets below it that bordering solves it from: each
+    less its highest column, down to the empty set."""
+    chain = [mask]
+    while mask:
+        mask ^= 1 << mask.bit_length() - 1
+        chain.append(mask)
+    return chain
+
+
+class TestLatticePass:
+    """``compare_report`` makes the Type I rows its orderings need in one
+    pass over the model's subsets, after the model's fit, and fills every
+    table from those rows."""
+
+    def test_work_of_all_orderings(self, monkeypatch):
+        c = mean_center(synth_data(5, 0.6))
+        rows = c._memo._type1 = _CountedRows()
+        counts = {"_extend": 0, "_partial": 0}
+        for name in counts:
+            fn = getattr(varpart.ols_core, name)
+            monkeypatch.setattr(varpart.ols_core, name, lambda *a, fn=fn, name=name: (
+                counts.__setitem__(name, counts[name] + 1) or fn(*a)
+            ))
+        rep = compare_report(c, c.predictor_names, orderings="all")
+        assert len(rep.orderings) == 120
+        assert rows.reads <= 31  # one per subset, not one per (ordering, position)
+        assert sorted(rows) == [*range(1, 32)]
+        # each subset bordered once from its parent; the Type III SS are
+        # decomposition's own _partial calls, not counted here
+        assert counts == {"_extend": 31, "_partial": 5 * 2**4}
+
+    def test_no_orderings_solve_only_the_model_chain(self, monkeypatch):
+        c = mean_center(synth_data(5, 0.6))
+        rep = compare_report(c, ("x2", "x4", "x5"), orderings=())
+        assert rep.orderings == ()
+        assert set(c._memo._cache) == set(_chain(0b11010))
+        assert c._memo._type1 == {}
+
+    def test_one_ordering_leaves_the_masks_of_its_prefix_reads(self):
+        ds = synth_data(6, 0.6)
+        order = ("x6", "x2", "x5", "x1", "x4", "x3")
+        c = mean_center(ds)
+        rep = compare_report(c, ds.predictor_names, orderings=[order])
+        # the same sets as a fit and one type1 call per prefix leave
+        by_prefix = mean_center(ds)
+        fit_ols(by_prefix, ds.predictor_names)
+        assert [*rep.per_predictor[0].type1_by_ordering.items()] == [
+            (order, dict(sequential_ss(by_prefix, order))["x1"])
+        ]
+        assert set(c._memo._cache) == set(by_prefix._memo._cache)
+        prefixes = [0b100000, 0b100010, 0b110010, 0b110011, 0b111011, 0b111111]
+        assert set(c._memo._type1) == set(by_prefix._memo._type1) == set(prefixes)
+        assert set(c._memo._cache) == {m for prefix in prefixes for m in _chain(prefix)}
+
+    def test_model_of_high_index_predictors(self):
+        ds = synth_data(40, 0.3)
+        c, model = mean_center(ds), ds.predictor_names[-3:]
+        rep = compare_report(c, model, orderings="all")
+        subsets = {m << 37 for m in range(1, 8)}
+        assert set(c._memo._type1) == subsets
+        assert set(c._memo._cache) == {0, *subsets}  # the model's chain is among them
+        seq = mean_center(ds)
+        for order in rep.orderings:
+            for nm, ss in sequential_ss(seq, order):
+                assert rep.per_predictor[model.index(nm)].type1_by_ordering[order] == ss
+
+    def test_a_failing_subset_pivot_names_the_subset(self, monkeypatch):
+        c = mean_center(synth_data(3, 0.6))
+        extend = varpart.ols_core._extend
+
+        def failing(s, sol, col):
+            # (x1, x3) alone has a non-positive pivot: its column's SS read as 0
+            if [*sol.b] == [0] and col == 2:
+                s = [row[:] for row in s]
+                s[col][col] = Decimal(0)
+            return extend(s, sol, col)
+
+        monkeypatch.setattr(varpart.ols_core, "_extend", failing)
+        fit_ols(c, c.predictor_names)  # the model's chain never meets it
+        with pytest.raises(
+            SingularDesign, match=r"^subset \(x1, x3\): 2-th leading minor of the array is not positive definite$"
+        ):
+            compare_report(c, c.predictor_names, orderings="all")
+
+    def test_the_model_guard_fails_first(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        base = rng.standard_normal(30)
+        x = np.column_stack([base, -3.0 * base + 1.0, rng.standard_normal(30)])
+        c = mean_center(make_dataset(x, base + rng.standard_normal(30)))
+        monkeypatch.setattr(varpart.ols_core, "_extend", None)  # any solve would raise TypeError
+        for orderings in ("all", [("x3", "x2", "x1")]):
+            with pytest.raises(SingularDesign, match=r"^fit on \(x1, x2, x3\): reciprocal condition number"):
+                compare_report(c, ("x3", "x1", "x2"), orderings=orderings)
+
+
+def test_sweep_reports_are_pinned():
+    # the sweep design grid up to the guard, as bytes: every Type I table,
+    # Type III SS, the traditional fit, the Venn regions and the corrected
+    # statistics; a change to the order or rounding of any solve moves it
+    h = hashlib.sha256()
+    for p in (3, 5):
+        for rho in (0.0, 0.9, 1 - 1e-8, 1 - 1e-10):
+            ds = synth_data(p, rho)
+            rep = compare_report(mean_center(ds), ds.predictor_names, orderings="all")
+            for pd in rep.per_predictor:
+                h.update(repr(_bits((pd.name, sorted(pd.type1_by_ordering.items()), pd.type3_ss))).encode())
+            stats = rep.traditional, rep.venn, rep.actual_model_ss, rep.corrected_r2, rep.corrected_f
+            h.update(repr(_bits(stats)).encode())
+    assert h.hexdigest() == "69997c34fdd02601c0238c161d80be8068ece07d26480c067f1befa93469518c"
 
 
 @pytest.mark.parametrize(
