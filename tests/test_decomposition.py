@@ -740,11 +740,15 @@ class TestLatticePass:
         c = mean_center(synth_data(5, 0.6))
         rows = c._memo._type1 = _CountedRows()
         counts = {"_extend": 0, "_partial": 0}
+
+        def counting(name, fn):
+            def counted(*args):
+                counts[name] += 1
+                return fn(*args)
+            return counted
+
         for name in counts:
-            fn = getattr(varpart.ols_core, name)
-            monkeypatch.setattr(varpart.ols_core, name, lambda *a, fn=fn, name=name: (
-                counts.__setitem__(name, counts[name] + 1) or fn(*a)
-            ))
+            monkeypatch.setattr(varpart.ols_core, name, counting(name, getattr(varpart.ols_core, name)))
         rep = compare_report(c, c.predictor_names, orderings="all")
         assert len(rep.orderings) == 120
         assert rows.reads <= 31  # one per subset, not one per (ordering, position)
