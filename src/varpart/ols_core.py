@@ -45,8 +45,10 @@ RCOND_MIN = 1e-12
 _DIGITS = 38
 _CTX = Context(prec=_DIGITS)
 
-# Rows per block of the exact SSCP; 2**14 rows leave slices of 19 bits.
+# Rows per block fed to the exact SSCP, and per chunk that it slices on one
+# grid: 2**12 rows leave slices of 20 bits, and bound the slice buffer.
 _BLOCK = 1 << 14
+_FOLD = 1 << 12
 
 # Two distinct float64 values of magnitude M differ by at least M * 2**-54,
 # so a column reaching 2**600 has a centered SS beyond float64.
@@ -293,20 +295,24 @@ class _Fold:
     """Exact moments of float64 columns ``names``, fed one block of rows at
     a time, with each column's running min and max and the row count.
 
-    In a block of m rows, column a is split on its own grid, fixed by
-    |x| < 2**top_a: slice j is q * 2**(top_a - w - j * (w + 1)) with integers
-    |q| <= 2**w, m * 4**w <= 2**53, as the rounding leaves a residual of at
-    most half the unit; a column stops once its residual is zero. The float64
+    A block is folded in chunks of at most ``_FOLD`` rows. In a chunk of m
+    rows, column a is split on its own grid, fixed by |x| < 2**top_a: slice
+    j is q * 2**(top_a - w - j * (w + 1)) with integers |q| <= 2**w,
+    m * 4**w <= 2**53, as the rounding leaves a residual of at most half
+    the unit; a column stops once its residual is zero. The slices go to
+    one buffer that is kept across chunks and grows only when a chunk needs
+    more slices, so the chunk, not the block, sets the fold's working set,
+    and it is not allocated afresh for each chunk. The float64
     gram of the slices and a ones column (top w, one slice) then holds exact
     integers in any summation order, and slices i and j of columns a and b
     meet at the one scale 2**(top_a + top_b - 2 * w - (i + j) * (w + 1)).
     So each column pair's gram entries are summed per i + j in int64, which
     is exact, as a column has fewer than 90 slices (tops <= 600, bits >=
-    -1074, w >= 19), and those anti-diagonal sums are combined by Horner's
-    rule in Python integers. Blocks add up in Python integers, so the
-    moments do not depend on the block sizes or the order of the rows
-    (per-block moments merged as in Chan, Golub & LeVeque 1983, here without
-    rounding).
+    -1074, w >= 20), and those anti-diagonal sums are combined by Horner's
+    rule in Python integers. Chunks add up in Python integers, so the
+    moments do not depend on the block or chunk sizes or the order of the
+    rows (per-chunk moments merged as in Chan, Golub & LeVeque 1983, here
+    without rounding).
     """
 
     def __init__(self, names: Sequence[str]):
@@ -315,6 +321,7 @@ class _Fold:
         self.n = 0
         self.lo, self.hi = np.full(k, np.inf), np.full(k, -np.inf)
         self._t, self._e = 0, 0  # moments are t * 2**e: row a, column b holds sum(x_a x_b)
+        self._z = np.empty((0, 0))  # the slice buffer; row 0 is the ones column
 
     @property
     def finite(self) -> np.ndarray:
@@ -323,18 +330,27 @@ class _Fold:
 
     def add(self, r: np.ndarray) -> None:
         """Fold a C-contiguous k x m block, 1 <= m <= _BLOCK; r is overwritten."""
+        for start in range(0, r.shape[1], _FOLD):
+            self._add(r[:, start : start + _FOLD])
+
+    def _add(self, r: np.ndarray) -> None:
+        """Fold a k x m chunk of rows, sliced on its own grid; r is overwritten."""
         k, m = r.shape
         self.n += m
-        np.minimum(self.lo, r.min(axis=1), out=self.lo)
-        np.maximum(self.hi, r.max(axis=1), out=self.hi)
-        amax = np.abs(r).max(axis=1)
+        lo, hi = r.min(axis=1), r.max(axis=1)
+        np.minimum(self.lo, lo, out=self.lo)
+        np.maximum(self.hi, hi, out=self.hi)
+        amax = np.maximum(-lo, hi)
         if not (amax < _MAGNITUDE_MAX).all():
             return  # finish raises; past 2**600, sigma below may overflow
         w = (53 - (m - 1).bit_length()) // 2
         step = w + 1
         top = np.frexp(amax)[1]  # int32: ldexp is far slower on int64
         # z's rows are slices, the ones column first; slot j * (k + 1) + a is slice j of column a
-        pieces, slots = [np.ones((1, m))], [np.array([k])]
+        z, rows, slots = self._z, 1, [np.array([k])]
+        if z.shape[1] < m:  # room for 4 slices a column, as most data need
+            z = self._z = np.empty((max(len(z), 4 * k + 1), m))
+            z[0] = 1.0
         unit, slot, top = top - w, np.arange(k), np.append(top, w)
         while True:
             live = r.any(axis=1)  # slice only the columns that still hold bits
@@ -344,13 +360,16 @@ class _Fold:
                 break
             # rounds r to multiples of 2**unit, row by row; r - q is exact
             sigma = np.ldexp(1.5, unit + 52)[:, None]
-            q = r + sigma
+            if len(z) < rows + slot.size:
+                z = self._z = np.vstack((z, np.empty((rows + slot.size - len(z), z.shape[1]))))
+            q = np.add(r, sigma, out=z[rows : rows + slot.size, :m])
             q -= sigma
             r -= q
-            pieces.append(np.ldexp(q, -unit[:, None], out=q))
+            np.ldexp(q, -unit[:, None], out=q)
+            rows += slot.size
             slots.append(slot)
             unit, slot = unit - step, slot + (k + 1)
-        z, slot = np.vstack(pieces), np.concatenate(slots)
+        z, slot = z[:rows, :m], np.concatenate(slots)
         s = int(slot[-1]) // (k + 1) + 1  # slices of the longest column
         grid = np.zeros((s * (k + 1),) * 2, dtype=np.int64)
         grid[np.ix_(slot, slot)] = z @ z.T
@@ -363,7 +382,7 @@ class _Fold:
             g = (g << step) + d
         shift = top - top.min()
         g <<= shift[:, None] + shift
-        low = 2 * (int(top.min()) - w - (s - 1) * step)  # g holds the block's moments times 2**(-low)
+        low = 2 * (int(top.min()) - w - (s - 1) * step)  # g holds the chunk's moments times 2**(-low)
         common = min(self._e, low)
         self._t = self._t * (1 << (self._e - common)) + g * (1 << (low - common))
         self._e = common

@@ -45,6 +45,8 @@ from conftest import make_dataset
 
 # every character a numeric cell can hold: float syntax, nan, inf, infinity
 NUMBER_CHARS = "0123456789+-.eEnNaAiIfFtTyY"
+# rows per chunk that the exact SSCP slices on one grid
+FOLD = varpart.ols_core._FOLD
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -455,18 +457,22 @@ class TestCenterCsv:
         if rows and not isinstance(expected, tuple):
             assert got[-1] == len(expected[0]) + 3
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 14])
-    def test_blocks_fold_to_the_moments_of_the_whole_file(self, tmp_path, block):
+    @pytest.mark.parametrize(
+        "block, fold", [(1, FOLD), (2, FOLD), (3, FOLD), (7, FOLD), (1 << 14, FOLD), (8, 1), (10, 3), (16, 7)]
+    )
+    def test_blocks_fold_to_the_moments_of_the_whole_file(self, tmp_path, block, fold):
+        # each block is folded in chunks of at most ``fold`` rows
         rng = np.random.default_rng(2)
         x = rng.standard_normal((40, 2)) * [1e-3, 1e5] + [7.0, -3e6]
-        x[:9, 0] = 0.0  # a column that is zero throughout some blocks
+        x[:9, 0] = 0.0  # a column that is zero throughout some blocks and chunks
         y = x @ [2.0, 1e-4] + rng.standard_normal(40)
         path = tmp_path / "tall.csv"
         save_csv(make_dataset(x, y), path)
         spec = CsvSpec(path, "y", ("x2", "x1"))
         want = centering(whole, spec)
         with mock.patch.object(varpart.ols_core, "_BLOCK", block):
-            assert centering(center_csv, spec) == want
+            with mock.patch.object(varpart.ols_core, "_FOLD", fold):
+                assert centering(center_csv, spec) == want
         assert want[-1] == 40
 
     def test_keeps_no_rows(self, tmp_path):
@@ -545,11 +551,10 @@ def test_numpy_error_when_the_strict_pass_finds_no_fault(tmp_path, monkeypatch, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("n", [10**4, 10**5])
-def test_strict_pass_memory_is_flat_in_the_rows(tmp_path, n):
-    # rows like the ingest benchmark's, then a response numpy rejects: the
-    # strict pass reads the whole file again to name the line, keeping no
-    # value, and starts once the rejected block is freed
+def _strict_pass_memory(tmp_path, n, read):
+    """Rows like the ingest benchmark's, then a response numpy rejects, read
+    by ``read``: the bytes traced when the strict pass starts, and its
+    growth."""
     ds = generate_synthetic(
         SyntheticSpec(
             n=n, p=4, correlation=exchangeable_correlation(4, 0.6),
@@ -574,13 +579,30 @@ def test_strict_pass_memory_is_flat_in_the_rows(tmp_path, n):
     try:
         with mock.patch.object(data_io, "_strict_pass", strict_pass):
             with pytest.raises(NonNumericCell) as exc:
-                center_csv(CsvSpec(path, "y", ds.predictor_names))
+                read(CsvSpec(path, "y", ds.predictor_names))
     finally:
         tracemalloc.stop()
     assert (exc.value.line, exc.value.column, exc.value.value) == (n + 2, "y", "oops")
     [(held, growth)] = traced
+    return held, growth
+
+
+@pytest.mark.parametrize("n", [10**4, 10**5])
+def test_strict_pass_memory_is_flat_in_the_rows(tmp_path, n):
+    # the strict pass reads the whole file again to name the line, keeping
+    # no value, and starts once the rejected block and the fold's slices
+    # are freed
+    held, growth = _strict_pass_memory(tmp_path, n, center_csv)
     assert held <= 2e5, held  # no block is alive
     assert growth <= 2e5, growth  # a row at a time, whatever n
+
+
+def test_load_csv_frees_its_rows_before_the_strict_pass(tmp_path):
+    # the blocks parsed before the rejected one are dropped, not held
+    # through the strict pass: 4 MB of them at 10**5 rows
+    held, growth = _strict_pass_memory(tmp_path, 10**5, load_csv)
+    assert held <= 2e5, held
+    assert growth <= 2e5, growth
 
 
 class TestDwaineFixture:

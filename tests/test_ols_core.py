@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import mul
@@ -31,7 +32,7 @@ from varpart.errors import (
     SingularDesign,
     UnknownName,
 )
-from varpart.ols_core import _Exact, _fold_columns, _Subsets, fit_centered_design
+from varpart.ols_core import _Exact, _Fold, _fold_columns, _Subsets, fit_centered_design
 
 from conftest import MODEL, bench_module, make_dataset
 
@@ -248,6 +249,10 @@ def _tall():
     return make_dataset(x, x.sum(axis=1) + rng.standard_normal(100_000))
 
 
+# chunk sizes of the fold: the default, one that splits a block unevenly,
+# and a whole block per chunk
+FOLDS = [varpart.ols_core._FOLD, 1000, varpart.ols_core._BLOCK]
+
 EXACT_CASES = {
     "dwaine": dwaine_fixture,
     **{f"seed{s}": (lambda s=s: _seeded(s)) for s in range(5)},
@@ -290,10 +295,12 @@ class TestExactSscp:
         monkeypatch.setattr(varpart.ols_core, "_BLOCK", 4)
         self.assert_matches_integer_reference(d)
 
-    def test_columns_stop_slicing_at_different_steps_across_full_blocks(self):
+    @pytest.mark.parametrize("fold", FOLDS)
+    def test_columns_stop_slicing_at_different_steps_across_full_blocks(self, monkeypatch, fold):
         # two full blocks and part of a third: x1 near 2**500 and y near
         # 2**-900 are sliced on grids far apart, and x2, zero throughout
         # the first block, owns no slice there
+        monkeypatch.setattr(varpart.ols_core, "_FOLD", fold)
         block = varpart.ols_core._BLOCK
         rng = np.random.default_rng(7)
         x = rng.standard_normal((2 * block + 1234, 2))
@@ -302,14 +309,30 @@ class TestExactSscp:
         y = (x[:, 1] + rng.standard_normal(len(x))) * 2.0**-900
         self.assert_matches_integer_reference(make_dataset(x, y))
 
-    def test_independent_of_row_order_and_block_size(self, monkeypatch):
+    @pytest.mark.parametrize("fold", FOLDS)
+    def test_chunks_of_a_block_are_sliced_on_their_own_grids(self, monkeypatch, fold):
+        # in the first block, x2 is zero throughout one chunk of the default
+        # size but not elsewhere, and x1 nears 2**500 only in a later chunk
+        chunk, block = varpart.ols_core._FOLD, varpart.ols_core._BLOCK
+        monkeypatch.setattr(varpart.ols_core, "_FOLD", fold)
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((block + 777, 2))
+        x[chunk : 2 * chunk, 1] = 0.0
+        x[3 * chunk : block, 0] *= 2.0**500
+        y = x[:, 1] + rng.standard_normal(len(x))
+        self.assert_matches_integer_reference(make_dataset(x, y))
+
+    @pytest.mark.parametrize("fold", [1 << 14, 300, 64])
+    def test_independent_of_row_order_and_block_size(self, monkeypatch, fold):
         d = _tall()
         rows = np.random.default_rng(1).permutation(d.n)
         shuffled = Dataset(
             tuple((nm, v[rows]) for nm, v in d.columns), d.response_name, d.predictor_names
         )
         first = mean_center(d).exact
+        # blocks of 1000 rows, each folded whole or in chunks of ``fold`` rows
         monkeypatch.setattr(varpart.ols_core, "_BLOCK", 1000)
+        monkeypatch.setattr(varpart.ols_core, "_FOLD", fold)
         for other in (mean_center(d).exact, mean_center(shuffled).exact):
             assert other.f.tobytes() == first.f.tobytes()
             assert other.s == first.s
@@ -375,6 +398,21 @@ def test_fold_matches_exact_fraction_sums(case):
     assert _bits(f) == _bits(want[0])
     assert s == want[1]
     assert [Fraction(num, den) for num, den in means] == want[2]
+
+
+def test_fold_working_set_is_bounded_by_the_chunk():
+    # a full block of nine columns is sliced a chunk at a time; sliced
+    # whole, its slices and their temporaries peaked at 9.8 MB
+    k = 9
+    block = np.random.default_rng(4).standard_normal((k, varpart.ols_core._BLOCK))
+    fold = _Fold([f"x{j}" for j in range(k)])
+    tracemalloc.start()
+    try:
+        fold.add(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6, peak
 
 
 def _bits(a):
