@@ -13,7 +13,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, TypeVar
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -153,7 +153,8 @@ def center_csv(spec: CsvSpec) -> CenteredData:
     error, then EmptyData, NonFiniteValue, InvalidDataset (n < p + 2),
     ConstantColumn and SingularDesign.
     """
-    fold = _parse(spec, _Fold((*spec.predictors, spec.response)))
+    fold = _Fold((*spec.predictors, spec.response))
+    _parse(spec, fold.names, fold.add)
     if not fold.n:
         raise _no_rows(spec)
     return _centered(fold, spec.response, spec.predictors)
@@ -163,48 +164,34 @@ def _no_rows(spec: CsvSpec) -> EmptyData:
     return EmptyData(f"{spec.path}: no data rows after the header")
 
 
-class _Blocks(list):
-    """The blocks of the columns ``names``, in file order: load_csv's sink for _parse."""
-
-    def __init__(self, names: Sequence[str]):
-        super().__init__()
-        self.names = tuple(names)
-
-    add = list.append
-
-
-_Sink = TypeVar("_Sink", _Fold, _Blocks)
-
-
 def _read_columns(spec: CsvSpec) -> list:
     """The selected columns, response first, as load_csv parses them."""
-    blocks = _parse(spec, _Blocks((spec.response, *spec.predictors)))
-    return list(np.concatenate(blocks or [np.empty((len(blocks.names), 0))], axis=1))
+    names = (spec.response, *spec.predictors)
+    blocks: list[np.ndarray] = []
+    _parse(spec, names, blocks.append)
+    return list(np.concatenate(blocks or [np.empty((len(names), 0))], axis=1))
 
 
-def _parse(spec: CsvSpec, sink: _Sink) -> _Sink:
-    """Feed ``sink.add`` the columns ``sink.names`` as C-contiguous k x m
-    float64 blocks of 1 <= m <= ``_BLOCK`` rows, each one numpy call on the
-    open file, which takes no line past the block's last row (so a quoted
-    field may hold a line break), and return ``sink``. If numpy rejects a
-    block, the strict pass raises the file's fault with its line, or numpy's
-    ValueError is raised if it finds none. Callers keep ``sink`` only from
-    the return value, so neither its blocks nor a fold's slice buffer stay
-    alive through the strict pass."""
+def _parse(spec: CsvSpec, names: Sequence[str], add: Callable[[np.ndarray], None]) -> None:
+    """Feed ``add`` the columns ``names`` as C-contiguous k x m float64 blocks
+    of 1 <= m <= ``_BLOCK`` rows, each one numpy call on the open file, which
+    takes no line past the block's last row (so a quoted field may hold a
+    line break). If numpy rejects a block, the strict pass raises the file's
+    fault with its line, or numpy's ValueError is raised if it finds none."""
     try:
         with _open(spec) as fh:
             idx = _read_header(csv.reader(fh, delimiter=spec.delimiter), spec)
             position = dict(zip((spec.response, *spec.predictors), idx))
-            usecols = [position[nm] for nm in sink.names]
+            usecols = [position[nm] for nm in names]
             while len(table := _loadtxt(fh, spec, usecols, ols_core._BLOCK)):
                 # .T.copy() is C-ordered: F order slows the fold threefold.
-                # ``block`` outlives the next parse: freed at once, it made
-                # ingest-tall about 4% slower, with as many page faults
-                sink.add(block := table.T.copy())
-        return sink
+                # ``block`` outlives the next parse, or malloc returns its
+                # pages and faults them in again: 3.6 times the page faults
+                add(block := table.T.copy())
+        return
     except ValueError as exc:  # numpy's, as add raises nothing
         # no traceback frame, nor a local, keeps a block alive in the strict pass
-        error, table, block, sink = exc.with_traceback(None), None, None, None
+        error, table, block = exc.with_traceback(None), None, None
     _strict_pass(spec)
     raise error
 

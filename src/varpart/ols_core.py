@@ -46,9 +46,10 @@ _DIGITS = 38
 _CTX = Context(prec=_DIGITS)
 
 # Rows per block fed to the exact SSCP, and per chunk that it slices on one
-# grid: 2**12 rows leave slices of 20 bits, and bound the slice buffer.
+# grid: 2**12 rows leave slices of 20 bits, and 4 slices a column of a chunk
+# take the bytes of one block.
 _BLOCK = 1 << 14
-_FOLD = 1 << 12
+_FOLD = _BLOCK >> 2
 
 # Two distinct float64 values of magnitude M differ by at least M * 2**-54,
 # so a column reaching 2**600 has a centered SS beyond float64.
@@ -299,11 +300,12 @@ class _Fold:
     rows, column a is split on its own grid, fixed by |x| < 2**top_a: slice
     j is q * 2**(top_a - w - j * (w + 1)) with integers |q| <= 2**w,
     m * 4**w <= 2**53, as the rounding leaves a residual of at most half
-    the unit; a column stops once its residual is zero. The slices go to
-    one buffer that is kept across chunks and grows only when a chunk needs
-    more slices, so the chunk, not the block, sets the fold's working set,
-    and it is not allocated afresh for each chunk. The float64
-    gram of the slices and a ones column (top w, one slice) then holds exact
+    the unit; a column stops once its residual is zero. A block's chunks
+    write their slices to one buffer, allocated once per block and grown
+    only when a chunk needs more slices, so the chunk, not the block, sets
+    the fold's working set. The float64
+    gram of the slices and a ones column (top w, one slice; its entries are
+    the slices' row sums and m, outside the buffer) then holds exact
     integers in any summation order, and slices i and j of columns a and b
     meet at the one scale 2**(top_a + top_b - 2 * w - (i + j) * (w + 1)).
     So each column pair's gram entries are summed per i + j in int64, which
@@ -321,7 +323,6 @@ class _Fold:
         self.n = 0
         self.lo, self.hi = np.full(k, np.inf), np.full(k, -np.inf)
         self._t, self._e = 0, 0  # moments are t * 2**e: row a, column b holds sum(x_a x_b)
-        self._z = np.empty((0, 0))  # the slice buffer; row 0 is the ones column
 
     @property
     def finite(self) -> np.ndarray:
@@ -330,11 +331,17 @@ class _Fold:
 
     def add(self, r: np.ndarray) -> None:
         """Fold a C-contiguous k x m block, 1 <= m <= _BLOCK; r is overwritten."""
+        # the slice buffer: 4 slices a column, as most data need, take a full
+        # block's bytes, so the buffer fits where the last block was freed;
+        # one row more faulted in 2.8 times the pages of a 10**6-row ingest
+        z = np.empty((4 * len(r), min(r.shape[1], _FOLD)))
         for start in range(0, r.shape[1], _FOLD):
-            self._add(r[:, start : start + _FOLD])
+            z = self._add(r[:, start : start + _FOLD], z)
 
-    def _add(self, r: np.ndarray) -> None:
-        """Fold a k x m chunk of rows, sliced on its own grid; r is overwritten."""
+    def _add(self, r: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Fold a k x m chunk of rows, sliced on its own grid into the slice
+        buffer z, and return z or the taller buffer that replaced it; r and
+        z are overwritten."""
         k, m = r.shape
         self.n += m
         lo, hi = r.min(axis=1), r.max(axis=1)
@@ -342,15 +349,12 @@ class _Fold:
         np.maximum(self.hi, hi, out=self.hi)
         amax = np.maximum(-lo, hi)
         if not (amax < _MAGNITUDE_MAX).all():
-            return  # finish raises; past 2**600, sigma below may overflow
+            return z  # finish raises; past 2**600, sigma below may overflow
         w = (53 - (m - 1).bit_length()) // 2
         step = w + 1
         top = np.frexp(amax)[1]  # int32: ldexp is far slower on int64
-        # z's rows are slices, the ones column first; slot j * (k + 1) + a is slice j of column a
-        z, rows, slots = self._z, 1, [np.array([k])]
-        if z.shape[1] < m:  # room for 4 slices a column, as most data need
-            z = self._z = np.empty((max(len(z), 4 * k + 1), m))
-            z[0] = 1.0
+        # z's rows are slices; slot j * (k + 1) + a is slice j of column a, slot k the ones column
+        rows, slots = 0, [np.array([k])]
         unit, slot, top = top - w, np.arange(k), np.append(top, w)
         while True:
             live = r.any(axis=1)  # slice only the columns that still hold bits
@@ -361,7 +365,7 @@ class _Fold:
             # rounds r to multiples of 2**unit, row by row; r - q is exact
             sigma = np.ldexp(1.5, unit + 52)[:, None]
             if len(z) < rows + slot.size:
-                z = self._z = np.vstack((z, np.empty((rows + slot.size - len(z), z.shape[1]))))
+                z = np.vstack((z, np.empty((rows + slot.size - len(z), z.shape[1]))))
             q = np.add(r, sigma, out=z[rows : rows + slot.size, :m])
             q -= sigma
             r -= q
@@ -369,10 +373,13 @@ class _Fold:
             rows += slot.size
             slots.append(slot)
             unit, slot = unit - step, slot + (k + 1)
-        z, slot = z[:rows, :m], np.concatenate(slots)
+        zm, slot = z[:rows, :m], np.concatenate(slots)
         s = int(slot[-1]) // (k + 1) + 1  # slices of the longest column
         grid = np.zeros((s * (k + 1),) * 2, dtype=np.int64)
-        grid[np.ix_(slot, slot)] = z @ z.T
+        zs = slot[1:]  # the slices' slots, after the ones column's
+        grid[np.ix_(zs, zs)] = zm @ zm.T
+        grid[k, zs] = grid[zs, k] = zm.sum(axis=1)  # exact: m * 2**w <= 2**53
+        grid[k, k] = m
         grid = grid.reshape(s, k + 1, s, k + 1).transpose(0, 2, 1, 3)
         diag = np.zeros((2 * s - 1, k + 1, k + 1), dtype=np.int64)
         for i in range(s):
@@ -386,6 +393,7 @@ class _Fold:
         common = min(self._e, low)
         self._t = self._t * (1 << (self._e - common)) + g * (1 << (low - common))
         self._e = common
+        return z
 
     def finish(self) -> tuple:
         """The centered SSCP rounded once to float64 and to ``_DIGITS``

@@ -551,10 +551,11 @@ def test_numpy_error_when_the_strict_pass_finds_no_fault(tmp_path, monkeypatch, 
     assert not out.exists()
 
 
-def _strict_pass_memory(tmp_path, n, read):
-    """Rows like the ingest benchmark's, then a response numpy rejects, read
-    by ``read``: the bytes traced when the strict pass starts, and its
-    growth."""
+@pytest.mark.parametrize("n", [10**4, 10**5])
+def test_strict_pass_memory_is_flat_in_the_rows(tmp_path, n):
+    # rows like the ingest benchmark's, then a response numpy rejects: the
+    # strict pass reads the whole file again to name the line, keeping no
+    # value, and starts once the rejected block is freed
     ds = generate_synthetic(
         SyntheticSpec(
             n=n, p=4, correlation=exchangeable_correlation(4, 0.6),
@@ -579,30 +580,13 @@ def _strict_pass_memory(tmp_path, n, read):
     try:
         with mock.patch.object(data_io, "_strict_pass", strict_pass):
             with pytest.raises(NonNumericCell) as exc:
-                read(CsvSpec(path, "y", ds.predictor_names))
+                center_csv(CsvSpec(path, "y", ds.predictor_names))
     finally:
         tracemalloc.stop()
     assert (exc.value.line, exc.value.column, exc.value.value) == (n + 2, "y", "oops")
     [(held, growth)] = traced
-    return held, growth
-
-
-@pytest.mark.parametrize("n", [10**4, 10**5])
-def test_strict_pass_memory_is_flat_in_the_rows(tmp_path, n):
-    # the strict pass reads the whole file again to name the line, keeping
-    # no value, and starts once the rejected block and the fold's slices
-    # are freed
-    held, growth = _strict_pass_memory(tmp_path, n, center_csv)
     assert held <= 2e5, held  # no block is alive
     assert growth <= 2e5, growth  # a row at a time, whatever n
-
-
-def test_load_csv_frees_its_rows_before_the_strict_pass(tmp_path):
-    # the blocks parsed before the rejected one are dropped, not held
-    # through the strict pass: 4 MB of them at 10**5 rows
-    held, growth = _strict_pass_memory(tmp_path, 10**5, load_csv)
-    assert held <= 2e5, held
-    assert growth <= 2e5, growth
 
 
 class TestDwaineFixture:

@@ -295,6 +295,18 @@ class TestExactSscp:
         monkeypatch.setattr(varpart.ols_core, "_BLOCK", 4)
         self.assert_matches_integer_reference(d)
 
+    def test_every_column_zero_throughout_a_chunk(self, monkeypatch):
+        # chunks of four rows: the first holds no slice, only the ones column
+        d = _seeded(2)
+        d = Dataset(
+            tuple((nm, np.concatenate([np.zeros(4), v])) for nm, v in d.columns),
+            d.response_name,
+            d.predictor_names,
+        )
+        monkeypatch.setattr(varpart.ols_core, "_BLOCK", 8)
+        monkeypatch.setattr(varpart.ols_core, "_FOLD", 4)
+        self.assert_matches_integer_reference(d)
+
     @pytest.mark.parametrize("fold", FOLDS)
     def test_columns_stop_slicing_at_different_steps_across_full_blocks(self, monkeypatch, fold):
         # two full blocks and part of a third: x1 near 2**500 and y near
