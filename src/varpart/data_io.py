@@ -168,16 +168,20 @@ def _read_columns(spec: CsvSpec) -> list:
     """The selected columns, response first, as load_csv parses them."""
     names = (spec.response, *spec.predictors)
     blocks: list[np.ndarray] = []
-    _parse(spec, names, blocks.append)
+    _parse(spec, names, blocks.append, blocks.clear)
     return list(np.concatenate(blocks or [np.empty((len(names), 0))], axis=1))
 
 
-def _parse(spec: CsvSpec, names: Sequence[str], add: Callable[[np.ndarray], None]) -> None:
+def _parse(
+    spec: CsvSpec, names: Sequence[str], add: Callable[[np.ndarray], None],
+    drop: Callable[[], None] = lambda: None,
+) -> None:
     """Feed ``add`` the columns ``names`` as C-contiguous k x m float64 blocks
     of 1 <= m <= ``_BLOCK`` rows, each one numpy call on the open file, which
     takes no line past the block's last row (so a quoted field may hold a
-    line break). If numpy rejects a block, the strict pass raises the file's
-    fault with its line, or numpy's ValueError is raised if it finds none."""
+    line break). If numpy rejects a block, ``drop`` releases the blocks that
+    ``add`` kept, then the strict pass raises the file's fault with its
+    line, or numpy's ValueError is raised if it finds none."""
     try:
         with _open(spec) as fh:
             idx = _read_header(csv.reader(fh, delimiter=spec.delimiter), spec)
@@ -192,6 +196,7 @@ def _parse(spec: CsvSpec, names: Sequence[str], add: Callable[[np.ndarray], None
     except ValueError as exc:  # numpy's, as add raises nothing
         # no traceback frame, nor a local, keeps a block alive in the strict pass
         error, table, block = exc.with_traceback(None), None, None
+    drop()  # the caller keeps what ``add`` kept until this call returns
     _strict_pass(spec)
     raise error
 

@@ -18,12 +18,13 @@ observations again.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from decimal import Decimal, localcontext
 from functools import cached_property
 from itertools import accumulate, permutations
 from operator import or_
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .ols_core import (
     OlsFit,
     _coef_stats,
     _column_sd,
+    _Exact,
     _make_fit,
     _mask,
     _partial,
@@ -122,6 +124,10 @@ class DecompositionReport(NamedTuple):
 
     ``actual_model_ss`` is the summed Type III SS, ``corrected_r2`` that sum
     over SS(total), ``corrected_f`` its mean over the full-model residual MS.
+    ``residualized_fits`` is a read-only mapping that ``compare_report``
+    builds on its first read (``[]``, iteration, ``items()``, ``==``; not
+    ``len()``), from the exact SSCP and the model's solve that it keeps, not
+    the centering, its rows or its subset memo.
     """
 
     traditional: OlsFit
@@ -416,18 +422,52 @@ def residualized_simple_fits(
     against the rest of the model, so df_residual is n - 2 regardless of
     how many columns fed the residualization. The slope is the full-model
     coefficient of j, the column SS 1 / (A^-1)_jj and the regression SS
-    its partial SS, all from the full-model solve.
+    its partial SS, all from the full-model solve. Every fit is built at
+    once; ``compare_report`` builds the same fits, bit for bit, on the
+    first read of its ``residualized_fits``.
     """
     model = _model(c, model)
-    sol, type3 = _partition(c, model)
-    ex, out = c.exact, {}
-    for nm in model:
-        i, rest = c.predictor_index(nm), tuple(o for o in model if o != nm)
+    return _simple_fits(c.exact, *_partition(c, model), {nm: c.predictor_index(nm) for nm in model})
+
+
+def _simple_fits(
+    ex: _Exact, sol: _Solution, type3: Mapping[str, Decimal], col: Mapping[str, int]
+) -> dict[str, OlsFit]:
+    """``residualized_simple_fits`` of the model ``type3`` keys, in its order,
+    from its solve ``sol`` and the predictors' columns ``col`` in ``ex``."""
+    out = {}
+    for nm, ss in type3.items():
+        i, rest = col[nm], [o for o in type3 if o != nm]
         with localcontext(_CTX):
-            sse, sd = max(ex.s[-1][-1] - type3[nm], Decimal(0)), _column_sd(sol.inv[i], c.n)
+            sse, sd = max(ex.s[-1][-1] - ss, Decimal(0)), _column_sd(sol.inv[i], ex.n)
         label, mean = (_label(nm, ",".join(rest)), Decimal(0)) if rest else (nm, ex.means[i])
-        out[nm] = _make_fit(ex, (label,), [sol.b[i]], [sol.inv[i]], [mean], [sd], type3[nm], sse)
+        out[nm] = _make_fit(ex, (label,), [sol.b[i]], [sol.inv[i]], [mean], [sd], ss, sse)
     return out
+
+
+class _ResidualizedFits(Mapping):
+    """Read-only ``residualized_simple_fits`` of a report's model, built on
+    the first read of a fit (``[]``, iteration, ``items()``, ``==``) from the
+    model's exact SSCP, solve and Type III SS; ``len()`` builds nothing."""
+
+    def __init__(self, ex: _Exact, sol: _Solution, type3: Mapping[str, Decimal], col: Mapping[str, int]):
+        self._parts, self._len = (ex, sol, type3, col), len(type3)
+
+    @cached_property
+    def _fits(self) -> dict[str, OlsFit]:
+        return _simple_fits(*self._parts)
+
+    def __getitem__(self, name: str) -> OlsFit:
+        return self._fits[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._fits)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._fits!r})"
 
 
 def venn_regions(c: CenteredData, model: Iterable[str]) -> VennRegions:
@@ -468,7 +508,10 @@ def compare_report(
     orderings a caller passes are checked, before any fit. After the fit,
     one pass over the prefix sets makes the Type I row of each (every
     subset of the model, or the given orderings' prefix sets), and each
-    Type I SS is read off the row of its ordering's prefix.
+    Type I SS is read off the row of its ordering's prefix. The
+    ``residualized_simple_fits`` of the model are built on the first read
+    of the report's ``residualized_fits``, from the one full-model solve
+    and Type III SS that the rest of the report reads.
     """
     model = _model(c, model)
     if orderings == "all" or (orderings is None and len(model) <= ORDERING_CAP):
@@ -504,7 +547,7 @@ def compare_report(
             for nm in model
         ),
         venn=_venn(c, sol, type3),
-        residualized_fits=MappingProxyType(residualized_simple_fits(c, model)),
+        residualized_fits=_ResidualizedFits(c.exact, sol, type3, col),
         orderings=ordering_list,
         actual_model_ss=actual,
         corrected_r2=r2,

@@ -551,11 +551,10 @@ def test_numpy_error_when_the_strict_pass_finds_no_fault(tmp_path, monkeypatch, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("n", [10**4, 10**5])
-def test_strict_pass_memory_is_flat_in_the_rows(tmp_path, n):
-    # rows like the ingest benchmark's, then a response numpy rejects: the
-    # strict pass reads the whole file again to name the line, keeping no
-    # value, and starts once the rejected block is freed
+def _held_by_the_strict_pass(tmp_path, n, read):
+    """(held, growth): bytes traced alive when the strict pass starts and its
+    peak growth, as ``read`` meets a response numpy rejects after n rows
+    like the ingest benchmark's."""
     ds = generate_synthetic(
         SyntheticSpec(
             n=n, p=4, correlation=exchangeable_correlation(4, 0.6),
@@ -580,13 +579,29 @@ def test_strict_pass_memory_is_flat_in_the_rows(tmp_path, n):
     try:
         with mock.patch.object(data_io, "_strict_pass", strict_pass):
             with pytest.raises(NonNumericCell) as exc:
-                center_csv(CsvSpec(path, "y", ds.predictor_names))
+                read(CsvSpec(path, "y", ds.predictor_names))
     finally:
         tracemalloc.stop()
     assert (exc.value.line, exc.value.column, exc.value.value) == (n + 2, "y", "oops")
     [(held, growth)] = traced
+    return held, growth
+
+
+@pytest.mark.parametrize("n", [10**4, 10**5])
+def test_strict_pass_memory_is_flat_in_the_rows(tmp_path, n):
+    # the strict pass reads the whole file again to name the line, keeping
+    # no value, and starts once the rejected block is freed
+    held, growth = _held_by_the_strict_pass(tmp_path, n, center_csv)
     assert held <= 2e5, held  # no block is alive
     assert growth <= 2e5, growth  # a row at a time, whatever n
+
+
+def test_load_csv_frees_its_blocks_before_the_strict_pass(tmp_path):
+    # the blocks parsed before the rejected one hold no value the strict
+    # pass reads: 40 bytes a row, 4 MB here, if they stayed alive
+    held, growth = _held_by_the_strict_pass(tmp_path, 10**5, load_csv)
+    assert held <= 2e5, held
+    assert growth <= 2e5, growth
 
 
 class TestDwaineFixture:

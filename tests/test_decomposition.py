@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import weakref
 from collections.abc import Mapping
 from decimal import ROUND_DOWN, Context, Decimal, getcontext, localcontext
 from itertools import permutations
@@ -312,6 +313,73 @@ class TestResidualizedSimpleFits:
             plain = fit_ols(c, (nm,))
             assert f.ss_regression == pytest.approx(plain.ss_regression, rel=1e-9)
             assert f.b[0] == pytest.approx(plain.b[0], rel=1e-9)
+
+
+def _counting_make_fit(monkeypatch):
+    """A list that grows by one for each fit built through the ``_make_fit``
+    binding that ``decomposition`` calls."""
+    built, make_fit = [], varpart.decomposition._make_fit
+
+    def counted(*args):
+        built.append(args[1])
+        return make_fit(*args)
+
+    monkeypatch.setattr(varpart.decomposition, "_make_fit", counted)
+    return built
+
+
+class TestReportResidualizedFits:
+    """``compare_report`` builds its residualized fits on the first read of
+    ``residualized_fits``, from the model's solve it already holds."""
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda fits: fits["x2"],
+            lambda fits: [*fits],
+            lambda fits: [*fits.items()],
+            lambda fits: fits == {},
+        ],
+        ids=["getitem", "iter", "items", "eq"],
+    )
+    def test_no_fit_is_built_before_the_first_read(self, monkeypatch, read):
+        c = mean_center(synth_data(5, 0.9))
+        built = _counting_make_fit(monkeypatch)
+        rep = compare_report(c, c.predictor_names, orderings="all")
+        assert built == []
+        assert len(rep.residualized_fits) == 5 and built == []
+        read(rep.residualized_fits)
+        assert built == [(f"x{j}|{','.join(f'x{k}' for k in range(1, 6) if k != j)}",) for j in range(1, 6)]
+        dict(rep.residualized_fits)
+        assert len(built) == 5  # built once
+
+    @pytest.mark.parametrize("p, rho", [(1, 0.0), (2, 0.6), (5, 1 - 1e-10)])
+    def test_fits_equal_residualized_simple_fits_bit_for_bit(self, p, rho):
+        ds = synth_data(p, rho)
+        model = ds.predictor_names[::-1]
+        rep = compare_report(mean_center(ds), model)
+        want = residualized_simple_fits(mean_center(ds), model)
+        assert [*rep.residualized_fits] == [*want] == [*ds.predictor_names]
+        assert _bits(rep.residualized_fits) == _bits(want)
+        assert rep.residualized_fits == want
+
+    def test_read_only(self, centered):
+        fits = compare_report(centered, MODEL).residualized_fits
+        with pytest.raises(TypeError):
+            fits["TARGTPOP"] = fits["DISPOINC"]
+        with pytest.raises(TypeError):
+            del fits["TARGTPOP"]
+        assert [*fits] == [*MODEL]
+
+    def test_keeps_neither_the_centering_nor_its_rows(self):
+        ds = synth_data(4, 0.6)
+        c = mean_center(ds)
+        rep = compare_report(c, ds.predictor_names)
+        centering, rows = weakref.ref(c), weakref.ref(ds)
+        del c, ds
+        assert centering() is None and rows() is None
+        ds = synth_data(4, 0.6)
+        assert _bits(rep.residualized_fits) == _bits(residualized_simple_fits(mean_center(ds), ds.predictor_names))
 
 
 class TestVennRegions:
