@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
 )
 from . import ols_core
-from .ols_core import CenteredData, Dataset, _centered, _Fold, _readonly
+from .ols_core import CenteredData, Dataset, _centered, _check_predictor_names, _Fold, _readonly
 
 # Eigenvalues of a correlation matrix this far below zero (relative to the
 # largest) are treated as rank deficiency, not as a PSD violation.
@@ -50,6 +50,7 @@ class CsvSpec:
         object.__setattr__(self, "predictors", tuple(self.predictors))
         if not self.predictors:
             raise InvalidDataset("at least one predictor column is required")
+        _check_predictor_names(self.predictors)
         if len(set(self.predictors)) != len(self.predictors):
             raise InvalidDataset("predictor names must be distinct")
         if self.response in self.predictors:

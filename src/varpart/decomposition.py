@@ -8,12 +8,15 @@ and their simple regressions, orthogonal-function regressions, the
 corrected R2 and f statistics built from the partial contributions, and a
 Venn-style accounting of where the response variation actually went.
 
-Every reported number is read off the subset memo of ``ols_core``: Type III
-SS as b_j^2 / (A^-1)_jj from the one full-model solve, each ordering's Type
-I SS and orthogonal-function terms from the solves of its prefixes.
-``compare_report`` makes the Type I rows of all its prefix sets in one pass
-before it fills a table. No report path residualizes a column or reads the
-observations again.
+Every reported number is read off the subset memo of ``ols_core``. Within
+``ORDERING_CAP`` predictors, each ordering's Type I SS comes from the
+memo's one exact walk over the model's subsets, rounded once from integer
+minors, and so is correctly rounded; above it, from the decimal solve of
+its prefix. Type III SS (b_j^2 / (A^-1)_jj of the one full-model solve),
+the orthogonal-function terms (the solves of each ordering's prefixes),
+the fits, Venn regions and corrected statistics come from the memo's
+38-digit decimal solves (ROADMAP item 16). No report path residualizes a
+column or reads the observations again.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .ols_core import (
     _ratio,
     _readonly,
     _Solution,
-    _submasks,
     fit_centered_design,  # noqa: F401 - bench/spans.py traces this binding
     fit_ols,
 )
@@ -204,10 +206,12 @@ class _Orderings:
     slope is that fit's coefficient, its column (o[k] residualized on
     o[:k]) has SS 1 / (A^-1)_kk, and its Type I SS is slope^2 times that
     SS. Sets are bit masks over the predictors' indices. A Type I pair
-    (``entry``), a term's statistics (``stats``) per prefix set and
-    predictor, and an ``intercept`` per first predictor are read off the
-    memo's solves on each call; a caller that reads one more than once
-    keeps it.
+    (``entry``) per prefix set and predictor is read off the memo's exact
+    walk of the model within the cap, made on the first read, which must
+    come after the model's guard; above the cap, off the prefix's solve. A
+    term's statistics (``stats``) and an ``intercept`` per first predictor
+    are read off the memo's solves on each call; a caller that reads one
+    more than once keeps it.
     """
 
     def __init__(self, c: CenteredData, model: Iterable[str]):
@@ -232,8 +236,31 @@ class _Orderings:
             raise ValueError(f"ordering {ordering!r} is not a permutation of {self.model!r}")
         return masks
 
+    @cached_property
+    def _walk(self) -> dict[int, dict[int, float]] | None:
+        """The Type I rows of every subset of the model, off the memo's one
+        exact walk, once the model has passed the guard; None above the cap."""
+        return self._c._memo.type1_walk(self._whole) if len(self.model) <= ORDERING_CAP else None
+
     def entry(self, mask: int, nm: str) -> tuple[str, float]:
-        return nm, self._c._memo.type1(mask)[self._c.predictor_index(nm)]
+        i = self._c.predictor_index(nm)
+        if self._walk is not None:
+            return nm, self._walk[mask][i]
+        with localcontext(_CTX):
+            return nm, float(_partial(self._c._memo.solve(mask), i))
+
+    def rows(self, masks: Iterable[int]) -> Mapping[int, Mapping[int, float]]:
+        """The Type I row of each of ``masks``, prefix sets, by mask: within
+        the cap, the walk's rows of every subset; above it, ``_partial`` of
+        each column of the set's solve."""
+        if self._walk is not None:
+            return self._walk
+        rows = {}
+        with localcontext(_CTX):
+            for mask in masks:
+                sol = self._c._memo.solve(mask)
+                rows[mask] = {i: float(_partial(sol, i)) for i in sol.b}
+        return rows
 
     @cached_property
     def _mse(self) -> Decimal:
@@ -325,11 +352,16 @@ def sequential_ss(
 
     The k-th entry is the regression SS gained by appending the k-th
     predictor to the first k - 1. The entries telescope, so they sum to the
-    regression SS of the complete chain.
+    regression SS of the complete chain. Each prefix passes the guard in
+    turn; then, within the cap, every entry is read off the exact walk of
+    the chain's set (``compare_report`` reads the same floats).
     """
     ordering = tuple(ordering)
     values = _Orderings(c, ordering)
-    return [*map(values.entry, values.masks(ordering), ordering)]
+    masks = values.masks(ordering)
+    for mask in masks:  # as a fit on each prefix in turn would
+        c._memo.guard(mask)
+    return [*map(values.entry, masks, ordering)]
 
 
 def partial_ss(c: CenteredData, predictor: str, model: Iterable[str]) -> float:
@@ -399,8 +431,9 @@ def ordering_walk(
     TooManyOrderings comes before any name check, and they need none.
     Given ``orderings`` are each checked against ``model`` before the fit.
     The fit's guard covers every prefix set, which the walk solves when it
-    first reaches it; depth-first, as ``enumerate_orderings`` lists them,
-    each ordered prefix is entered once.
+    first reaches it, and, within the cap, the model's exact walk that the
+    first Type I pair read makes; depth-first, as ``enumerate_orderings``
+    lists them, each ordered prefix is entered once.
     """
     model = tuple(model)
     if orderings is None:
@@ -506,24 +539,24 @@ def compare_report(
     caller must pass them explicitly. ``orderings="all"`` demands the
     exhaustive set and raises TooManyOrderings above the cap. Only the
     orderings a caller passes are checked, before any fit. After the fit,
-    one pass over the prefix sets makes the Type I row of each (every
-    subset of the model, or the given orderings' prefix sets), and each
-    Type I SS is read off the row of its ordering's prefix. The
+    each Type I SS is read off the row of its ordering's prefix set: within
+    the cap, from the one exact walk over the model's subsets, which any
+    orderings share and none (``orderings=()``) skip; above it, from the
+    solve of each prefix set of the given orderings. The
     ``residualized_simple_fits`` of the model are built on the first read
     of the report's ``residualized_fits``, from the one full-model solve
     and Type III SS that the rest of the report reads.
     """
     model = _model(c, model)
+    values = _Orderings(c, model)
     if orderings == "all" or (orderings is None and len(model) <= ORDERING_CAP):
-        ordering_list = enumerate_orderings(model)
-        sets = _submasks(_mask(map(c.predictor_index, model)))
+        ordering_list, sets = enumerate_orderings(model), ()
     elif orderings is None:
         ordering_list, sets = (), ()
     elif isinstance(orderings, str):
         raise ValueError(f"orderings must be 'all', None, or a sequence, not {orderings!r}")
     else:
         ordering_list = tuple(map(tuple, orderings))
-        values = _Orderings(c, model)
         # every ordering is checked before any fit
         sets = {mask for ordering in ordering_list for mask in values.masks(ordering)}
 
@@ -531,7 +564,7 @@ def compare_report(
     sol, type3 = _partition(c, model)
     col = {nm: c.predictor_index(nm) for nm in model}
     bit = {nm: 1 << i for nm, i in col.items()}
-    rows = c._memo.type1_rows(sets)
+    rows = values.rows(sets) if ordering_list else {}
     type1: dict[str, dict[tuple[str, ...], float]] = {nm: {} for nm in model}
     for ordering in ordering_list:
         mask = 0

@@ -8,14 +8,20 @@ The SSCP is formed exactly, by error-free splitting of the columns into
 slices whose float64 gram holds only exact integers (Ozaki, Ogita, Oishi &
 Rump 2012), each column on its own grid of units so that the gram reduces
 per column pair and slice-index sum in int64 (``_Fold``); it does not depend
-on the BLAS or the order of the rows. Each subset, keyed by bit mask, is
+on the BLAS or the order of the rows, and is kept exactly as integers over
+one denominator (``_Exact.ints``). Every Type I SS of a set of at most
+``ORDERING_CAP`` predictors is rounded once from exact minors of those
+integers, made in one fraction-free walk over the set's subsets
+(``_Subsets.type1_walk``), so it is the correctly rounded exact value
+wherever the guard admits the set. Each subset, keyed by bit mask, is also
 solved once in ``decimal`` arithmetic at ``_DIGITS`` digits, by bordering
-the solve of the set without its highest column, and every statistic is
-derived from that solve and rounded to float64 once. The solves lose about
-2 * log10(cond) digits, so a statistic is the correctly rounded exact value
-only as far as measured: on exchangeable designs at n = 200, every one was
-at rho <= 1 - 1e-8, but not all are nearer the guard (ROADMAP item 16). The
-SSCP rounded to float64 feeds the guard, ``sscp`` and
+the solve of the set without its highest column, and every other statistic
+(Type III SS, the fits, Venn regions, corrected statistics) is derived from
+that solve and rounded to float64 once. The solves lose about
+2 * log10(cond) digits, so such a statistic is the correctly rounded exact
+value only as far as measured: on exchangeable designs at n = 200, every
+one was at rho <= 1 - 1e-8, but not all are nearer the guard (ROADMAP item
+16). The SSCP rounded to float64 feeds the guard, ``sscp`` and
 ``CenteredData.ss_total``.
 """
 
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from functools import cached_property
 from operator import add, mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,6 +62,7 @@ _FOLD = _BLOCK >> 2
 _MAGNITUDE_MAX = 2.0**600
 _OVERFLOW = "column {!r}: cross-products overflow float64 (rescale the column)"
 _UNDERFLOW = "column {!r}: cross-products underflow float64 (rescale the column)"
+_NOT_PD = "{}-th leading minor of the array is not positive definite"
 
 
 def _readonly(values) -> np.ndarray:
@@ -93,6 +100,7 @@ class Dataset:
                 raise _non_finite(nm)
         if not self.predictor_names:
             raise InvalidDataset("at least one predictor is required")
+        _check_predictor_names(self.predictor_names)
         if len(set(self.predictor_names)) != len(self.predictor_names):
             raise InvalidDataset("predictor names must be distinct")
         if self.response_name in self.predictor_names:
@@ -117,6 +125,15 @@ class Dataset:
         raise UnknownName(name)
 
 
+def _check_predictor_names(names: Iterable[str]) -> None:
+    """Raise InvalidDataset for a predictor name that a term label, which
+    joins names as ``target|a,b``, could not be read back with: an empty
+    one, or one that holds ``,`` or ``|``."""
+    for nm in names:
+        if not nm or "," in nm or "|" in nm:
+            raise InvalidDataset(f"predictor name {nm!r} is empty or holds ',' or '|', which term labels use")
+
+
 def _non_finite(name: str) -> NonFiniteValue:
     return NonFiniteValue(f"column {name!r} contains NaN or infinity")
 
@@ -130,13 +147,15 @@ def _check_n(n: int, p: int) -> None:
 class _Exact(NamedTuple):
     """Centered SSCP of design columns, the response last, rounded once to
     float64 (``f``) and to ``_DIGITS`` digits (``s``), with the columns'
-    means and sds at ``_DIGITS`` digits and the row count."""
+    means and sds at ``_DIGITS`` digits and the row count; ``ints`` holds
+    it exactly, as integers N over one denominator D (``_Fold.ints``)."""
 
     f: np.ndarray
     s: list[list[Decimal]]
     means: list[Decimal]
     sds: list[Decimal]
     n: int
+    ints: tuple[list[list[int]], int] | None = None
 
 
 class _Solution(NamedTuple):
@@ -323,6 +342,7 @@ class _Fold:
         self.n = 0
         self.lo, self.hi = np.full(k, np.inf), np.full(k, -np.inf)
         self._t, self._e = 0, 0  # moments are t * 2**e: row a, column b holds sum(x_a x_b)
+        self.ints: tuple[list[list[int]], int] | None = None  # set by finish
 
     @property
     def finite(self) -> np.ndarray:
@@ -398,7 +418,9 @@ class _Fold:
     def finish(self) -> tuple:
         """The centered SSCP rounded once to float64 and to ``_DIGITS``
         digits, and the exact column means as (numerator, denominator)
-        integer pairs. Raises, column by column, NonFiniteValue for a NaN or
+        integer pairs; the exact SSCP itself is kept as ``ints``, integer
+        rows N over one integer D, N / D, with no power of two common to
+        all. Raises, column by column, NonFiniteValue for a NaN or
         infinity and SingularDesign for a magnitude of 2**600 or more; then
         SingularDesign if a column's SS exceeds float64, or, in any column
         but the last, is positive but rounds to 0."""
@@ -409,17 +431,22 @@ class _Fold:
                 raise SingularDesign(_OVERFLOW.format(nm))
         k, t, e = len(self.names), self._t, self._e
         count, sums = t[k, k], t[:k, k]
-        num = t[:k, :k] * count - np.outer(sums, sums)
+        rows = (t[:k, :k] * count - np.outer(sums, sums)).tolist()
         den = count << -e  # e <= 0, since the ones column has unit 0
+        # the power of two that N and D share, divided out, halves the
+        # integers that the exact walk multiplies
+        twos = min((x & -x).bit_length() - 1 for x in (den, *(x for row in rows for x in row)) if x)
+        rows, den = [[x >> twos for x in row] for row in rows], den >> twos
+        self.ints = rows, den
         for a, nm in enumerate(self.names):
             try:
-                if num[a, a] and not num[a, a] / den and a < k - 1:
+                if rows[a][a] and not rows[a][a] / den and a < k - 1:
                     raise SingularDesign(_UNDERFLOW.format(nm))
             except OverflowError:
                 raise SingularDesign(_OVERFLOW.format(nm)) from None
         f = np.empty((k, k))
         s: list[list[Decimal]] = [[Decimal(0)] * k for _ in range(k)]
-        rows, decimal_den = num.tolist(), Decimal(den)
+        decimal_den = Decimal(den)
         with localcontext(_CTX):
             for a, row in enumerate(rows):
                 for b in range(a, k):
@@ -455,7 +482,7 @@ def _centered(
     f, s, means = fold.finish()
     with localcontext(_CTX):
         sds = [(s[a][a] / (n - 1)).sqrt() for a in range(len(names))]
-        exact = _Exact(f, s, [Decimal(num) / den for num, den in means], sds, n)
+        exact = _Exact(f, s, [Decimal(num) / den for num, den in means], sds, n, fold.ints)
     floats = tuple(num / den for num, den in means)  # int / int is correctly rounded
     return CenteredData(response_name, predictor_names, data, floats, exact)
 
@@ -511,15 +538,6 @@ def _columns(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _submasks(mask: int) -> list[int]:
-    """The nonempty subsets of a bit mask, ascending."""
-    subs, sub = [], mask
-    while sub:
-        subs.append(sub)
-        sub = (sub - 1) & mask
-    return subs[::-1]
-
-
 def _project(s: list[list[Decimal]], sol: _Solution, col: int) -> tuple[list, list]:
     """Cross-products a of column ``col`` with the columns of ``sol``, and its
     coefficients on them u = A^-1 a, both in the order of sol.b; the caller
@@ -539,7 +557,7 @@ def _extend(s: list[list[Decimal]], sol: _Solution, col: int) -> _Solution:
     a, u = _project(s, sol, col)
     d = s[col][col] - sum(map(mul, a, u))
     if d <= 0:  # only a design the guard wrongly passed gets here
-        raise SingularDesign(f"{len(a) + 1}-th leading minor of the array is not positive definite")
+        raise SingularDesign(_NOT_PD.format(len(a) + 1))
     bk = (s[col][-1] - sum(map(mul, a, sol.b.values()))) / d
     b = {j: bj - uj * bk for (j, bj), uj in zip(sol.b.items(), u)}
     b[col] = bk
@@ -555,27 +573,36 @@ class _Subsets:
     """Regressions of the response (the last column) on sets of the others,
     keyed by bit mask (``_mask``), each solved once, by bordering the set
     without its highest column, and shared by every use of the same data.
-    Each set's Type I row is kept once made: ``type1`` makes one set's, and
-    ``type1_rows`` the rows of many subsets of a guarded set in one pass."""
+    ``type1_walk`` makes the Type I rows of every subset of a guarded set
+    in one exact walk over them, kept per set."""
 
     def __init__(self, ex: _Exact, names: Sequence[str]):
         self._ex, self._names = ex, names
         self._cache = {0: _Solution({}, {}, Decimal(0), ex.s[-1][-1], [])}
         self._guarded: list[int] = []
-        self._type1: dict[int, dict[int, float]] = {}
+        self._walks: dict[int, dict[int, dict[int, float]]] = {}
+
+    def guard(self, mask: int, idx: Sequence[int] | None = None, what: str = "subset") -> None:
+        """The guard on the columns of ``mask``, which sees them in the order
+        of ``idx`` (default: ascending), unless a set that passed it holds
+        them; errors name them "what (names)"."""
+        # A set inside one that passed the guard passes it too: a principal
+        # block of the normalized SSCP has its eigenvalues inside those of
+        # the whole (Cauchy interlacing). A repeated column never passes.
+        repeats = idx is not None and len(idx) > mask.bit_count()
+        if repeats or all(mask & ~done for done in self._guarded):
+            idx = _columns(mask) if idx is None else idx
+            try:
+                _guard(self._ex.f[idx][:, idx])
+            except SingularDesign as exc:
+                raise self._named(what, idx, exc) from None
+            self._guarded.append(mask)
 
     def solve(self, mask: int, idx: Sequence[int] | None = None, what: str = "subset") -> _Solution:
-        """Solution on the columns of ``mask``, behind the guard, which sees them
-        in the order of ``idx`` (default: ascending); errors name them "what (names)"."""
+        """Solution on the columns of ``mask``, behind ``guard``; errors name
+        them "what (names)"."""
+        self.guard(mask, idx, what)
         try:
-            # A set inside one that passed the guard passes it too: a principal
-            # block of the normalized SSCP has its eigenvalues inside those of
-            # the whole (Cauchy interlacing). A repeated column never passes.
-            repeats = idx is not None and len(idx) > mask.bit_count()
-            if repeats or all(mask & ~done for done in self._guarded):
-                idx = _columns(mask) if idx is None else idx
-                _guard(self._ex.f[idx][:, idx])
-                self._guarded.append(mask)
             with localcontext(_CTX):
                 return self._border(mask)
         except SingularDesign as exc:
@@ -596,29 +623,61 @@ class _Subsets:
             sol = self._cache[link] = _extend(self._ex.s, sol, link.bit_length() - 1)
         return sol
 
-    def type1(self, mask: int) -> dict[int, float]:
-        """Type I SS of each column of ``mask`` entering it last, ``_partial`` rounded once."""
-        if mask not in self._type1:
-            self.solve(mask)  # behind the guard
-            self.type1_rows((mask,))
-        return self._type1[mask]
+    def type1_walk(self, mask: int) -> dict[int, dict[int, float]]:
+        """The Type I row of every nonempty subset S of ``mask``, a set that
+        passed the guard, by mask: the SS of each column i of S entering it
+        last, SSE(S - i) - SSE(S). With SSE(S) = Y_S / (D P_S) from
+        ``_minors``, that is (Y_(S-i) P_S - Y_S P_(S-i)) / (D P_S P_(S-i)),
+        one int / int division, which is correctly rounded. Made once per
+        mask."""
+        rows = self._walks.get(mask)
+        if rows is None:
+            minors = {sub: (y, p) for sub, y, p in self._minors(mask)}
+            den, rows = self._ex.ints[1], {}
+            for sub, (y, p) in minors.items():
+                row, rest, dp = {}, sub, den * p
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    y_less, p_less = minors[sub ^ bit]
+                    row[bit.bit_length() - 1] = (y_less * p - y * p_less) / (dp * p_less)
+                rows[sub] = row
+            del rows[0]
+            self._walks[mask] = rows
+        return rows
 
-    def type1_rows(self, masks: Iterable[int]) -> dict[int, dict[int, float]]:
-        """The ``type1`` row of each of ``masks``, subsets of a set that passed
-        the guard, in one pass: the sets without a row are solved in ascending
-        order in one decimal context, so a set whose parent (the set less its
-        highest column) came before is bordered once from it. Errors name the
-        set "subset (names)"."""
-        masks = sorted(masks)
-        try:
-            with localcontext(_CTX):
-                for mask in masks:
-                    if mask not in self._type1:
-                        sol = self._border(mask)
-                        self._type1[mask] = {i: float(_partial(sol, i)) for i in sol.b}
-        except SingularDesign as exc:
-            raise self._named("subset", _columns(mask), exc) from None
-        return {mask: self._type1[mask] for mask in masks}
+    def _minors(self, mask: int) -> Iterator[tuple[int, int, int]]:
+        """(S, Y_S, P_S) for each subset S of ``mask`` once, the empty set
+        first: P_S = det N[S] and Y_S = det N[S + y], for the exact SSCP
+        N / D (``_Exact.ints``), so that SSE(S) = Y_S / (D P_S).
+
+        The sets form a binomial tree: the children of S are S + t for each
+        column t of ``mask`` above the highest of S. A node keeps the upper
+        triangle of its bordered minors B_ab = det N[S + a, S + b] over the
+        columns a, b of ``mask`` above it and y; its child S + t has pivot
+        P = B_tt, and its minors (P B_ab - B_ta B_tb) / P_S by Sylvester's
+        identity, an exact integer division (fraction-free elimination,
+        Bareiss 1968). A node's children are made before any is entered. A
+        pivot that is not positive raises SingularDesign naming its set, in
+        the words of ``_extend``."""
+        num = self._ex.ints[0]
+        cols = _columns(mask)
+        idx = [*cols, len(num) - 1]
+        yield 0, num[-1][-1], 1
+        stack = [(0, 0, 1, [[num[a][b] for b in idx[j:]] for j, a in enumerate(idx)])]
+        while stack:
+            sub, start, parent, minors = stack.pop()
+            for i, t_row in enumerate(minors[:-1]):  # B_ta for column t = cols[start + i]
+                p, child = t_row[0], sub | 1 << cols[start + i]
+                if p <= 0:  # only a design the guard wrongly passed gets here
+                    raise self._named("subset", _columns(child), SingularDesign(_NOT_PD.format(child.bit_count())))
+                bordered = [
+                    [(p * x - ta * tb) // parent for x, tb in zip(row, t_row[d:])]
+                    for d, (row, ta) in enumerate(zip(minors[i + 1 :], t_row[1:]), 1)
+                ]
+                yield child, bordered[-1][0], p
+                if len(bordered) > 1:  # columns above t remain
+                    stack.append((child, start + i + 1, p, bordered))
 
 
 def _partial(sol: _Solution, i: int) -> Decimal:

@@ -274,6 +274,13 @@ class TestExitCodes:
         res = runner.invoke(main, ["fit", "--dwaine", "--model", model])
         assert_one_error_line(res)
 
+    @pytest.mark.parametrize("cmd", ["fit", "orderings"])
+    def test_predictor_name_with_a_bar_is_an_input_error(self, runner, tmp_path, cmd):
+        path = write(tmp_path, "y,a|b,c\n1,2,1\n2,4,3\n3,5,2\n4,7,5\n5,6,4\n")
+        res = runner.invoke(main, [cmd, "--input", str(path), "--response", "y", "--predictors", "a|b,c"])
+        assert_one_error_line(res)
+        assert res.stderr == "error: predictor name 'a|b' is empty or holds ',' or '|', which term labels use\n"
+
     def test_missing_file(self, runner, tmp_path):
         res = runner.invoke(
             main,

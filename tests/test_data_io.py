@@ -68,6 +68,12 @@ class TestCsvSpec:
         with pytest.raises(InvalidDataset):
             CsvSpec(tmp_path / "f.csv", "y", ("y", "a"))
 
+    @pytest.mark.parametrize("name", ["", "a,b", "a|b"])
+    def test_rejects_a_predictor_name_term_labels_could_not_read_back(self, tmp_path, name):
+        with pytest.raises(InvalidDataset, match=r"is empty or holds ',' or '\|', which term labels use$"):
+            CsvSpec(tmp_path / "f.csv", "y", ("c", name))
+        CsvSpec(tmp_path / "f.csv", "y,z|w", ("c",))
+
     def test_rejects_multichar_delimiter(self, tmp_path):
         with pytest.raises(ValueError):
             CsvSpec(tmp_path / "f.csv", "y", ("a",), delimiter=",,")

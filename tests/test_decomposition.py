@@ -5,7 +5,9 @@ import math
 import weakref
 from collections.abc import Mapping
 from decimal import ROUND_DOWN, Context, Decimal, getcontext, localcontext
+from fractions import Fraction
 from itertools import permutations
+from operator import mul
 
 import numpy as np
 import pytest
@@ -720,7 +722,8 @@ class TestOrderingWalk:
 
 class TestMaskMemo:
     """The subset memo is keyed by bit mask, bit i for predictor i, and
-    keeps the Type I SS of each column of a set entering it last."""
+    keeps, per guarded set, the Type I SS of each column of each of its
+    subsets entering it last, made in one exact walk."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -728,17 +731,18 @@ class TestMaskMemo:
         rho=st.sampled_from([0.0, 0.6, 0.99, 1 - 1e-8]),
         seed=st.integers(0, 2**16),
     )
-    def test_kept_type1_is_the_partial_ss_of_the_solve(self, p, rho, seed):
+    def test_walked_type1_is_the_partial_ss_of_the_solve(self, p, rho, seed):
         c = mean_center(synth_data(p, rho, seed))
         memo = c._memo
         memo.solve(2**p - 1)  # its guard covers every subset
+        rows = memo.type1_walk(2**p - 1)
+        assert sorted(rows) == [*range(1, 2**p)]
         for mask in range(1, 2**p):
             sol = memo.solve(mask)
-            assert [*sol.b] == [i for i in range(p) if mask >> i & 1]
-            kept = memo.type1(mask)
-            with localcontext(varpart.ols_core._CTX):
-                assert kept == {i: float(_partial(sol, i)) for i in sol.b}
-            for i, ss in kept.items():
+            assert [*rows[mask]] == [*sol.b] == [i for i in range(p) if mask >> i & 1]
+            for i, ss in rows[mask].items():
+                with localcontext(varpart.ols_core._CTX):
+                    assert ss == pytest.approx(float(_partial(sol, i)), rel=1e-12)
                 # the SS the set loses without column i, from two solves
                 assert ss == pytest.approx(float(sol.ssr - memo.solve(mask & ~(1 << i)).ssr), rel=1e-12)
 
@@ -779,16 +783,6 @@ class TestMaskMemo:
         assert solves == []
 
 
-class _CountedRows(dict):
-    """A Type I store that counts the rows read out of it."""
-
-    reads = 0
-
-    def __getitem__(self, mask):
-        self.reads += 1
-        return super().__getitem__(mask)
-
-
 def _chain(mask):
     """``mask`` and the sets below it that bordering solves it from: each
     less its highest column, down to the empty set."""
@@ -799,14 +793,29 @@ def _chain(mask):
     return chain
 
 
-class TestLatticePass:
-    """``compare_report`` makes the Type I rows its orderings need in one
-    pass over the model's subsets, after the model's fit, and fills every
-    table from those rows."""
+def _walked(monkeypatch):
+    """The sets of each walk of the subset lattice, as the walks yield them."""
+    walks = []
+    minors = varpart.ols_core._Subsets._minors
 
-    def test_work_of_all_orderings(self, monkeypatch):
+    def spy(memo, mask):
+        walks.append([])
+        for sub, *dets in minors(memo, mask):
+            walks[-1].append(sub)
+            yield sub, *dets
+
+    monkeypatch.setattr(varpart.ols_core._Subsets, "_minors", spy)
+    return walks
+
+
+class TestLatticePass:
+    """Within the cap, every Type I SS of a model is read off one exact walk
+    over the model's subsets, made after the model's fit and kept on the
+    memo; above it, each is the partial SS of its prefix's decimal solve."""
+
+    def test_each_subset_is_walked_once_per_model(self, monkeypatch):
         c = mean_center(synth_data(5, 0.6))
-        rows = c._memo._type1 = _CountedRows()
+        walks = _walked(monkeypatch)
         counts = {"_extend": 0, "_partial": 0}
 
         def counting(name, fn):
@@ -819,60 +828,80 @@ class TestLatticePass:
             monkeypatch.setattr(varpart.ols_core, name, counting(name, getattr(varpart.ols_core, name)))
         rep = compare_report(c, c.predictor_names, orderings="all")
         assert len(rep.orderings) == 120
-        assert rows.reads <= 31  # one per subset, not one per (ordering, position)
-        assert sorted(rows) == [*range(1, 32)]
-        # each subset bordered once from its parent; the Type III SS are
+        assert len(walks) == 1 and sorted(walks[0]) == [*range(32)]
+        # only the model's chain is solved in decimal; the Type III SS are
         # decomposition's own _partial calls, not counted here
-        assert counts == {"_extend": 31, "_partial": 5 * 2**4}
+        assert counts == {"_extend": 5, "_partial": 0}
+        compare_report(c, c.predictor_names[::-1], orderings=[c.predictor_names])
+        walk_values(ordering_walk(c, c.predictor_names))
+        sequential_ss(c, c.predictor_names[::-1])
+        assert len(walks) == 1  # the same model reads the kept walk
+        compare_report(c, ("x2", "x4"), orderings="all")
+        assert len(walks) == 2 and sorted(walks[1]) == [0, 0b10, 0b1000, 0b1010]
+        assert set(c._memo._walks) == {0b11111, 0b1010}
 
     def test_no_orderings_solve_only_the_model_chain(self, monkeypatch):
         c = mean_center(synth_data(5, 0.6))
+        walks = _walked(monkeypatch)
         rep = compare_report(c, ("x2", "x4", "x5"), orderings=())
         assert rep.orderings == ()
         assert set(c._memo._cache) == set(_chain(0b11010))
-        assert c._memo._type1 == {}
+        assert walks == [] and c._memo._walks == {}
+        orthogonal_regression(c, ("x4", "x2", "x5"))  # reads no Type I SS
+        assert walks == []
 
-    def test_one_ordering_leaves_the_masks_of_its_prefix_reads(self):
+    def test_explicit_orderings_read_the_same_walk(self, monkeypatch):
         ds = synth_data(6, 0.6)
         order = ("x6", "x2", "x5", "x1", "x4", "x3")
         c = mean_center(ds)
+        walks = _walked(monkeypatch)
         rep = compare_report(c, ds.predictor_names, orderings=[order])
-        # the same sets as a fit and one type1 call per prefix leave
-        by_prefix = mean_center(ds)
-        fit_ols(by_prefix, ds.predictor_names)
-        assert [*rep.per_predictor[0].type1_by_ordering.items()] == [
-            (order, dict(sequential_ss(by_prefix, order))["x1"])
-        ]
-        assert set(c._memo._cache) == set(by_prefix._memo._cache)
-        prefixes = [0b100000, 0b100010, 0b110010, 0b110011, 0b111011, 0b111111]
-        assert set(c._memo._type1) == set(by_prefix._memo._type1) == set(prefixes)
-        assert set(c._memo._cache) == {m for prefix in prefixes for m in _chain(prefix)}
+        assert len(walks) == 1 and sorted(walks[0]) == [*range(64)]
+        assert set(c._memo._cache) == set(_chain(0b111111))  # no prefix is solved
+        everything = compare_report(mean_center(ds), ds.predictor_names, orderings="all")
+        for got, want in zip(rep.per_predictor, everything.per_predictor):
+            assert dict(got.type1_by_ordering) == {order: want.type1_by_ordering[order]}
 
     def test_model_of_high_index_predictors(self):
         ds = synth_data(40, 0.3)
         c, model = mean_center(ds), ds.predictor_names[-3:]
         rep = compare_report(c, model, orderings="all")
         subsets = {m << 37 for m in range(1, 8)}
-        assert set(c._memo._type1) == subsets
-        assert set(c._memo._cache) == {0, *subsets}  # the model's chain is among them
+        assert set(c._memo._walks) == {0b111 << 37}
+        assert set(c._memo._walks[0b111 << 37]) == subsets
+        assert set(c._memo._cache) == set(_chain(0b111 << 37))
         seq = mean_center(ds)
         for order in rep.orderings:
             for nm, ss in sequential_ss(seq, order):
                 assert rep.per_predictor[model.index(nm)].type1_by_ordering[order] == ss
 
-    def test_a_failing_subset_pivot_names_the_subset(self, monkeypatch):
+    def test_above_the_cap_each_type1_is_the_partial_ss_of_its_prefix_solve(self):
+        ds = synth_data(ORDERING_CAP + 1, 0.6)
+        c, names = mean_center(ds), ds.predictor_names
+        orders = [names, names[::-1]]
+        rep = compare_report(c, names, orderings=orders)
+        assert c._memo._walks == {}
+        for order in orders:
+            assert [(nm, rep.per_predictor[names.index(nm)].type1_by_ordering[order]) for nm in order] == (
+                sequential_ss(c, order)
+            )
+            mask = 0
+            for nm in order:
+                mask |= 1 << names.index(nm)
+                with localcontext(varpart.ols_core._CTX):
+                    want = float(_partial(c._memo.solve(mask), names.index(nm)))
+                assert rep.per_predictor[names.index(nm)].type1_by_ordering[order] == want
+        assert c._memo._walks == {}
+
+    def test_a_failing_subset_pivot_names_the_subset(self):
+        # (x1, x3) alone has a non-positive minor: its cross-product in the
+        # exact integers is raised past sqrt(N11 N33), and only there
         c = mean_center(synth_data(3, 0.6))
-        extend = varpart.ols_core._extend
-
-        def failing(s, sol, col):
-            # (x1, x3) alone has a non-positive pivot: its column's SS read as 0
-            if [*sol.b] == [0] and col == 2:
-                s = [row[:] for row in s]
-                s[col][col] = Decimal(0)
-            return extend(s, sol, col)
-
-        monkeypatch.setattr(varpart.ols_core, "_extend", failing)
-        fit_ols(c, c.predictor_names)  # the model's chain never meets it
+        num, den = c.exact.ints
+        num = [row[:] for row in num]
+        num[0][2] = num[2][0] = math.isqrt(num[0][0] * num[2][2]) + 1
+        c = dataclasses.replace(c, exact=c.exact._replace(ints=(num, den)))
+        fit_ols(c, c.predictor_names)  # the guard and the model's solve never meet it
         with pytest.raises(
             SingularDesign, match=r"^subset \(x1, x3\): 2-th leading minor of the array is not positive definite$"
         ):
@@ -892,7 +921,9 @@ class TestLatticePass:
 def test_sweep_reports_are_pinned():
     # the sweep design grid up to the guard, as bytes: every Type I table,
     # Type III SS, the traditional fit, the Venn regions and the corrected
-    # statistics; a change to the order or rounding of any solve moves it
+    # statistics; a change to the order or rounding of any solve moves it.
+    # Its Type I SS are each the float nearest the exact value
+    # (test_every_type1_is_the_float_nearest_the_exact_value)
     h = hashlib.sha256()
     for p in (3, 5):
         for rho in (0.0, 0.9, 1 - 1e-8, 1 - 1e-10):
@@ -902,7 +933,77 @@ def test_sweep_reports_are_pinned():
                 h.update(repr(_bits((pd.name, sorted(pd.type1_by_ordering.items()), pd.type3_ss))).encode())
             stats = rep.traditional, rep.venn, rep.actual_model_ss, rep.corrected_r2, rep.corrected_f
             h.update(repr(_bits(stats)).encode())
-    assert h.hexdigest() == "69997c34fdd02601c0238c161d80be8068ece07d26480c067f1befa93469518c"
+    assert h.hexdigest() == "768ffdee1ee10e6a2895e86afa3914964a06ecfd5f5c66b3ab5a21b0f4285a36"
+
+
+def _exact_sse(ds):
+    """Residual SS of the response on every subset of the predictors, by
+    mask (bit i for predictor i), as exact Fractions of the rows' values:
+    the centered SSCP from Fraction sums, then Gaussian elimination of each
+    subset bordered by the response, whose last pivot is the residual SS."""
+    cols = [[Fraction(v) for v in ds.column(nm).tolist()] for nm in (*ds.predictor_names, ds.response_name)]
+    sums = [sum(col) for col in cols]
+    k = len(cols)
+    s = [[Fraction(0)] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a, k):
+            s[a][b] = s[b][a] = sum(map(mul, cols[a], cols[b])) - sums[a] * sums[b] / ds.n
+    sse = {}
+    for mask in range(2 ** (k - 1)):
+        idx = [i for i in range(k - 1) if mask >> i & 1] + [k - 1]
+        m = [[s[a][b] for b in idx] for a in idx]
+        for j in range(len(idx) - 1):
+            for r in range(j + 1, len(idx)):
+                f = m[r][j] / m[j][j]
+                m[r] = [x - f * y for x, y in zip(m[r], m[j])]
+        sse[mask] = m[-1][-1]
+    return sse
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4])
+@pytest.mark.parametrize("rho", [1 - 1e-10, 1 - 1e-11])
+@pytest.mark.parametrize("p", [3, 5])
+def test_every_type1_is_the_float_nearest_the_exact_value(p, rho, seed):
+    # up to the guard, every Type I SS of every route is SSE(S - i) - SSE(S)
+    # of its prefix set S rounded once: the exact value's nearest float
+    ds = synth_data(p, rho, seed)
+    names, sse = ds.predictor_names, _exact_sse(ds)
+
+    def exact(order):
+        out, mask = [], 0
+        for nm in order:
+            mask |= 1 << names.index(nm)
+            out.append((nm, float(sse[mask & ~(1 << names.index(nm))] - sse[mask])))
+        return out
+
+    orders = enumerate_orderings(names)
+    reports = [
+        compare_report(mean_center(ds), names, orderings="all"),
+        compare_report(mean_center(ds), names[::-1], orderings=orders[::-1][:7]),
+    ]
+    for rep in reports:
+        for order in rep.orderings:
+            want = dict(exact(order))
+            for pd in rep.per_predictor:
+                assert pd.type1_by_ordering[order] == want[pd.name], (order, pd.name)
+    c = mean_center(ds)
+    for order in orders[:: max(1, len(orders) // 7)]:
+        assert sequential_ss(c, order) == exact(order)
+    for order, entries, *_ in walk_values(ordering_walk(mean_center(ds), names)):
+        assert entries == exact(order)
+
+
+def test_sequential_ss_guards_each_prefix_in_turn():
+    # the first prefix that fails the guard is named, as a fit on it would be
+    rng = np.random.default_rng(4)
+    base = rng.standard_normal(30)
+    x = np.column_stack([base, -3.0 * base + 1.0, rng.standard_normal(30)])
+    c = mean_center(make_dataset(x, base + rng.standard_normal(30)))
+    with pytest.raises(SingularDesign, match=r"^subset \(x1, x2, x3\): reciprocal condition number"):
+        sequential_ss(c, ("x3", "x1", "x2"))
+    with pytest.raises(SingularDesign, match=r"^subset \(x1, x2\): reciprocal condition number"):
+        sequential_ss(c, ("x2", "x1", "x3"))
+    assert sequential_ss(c, ("x3", "x1"))  # a model without the pair is not rejected
 
 
 @pytest.mark.parametrize(

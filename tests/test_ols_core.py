@@ -67,6 +67,14 @@ class TestDatasetValidation:
         with pytest.raises(InvalidDataset):
             Dataset(_cols(a=[1, 2, 3, 4], y=[1, 2, 3, 4]), "y", ("y",))
 
+    @pytest.mark.parametrize("name", ["", "a,b", "a|b", "|"])
+    def test_predictor_name_a_term_label_could_not_be_read_back_with(self, name):
+        # term labels read target|a,b: an empty name, "," or "|" would make them ambiguous
+        cols = ((name, np.arange(5.0)), ("c", np.arange(5.0) ** 2), ("y,z|w", np.arange(5.0) ** 3))
+        with pytest.raises(InvalidDataset, match=r"is empty or holds ',' or '\|', which term labels use$"):
+            Dataset(cols, "y,z|w", ("c", name))
+        Dataset(cols, "y,z|w", ("c",))  # the response is never part of a term label
+
     def test_unknown_names(self):
         with pytest.raises(UnknownName):
             Dataset(_cols(a=[1, 2, 3, 4], y=[1, 2, 3, 4]), "y", ("b",))
@@ -352,7 +360,8 @@ class TestExactSscp:
 
 def _exact_fold(cols, names):
     """``_Fold.finish()`` of the columns from exact Fraction sums: f, s and
-    the means, or the message of the SingularDesign it raises."""
+    the means, then the exact SSCP, or the message of the SingularDesign it
+    raises."""
     unit = Fraction(1, 2**1074)  # every float64 is an integer times unit
     xs = [[int(v / unit) for v in map(Fraction, col)] for col in cols]
     n, sums, k = len(xs[0]), [sum(x) for x in xs], len(xs)
@@ -370,7 +379,7 @@ def _exact_fold(cols, names):
             return f"column {nm!r}: cross-products overflow float64 (rescale the column)"
     with localcontext(varpart.ols_core._CTX):
         s = [[Decimal(v.numerator) / v.denominator for v in row] for row in ss]
-    return np.array([[float(v) for v in row] for row in ss]), s, [v / n for v in sums]
+    return np.array([[float(v) for v in row] for row in ss]), s, [v / n for v in sums], ss
 
 
 @st.composite
@@ -410,6 +419,10 @@ def test_fold_matches_exact_fraction_sums(case):
     assert _bits(f) == _bits(want[0])
     assert s == want[1]
     assert [Fraction(num, den) for num, den in means] == want[2]
+    # the exact SSCP that the Type I walk reads, N / D with no power of two common to all
+    rows, den = fold.ints
+    assert [[Fraction(v, den) for v in row] for row in rows] == want[3]
+    assert den % 2 or any(v % 2 for row in rows for v in row)
 
 
 def test_fold_working_set_is_bounded_by_the_chunk():

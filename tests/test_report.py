@@ -281,7 +281,11 @@ class TestJsonMatchesStdlib:
     @settings(max_examples=50, deadline=None)
     @given(
         NAMES,
-        st.lists(NAMES.filter(lambda nm: nm != "y"), min_size=3, max_size=3, unique=True),
+        # a predictor name is any name a Dataset takes: not empty, no "," or "|"
+        st.lists(
+            NAMES.filter(lambda nm: nm not in ("", "y") and not {",", "|"} & set(nm)),
+            min_size=3, max_size=3, unique=True,
+        ),
         st.lists(st.permutations(range(3)), max_size=4),
     )
     def test_generated_names(self, response, names, perms):
