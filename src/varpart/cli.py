@@ -22,7 +22,7 @@ from typing import Iterable, NoReturn
 import click
 
 from .data_io import CsvSpec, center_csv, dwaine_fixture
-from .decomposition import compare_report, ordering_walk, venn_regions
+from .decomposition import compare_report, ordering_walk, residualized_simple_fits, venn_regions
 from .errors import ConstantColumn, SingularDesign, TooManyOrderings, VarpartError
 from .ols_core import CenteredData, fit_ols, mean_center
 from .report import decompose_payload, fit_payload, render_orderings, render_payload, venn_payload
@@ -204,7 +204,8 @@ def fit(c, model, fmt):
 def decompose(c, model, fmt):
     """Traditional summary next to the partial-SS decomposition."""
     rep = compare_report(c, model, orderings=())
-    return (render_payload(decompose_payload(rep, c.response_name), fmt),)
+    fits = residualized_simple_fits(c, model)
+    return (render_payload(decompose_payload(rep, fits, c.response_name), fmt),)
 
 
 @_analysis("text", "json", "csv")

@@ -15,8 +15,9 @@ minors, and so is correctly rounded; above it, from the decimal solve of
 its prefix. Type III SS (b_j^2 / (A^-1)_jj of the one full-model solve),
 the orthogonal-function terms (the solves of each ordering's prefixes),
 the fits, Venn regions and corrected statistics come from the memo's
-38-digit decimal solves (ROADMAP item 16). No report path residualizes a
-column or reads the observations again.
+50-digit decimal solves, which leave room for the digits the guard's
+conditioning costs. No report path residualizes a column or reads the
+observations again.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .ols_core import (
     OlsFit,
     _coef_stats,
     _column_sd,
-    _Exact,
     _make_fit,
     _mask,
     _partial,
@@ -126,16 +126,11 @@ class DecompositionReport(NamedTuple):
 
     ``actual_model_ss`` is the summed Type III SS, ``corrected_r2`` that sum
     over SS(total), ``corrected_f`` its mean over the full-model residual MS.
-    ``residualized_fits`` is a read-only mapping that ``compare_report``
-    builds on its first read (``[]``, iteration, ``items()``, ``==``; not
-    ``len()``), from the exact SSCP and the model's solve that it keeps, not
-    the centering, its rows or its subset memo.
     """
 
     traditional: OlsFit
     per_predictor: tuple[PredictorDecomposition, ...]
     venn: VennRegions
-    residualized_fits: Mapping[str, OlsFit]
     orderings: tuple[tuple[str, ...], ...]
     actual_model_ss: float
     corrected_r2: float
@@ -455,52 +450,18 @@ def residualized_simple_fits(
     against the rest of the model, so df_residual is n - 2 regardless of
     how many columns fed the residualization. The slope is the full-model
     coefficient of j, the column SS 1 / (A^-1)_jj and the regression SS
-    its partial SS, all from the full-model solve. Every fit is built at
-    once; ``compare_report`` builds the same fits, bit for bit, on the
-    first read of its ``residualized_fits``.
+    its partial SS, all from the full-model solve.
     """
-    model = _model(c, model)
-    return _simple_fits(c.exact, *_partition(c, model), {nm: c.predictor_index(nm) for nm in model})
-
-
-def _simple_fits(
-    ex: _Exact, sol: _Solution, type3: Mapping[str, Decimal], col: Mapping[str, int]
-) -> dict[str, OlsFit]:
-    """``residualized_simple_fits`` of the model ``type3`` keys, in its order,
-    from its solve ``sol`` and the predictors' columns ``col`` in ``ex``."""
+    ex, model = c.exact, _model(c, model)
+    sol, type3 = _partition(c, model)
     out = {}
     for nm, ss in type3.items():
-        i, rest = col[nm], [o for o in type3 if o != nm]
+        i, rest = c.predictor_index(nm), [o for o in model if o != nm]
         with localcontext(_CTX):
             sse, sd = max(ex.s[-1][-1] - ss, Decimal(0)), _column_sd(sol.inv[i], ex.n)
         label, mean = (_label(nm, ",".join(rest)), Decimal(0)) if rest else (nm, ex.means[i])
         out[nm] = _make_fit(ex, (label,), [sol.b[i]], [sol.inv[i]], [mean], [sd], ss, sse)
     return out
-
-
-class _ResidualizedFits(Mapping):
-    """Read-only ``residualized_simple_fits`` of a report's model, built on
-    the first read of a fit (``[]``, iteration, ``items()``, ``==``) from the
-    model's exact SSCP, solve and Type III SS; ``len()`` builds nothing."""
-
-    def __init__(self, ex: _Exact, sol: _Solution, type3: Mapping[str, Decimal], col: Mapping[str, int]):
-        self._parts, self._len = (ex, sol, type3, col), len(type3)
-
-    @cached_property
-    def _fits(self) -> dict[str, OlsFit]:
-        return _simple_fits(*self._parts)
-
-    def __getitem__(self, name: str) -> OlsFit:
-        return self._fits[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._fits)
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._fits!r})"
 
 
 def venn_regions(c: CenteredData, model: Iterable[str]) -> VennRegions:
@@ -542,10 +503,9 @@ def compare_report(
     each Type I SS is read off the row of its ordering's prefix set: within
     the cap, from the one exact walk over the model's subsets, which any
     orderings share and none (``orderings=()``) skip; above it, from the
-    solve of each prefix set of the given orderings. The
-    ``residualized_simple_fits`` of the model are built on the first read
-    of the report's ``residualized_fits``, from the one full-model solve
-    and Type III SS that the rest of the report reads.
+    solve of each prefix set of the given orderings. The only fit it
+    builds is the model's; ``residualized_simple_fits`` builds the simple
+    regressions on the residualized predictors.
     """
     model = _model(c, model)
     values = _Orderings(c, model)
@@ -580,7 +540,6 @@ def compare_report(
             for nm in model
         ),
         venn=_venn(c, sol, type3),
-        residualized_fits=_ResidualizedFits(c.exact, sol, type3, col),
         orderings=ordering_list,
         actual_model_ss=actual,
         corrected_r2=r2,

@@ -14,14 +14,15 @@ one denominator (``_Exact.ints``). Every Type I SS of a set of at most
 integers, made in one fraction-free walk over the set's subsets
 (``_Subsets.type1_walk``), so it is the correctly rounded exact value
 wherever the guard admits the set. Each subset, keyed by bit mask, is also
-solved once in ``decimal`` arithmetic at ``_DIGITS`` digits, by bordering
-the solve of the set without its highest column, and every other statistic
-(Type III SS, the fits, Venn regions, corrected statistics) is derived from
-that solve and rounded to float64 once. The solves lose about
-2 * log10(cond) digits, so such a statistic is the correctly rounded exact
-value only as far as measured: on exchangeable designs at n = 200, every
-one was at rho <= 1 - 1e-8, but not all are nearer the guard (ROADMAP item
-16). The SSCP rounded to float64 feeds the guard, ``sscp`` and
+solved once in ``decimal`` arithmetic at ``_DIGITS`` (50) digits, by
+bordering the solve of the set without its highest column, and every other
+statistic (Type III SS, the fits, Venn regions, corrected statistics) is
+derived from that solve and rounded to float64 once. The solves lose about
+2 * log10(cond) digits, about 24 at the guard, and ``_DIGITS`` is set from
+the guard to leave 26. That such a statistic is then the correctly rounded
+exact value is measured, not proved: against exact rationals on
+exchangeable designs at n = 200, every Type III SS and model SS was, up to
+rho = 1 - 1e-11. The SSCP rounded to float64 feeds the guard, ``sscp`` and
 ``CenteredData.ss_total``.
 """
 
@@ -46,9 +47,10 @@ from .errors import (
 # ill-conditioned; legitimate high collinearity still computes.
 RCOND_MIN = 1e-12
 
-# Digits of the decimal solves (two libmpdec words); the guard admits designs
-# that lose at most about 12 of them to conditioning.
-_DIGITS = 38
+# Digits of the decimal solves. A solve loses about 2 * log10(cond) digits,
+# so about 24 on a design at the guard; 17 more round to float64 once, and
+# 9 are margin. 50 digits take three libmpdec words, as any of 39-57 do.
+_DIGITS = 2 * round(-math.log10(RCOND_MIN)) + 17 + 9
 _CTX = Context(prec=_DIGITS)
 
 # Rows per block fed to the exact SSCP, and per chunk that it slices on one
@@ -148,14 +150,14 @@ class _Exact(NamedTuple):
     """Centered SSCP of design columns, the response last, rounded once to
     float64 (``f``) and to ``_DIGITS`` digits (``s``), with the columns'
     means and sds at ``_DIGITS`` digits and the row count; ``ints`` holds
-    it exactly, as integers N over one denominator D (``_Fold.ints``)."""
+    it exactly, as integers N over one denominator D (``_Fold.finish``)."""
 
     f: np.ndarray
     s: list[list[Decimal]]
     means: list[Decimal]
     sds: list[Decimal]
     n: int
-    ints: tuple[list[list[int]], int] | None = None
+    ints: tuple[list[list[int]], int]
 
 
 class _Solution(NamedTuple):
@@ -342,7 +344,6 @@ class _Fold:
         self.n = 0
         self.lo, self.hi = np.full(k, np.inf), np.full(k, -np.inf)
         self._t, self._e = 0, 0  # moments are t * 2**e: row a, column b holds sum(x_a x_b)
-        self.ints: tuple[list[list[int]], int] | None = None  # set by finish
 
     @property
     def finite(self) -> np.ndarray:
@@ -417,13 +418,13 @@ class _Fold:
 
     def finish(self) -> tuple:
         """The centered SSCP rounded once to float64 and to ``_DIGITS``
-        digits, and the exact column means as (numerator, denominator)
-        integer pairs; the exact SSCP itself is kept as ``ints``, integer
-        rows N over one integer D, N / D, with no power of two common to
-        all. Raises, column by column, NonFiniteValue for a NaN or
-        infinity and SingularDesign for a magnitude of 2**600 or more; then
-        SingularDesign if a column's SS exceeds float64, or, in any column
-        but the last, is positive but rounds to 0."""
+        digits, the exact column means as (numerator, denominator) integer
+        pairs, and the exact SSCP itself as (N, D): integer rows N over one
+        integer D, with no power of two common to all. Raises, column by
+        column, NonFiniteValue for a NaN or infinity and SingularDesign for
+        a magnitude of 2**600 or more; then SingularDesign if a column's SS
+        exceeds float64, or, in any column but the last, is positive but
+        rounds to 0."""
         for nm, ok, lo, hi in zip(self.names, self.finite, self.lo, self.hi):
             if not ok:
                 raise _non_finite(nm)
@@ -437,7 +438,6 @@ class _Fold:
         # integers that the exact walk multiplies
         twos = min((x & -x).bit_length() - 1 for x in (den, *(x for row in rows for x in row)) if x)
         rows, den = [[x >> twos for x in row] for row in rows], den >> twos
-        self.ints = rows, den
         for a, nm in enumerate(self.names):
             try:
                 if rows[a][a] and not rows[a][a] / den and a < k - 1:
@@ -453,7 +453,7 @@ class _Fold:
                     f[a, b] = f[b, a] = row[b] / den  # int / int is correctly rounded
                     s[a][b] = s[b][a] = Decimal(row[b]) / decimal_den
         f.setflags(write=False)
-        return f, s, [(int(v), count) for v in sums]
+        return f, s, [(int(v), count) for v in sums], (rows, den)
 
 
 def _fold_columns(columns: Sequence[np.ndarray], names: Sequence[str]) -> _Fold:
@@ -479,10 +479,10 @@ def _centered(
     for nm, lo, hi in zip(names, fold.lo, fold.hi):
         if lo == hi:
             raise ConstantColumn(nm)
-    f, s, means = fold.finish()
+    f, s, means, ints = fold.finish()
     with localcontext(_CTX):
         sds = [(s[a][a] / (n - 1)).sqrt() for a in range(len(names))]
-        exact = _Exact(f, s, [Decimal(num) / den for num, den in means], sds, n, fold.ints)
+        exact = _Exact(f, s, [Decimal(num) / den for num, den in means], sds, n, ints)
     floats = tuple(num / den for num, den in means)  # int / int is correctly rounded
     return CenteredData(response_name, predictor_names, data, floats, exact)
 
@@ -755,9 +755,9 @@ def fit_centered_design(
     if design.ndim != 2 or design.shape[1] == 0:
         raise EmptySubset("at least one predictor is required")
     n, k = design.shape
-    f, s, _ = _fold_columns([*design.T, y], (*labels, "y")).finish()
+    f, s, _, ints = _fold_columns([*design.T, y], (*labels, "y")).finish()
     dec = [Decimal(float(v)) for v in (*col_means, mean_y, *col_sds, sd_y)]
-    ex = _Exact(f, s, dec[: k + 1], dec[k + 1 :], n)
+    ex = _Exact(f, s, dec[: k + 1], dec[k + 1 :], n, ints)
     sol = _Subsets(ex, labels).solve(_mask(range(k)), range(k), "fit on")
     b, inv = list(sol.b.values()), list(sol.inv.values())
     return _make_fit(ex, labels, b, inv, ex.means[:k], ex.sds[:k], sol.ssr, sol.sse)

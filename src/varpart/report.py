@@ -29,7 +29,7 @@ import math
 from functools import cache
 from json.encoder import encode_basestring_ascii as _json_str
 from types import SimpleNamespace
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from .decomposition import OVERLAP_NOISE, DecompositionReport, OrderingWalk, VennRegions
 from .ols_core import OlsFit, anova_table
@@ -144,7 +144,10 @@ def _report_notes(rep: DecompositionReport) -> list[str]:
     return notes
 
 
-def decompose_payload(rep: DecompositionReport, response: str) -> dict[str, Any]:
+def decompose_payload(
+    rep: DecompositionReport, fits: Mapping[str, OlsFit], response: str
+) -> dict[str, Any]:
+    """A report and its model's ``residualized_simple_fits``, as a payload."""
     trad = rep.traditional
     return {
         **_head("decompose", response, rep.model, trad.n),
@@ -181,7 +184,7 @@ def decompose_payload(rep: DecompositionReport, response: str) -> dict[str, Any]
                 "t": _num(f.t[0]),
                 "df_residual": f.df_residual,
             }
-            for nm, f in rep.residualized_fits.items()
+            for nm, f in fits.items()
         ],
         "venn": _venn_dict(rep.venn),
         "notes": _report_notes(rep),

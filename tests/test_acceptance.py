@@ -264,8 +264,9 @@ def test_7_identity_sweep_on_synthetic_datasets():
         # slope equality and the t identity, per predictor, with the
         # residualized fits checked against the n-length route
         n_length = n_length_residualized(c, model)
+        fits = residualized_simple_fits(c, model)
         for j, pd in enumerate(rep.per_predictor):
-            rfit = rep.residualized_fits[pd.name]
+            rfit = fits[pd.name]
             b_scale = c.sd_y / c.sd(pd.name)
             slope, ss, _ = n_length[pd.name]
             assert close(rfit.b[0], full.b[j], 1e-8, b_scale)

@@ -22,6 +22,7 @@ from varpart import (
     fit_ols,
     load_csv,
     mean_center,
+    residualized_simple_fits,
     save_csv,
 )
 from varpart import cli, report
@@ -155,6 +156,27 @@ class TestGoldenOutputs:
         invoke(runner, cmd, "--input", str(data), "--response", "y",
                "--predictors", preds, "--format", fmt, "--out", str(out))
         assert hashlib.md5(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("model", ["x5,x3,x1,x2,x4", "x3"])
+    def test_decompose_renders_the_residualized_simple_fits(self, runner, tmp_path, model):
+        # near the guard, decompose's residualized section is
+        # residualized_simple_fits of its model, bit for bit
+        data = write_synth(tmp_path / "p5.csv", n=200, p=5, rho=1 - 1e-10, seed=4)
+        preds = tuple(f"x{j}" for j in range(1, 6))
+        res = invoke(runner, "decompose", "--input", str(data), "--response", "y",
+                     "--predictors", ",".join(preds), "--model", model, "--format", "json")
+        stats = ("ss_regression", "f", "r2", "b", "se", "z", "t")
+        got = [
+            [e["name"], e["label"], *(float(e[k]).hex() for k in stats), e["df_residual"]]
+            for e in json.loads(res.output)["residualized_fits"]
+        ]
+        fits = residualized_simple_fits(mean_center(load_csv(CsvSpec(data, "y", preds))), model.split(","))
+        want = [
+            [nm, f.predictor_subset[0], *(float(x).hex() for x in (f.ss_regression, f.f, f.r2)),
+             *(float(x[0]).hex() for x in (f.b, f.se, f.z, f.t)), f.df_residual]
+            for nm, f in fits.items()
+        ]
+        assert got == want and len(got) == len(model.split(","))
 
     def test_fit_single_predictor(self, runner):
         res = invoke(runner, "fit", "--dwaine", "--model", "TARGTPOP")

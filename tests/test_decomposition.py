@@ -1,8 +1,8 @@
 import dataclasses
+import functools
 import gc
 import hashlib
 import math
-import weakref
 from collections.abc import Mapping
 from decimal import ROUND_DOWN, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
@@ -317,71 +317,38 @@ class TestResidualizedSimpleFits:
             assert f.b[0] == pytest.approx(plain.b[0], rel=1e-9)
 
 
-def _counting_make_fit(monkeypatch):
-    """A list that grows by one for each fit built through the ``_make_fit``
-    binding that ``decomposition`` calls."""
-    built, make_fit = [], varpart.decomposition._make_fit
+def _counting_fits(monkeypatch):
+    """A list that grows by the labels of each fit built through ``_make_fit``,
+    by ``fit_ols`` (the ``ols_core`` binding) or ``residualized_simple_fits``
+    (the ``decomposition`` binding)."""
+    built, make_fit = [], varpart.ols_core._make_fit
 
     def counted(*args):
         built.append(args[1])
         return make_fit(*args)
 
-    monkeypatch.setattr(varpart.decomposition, "_make_fit", counted)
+    for module in (varpart.ols_core, varpart.decomposition):
+        monkeypatch.setattr(module, "_make_fit", counted)
     return built
 
 
-class TestReportResidualizedFits:
-    """``compare_report`` builds its residualized fits on the first read of
-    ``residualized_fits``, from the model's solve it already holds."""
+class TestReportFits:
+    """``compare_report`` builds the model's fit and no other; the simple
+    regressions on the residualized predictors are built by
+    ``residualized_simple_fits`` alone, as ``decompose`` calls it."""
 
     @pytest.mark.parametrize(
-        "read",
-        [
-            lambda fits: fits["x2"],
-            lambda fits: [*fits],
-            lambda fits: [*fits.items()],
-            lambda fits: fits == {},
-        ],
-        ids=["getitem", "iter", "items", "eq"],
+        "orderings",
+        ["all", (), [("x5", "x3", "x1", "x2", "x4"), ("x1", "x2", "x3", "x4", "x5")]],
+        ids=["all", "none", "given"],
     )
-    def test_no_fit_is_built_before_the_first_read(self, monkeypatch, read):
+    def test_builds_only_the_model_fit(self, monkeypatch, orderings):
         c = mean_center(synth_data(5, 0.9))
-        built = _counting_make_fit(monkeypatch)
-        rep = compare_report(c, c.predictor_names, orderings="all")
-        assert built == []
-        assert len(rep.residualized_fits) == 5 and built == []
-        read(rep.residualized_fits)
-        assert built == [(f"x{j}|{','.join(f'x{k}' for k in range(1, 6) if k != j)}",) for j in range(1, 6)]
-        dict(rep.residualized_fits)
-        assert len(built) == 5  # built once
-
-    @pytest.mark.parametrize("p, rho", [(1, 0.0), (2, 0.6), (5, 1 - 1e-10)])
-    def test_fits_equal_residualized_simple_fits_bit_for_bit(self, p, rho):
-        ds = synth_data(p, rho)
-        model = ds.predictor_names[::-1]
-        rep = compare_report(mean_center(ds), model)
-        want = residualized_simple_fits(mean_center(ds), model)
-        assert [*rep.residualized_fits] == [*want] == [*ds.predictor_names]
-        assert _bits(rep.residualized_fits) == _bits(want)
-        assert rep.residualized_fits == want
-
-    def test_read_only(self, centered):
-        fits = compare_report(centered, MODEL).residualized_fits
-        with pytest.raises(TypeError):
-            fits["TARGTPOP"] = fits["DISPOINC"]
-        with pytest.raises(TypeError):
-            del fits["TARGTPOP"]
-        assert [*fits] == [*MODEL]
-
-    def test_keeps_neither_the_centering_nor_its_rows(self):
-        ds = synth_data(4, 0.6)
-        c = mean_center(ds)
-        rep = compare_report(c, ds.predictor_names)
-        centering, rows = weakref.ref(c), weakref.ref(ds)
-        del c, ds
-        assert centering() is None and rows() is None
-        ds = synth_data(4, 0.6)
-        assert _bits(rep.residualized_fits) == _bits(residualized_simple_fits(mean_center(ds), ds.predictor_names))
+        built = _counting_fits(monkeypatch)
+        compare_report(c, c.predictor_names[::-1], orderings=orderings)
+        assert built == [c.predictor_names]
+        residualized_simple_fits(c, c.predictor_names[::-1])
+        assert built[1:] == [(f"x{j}|{','.join(f'x{k}' for k in range(1, 6) if k != j)}",) for j in range(1, 6)]
 
 
 class TestVennRegions:
@@ -922,8 +889,9 @@ def test_sweep_reports_are_pinned():
     # the sweep design grid up to the guard, as bytes: every Type I table,
     # Type III SS, the traditional fit, the Venn regions and the corrected
     # statistics; a change to the order or rounding of any solve moves it.
-    # Its Type I SS are each the float nearest the exact value
-    # (test_every_type1_is_the_float_nearest_the_exact_value)
+    # Its Type I and Type III SS are each the float nearest the exact value
+    # (test_every_type1_is_the_float_nearest_the_exact_value and
+    # test_every_type3_is_the_float_nearest_the_exact_value)
     h = hashlib.sha256()
     for p in (3, 5):
         for rho in (0.0, 0.9, 1 - 1e-8, 1 - 1e-10):
@@ -933,7 +901,7 @@ def test_sweep_reports_are_pinned():
                 h.update(repr(_bits((pd.name, sorted(pd.type1_by_ordering.items()), pd.type3_ss))).encode())
             stats = rep.traditional, rep.venn, rep.actual_model_ss, rep.corrected_r2, rep.corrected_f
             h.update(repr(_bits(stats)).encode())
-    assert h.hexdigest() == "768ffdee1ee10e6a2895e86afa3914964a06ecfd5f5c66b3ab5a21b0f4285a36"
+    assert h.hexdigest() == "90f89d4d00f31b82a75139384752744593fee257d9bb6c7a8ff7ddaa01d8678c"
 
 
 def _exact_sse(ds):
@@ -960,14 +928,21 @@ def _exact_sse(ds):
     return sse
 
 
+@functools.cache
+def _exact_case(p, rho, seed):
+    """``synth_data(p, rho, seed)`` and its ``_exact_sse``."""
+    ds = synth_data(p, rho, seed)
+    return ds, _exact_sse(ds)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 4])
 @pytest.mark.parametrize("rho", [1 - 1e-10, 1 - 1e-11])
 @pytest.mark.parametrize("p", [3, 5])
 def test_every_type1_is_the_float_nearest_the_exact_value(p, rho, seed):
     # up to the guard, every Type I SS of every route is SSE(S - i) - SSE(S)
     # of its prefix set S rounded once: the exact value's nearest float
-    ds = synth_data(p, rho, seed)
-    names, sse = ds.predictor_names, _exact_sse(ds)
+    ds, sse = _exact_case(p, rho, seed)
+    names = ds.predictor_names
 
     def exact(order):
         out, mask = [], 0
@@ -991,6 +966,26 @@ def test_every_type1_is_the_float_nearest_the_exact_value(p, rho, seed):
         assert sequential_ss(c, order) == exact(order)
     for order, entries, *_ in walk_values(ordering_walk(mean_center(ds), names)):
         assert entries == exact(order)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4])
+@pytest.mark.parametrize("rho", [1 - 1e-10, 1 - 1e-11])
+@pytest.mark.parametrize("p", [3, 5])
+def test_every_type3_is_the_float_nearest_the_exact_value(p, rho, seed):
+    # up to the guard, every Type III SS of every route is SSE(M - j) - SSE(M)
+    # of the model M rounded once, and so are the model's regression and
+    # residual SS: the decimal solves carry the digits the guard leaves room for
+    ds, sse = _exact_case(p, rho, seed)
+    names, whole = ds.predictor_names, (1 << p) - 1
+    want = {nm: float(sse[whole & ~(1 << j)] - sse[whole]) for j, nm in enumerate(names)}
+    c = mean_center(ds)
+    rep = compare_report(c, names[::-1], orderings=())
+    assert {pd.name: pd.type3_ss for pd in rep.per_predictor} == want
+    assert {nm: partial_ss(c, nm, names) for nm in names} == want
+    assert dict(venn_regions(c, names).unique) == want
+    assert {nm: fit.ss_regression for nm, fit in residualized_simple_fits(c, names).items()} == want
+    fit = rep.traditional
+    assert (fit.ss_regression, fit.ss_residual) == (float(sse[0] - sse[whole]), float(sse[whole]))
 
 
 def test_sequential_ss_guards_each_prefix_in_turn():
@@ -1065,7 +1060,7 @@ def _every_entry_point(ds):
 
 
 def test_results_ignore_the_callers_decimal_context():
-    # every decimal step runs in the library's 38-digit context, entered
+    # every decimal step runs in the library's _DIGITS-digit context, entered
     # once per bordering chain: a step left in the caller's context would
     # round here to 6 digits, and set the caller's flags
     ds = synth_data(4, 0.99, seed=11)

@@ -181,12 +181,13 @@ class TestMeanCenter:
                 col[0] = 0.0
 
     def test_mean_is_the_one_column_centers_with(self):
-        # the exact mean of x is 1 + 2**-53, a tie that rounds to 1.0; its
-        # 38-digit decimal rounds up instead
-        x = [1.0, 1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-52]
+        # the exact mean of x is 2**-4 + 2**-57, a tie that rounds to 2**-4;
+        # its decimal rounds up instead, at 38 digits and at 50
+        x = [2.0**-4, 2.0**-4, 2.0**-4 + 2.0**-56, 2.0**-4 + 2.0**-56]
         c = mean_center(Dataset(_cols(x=x, y=[0, 1, 2, 3]), "y", ("x",)))
-        assert c.mean("x") == 1.0
-        assert c.column("x").tobytes() == (np.array(x) - 1.0).tobytes()
+        assert float(c.exact.means[0]) == x[-1]
+        assert c.mean("x") == 2.0**-4
+        assert c.column("x").tobytes() == (np.array(x) - 2.0**-4).tobytes()
         assert c.mean_y == c.mean("y") == 1.5
 
 
@@ -411,7 +412,7 @@ def test_fold_matches_exact_fraction_sums(case):
         fold = _fold_columns(cols, names)
     want = _exact_fold(cols, names)
     try:
-        f, s, means = fold.finish()
+        f, s, means, (rows, den) = fold.finish()
     except SingularDesign as exc:
         assert str(exc) == want
         return
@@ -420,7 +421,6 @@ def test_fold_matches_exact_fraction_sums(case):
     assert s == want[1]
     assert [Fraction(num, den) for num, den in means] == want[2]
     # the exact SSCP that the Type I walk reads, N / D with no power of two common to all
-    rows, den = fold.ints
     assert [[Fraction(v, den) for v in row] for row in rows] == want[3]
     assert den % 2 or any(v % 2 for row in rows for v in row)
 
@@ -454,7 +454,7 @@ class TestLapackSolve:
     def test_gram_matches_triangle_sum_bit_for_bit(self, k):
         # each entry is the exact centered sum of its pair's products, rounded once
         cols = np.random.default_rng(k).standard_normal((25, k))
-        f, _, _ = _fold_columns(list(cols.T), [f"x{j}" for j in range(k)]).finish()
+        f, *_ = _fold_columns(list(cols.T), [f"x{j}" for j in range(k)]).finish()
         want = np.empty((k, k))
         for a in range(k):
             for b in range(a, k):
@@ -466,7 +466,7 @@ class TestLapackSolve:
     def test_gram_turns_negative_zero_cross_products_positive(self):
         cols = np.array([[0.0, -1.0], [0.0, -2.0]])
         assert np.signbit(cols[:, 0] * cols[:, 1]).all()
-        f, _, _ = _fold_columns(list(cols.T), ["a", "b"]).finish()
+        f, *_ = _fold_columns(list(cols.T), ["a", "b"]).finish()
         assert _bits(f) == _bits([[0.0, 0.0], [0.0, 0.5]])
         assert not np.signbit(f).any()
 
@@ -486,7 +486,8 @@ class TestLapackSolve:
     def test_failed_factor_keeps_scipys_message(self, monkeypatch):
         # indefinite, so only a guard that wrongly passes lets a pivot see it
         s = [[Decimal(v) for v in row] for row in ([1, 2, 1], [2, 1, 1], [1, 1, 1])]
-        ex = _Exact(np.array(s, dtype=float), s, [Decimal(0)] * 3, [Decimal(1)] * 3, 10)
+        ints = [[int(v) for v in row] for row in s], 1
+        ex = _Exact(np.array(s, dtype=float), s, [Decimal(0)] * 3, [Decimal(1)] * 3, 10, ints)
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array([1.0, 1.0]))
         with pytest.raises(SingularDesign) as got:
             _Subsets(ex, ("a", "b")).solve(0b11)

@@ -22,6 +22,7 @@ from varpart import (
     fit_ols,
     generate_synthetic,
     mean_center,
+    residualized_simple_fits,
     venn_regions,
 )
 from varpart import report
@@ -93,7 +94,7 @@ class Reports(dict):
         self.c, self.model, self.orderings = c, model, rep.orderings
         super().__init__(
             fit=fit_payload(full, c.response_name),
-            decompose=decompose_payload(rep, c.response_name),
+            decompose=decompose_payload(rep, residualized_simple_fits(c, model), c.response_name),
             orderings=orderings_payload(c.response_name, model, full, records),
             venn=venn_payload(venn_regions(c, model), c.response_name, model, c.n),
         )
@@ -608,27 +609,29 @@ class TestNotes:
     def test_orthogonal_fixture_flags_coincidence(self, orthogonal_centered):
         c = orthogonal_centered
         rep = compare_report(c, c.predictor_names)
-        notes = " ".join(decompose_payload(rep, c.response_name)["notes"])
+        fits = residualized_simple_fits(c, c.predictor_names)
+        notes = " ".join(decompose_payload(rep, fits, c.response_name)["notes"])
         assert "orthogonal" in notes
 
     def test_suppression_fixture_flags_suppression(self, suppression_centered):
         c = suppression_centered
         rep = compare_report(c, c.predictor_names)
-        notes = " ".join(decompose_payload(rep, c.response_name)["notes"])
+        fits = residualized_simple_fits(c, c.predictor_names)
+        notes = " ".join(decompose_payload(rep, fits, c.response_name)["notes"])
         assert "suppression" in notes
 
     def test_single_predictor_note(self, centered):
         rep = compare_report(centered, ("TARGTPOP",))
-        notes = " ".join(decompose_payload(rep, "SALES")["notes"])
+        fits = residualized_simple_fits(centered, ("TARGTPOP",))
+        notes = " ".join(decompose_payload(rep, fits, "SALES")["notes"])
         assert "coincide" in notes
 
     def test_notes_carry_no_numbers(self, dwaine_payloads, suppression_centered):
-        rep = compare_report(
-            suppression_centered, suppression_centered.predictor_names
-        )
+        c = suppression_centered
+        rep = compare_report(c, c.predictor_names)
         payloads = [
             dwaine_payloads["decompose"],
-            decompose_payload(rep, suppression_centered.response_name),
+            decompose_payload(rep, residualized_simple_fits(c, c.predictor_names), c.response_name),
         ]
         for p in payloads:
             for note in p["notes"]:
