@@ -8,9 +8,10 @@ and their simple regressions, orthogonal-function regressions, the
 corrected R2 and f statistics built from the partial contributions, and a
 Venn-style accounting of where the response variation actually went.
 
-Every reported number is read off the subset memo of ``ols_core``. Within
-``ORDERING_CAP`` predictors, each ordering's Type I SS comes from the
-memo's one exact walk over the model's subsets, rounded once from integer
+Every reported number is read off the subset memo of ``ols_core``. Each
+ordering's Type I SS is a row entry of the memo's ``type1``: within
+``ORDERING_CAP`` predictors, it comes from one exact walk over the subsets
+of the model that the report's orderings reach, rounded once from integer
 minors, and so is correctly rounded; above it, from the decimal solve of
 its prefix. Type III SS (b_j^2 / (A^-1)_jj of the one full-model solve),
 the orthogonal-function terms (the solves of each ordering's prefixes),
@@ -35,6 +36,7 @@ import numpy as np
 from .errors import EmptySubset, TooManyOrderings
 from .ols_core import (
     _CTX,
+    ORDERING_CAP,
     CenteredData,
     OlsFit,
     _coef_stats,
@@ -49,9 +51,6 @@ from .ols_core import (
     fit_centered_design,  # noqa: F401 - bench/spans.py traces this binding
     fit_ols,
 )
-
-# Exhaustive ordering enumeration stops here: 8! = 40,320 orderings.
-ORDERING_CAP = 8
 
 # A common region within this fraction of SS(total) of zero is float noise,
 # as on an orthogonal design, not overlap or suppression.
@@ -195,25 +194,27 @@ def _corrected(c: CenteredData, sol: _Solution, type3: Mapping[str, Decimal]) ->
 
 
 class _Orderings:
-    """Type I tables and orthogonal-function fits of the orderings of ``model``.
+    """Type I tables and orthogonal-function fits of the orderings of
+    ``model``: all of them, or the given ``orderings``, checked on creation.
 
     Term k of an ordering o is predictor o[k] in the fit on o[:k + 1]: its
     slope is that fit's coefficient, its column (o[k] residualized on
     o[:k]) has SS 1 / (A^-1)_kk, and its Type I SS is slope^2 times that
-    SS. Sets are bit masks over the predictors' indices. A Type I pair
-    (``entry``) per prefix set and predictor is read off the memo's exact
-    walk of the model within the cap, made on the first read, which must
-    come after the model's guard; above the cap, off the prefix's solve. A
-    term's statistics (``stats``) and an ``intercept`` per first predictor
-    are read off the memo's solves on each call; a caller that reads one
-    more than once keeps it.
+    SS. Sets are bit masks over the predictors' indices. The Type I
+    ``rows`` of the prefix sets (of all orderings, or the given ones) come
+    off the memo's ``type1`` on the first read, which must come after the
+    model's guard, and give a Type I pair (``entry``) per prefix set and
+    predictor. A term's statistics (``stats``) and an ``intercept`` per
+    first predictor are read off the memo's solves on each call; a caller
+    that reads one more than once keeps it.
     """
 
-    def __init__(self, c: CenteredData, model: Iterable[str]):
+    def __init__(self, c: CenteredData, model: Iterable[str], orderings: Iterable[tuple[str, ...]] | None = None):
         self._c = c
         self._bit = {nm: 1 << i for i, nm in enumerate(c.predictor_names)}
         self.model = _canonical_model(c, model)
         self._whole = sum(map(self._bit.__getitem__, self.model))
+        self._sets = None if orderings is None else {mask for o in orderings for mask in self.masks(o)}
 
     def masks(self, ordering: tuple[str, ...]) -> list[int]:
         """The set of each prefix of ``ordering``: EmptySubset if it is empty, then
@@ -232,30 +233,13 @@ class _Orderings:
         return masks
 
     @cached_property
-    def _walk(self) -> dict[int, dict[int, float]] | None:
-        """The Type I rows of every subset of the model, off the memo's one
-        exact walk, once the model has passed the guard; None above the cap."""
-        return self._c._memo.type1_walk(self._whole) if len(self.model) <= ORDERING_CAP else None
+    def rows(self) -> dict[int, dict[int, float]]:
+        """The Type I row of each prefix set, by mask, and in it the SS of
+        each column entering the set last, by column index."""
+        return self._c._memo.type1(self._whole, self._sets)
 
     def entry(self, mask: int, nm: str) -> tuple[str, float]:
-        i = self._c.predictor_index(nm)
-        if self._walk is not None:
-            return nm, self._walk[mask][i]
-        with localcontext(_CTX):
-            return nm, float(_partial(self._c._memo.solve(mask), i))
-
-    def rows(self, masks: Iterable[int]) -> Mapping[int, Mapping[int, float]]:
-        """The Type I row of each of ``masks``, prefix sets, by mask: within
-        the cap, the walk's rows of every subset; above it, ``_partial`` of
-        each column of the set's solve."""
-        if self._walk is not None:
-            return self._walk
-        rows = {}
-        with localcontext(_CTX):
-            for mask in masks:
-                sol = self._c._memo.solve(mask)
-                rows[mask] = {i: float(_partial(sol, i)) for i in sol.b}
-        return rows
+        return nm, self.rows[mask][self._c.predictor_index(nm)]
 
     @cached_property
     def _mse(self) -> Decimal:
@@ -348,11 +332,12 @@ def sequential_ss(
     The k-th entry is the regression SS gained by appending the k-th
     predictor to the first k - 1. The entries telescope, so they sum to the
     regression SS of the complete chain. Each prefix passes the guard in
-    turn; then, within the cap, every entry is read off the exact walk of
-    the chain's set (``compare_report`` reads the same floats).
+    turn; then each entry is read off its prefix set's row, which, within
+    the cap, an exact walk of the sets on the way to the prefixes makes
+    (``compare_report`` reads the same floats).
     """
     ordering = tuple(ordering)
-    values = _Orderings(c, ordering)
+    values = _Orderings(c, ordering, [ordering])
     masks = values.masks(ordering)
     for mask in masks:  # as a fit on each prefix in turn would
         c._memo.guard(mask)
@@ -426,19 +411,14 @@ def ordering_walk(
     TooManyOrderings comes before any name check, and they need none.
     Given ``orderings`` are each checked against ``model`` before the fit.
     The fit's guard covers every prefix set, which the walk solves when it
-    first reaches it, and, within the cap, the model's exact walk that the
-    first Type I pair read makes; depth-first, as ``enumerate_orderings``
-    lists them, each ordered prefix is entered once.
+    first reaches it, and, within the cap, the exact walk of the sets that
+    the orderings reach, made on the first Type I pair read; depth-first,
+    as ``enumerate_orderings`` lists them, each ordered prefix is entered once.
     """
-    model = tuple(model)
-    if orderings is None:
-        orderings = enumerate_orderings(set(model))  # each name once, as _Orderings keeps it
-        values = _Orderings(c, model)
-    else:
-        values, orderings = _Orderings(c, model), [*map(tuple, orderings)]
-        for ordering in orderings:
-            values.masks(ordering)
-    return OrderingWalk(fit_ols(c, values.model), values, values.walk(orderings))
+    model, given = tuple(model), None if orderings is None else [*map(tuple, orderings)]
+    walked = enumerate_orderings(set(model)) if given is None else given  # set: each name once, as in the model
+    values = _Orderings(c, model, given)
+    return OrderingWalk(fit_ols(c, values.model), values, values.walk(walked))
 
 
 def residualized_simple_fits(
@@ -500,31 +480,29 @@ def compare_report(
     caller must pass them explicitly. ``orderings="all"`` demands the
     exhaustive set and raises TooManyOrderings above the cap. Only the
     orderings a caller passes are checked, before any fit. After the fit,
-    each Type I SS is read off the row of its ordering's prefix set: within
-    the cap, from the one exact walk over the model's subsets, which any
-    orderings share and none (``orderings=()``) skip; above it, from the
-    solve of each prefix set of the given orderings. The only fit it
-    builds is the model's; ``residualized_simple_fits`` builds the simple
-    regressions on the residualized predictors.
+    each Type I SS is read off its ordering's prefix set's row: within the
+    cap, from one exact walk of the model's subsets that the orderings
+    reach, all for all orderings and none for ``orderings=()``; above it,
+    from the solve of each prefix set. The only fit it builds is the
+    model's; ``residualized_simple_fits`` builds the simple regressions on
+    the residualized predictors.
     """
-    model = _model(c, model)
-    values = _Orderings(c, model)
+    model, given = _model(c, model), None
     if orderings == "all" or (orderings is None and len(model) <= ORDERING_CAP):
-        ordering_list, sets = enumerate_orderings(model), ()
+        ordering_list = enumerate_orderings(model)
     elif orderings is None:
-        ordering_list, sets = (), ()
+        ordering_list = ()
     elif isinstance(orderings, str):
         raise ValueError(f"orderings must be 'all', None, or a sequence, not {orderings!r}")
     else:
-        ordering_list = tuple(map(tuple, orderings))
-        # every ordering is checked before any fit
-        sets = {mask for ordering in ordering_list for mask in values.masks(ordering)}
+        ordering_list = given = tuple(map(tuple, orderings))
+    values = _Orderings(c, model, given)  # checks every given ordering before any fit
 
     full = fit_ols(c, model)
     sol, type3 = _partition(c, model)
     col = {nm: c.predictor_index(nm) for nm in model}
     bit = {nm: 1 << i for nm, i in col.items()}
-    rows = values.rows(sets) if ordering_list else {}
+    rows = values.rows if ordering_list else {}
     type1: dict[str, dict[tuple[str, ...], float]] = {nm: {} for nm in model}
     for ordering in ordering_list:
         mask = 0

@@ -11,19 +11,20 @@ per column pair and slice-index sum in int64 (``_Fold``); it does not depend
 on the BLAS or the order of the rows, and is kept exactly as integers over
 one denominator (``_Exact.ints``). Every Type I SS of a set of at most
 ``ORDERING_CAP`` predictors is rounded once from exact minors of those
-integers, made in one fraction-free walk over the set's subsets
-(``_Subsets.type1_walk``), so it is the correctly rounded exact value
-wherever the guard admits the set. Each subset, keyed by bit mask, is also
-solved once in ``decimal`` arithmetic at ``_DIGITS`` (50) digits, by
-bordering the solve of the set without its highest column, and every other
-statistic (Type III SS, the fits, Venn regions, corrected statistics) is
-derived from that solve and rounded to float64 once. The solves lose about
-2 * log10(cond) digits, about 24 at the guard, and ``_DIGITS`` is set from
-the guard to leave 26. That such a statistic is then the correctly rounded
-exact value is measured, not proved: against exact rationals on
-exchangeable designs at n = 200, every Type III SS and model SS was, up to
-rho = 1 - 1e-11. The SSCP rounded to float64 feeds the guard, ``sscp`` and
-``CenteredData.ss_total``.
+integers, made in one fraction-free walk over the set's subsets that a
+caller's orderings reach (``_Subsets.type1``), so it is the correctly
+rounded exact value wherever the guard admits the set. Each subset, keyed
+by bit mask, is also solved once in ``decimal`` arithmetic at ``_DIGITS``
+(50) digits, by bordering the solve of the set without its highest column,
+and every other statistic (Type III SS, the fits, Venn regions, corrected
+statistics) is derived from that solve and rounded to float64 once. The
+solves lose about 2 * log10(cond) digits, about 24 at the guard, and
+``_DIGITS`` is set from the guard to leave 26. That such a statistic is
+then the correctly rounded exact value is measured, not proved: against
+exact rationals on exchangeable designs at n = 200, every Type III SS,
+every field of the model's fit and every orthogonal-function term was, up
+to rho = 1 - 1e-11. The SSCP rounded to float64 feeds the guard, ``sscp``
+and ``CenteredData.ss_total``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from functools import cached_property
 from operator import add, mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Container, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +47,10 @@ from .errors import (
 # Below this the design is treated as collinear rather than merely
 # ill-conditioned; legitimate high collinearity still computes.
 RCOND_MIN = 1e-12
+
+# Exhaustive ordering enumeration stops here: 8! = 40,320 orderings. Within
+# it, every Type I SS comes off one exact walk over a model's subsets.
+ORDERING_CAP = 8
 
 # Digits of the decimal solves. A solve loses about 2 * log10(cond) digits,
 # so about 24 on a design at the guard; 17 more round to float64 once, and
@@ -573,14 +578,13 @@ class _Subsets:
     """Regressions of the response (the last column) on sets of the others,
     keyed by bit mask (``_mask``), each solved once, by bordering the set
     without its highest column, and shared by every use of the same data.
-    ``type1_walk`` makes the Type I rows of every subset of a guarded set
-    in one exact walk over them, kept per set."""
+    ``type1`` makes the Type I rows a caller asks for of a guarded set's
+    subsets in one exact walk over them, on each call."""
 
     def __init__(self, ex: _Exact, names: Sequence[str]):
         self._ex, self._names = ex, names
         self._cache = {0: _Solution({}, {}, Decimal(0), ex.s[-1][-1], [])}
         self._guarded: list[int] = []
-        self._walks: dict[int, dict[int, dict[int, float]]] = {}
 
     def guard(self, mask: int, idx: Sequence[int] | None = None, what: str = "subset") -> None:
         """The guard on the columns of ``mask``, which sees them in the order
@@ -623,33 +627,42 @@ class _Subsets:
             sol = self._cache[link] = _extend(self._ex.s, sol, link.bit_length() - 1)
         return sol
 
-    def type1_walk(self, mask: int) -> dict[int, dict[int, float]]:
-        """The Type I row of every nonempty subset S of ``mask``, a set that
-        passed the guard, by mask: the SS of each column i of S entering it
-        last, SSE(S - i) - SSE(S). With SSE(S) = Y_S / (D P_S) from
-        ``_minors``, that is (Y_(S-i) P_S - Y_S P_(S-i)) / (D P_S P_(S-i)),
-        one int / int division, which is correctly rounded. Made once per
-        mask."""
-        rows = self._walks.get(mask)
-        if rows is None:
-            minors = {sub: (y, p) for sub, y, p in self._minors(mask)}
-            den, rows = self._ex.ints[1], {}
-            for sub, (y, p) in minors.items():
-                row, rest, dp = {}, sub, den * p
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
+    def type1(self, mask: int, sets: Collection[int] | None = None) -> dict[int, dict[int, float]]:
+        """The Type I rows of the nonempty subsets S of ``mask``, a set that
+        passed the guard, by mask: of all of them, or of ``sets``. A row holds,
+        by i, SSE(S - i) - SSE(S) for each column i of S whose S - i the walk
+        reached: every i, or, when ``_minors`` walks only the ascending
+        prefixes of ``sets``, at least each i with S - i in ``sets`` or
+        empty. With SSE(S) = Y_S / (D P_S), that is (Y_(S-i) P_S - Y_S
+        P_(S-i)) / (D P_S P_(S-i)), one int / int division, which is
+        correctly rounded.
+        Above ``ORDERING_CAP`` columns, a row of each of ``sets``, which must
+        be given, is ``_partial`` of each column of the set's solve."""
+        if mask.bit_count() > ORDERING_CAP:
+            with localcontext(_CTX):
+                sols = {sub: self.solve(sub) for sub in sets}
+                return {sub: {i: float(_partial(sol, i)) for i in sol.b} for sub, sol in sols.items()}
+        every = sets is None
+        reach = None if every else {s & (2 << b) - 1 for s in sets for b in range(s.bit_length())}
+        minors = {sub: (y, p) for sub, y, p in self._minors(mask, reach)}
+        den, rows = self._ex.ints[1], {}
+        for sub in minors if every else sets:
+            y, p = minors[sub]
+            row, rest, dp = {}, sub, den * p
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if every or sub ^ bit in minors:
                     y_less, p_less = minors[sub ^ bit]
                     row[bit.bit_length() - 1] = (y_less * p - y * p_less) / (dp * p_less)
-                rows[sub] = row
-            del rows[0]
-            self._walks[mask] = rows
+            rows[sub] = row
+        rows.pop(0, None)
         return rows
 
-    def _minors(self, mask: int) -> Iterator[tuple[int, int, int]]:
-        """(S, Y_S, P_S) for each subset S of ``mask`` once, the empty set
-        first: P_S = det N[S] and Y_S = det N[S + y], for the exact SSCP
-        N / D (``_Exact.ints``), so that SSE(S) = Y_S / (D P_S).
+    def _minors(self, mask: int, reach: Container[int] | None = None) -> Iterator[tuple[int, int, int]]:
+        """(S, Y_S, P_S) for each subset S of ``mask``, or of ``reach``, once,
+        the empty set first: P_S = det N[S] and Y_S = det N[S + y], for the
+        exact SSCP N / D (``_Exact.ints``), so that SSE(S) = Y_S / (D P_S).
 
         The sets form a binomial tree: the children of S are S + t for each
         column t of ``mask`` above the highest of S. A node keeps the upper
@@ -657,9 +670,9 @@ class _Subsets:
         columns a, b of ``mask`` above it and y; its child S + t has pivot
         P = B_tt, and its minors (P B_ab - B_ta B_tb) / P_S by Sylvester's
         identity, an exact integer division (fraction-free elimination,
-        Bareiss 1968). A node's children are made before any is entered. A
-        pivot that is not positive raises SingularDesign naming its set, in
-        the words of ``_extend``."""
+        Bareiss 1968). A node's children in ``reach``, which holds each of its
+        sets' parents, are made before any is entered. A pivot that is not
+        positive raises SingularDesign naming its set, as ``_extend`` would."""
         num = self._ex.ints[0]
         cols = _columns(mask)
         idx = [*cols, len(num) - 1]
@@ -669,6 +682,8 @@ class _Subsets:
             sub, start, parent, minors = stack.pop()
             for i, t_row in enumerate(minors[:-1]):  # B_ta for column t = cols[start + i]
                 p, child = t_row[0], sub | 1 << cols[start + i]
+                if reach is not None and child not in reach:
+                    continue
                 if p <= 0:  # only a design the guard wrongly passed gets here
                     raise self._named("subset", _columns(child), SingularDesign(_NOT_PD.format(child.bit_count())))
                 bordered = [

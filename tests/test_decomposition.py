@@ -6,8 +6,8 @@ import math
 from collections.abc import Mapping
 from decimal import ROUND_DOWN, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
-from itertools import permutations
-from operator import mul
+from itertools import accumulate, permutations
+from operator import mul, or_
 
 import numpy as np
 import pytest
@@ -689,21 +689,31 @@ class TestOrderingWalk:
 
 class TestMaskMemo:
     """The subset memo is keyed by bit mask, bit i for predictor i, and
-    keeps, per guarded set, the Type I SS of each column of each of its
-    subsets entering it last, made in one exact walk."""
+    makes, for a guarded set, the Type I SS of each column of each of its
+    subsets that a caller asks for entering it last, in one exact walk."""
 
     @settings(max_examples=25, deadline=None)
     @given(
         p=st.integers(1, 6),
         rho=st.sampled_from([0.0, 0.6, 0.99, 1 - 1e-8]),
         seed=st.integers(0, 2**16),
+        data=st.data(),
     )
-    def test_walked_type1_is_the_partial_ss_of_the_solve(self, p, rho, seed):
+    def test_walked_type1_is_the_partial_ss_of_the_solve(self, p, rho, seed, data):
         c = mean_center(synth_data(p, rho, seed))
         memo = c._memo
         memo.solve(2**p - 1)  # its guard covers every subset
-        rows = memo.type1_walk(2**p - 1)
+        rows = memo.type1(2**p - 1)
         assert sorted(rows) == [*range(1, 2**p)]
+        # the prefix sets of one ordering: each row holds at least the
+        # column that entered last, as the full walk makes it
+        order = data.draw(st.permutations(range(p)))
+        sets = [*accumulate((1 << i for i in order), or_)]
+        given_rows = memo.type1(2**p - 1, set(sets))
+        assert sorted(given_rows) == sorted(sets)
+        for mask, i in zip(sets, order):
+            assert i in given_rows[mask]
+            assert given_rows[mask].items() <= rows[mask].items()
         for mask in range(1, 2**p):
             sol = memo.solve(mask)
             assert [*rows[mask]] == [*sol.b] == [i for i in range(p) if mask >> i & 1]
@@ -765,9 +775,9 @@ def _walked(monkeypatch):
     walks = []
     minors = varpart.ols_core._Subsets._minors
 
-    def spy(memo, mask):
+    def spy(memo, mask, *args):
         walks.append([])
-        for sub, *dets in minors(memo, mask):
+        for sub, *dets in minors(memo, mask, *args):
             walks[-1].append(sub)
             yield sub, *dets
 
@@ -776,11 +786,12 @@ def _walked(monkeypatch):
 
 
 class TestLatticePass:
-    """Within the cap, every Type I SS of a model is read off one exact walk
-    over the model's subsets, made after the model's fit and kept on the
-    memo; above it, each is the partial SS of its prefix's decimal solve."""
+    """Within the cap, every Type I SS of a report is read off one exact walk
+    over the subsets of the model that its orderings reach, made after the
+    model's fit and not kept past the report; above it, each is the partial
+    SS of its prefix's decimal solve."""
 
-    def test_each_subset_is_walked_once_per_model(self, monkeypatch):
+    def test_each_subset_is_walked_once_per_report(self, monkeypatch):
         c = mean_center(synth_data(5, 0.6))
         walks = _walked(monkeypatch)
         counts = {"_extend": 0, "_partial": 0}
@@ -799,13 +810,10 @@ class TestLatticePass:
         # only the model's chain is solved in decimal; the Type III SS are
         # decomposition's own _partial calls, not counted here
         assert counts == {"_extend": 5, "_partial": 0}
-        compare_report(c, c.predictor_names[::-1], orderings=[c.predictor_names])
         walk_values(ordering_walk(c, c.predictor_names))
-        sequential_ss(c, c.predictor_names[::-1])
-        assert len(walks) == 1  # the same model reads the kept walk
+        assert len(walks) == 2 and sorted(walks[1]) == [*range(32)]  # no walk is kept
         compare_report(c, ("x2", "x4"), orderings="all")
-        assert len(walks) == 2 and sorted(walks[1]) == [0, 0b10, 0b1000, 0b1010]
-        assert set(c._memo._walks) == {0b11111, 0b1010}
+        assert len(walks) == 3 and sorted(walks[2]) == [0, 0b10, 0b1000, 0b1010]
 
     def test_no_orderings_solve_only_the_model_chain(self, monkeypatch):
         c = mean_center(synth_data(5, 0.6))
@@ -813,41 +821,50 @@ class TestLatticePass:
         rep = compare_report(c, ("x2", "x4", "x5"), orderings=())
         assert rep.orderings == ()
         assert set(c._memo._cache) == set(_chain(0b11010))
-        assert walks == [] and c._memo._walks == {}
+        assert walks == []
         orthogonal_regression(c, ("x4", "x2", "x5"))  # reads no Type I SS
         assert walks == []
 
     def test_explicit_orderings_read_the_same_walk(self, monkeypatch):
+        # one given ordering of p predictors reaches the ascending prefixes
+        # (each set less its highest columns) of its p prefix sets, at most
+        # p(p + 1)/2 + 1 sets with the empty one, not all 2**p
         ds = synth_data(6, 0.6)
         order = ("x6", "x2", "x5", "x1", "x4", "x3")
+        sets = [*accumulate((1 << int(nm[1:]) - 1 for nm in order), or_)]
+        reach = {sub & (2 << b) - 1 for sub in sets for b in range(6)}
         c = mean_center(ds)
         walks = _walked(monkeypatch)
         rep = compare_report(c, ds.predictor_names, orderings=[order])
-        assert len(walks) == 1 and sorted(walks[0]) == [*range(64)]
+        assert len(walks) == 1 and sorted(walks[0]) == sorted(reach)
+        assert len(reach) == 17 <= 6 * 7 // 2 + 1  # of 2**6 = 64
         assert set(c._memo._cache) == set(_chain(0b111111))  # no prefix is solved
+        assert sequential_ss(mean_center(ds), order) == [
+            (nm, rep.per_predictor[ds.predictor_names.index(nm)].type1_by_ordering[order]) for nm in order
+        ]
+        assert len(walks) == 2 and sorted(walks[1]) == sorted(reach)
         everything = compare_report(mean_center(ds), ds.predictor_names, orderings="all")
         for got, want in zip(rep.per_predictor, everything.per_predictor):
             assert dict(got.type1_by_ordering) == {order: want.type1_by_ordering[order]}
 
-    def test_model_of_high_index_predictors(self):
+    def test_model_of_high_index_predictors(self, monkeypatch):
         ds = synth_data(40, 0.3)
         c, model = mean_center(ds), ds.predictor_names[-3:]
+        walks = _walked(monkeypatch)
         rep = compare_report(c, model, orderings="all")
-        subsets = {m << 37 for m in range(1, 8)}
-        assert set(c._memo._walks) == {0b111 << 37}
-        assert set(c._memo._walks[0b111 << 37]) == subsets
+        assert len(walks) == 1 and sorted(walks[0]) == [m << 37 for m in range(8)]
         assert set(c._memo._cache) == set(_chain(0b111 << 37))
         seq = mean_center(ds)
         for order in rep.orderings:
             for nm, ss in sequential_ss(seq, order):
                 assert rep.per_predictor[model.index(nm)].type1_by_ordering[order] == ss
 
-    def test_above_the_cap_each_type1_is_the_partial_ss_of_its_prefix_solve(self):
+    def test_above_the_cap_each_type1_is_the_partial_ss_of_its_prefix_solve(self, monkeypatch):
         ds = synth_data(ORDERING_CAP + 1, 0.6)
         c, names = mean_center(ds), ds.predictor_names
+        walks = _walked(monkeypatch)
         orders = [names, names[::-1]]
         rep = compare_report(c, names, orderings=orders)
-        assert c._memo._walks == {}
         for order in orders:
             assert [(nm, rep.per_predictor[names.index(nm)].type1_by_ordering[order]) for nm in order] == (
                 sequential_ss(c, order)
@@ -858,7 +875,7 @@ class TestLatticePass:
                 with localcontext(varpart.ols_core._CTX):
                     want = float(_partial(c._memo.solve(mask), names.index(nm)))
                 assert rep.per_predictor[names.index(nm)].type1_by_ordering[order] == want
-        assert c._memo._walks == {}
+        assert walks == []
 
     def test_a_failing_subset_pivot_names_the_subset(self):
         # (x1, x3) alone has a non-positive minor: its cross-product in the
@@ -904,11 +921,9 @@ def test_sweep_reports_are_pinned():
     assert h.hexdigest() == "90f89d4d00f31b82a75139384752744593fee257d9bb6c7a8ff7ddaa01d8678c"
 
 
-def _exact_sse(ds):
-    """Residual SS of the response on every subset of the predictors, by
-    mask (bit i for predictor i), as exact Fractions of the rows' values:
-    the centered SSCP from Fraction sums, then Gaussian elimination of each
-    subset bordered by the response, whose last pivot is the residual SS."""
+def _exact_moments(ds):
+    """The centered SSCP of the predictors and then the response, and their
+    means, as exact Fractions of the rows' values."""
     cols = [[Fraction(v) for v in ds.column(nm).tolist()] for nm in (*ds.predictor_names, ds.response_name)]
     sums = [sum(col) for col in cols]
     k = len(cols)
@@ -916,6 +931,15 @@ def _exact_sse(ds):
     for a in range(k):
         for b in range(a, k):
             s[a][b] = s[b][a] = sum(map(mul, cols[a], cols[b])) - sums[a] * sums[b] / ds.n
+    return s, [total / ds.n for total in sums]
+
+
+def _exact_sse(s):
+    """Residual SS of the response on every subset of the predictors, by
+    mask (bit i for predictor i), from the exact SSCP ``s``: Gaussian
+    elimination of each subset bordered by the response, whose last pivot
+    is the residual SS."""
+    k = len(s)
     sse = {}
     for mask in range(2 ** (k - 1)):
         idx = [i for i in range(k - 1) if mask >> i & 1] + [k - 1]
@@ -930,9 +954,11 @@ def _exact_sse(ds):
 
 @functools.cache
 def _exact_case(p, rho, seed):
-    """``synth_data(p, rho, seed)`` and its ``_exact_sse``."""
+    """``synth_data(p, rho, seed)``, its ``_exact_sse`` and its
+    ``_exact_moments``."""
     ds = synth_data(p, rho, seed)
-    return ds, _exact_sse(ds)
+    s, means = _exact_moments(ds)
+    return ds, _exact_sse(s), s, means
 
 
 @pytest.mark.parametrize("seed", [0, 1, 4])
@@ -941,7 +967,7 @@ def _exact_case(p, rho, seed):
 def test_every_type1_is_the_float_nearest_the_exact_value(p, rho, seed):
     # up to the guard, every Type I SS of every route is SSE(S - i) - SSE(S)
     # of its prefix set S rounded once: the exact value's nearest float
-    ds, sse = _exact_case(p, rho, seed)
+    ds, sse, *_ = _exact_case(p, rho, seed)
     names = ds.predictor_names
 
     def exact(order):
@@ -975,7 +1001,7 @@ def test_every_type3_is_the_float_nearest_the_exact_value(p, rho, seed):
     # up to the guard, every Type III SS of every route is SSE(M - j) - SSE(M)
     # of the model M rounded once, and so are the model's regression and
     # residual SS: the decimal solves carry the digits the guard leaves room for
-    ds, sse = _exact_case(p, rho, seed)
+    ds, sse, *_ = _exact_case(p, rho, seed)
     names, whole = ds.predictor_names, (1 << p) - 1
     want = {nm: float(sse[whole & ~(1 << j)] - sse[whole]) for j, nm in enumerate(names)}
     c = mean_center(ds)
@@ -986,6 +1012,84 @@ def test_every_type3_is_the_float_nearest_the_exact_value(p, rho, seed):
     assert {nm: fit.ss_regression for nm, fit in residualized_simple_fits(c, names).items()} == want
     fit = rep.traditional
     assert (fit.ss_regression, fit.ss_residual) == (float(sse[0] - sse[whole]), float(sse[whole]))
+
+
+def _exact_solve(s, idx):
+    """The coefficients of the response (the last column of the exact SSCP
+    ``s``) on the columns ``idx`` and the diagonal of their inverse SSCP
+    block, in the order of ``idx``, by Gauss-Jordan elimination of the
+    block bordered by the response and the identity."""
+    k = len(idx)
+    rows = [[s[a][b] for b in (*idx, -1)] + [Fraction(int(a == b)) for b in idx] for a in idx]
+    for j in range(k):
+        rows[j] = [x / rows[j][j] for x in rows[j]]
+        for r in range(k):
+            if r != j:
+                rows[r] = [x - rows[r][j] * y for x, y in zip(rows[r], rows[j])]
+    return [row[k] for row in rows], [row[k + 1 + j] for j, row in enumerate(rows)]
+
+
+def _nearest_root(q, sign=1):
+    """The float nearest sign * sqrt(q), for a Fraction q >= 0: the integer
+    root of q * 4**k puts sqrt(q) * 2**k between r and r + 1, about 320
+    bits, and both ends must round to the same float. A float sqrt of
+    float(q) would round twice."""
+    k = max(0, 320 - (q.numerator.bit_length() - q.denominator.bit_length()) // 2)
+    r = math.isqrt(q.numerator * 4**k // q.denominator)
+    lo, hi = (sign * float(Fraction(x, 2**k)) for x in (r, r + 1))
+    assert lo == hi, "sqrt(q) is too close to a rounding boundary to decide"
+    return lo
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4])
+@pytest.mark.parametrize("rho", [1 - 1e-10, 1 - 1e-11])
+@pytest.mark.parametrize("p", [3, 5])
+def test_every_fit_statistic_is_the_float_nearest_the_exact_value(p, rho, seed):
+    # up to the guard, every field of the model's fit and every term of the
+    # orthogonal-function fits is its exact value rounded once: the square
+    # roots of se, z and t come off integer roots, not float ones
+    ds, sse, s, means = _exact_case(p, rho, seed)
+    names, n, sst, whole = ds.predictor_names, ds.n, s[-1][-1], (1 << p) - 1
+    idx = [*range(p)]
+    b, inv = _exact_solve(s, idx)
+    ssr, mse = sst - sse[whole], sse[whole] / (n - p - 1)
+
+    def sign(x):
+        return 1 if x >= 0 else -1
+
+    def terms(bs, invs, col_ss):
+        # (b, se, z, t) per column whose SS is col_ss: z = b sd_j / sd_y
+        return [
+            (float(bj), _nearest_root(mse * ij), _nearest_root(bj * bj * ss / sst, sign(bj)),
+             _nearest_root(bj * bj / (mse * ij), sign(bj)))
+            for bj, ij, ss in zip(bs, invs, col_ss)
+        ]
+
+    b_, se, z, t = zip(*terms(b, inv, [s[j][j] for j in idx]))
+    want = {
+        "b": b_, "se": se, "z": z, "t": t,
+        "intercept": float(means[-1] - sum(map(mul, b, means))),
+        "ss_total": float(sst), "ss_regression": float(ssr), "ss_residual": float(sse[whole]),
+        "ms_regression": float(ssr / p), "ms_residual": float(mse), "ms_total": float(sst / (n - 1)),
+        "r2": float(ssr / sst), "f": float(ssr / p / mse),
+    }
+    fit = fit_ols(mean_center(ds), names)
+    got = {k: tuple(v.tolist()) if isinstance(v, np.ndarray) else v for k, v in fit._asdict().items() if k in want}
+    assert got == want
+
+    c = mean_center(ds)
+    orders = enumerate_orderings(names)
+    for order in orders[:: len(orders) // 6]:
+        of = orthogonal_regression(c, order)
+        cols = [names.index(nm) for nm in order]
+        # term k is o[k] last in the fit on o[:k + 1], a column of SS 1 / (A^-1)_kk
+        last = [_exact_solve(s, cols[: k + 1]) for k in range(p)]
+        bs, invs = [bk[-1] for bk, _ in last], [ik[-1] for _, ik in last]
+        b_, se, z, t = zip(*terms(bs, invs, [1 / ik for ik in invs]))
+        first = cols[0]
+        intercept = float(means[-1] - s[first][-1] / s[first][first] * means[first])
+        got = (*(tuple(v.tolist()) for v in (of.b, of.se, of.z, of.t)), of.intercept)
+        assert got == (b_, se, z, t, intercept), order
 
 
 def test_sequential_ss_guards_each_prefix_in_turn():
