@@ -8,23 +8,25 @@ and their simple regressions, orthogonal-function regressions, the
 corrected R2 and f statistics built from the partial contributions, and a
 Venn-style accounting of where the response variation actually went.
 
-Every reported number is read off the subset memo of ``ols_core``. Each
-ordering's Type I SS is a row entry of the memo's ``type1``: within
-``ORDERING_CAP`` predictors, it comes from one exact walk over the subsets
-of the model that the report's orderings reach, rounded once from integer
-minors, and so is correctly rounded; above it, from the decimal solve of
-its prefix. Type III SS (b_j^2 / (A^-1)_jj of the one full-model solve),
-the orthogonal-function terms (the solves of each ordering's prefixes),
-the fits, Venn regions and corrected statistics come from the memo's
-50-digit decimal solves, which leave room for the digits the guard's
-conditioning costs. No report path residualizes a column or reads the
-observations again.
+Every reported number is read off the subset memo of ``ols_core``. Within
+``ORDERING_CAP`` predictors, one exact walk over the subsets of the model
+that a report needs makes each ordering's Type I SS (a row entry of the
+memo's ``type1``) and the model's regression in integers (the memo's
+``fit``), from which the model's fit, each Type III SS (x_j^2 / (D P_M
+P_(M - j))), the Venn regions, the corrected statistics and the simple
+regressions on the residualized predictors are exact rationals, each
+rounded once. Above the cap they come from the memo's 50-digit decimal
+solves, whose values enter the same formulas as exact ratios. The
+orthogonal-function terms' slopes, standard errors, z and t come from the
+decimal solve of each ordering's prefixes at any p, and ``residualize``
+from the solve of its conditioning set. No report path residualizes a
+column or reads the observations again.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from decimal import Decimal, localcontext
+from decimal import localcontext
 from functools import cached_property
 from itertools import accumulate, permutations
 from operator import or_
@@ -39,15 +41,14 @@ from .ols_core import (
     ORDERING_CAP,
     CenteredData,
     OlsFit,
-    _coef_stats,
-    _column_sd,
+    _coef,
+    _intercept,
     _make_fit,
     _mask,
-    _partial,
+    _Model,
     _project,
-    _ratio,
+    _quotient,
     _readonly,
-    _Solution,
     fit_centered_design,  # noqa: F401 - bench/spans.py traces this binding
     fit_ols,
 )
@@ -161,36 +162,45 @@ def _model(c: CenteredData, model: Iterable[str]) -> tuple[str, ...]:
     return model
 
 
-def _partition(c: CenteredData, model: tuple[str, ...]) -> tuple[_Solution, dict[str, Decimal]]:
-    """The full-model solve and each predictor's Type III SS."""
+def _fit(c: CenteredData, model: tuple[str, ...]) -> _Model:
+    """The memo's regression on the model, behind its guard."""
     idx = [c.predictor_index(nm) for nm in model]
-    sol = c._memo.solve(_mask(idx), idx, "fit on")
-    with localcontext(_CTX):
-        return sol, {nm: _partial(sol, i) for nm, i in zip(model, idx)}
+    return c._memo.fit(_mask(idx), idx, "fit on")
 
 
-def _venn(c: CenteredData, sol: _Solution, type3: Mapping[str, Decimal]) -> VennRegions:
-    sst = c.exact.s[-1][-1]
-    with localcontext(_CTX):
-        unique = sum(type3.values())
-        accounted = unique + sol.sse
-        return VennRegions(
-            unique=MappingProxyType({nm: float(ss) for nm, ss in type3.items()}),
-            common_total=float(sol.ssr - unique),
-            residual=float(sol.sse),
-            ss_total=float(sst),
-            accounted_total=float(accounted),
-            missing=float(sst - accounted),
-            missing_fraction=float((sst - accounted) / sst),
-        )
+def _type3(m: _Model, j: int) -> float:
+    """Type III SS of column j, b_j^2 / (A^-1)_jj = x_j^2 / (g q w_j)."""
+    return m.x[j] * m.x[j] / (m.g * m.q * m.w[j])
 
 
-def _corrected(c: CenteredData, sol: _Solution, type3: Mapping[str, Decimal]) -> tuple[float, float, float]:
+def _unique(m: _Model) -> tuple[int, ...]:
+    """The summed Type III SS of the regression's columns and its
+    regression, residual and total SS, as numerators over one denominator
+    g q W, W the product of the w_j: (unique, ssr, sse, sst, g q W)."""
+    num, den = 0, 1
+    for j, x in m.x.items():
+        num, den = num * m.w[j] + x * x * den, den * m.w[j]
+    return num, m.ssr * den, m.sse * den, m.sst * den, m.g * m.q * den
+
+
+def _venn(c: CenteredData, model: tuple[str, ...], m: _Model, unique: tuple[int, ...] = ()) -> VennRegions:
+    u, ssr, sse, sst, den = unique or _unique(m)
+    missing = sst - u - sse
+    return VennRegions(
+        unique=MappingProxyType({nm: _type3(m, c.predictor_index(nm)) for nm in model}),
+        common_total=(ssr - u) / den,
+        residual=m.sse / (m.g * m.q),
+        ss_total=m.sst / (m.g * m.q),
+        accounted_total=(u + sse) / den,
+        missing=missing / den,
+        missing_fraction=missing / sst,
+    )
+
+
+def _corrected(c: CenteredData, m: _Model, unique: tuple[int, ...] = ()) -> tuple[float, float, float]:
     """Actual model SS (summed Type III SS), corrected R2 and corrected F."""
-    with localcontext(_CTX):
-        total = sum(type3.values())
-        mse = sol.sse / (c.n - len(type3) - 1)
-        return float(total), float(total / c.exact.s[-1][-1]), _ratio(total / len(type3), mse)
+    (u, _, sse, sst, den), k = unique or _unique(m), len(m.x)
+    return u / den, u / sst, _quotient(u * (c.n - k - 1), k * sse)
 
 
 class _Orderings:
@@ -204,9 +214,10 @@ class _Orderings:
     ``rows`` of the prefix sets (of all orderings, or the given ones) come
     off the memo's ``type1`` on the first read, which must come after the
     model's guard, and give a Type I pair (``entry``) per prefix set and
-    predictor. A term's statistics (``stats``) and an ``intercept`` per
-    first predictor are read off the memo's solves on each call; a caller
-    that reads one more than once keeps it.
+    predictor; the walk that makes them makes the model's regression too.
+    A term's statistics (``stats``), off the memo's decimal solves, and an
+    ``intercept`` per first predictor, off the exact SSCP, are made on each
+    call; a caller that reads one more than once keeps it.
     """
 
     def __init__(self, c: CenteredData, model: Iterable[str], orderings: Iterable[tuple[str, ...]] | None = None):
@@ -235,31 +246,45 @@ class _Orderings:
     @cached_property
     def rows(self) -> dict[int, dict[int, float]]:
         """The Type I row of each prefix set, by mask, and in it the SS of
-        each column entering the set last, by column index."""
-        return self._c._memo.type1(self._whole, self._sets)
+        each column entering the set last, by column index; the walk that
+        makes them also makes the model's regression, if the memo has none."""
+        return self._c._memo.type1(self._whole, self._sets, fit=True)
+
+    def fit(self) -> OlsFit:
+        """The model's fit, behind its guard, after the walk that makes the
+        ``rows``, which within the cap makes the model's regression too."""
+        c = self._c
+        c._memo.guard(self._whole, [*map(c.predictor_index, self.model)], "fit on")
+        self.rows
+        return fit_ols(c, self.model)
 
     def entry(self, mask: int, nm: str) -> tuple[str, float]:
         return nm, self.rows[mask][self._c.predictor_index(nm)]
 
     @cached_property
-    def _mse(self) -> Decimal:
-        """The model's residual MS, once per walk."""
-        with localcontext(_CTX):
-            return self._c._memo.solve(self._whole).sse / (self._c.n - len(self.model) - 1)
+    def _model_ss(self) -> tuple[int, ...]:
+        """The model's residual MS as sse / d and total SS as sst / g q:
+        (sse, d, sst, g q), once per walk."""
+        m = self._c._memo.fit(self._whole)
+        gq = m.g * m.q
+        return m.sse, gq * (self._c.n - len(self.model) - 1), m.sst, gq
 
     def stats(self, mask: int, nm: str) -> tuple[float, ...]:
-        """(b, se, z, t) of ``nm`` last in the prefix set ``mask``."""
-        c, i, part = self._c, self._c.predictor_index(nm), self._c._memo.solve(mask)
-        with localcontext(_CTX):
-            sd = _column_sd(part.inv[i], c.n)
-            return _coef_stats(part.b[i], part.inv[i], sd, self._mse, c.exact.sds[-1])
+        """(b, se, z, t) of ``nm`` last in the prefix set ``mask``, off its
+        decimal solve, with the model's residual MS: the column's SS is
+        1 / (A^-1)_ii."""
+        i, part = self._c.predictor_index(nm), self._c._memo.solve(mask)
+        (x, q), (v, vq) = part.b[i].as_integer_ratio(), part.inv[i].as_integer_ratio()
+        sse, d, sst, gq = self._model_ss
+        # se^2 = MSE (A^-1)_ii = sse / d * v / vq = sse v q^2 / (d vq) / q^2
+        return _coef(x, q, sse * v * q * q, d * vq, (vq * gq, v * sst))
 
     def intercept(self, nm: str) -> float:
-        """Intercept of an orthogonal-function fit whose first column is ``nm``."""
+        """Intercept of an orthogonal-function fit whose first column is
+        ``nm``, whose slope is N_iy / N_ii."""
         c, i = self._c, self._c.predictor_index(nm)
-        with localcontext(_CTX):
-            slope = c._memo.solve(self._bit[nm]).b[i]
-            return float(c.exact.means[-1] - slope * c.exact.means[i])
+        num, (sums, count) = c.exact.ints[0], c.exact.sums
+        return _intercept([num[i][-1]], num[i][i], (sums[-1], [sums[i]], count))
 
     def walk(self, orderings: Iterable[tuple[str, ...]]) -> Iterator[tuple]:
         """Each (checked) ordering as (k, ordering, masks, labels): k is how
@@ -319,7 +344,7 @@ def residualize(
     idx = [c.predictor_index(nm) for nm in against]
     sol = c._memo.solve(_mask(idx), idx, f"residualize {target} on")
     with localcontext(_CTX):
-        u = dict(zip(sol.b, _project(c.exact.s, sol, c._col(target))[1]))
+        u = dict(zip(sol.b, _project(c._memo.s, sol, c._col(target))[1]))
     design = np.array([c.column(nm) for nm in against]).T  # F-order: the layout moves last bits
     return ResidualizedPredictor(target, against, _readonly(col - design @ [float(u[i]) for i in idx]))
 
@@ -337,11 +362,11 @@ def sequential_ss(
     (``compare_report`` reads the same floats).
     """
     ordering = tuple(ordering)
-    values = _Orderings(c, ordering, [ordering])
-    masks = values.masks(ordering)
+    masks = _Orderings(c, ordering, [ordering]).masks(ordering)
     for mask in masks:  # as a fit on each prefix in turn would
         c._memo.guard(mask)
-    return [*map(values.entry, masks, ordering)]
+    rows = c._memo.type1(masks[-1], set(masks))
+    return [(nm, rows[mask][c.predictor_index(nm)]) for mask, nm in zip(masks, ordering)]
 
 
 def partial_ss(c: CenteredData, predictor: str, model: Iterable[str]) -> float:
@@ -354,12 +379,12 @@ def partial_ss(c: CenteredData, predictor: str, model: Iterable[str]) -> float:
     model = _canonical_model(c, model)
     if predictor not in model:
         raise ValueError(f"predictor {predictor!r} not in model {model!r}")
-    return float(_partition(c, model)[1][predictor])
+    return _type3(_fit(c, model), c.predictor_index(predictor))
 
 
 def actual_model_ss(c: CenteredData, model: Iterable[str]) -> float:
     """Sum of the partial (Type III) SS over every predictor in the model."""
-    return _corrected(c, *_partition(c, _model(c, model)))[0]
+    return _corrected(c, _fit(c, _model(c, model)))[0]
 
 
 def corrected_r2(c: CenteredData, model: Iterable[str]) -> float:
@@ -369,7 +394,7 @@ def corrected_r2(c: CenteredData, model: Iterable[str]) -> float:
     sum of squared standardized coefficients computed on residualized
     predictors.
     """
-    return _corrected(c, *_partition(c, _model(c, model)))[1]
+    return _corrected(c, _fit(c, _model(c, model)))[1]
 
 
 def corrected_f(c: CenteredData, model: Iterable[str]) -> float:
@@ -378,7 +403,7 @@ def corrected_f(c: CenteredData, model: Iterable[str]) -> float:
     Algebraically the mean of the squared t statistics of the full fit,
     since each squared t equals its partial SS divided by MS(residual).
     """
-    return _corrected(c, *_partition(c, _model(c, model)))[2]
+    return _corrected(c, _fit(c, _model(c, model)))[2]
 
 
 def orthogonal_regression(c: CenteredData, ordering: Sequence[str]) -> OlsFit:
@@ -395,8 +420,9 @@ def orthogonal_regression(c: CenteredData, ordering: Sequence[str]) -> OlsFit:
     fit_ols on the same predictors would.
     """
     ordering = tuple(ordering)
-    fit, values, steps = ordering_walk(c, ordering, [ordering])
-    ((_, order, masks, labels),) = steps
+    values = _Orderings(c, ordering, [ordering])
+    fit = fit_ols(c, values.model)  # reads no Type I SS
+    ((_, order, masks, labels),) = values.walk([ordering])
     b, se, z, t = map(_readonly, zip(*map(values.stats, masks, order)))
     return fit._replace(
         predictor_subset=tuple(labels), b=b, se=se, t=t, z=z, intercept=values.intercept(order[0])
@@ -411,14 +437,15 @@ def ordering_walk(
     TooManyOrderings comes before any name check, and they need none.
     Given ``orderings`` are each checked against ``model`` before the fit.
     The fit's guard covers every prefix set, which the walk solves when it
-    first reaches it, and, within the cap, the exact walk of the sets that
-    the orderings reach, made on the first Type I pair read; depth-first,
-    as ``enumerate_orderings`` lists them, each ordered prefix is entered once.
+    first reaches it, and, within the cap, the one exact walk of the sets
+    that the orderings reach, which makes the Type I pairs and, before the
+    fit, the model's regression; depth-first, as ``enumerate_orderings``
+    lists them, each ordered prefix is entered once.
     """
     model, given = tuple(model), None if orderings is None else [*map(tuple, orderings)]
     walked = enumerate_orderings(set(model)) if given is None else given  # set: each name once, as in the model
     values = _Orderings(c, model, given)
-    return OrderingWalk(fit_ols(c, values.model), values, values.walk(walked))
+    return OrderingWalk(values.fit(), values, values.walk(walked))
 
 
 def residualized_simple_fits(
@@ -430,17 +457,20 @@ def residualized_simple_fits(
     against the rest of the model, so df_residual is n - 2 regardless of
     how many columns fed the residualization. The slope is the full-model
     coefficient of j, the column SS 1 / (A^-1)_jj and the regression SS
-    its partial SS, all from the full-model solve.
+    its partial SS, all from the model's regression.
     """
-    ex, model = c.exact, _model(c, model)
-    sol, type3 = _partition(c, model)
-    out = {}
-    for nm, ss in type3.items():
-        i, rest = c.predictor_index(nm), [o for o in model if o != nm]
-        with localcontext(_CTX):
-            sse, sd = max(ex.s[-1][-1] - ss, Decimal(0)), _column_sd(sol.inv[i], ex.n)
-        label, mean = (_label(nm, ",".join(rest)), Decimal(0)) if rest else (nm, ex.means[i])
-        out[nm] = _make_fit(ex, (label,), [sol.b[i]], [sol.inv[i]], [mean], [sd], ss, sse)
+    model = _model(c, model)
+    m, out = _fit(c, model), {}
+    sums, count = c.exact.sums
+    for nm in model:
+        j, rest = c.predictor_index(nm), [o for o in model if o != nm]
+        x, w = m.x[j], m.w[j]
+        # the regression on j alone, over q w_j: its SS, x_j^2 / (g q w_j),
+        # is its Type III SS, and its column's SS is 1 / (A^-1)_jj
+        sst = m.sst * w
+        simple = _Model({j: x * w}, {j: w * w}, m.q * w, m.g, x * x, max(sst - x * x, 0), sst)
+        label, mean = (_label(nm, ",".join(rest)), 0) if rest else (nm, sums[j])
+        out[nm] = _make_fit(c.n, (label,), simple, [j], (sums[-1], [mean], count), [(m.q * m.q, w * m.sst)])
     return out
 
 
@@ -453,7 +483,8 @@ def venn_regions(c: CenteredData, model: Iterable[str]) -> VennRegions:
     the common region. A negative common region signals suppression and is
     reported as is.
     """
-    return _venn(c, *_partition(c, _model(c, model)))
+    model = _model(c, model)
+    return _venn(c, model, _fit(c, model))
 
 
 def enumerate_orderings(model: Sequence[str]) -> tuple[tuple[str, ...], ...]:
@@ -479,11 +510,14 @@ def compare_report(
     at most ORDERING_CAP predictors; for larger models none are, and the
     caller must pass them explicitly. ``orderings="all"`` demands the
     exhaustive set and raises TooManyOrderings above the cap. Only the
-    orderings a caller passes are checked, before any fit. After the fit,
-    each Type I SS is read off its ordering's prefix set's row: within the
+    orderings a caller passes are checked, before any fit. Behind the
+    model's guard, each Type I SS is read off its ordering's prefix set's row: within the
     cap, from one exact walk of the model's subsets that the orderings
     reach, all for all orderings and none for ``orderings=()``; above it,
-    from the solve of each prefix set. The only fit it builds is the
+    from the solve of each prefix set. Within the cap the same walk, which
+    also reaches the model less each predictor, gives the model's fit, its
+    Type III SS, the Venn regions and the corrected statistics, so a report
+    makes one walk and no decimal solve. The only fit it builds is the
     model's; ``residualized_simple_fits`` builds the simple regressions on
     the residualized predictors.
     """
@@ -498,8 +532,8 @@ def compare_report(
         ordering_list = given = tuple(map(tuple, orderings))
     values = _Orderings(c, model, given)  # checks every given ordering before any fit
 
-    full = fit_ols(c, model)
-    sol, type3 = _partition(c, model)
+    full = values.fit() if ordering_list else fit_ols(c, model)
+    m = _fit(c, model)
     col = {nm: c.predictor_index(nm) for nm in model}
     bit = {nm: 1 << i for nm, i in col.items()}
     rows = values.rows if ordering_list else {}
@@ -509,15 +543,16 @@ def compare_report(
         for nm in ordering:
             mask |= bit[nm]
             type1[nm][ordering] = rows[mask][col[nm]]
-    actual, r2, f = _corrected(c, sol, type3)
+    unique = _unique(m)
+    actual, r2, f = _corrected(c, m, unique)
 
     return DecompositionReport(
         traditional=full,
         per_predictor=tuple(
-            PredictorDecomposition(nm, float(type3[nm]), MappingProxyType(type1[nm]))
+            PredictorDecomposition(nm, _type3(m, col[nm]), MappingProxyType(type1[nm]))
             for nm in model
         ),
-        venn=_venn(c, sol, type3),
+        venn=_venn(c, model, m, unique),
         orderings=ordering_list,
         actual_model_ss=actual,
         corrected_r2=r2,

@@ -9,22 +9,25 @@ slices whose float64 gram holds only exact integers (Ozaki, Ogita, Oishi &
 Rump 2012), each column on its own grid of units so that the gram reduces
 per column pair and slice-index sum in int64 (``_Fold``); it does not depend
 on the BLAS or the order of the rows, and is kept exactly as integers over
-one denominator (``_Exact.ints``). Every Type I SS of a set of at most
-``ORDERING_CAP`` predictors is rounded once from exact minors of those
-integers, made in one fraction-free walk over the set's subsets that a
-caller's orderings reach (``_Subsets.type1``), so it is the correctly
-rounded exact value wherever the guard admits the set. Each subset, keyed
-by bit mask, is also solved once in ``decimal`` arithmetic at ``_DIGITS``
-(50) digits, by bordering the solve of the set without its highest column,
-and every other statistic (Type III SS, the fits, Venn regions, corrected
-statistics) is derived from that solve and rounded to float64 once. The
-solves lose about 2 * log10(cond) digits, about 24 at the guard, and
-``_DIGITS`` is set from the guard to leave 26. That such a statistic is
-then the correctly rounded exact value is measured, not proved: against
-exact rationals on exchangeable designs at n = 200, every Type III SS,
-every field of the model's fit and every orthogonal-function term was, up
-to rho = 1 - 1e-11. The SSCP rounded to float64 feeds the guard, ``sscp``
-and ``CenteredData.ss_total``.
+one denominator (``_Exact.ints``), with the column sums over one count.
+Within ``ORDERING_CAP`` predictors, every statistic of a set's regression
+is rounded once from exact minors of those integers, made in one
+fraction-free walk over the subsets that a caller needs (``_Subsets.type1``):
+the Type I rows of its orderings' prefix sets, and the set less each
+column, whose minors give the coefficients by a fraction-free back
+substitution, the diagonal of the inverse and so every SS, MS, standard
+error, t, z and intercept (``_Subsets.fit``, ``_make_fit``). Ratios round
+by int / int and square roots through ``math.isqrt`` (``_root``), so each
+is the correctly rounded exact value wherever the guard admits the set, and
+no decimal arithmetic runs. Above the cap, and for the orthogonal-function
+terms and residualized columns, a subset, keyed by bit mask, is solved once
+in ``decimal`` arithmetic at ``_DIGITS`` (50) digits, by bordering the solve
+of the set without its highest column, from the decimal SSCP, made on first
+read; its values enter the same formulas as exact ratios. The solves lose
+about 2 * log10(cond) digits, about 24 at the guard, and ``_DIGITS`` is set
+from the guard to leave 26; that such a statistic is then the correctly
+rounded exact value is measured, not proved. The SSCP rounded to float64
+feeds the guard, ``sscp`` and ``CenteredData.ss_total``.
 """
 
 from __future__ import annotations
@@ -152,17 +155,30 @@ def _check_n(n: int, p: int) -> None:
 
 
 class _Exact(NamedTuple):
-    """Centered SSCP of design columns, the response last, rounded once to
-    float64 (``f``) and to ``_DIGITS`` digits (``s``), with the columns'
-    means and sds at ``_DIGITS`` digits and the row count; ``ints`` holds
-    it exactly, as integers N over one denominator D (``_Fold.finish``)."""
+    """Centered SSCP of design columns, the response last, exactly, as
+    integers N over one denominator D (``ints``, from ``_Fold.finish``), and
+    rounded once to float64 (``f``); the columns' sums over one count
+    (``sums``), so that a mean is a sum over the count; and the row count."""
 
     f: np.ndarray
-    s: list[list[Decimal]]
-    means: list[Decimal]
-    sds: list[Decimal]
     n: int
     ints: tuple[list[list[int]], int]
+    sums: tuple[list[int], int]
+
+
+class _Model(NamedTuple):
+    """A regression of the response on a set of columns in exact integers:
+    by column index, each coefficient x_j / q and diagonal entry of the
+    inverse SSCP block g w_j / q; and the regression, residual and total SS
+    as numerators over g q."""
+
+    x: dict[int, int]
+    w: dict[int, int]
+    q: int
+    g: int
+    ssr: int
+    sse: int
+    sst: int
 
 
 class _Solution(NamedTuple):
@@ -211,7 +227,7 @@ class CenteredData:
 
     @property
     def sd_y(self) -> float:
-        return float(self.exact.sds[-1])
+        return self.sd(self.response_name)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -246,7 +262,8 @@ class CenteredData:
         return self.means[self._col(name)]
 
     def sd(self, name: str) -> float:
-        return float(self.exact.sds[self._col(name)])
+        (num, den), a = self.exact.ints, self._col(name)
+        return _root(num[a][a], den * (self.n - 1))
 
 
 class SscpMatrix(NamedTuple):
@@ -422,14 +439,13 @@ class _Fold:
         return z
 
     def finish(self) -> tuple:
-        """The centered SSCP rounded once to float64 and to ``_DIGITS``
-        digits, the exact column means as (numerator, denominator) integer
-        pairs, and the exact SSCP itself as (N, D): integer rows N over one
-        integer D, with no power of two common to all. Raises, column by
-        column, NonFiniteValue for a NaN or infinity and SingularDesign for
-        a magnitude of 2**600 or more; then SingularDesign if a column's SS
-        exceeds float64, or, in any column but the last, is positive but
-        rounds to 0."""
+        """The centered SSCP rounded once to float64, the column sums over
+        one count, and the exact SSCP itself as (N, D): integer rows N over
+        one integer D; neither pair has a power of two common to all its
+        integers. Raises, column by column, NonFiniteValue for a NaN or
+        infinity and SingularDesign for a magnitude of 2**600 or more; then
+        SingularDesign if a column's SS exceeds float64, or, in any column
+        but the last, is positive but rounds to 0."""
         for nm, ok, lo, hi in zip(self.names, self.finite, self.lo, self.hi):
             if not ok:
                 raise _non_finite(nm)
@@ -441,8 +457,8 @@ class _Fold:
         den = count << -e  # e <= 0, since the ones column has unit 0
         # the power of two that N and D share, divided out, halves the
         # integers that the exact walk multiplies
-        twos = min((x & -x).bit_length() - 1 for x in (den, *(x for row in rows for x in row)) if x)
-        rows, den = [[x >> twos for x in row] for row in rows], den >> twos
+        rows, den = _odd(rows, den)
+        sums, count = _odd([sums.tolist()], count)
         for a, nm in enumerate(self.names):
             try:
                 if rows[a][a] and not rows[a][a] / den and a < k - 1:
@@ -450,15 +466,18 @@ class _Fold:
             except OverflowError:
                 raise SingularDesign(_OVERFLOW.format(nm)) from None
         f = np.empty((k, k))
-        s: list[list[Decimal]] = [[Decimal(0)] * k for _ in range(k)]
-        decimal_den = Decimal(den)
-        with localcontext(_CTX):
-            for a, row in enumerate(rows):
-                for b in range(a, k):
-                    f[a, b] = f[b, a] = row[b] / den  # int / int is correctly rounded
-                    s[a][b] = s[b][a] = Decimal(row[b]) / decimal_den
+        for a, row in enumerate(rows):
+            for b in range(a, k):
+                f[a, b] = f[b, a] = row[b] / den  # int / int is correctly rounded
         f.setflags(write=False)
-        return f, s, [(int(v), count) for v in sums], (rows, den)
+        return f, (sums[0], count), (rows, den)
+
+
+def _odd(rows: list[list[int]], den: int) -> tuple[list[list[int]], int]:
+    """Integer rows over a denominator, with the power of two common to all
+    of them divided out."""
+    twos = min((x & -x).bit_length() - 1 for x in (den, *(x for row in rows for x in row)) if x)
+    return [[x >> twos for x in row] for row in rows], den >> twos
 
 
 def _fold_columns(columns: Sequence[np.ndarray], names: Sequence[str]) -> _Fold:
@@ -484,12 +503,9 @@ def _centered(
     for nm, lo, hi in zip(names, fold.lo, fold.hi):
         if lo == hi:
             raise ConstantColumn(nm)
-    f, s, means, ints = fold.finish()
-    with localcontext(_CTX):
-        sds = [(s[a][a] / (n - 1)).sqrt() for a in range(len(names))]
-        exact = _Exact(f, s, [Decimal(num) / den for num, den in means], sds, n, ints)
-    floats = tuple(num / den for num, den in means)  # int / int is correctly rounded
-    return CenteredData(response_name, predictor_names, data, floats, exact)
+    f, sums, ints = fold.finish()
+    floats = tuple(num / sums[1] for num in sums[0])  # int / int is correctly rounded
+    return CenteredData(response_name, predictor_names, data, floats, _Exact(f, n, ints, sums))
 
 
 def mean_center(d: Dataset) -> CenteredData:
@@ -576,15 +592,31 @@ def _extend(s: list[list[Decimal]], sol: _Solution, col: int) -> _Solution:
 
 class _Subsets:
     """Regressions of the response (the last column) on sets of the others,
-    keyed by bit mask (``_mask``), each solved once, by bordering the set
-    without its highest column, and shared by every use of the same data.
-    ``type1`` makes the Type I rows a caller asks for of a guarded set's
-    subsets in one exact walk over them, on each call."""
+    keyed by bit mask (``_mask``), shared by every use of the same data.
+    ``fit`` keeps a set's regression in exact integers; ``type1`` makes the
+    Type I rows a caller asks for of a guarded set's subsets, within
+    ``ORDERING_CAP`` columns in one exact walk over them, on each call.
+    ``solve`` keeps a set's decimal solve, made by bordering the solve of
+    the set without its highest column, off the decimal SSCP ``s``."""
 
     def __init__(self, ex: _Exact, names: Sequence[str]):
         self._ex, self._names = ex, names
-        self._cache = {0: _Solution({}, {}, Decimal(0), ex.s[-1][-1], [])}
+        self._cache: dict[int, _Solution] = {}
+        self._fits: dict[int, _Model] = {}
         self._guarded: list[int] = []
+
+    @cached_property
+    def s(self) -> list[list[Decimal]]:
+        """The SSCP at ``_DIGITS`` digits, which the decimal solves read,
+        made on first read."""
+        rows, den = self._ex.ints
+        k, den = len(rows), Decimal(den)
+        s: list[list[Decimal]] = [[Decimal(0)] * k for _ in range(k)]
+        with localcontext(_CTX):
+            for a, row in enumerate(rows):
+                for b in range(a, k):
+                    s[a][b] = s[b][a] = Decimal(row[b]) / den
+        return s
 
     def guard(self, mask: int, idx: Sequence[int] | None = None, what: str = "subset") -> None:
         """The guard on the columns of ``mask``, which sees them in the order
@@ -602,9 +634,25 @@ class _Subsets:
                 raise self._named(what, idx, exc) from None
             self._guarded.append(mask)
 
+    def fit(self, mask: int, idx: Sequence[int] | None = None, what: str = "subset") -> _Model:
+        """The regression on the columns of ``mask``, behind ``guard``, made
+        once: within the cap, from the exact walk of the sets it needs
+        (``type1``); above it, from the decimal solve, whose values are
+        exact ratios of integers too."""
+        self.guard(mask, idx, what)
+        if mask not in self._fits:
+            if mask.bit_count() > ORDERING_CAP:
+                sol = self.solve(mask, idx, what)
+                nums, q = _over([*sol.b.values(), *sol.inv.values(), sol.ssr, sol.sse, self.s[-1][-1]])
+                k = len(sol.b)
+                self._fits[mask] = _Model(dict(zip(sol.b, nums)), dict(zip(sol.b, nums[k:])), q, 1, *nums[2 * k :])
+            else:
+                self.type1(mask, (), fit=True)
+        return self._fits[mask]
+
     def solve(self, mask: int, idx: Sequence[int] | None = None, what: str = "subset") -> _Solution:
-        """Solution on the columns of ``mask``, behind ``guard``; errors name
-        them "what (names)"."""
+        """Decimal solution on the columns of ``mask``, behind ``guard``;
+        errors name them "what (names)"."""
         self.guard(mask, idx, what)
         try:
             with localcontext(_CTX):
@@ -618,16 +666,20 @@ class _Subsets:
     def _border(self, mask: int) -> _Solution:
         """The solution on ``mask``, bordered up from its longest solved
         prefix (the set less its highest columns); the caller enters ``_CTX``."""
+        if not self._cache:
+            self._cache[0] = _Solution({}, {}, Decimal(0), self.s[-1][-1], [])
         chain = []
         while mask not in self._cache:
             chain.append(mask)
             mask ^= 1 << mask.bit_length() - 1
         sol = self._cache[mask]
         for link in reversed(chain):
-            sol = self._cache[link] = _extend(self._ex.s, sol, link.bit_length() - 1)
+            sol = self._cache[link] = _extend(self.s, sol, link.bit_length() - 1)
         return sol
 
-    def type1(self, mask: int, sets: Collection[int] | None = None) -> dict[int, dict[int, float]]:
+    def type1(
+        self, mask: int, sets: Collection[int] | None = None, fit: bool = False
+    ) -> dict[int, dict[int, float]]:
         """The Type I rows of the nonempty subsets S of ``mask``, a set that
         passed the guard, by mask: of all of them, or of ``sets``. A row holds,
         by i, SSE(S - i) - SSE(S) for each column i of S whose S - i the walk
@@ -635,16 +687,26 @@ class _Subsets:
         prefixes of ``sets``, at least each i with S - i in ``sets`` or
         empty. With SSE(S) = Y_S / (D P_S), that is (Y_(S-i) P_S - Y_S
         P_(S-i)) / (D P_S P_(S-i)), one int / int division, which is
-        correctly rounded.
+        correctly rounded. With ``fit``, the same walk also reaches ``mask``
+        less each column, and keeps the regression on ``mask`` (``fit``).
         Above ``ORDERING_CAP`` columns, a row of each of ``sets``, which must
         be given, is ``_partial`` of each column of the set's solve."""
         if mask.bit_count() > ORDERING_CAP:
             with localcontext(_CTX):
                 sols = {sub: self.solve(sub) for sub in sets}
                 return {sub: {i: float(_partial(sol, i)) for i in sol.b} for sub, sol in sols.items()}
-        every = sets is None
-        reach = None if every else {s & (2 << b) - 1 for s in sets for b in range(s.bit_length())}
-        minors = {sub: (y, p) for sub, y, p in self._minors(mask, reach)}
+        every, fit = sets is None, fit and mask not in self._fits
+        reach = None
+        if not every:
+            wanted = {*sets, mask, *(mask & ~(1 << i) for i in _columns(mask))} if fit else sets
+            reach = {s & (2 << b) - 1 for s in wanted for b in range(s.bit_length())}
+        minors, chain = {}, {}
+        for sub, y, p, row in self._minors(mask, reach):
+            minors[sub] = y, p
+            if sub and sub == mask & (1 << sub.bit_length()) - 1:
+                chain[sub.bit_count()] = row  # a row of the Bareiss elimination of mask's columns and y
+        if fit:
+            self._fits[mask] = self._exact_fit(mask, minors, [chain[i] for i in sorted(chain)])
         den, rows = self._ex.ints[1], {}
         for sub in minors if every else sets:
             y, p = minors[sub]
@@ -659,10 +721,28 @@ class _Subsets:
         rows.pop(0, None)
         return rows
 
-    def _minors(self, mask: int, reach: Container[int] | None = None) -> Iterator[tuple[int, int, int]]:
-        """(S, Y_S, P_S) for each subset S of ``mask``, or of ``reach``, once,
-        the empty set first: P_S = det N[S] and Y_S = det N[S + y], for the
-        exact SSCP N / D (``_Exact.ints``), so that SSE(S) = Y_S / (D P_S).
+    def _exact_fit(self, mask: int, minors: dict[int, tuple[int, int]], chain: list[list[int]]) -> _Model:
+        """The regression on ``mask`` from the walk's ``minors`` of mask and
+        of mask less each column, and the rows of the elimination of N[mask
+        + y] (``chain``). By Cramer's rule b_j = x_j / P_M for integers
+        x_j, which a fraction-free back substitution gives with exact
+        divisions: row i holds U_ii (the i-th pivot), the U_ij after it and
+        U_iy last, and U_ii x_i = P_M U_iy - sum_(j > i) U_ij x_j. The
+        inverse's diagonal is D P_(M - j) / P_M, and SSE = Y_M / (D P_M)."""
+        (num, den), cols = self._ex.ints, _columns(mask)
+        y, p = minors[mask]
+        x = [0] * len(cols)
+        for i in reversed(range(len(cols))):
+            row = chain[i]
+            x[i] = (p * row[-1] - sum(map(mul, row[1:-1], x[i + 1 :]))) // row[0]
+        w = {j: minors[mask & ~(1 << j)][1] for j in cols}
+        sst = num[-1][-1] * p
+        return _Model(dict(zip(cols, x)), w, p, den, sst - y, y, sst)
+
+    def _minors(self, mask: int, reach: Container[int] | None = None) -> Iterator[tuple]:
+        """(S, Y_S, P_S, row) for each subset S of ``mask``, or of ``reach``,
+        once, the empty set first: P_S = det N[S] and Y_S = det N[S + y], for
+        the exact SSCP N / D (``_Exact.ints``), so that SSE(S) = Y_S / (D P_S).
 
         The sets form a binomial tree: the children of S are S + t for each
         column t of ``mask`` above the highest of S. A node keeps the upper
@@ -670,13 +750,15 @@ class _Subsets:
         columns a, b of ``mask`` above it and y; its child S + t has pivot
         P = B_tt, and its minors (P B_ab - B_ta B_tb) / P_S by Sylvester's
         identity, an exact integer division (fraction-free elimination,
-        Bareiss 1968). A node's children in ``reach``, which holds each of its
-        sets' parents, are made before any is entered. A pivot that is not
-        positive raises SingularDesign naming its set, as ``_extend`` would."""
+        Bareiss 1968). The row of a child is its parent's B_ta, for t and the
+        columns a above it, then y. A node's children in ``reach``, which
+        holds each of its sets' parents, are made before any is entered. A
+        pivot that is not positive raises SingularDesign naming its set, as
+        ``_extend`` would."""
         num = self._ex.ints[0]
         cols = _columns(mask)
         idx = [*cols, len(num) - 1]
-        yield 0, num[-1][-1], 1
+        yield 0, num[-1][-1], 1, None
         stack = [(0, 0, 1, [[num[a][b] for b in idx[j:]] for j, a in enumerate(idx)])]
         while stack:
             sub, start, parent, minors = stack.pop()
@@ -690,7 +772,7 @@ class _Subsets:
                     [(p * x - ta * tb) // parent for x, tb in zip(row, t_row[d:])]
                     for d, (row, ta) in enumerate(zip(minors[i + 1 :], t_row[1:]), 1)
                 ]
-                yield child, bordered[-1][0], p
+                yield child, bordered[-1][0], p, t_row
                 if len(bordered) > 1:  # columns above t remain
                     stack.append((child, start + i + 1, p, bordered))
 
@@ -702,57 +784,81 @@ def _partial(sol: _Solution, i: int) -> Decimal:
     return sol.b[i] * sol.b[i] / sol.inv[i]
 
 
-def _ratio(a: Decimal, b: Decimal) -> float:
-    """a / b rounded once; a zero divisor gives a signed infinity (or NaN)."""
+def _over(values: Sequence[Decimal]) -> tuple[list[int], int]:
+    """Decimals exactly, as integers over one denominator."""
+    pairs = [v.as_integer_ratio() for v in values]
+    q = math.lcm(*(d for _, d in pairs))
+    return [a * (q // d) for a, d in pairs], q
+
+
+def _quotient(a: int, b: int) -> float:
+    """a / b rounded once; a zero b gives a signed infinity (or NaN)."""
     if b:
-        return float(a / b)
+        return a / b  # int / int is correctly rounded
     return math.copysign(math.inf, a) if a else math.nan
 
 
-def _column_sd(inv: Decimal, n: int) -> Decimal:
-    """Sample sd of a centered column whose SS is 1 / inv."""
-    return (1 / (inv * (n - 1))).sqrt()
+def _root(num: int, den: int, neg: bool = False) -> float:
+    """sqrt(num / den) rounded once, negated if ``neg``, for integers num,
+    den >= 0; a zero den gives an infinity (NaN if num is zero too). The
+    integer root r of num / den scaled by 4**k has at least 55 bits; the
+    root lies in [r, r + 1), and a sticky bit, set unless it is r itself,
+    keeps it clear of every float and rounding boundary."""
+    if not den:
+        return math.nan if not num else -math.inf if neg else math.inf
+    k = max(0, (112 + den.bit_length() - num.bit_length()) // 2)
+    m, rest = divmod(num << 2 * k, den)
+    r = math.isqrt(m)
+    root = (2 * r + (rest != 0 or r * r != m)) / (2 << k)
+    return -root if neg else root
 
 
-def _coef_stats(b: Decimal, inv: Decimal, sd: Decimal, mse: Decimal, sd_y: Decimal) -> tuple:
-    """(b, se, z, t) of one coefficient: se = sqrt(MSE * inv), z = b sd / sd_y."""
-    se = (mse * inv).sqrt()
-    return float(b), float(se), float(b * sd / sd_y), _ratio(b, se)
+def _coef(x: int, q: int, a: int, d: int, scale: tuple[int, int]) -> tuple:
+    """(b, se, z, t) of a coefficient b = x / q whose standard error is
+    se = sqrt(a / d) / q, with z = b sqrt(scale), for the ratio of its
+    column's SS to the response's as a pair (numerator, denominator), and
+    t = b / se = x sqrt(d / a); each rounded once."""
+    xx, qq = x * x, q * q
+    return x / q, _root(a, qq * d), _root(xx * scale[0], qq * scale[1], x < 0), _root(xx * d, a, x < 0)
+
+
+def _intercept(x: Iterable[int], q: int, means: tuple) -> float:
+    """mean_y - sum_j b_j mean_j for slopes x_j / q and ``means`` (numerators
+    of the response's mean and the columns', over one denominator)."""
+    mean_y, col_means, den = means
+    return (mean_y * q - sum(map(mul, x, col_means))) / (den * q)
 
 
 def _make_fit(
-    ex: _Exact, labels: Sequence[str], b: Sequence[Decimal], inv: Sequence[Decimal],
-    col_means: Sequence[Decimal], col_sds: Sequence[Decimal], ssr: Decimal, sse: Decimal,
+    n: int, labels: Sequence[str], m: _Model, idx: Sequence[int], means: tuple, scales: Sequence[tuple[int, int]],
 ) -> OlsFit:
-    """OlsFit of the response of ``ex`` on columns with slopes ``b``, inverse
-    SSCP diagonal ``inv`` and the given means and sds; every value is
-    rounded once."""
-    k, n = len(b), ex.n
-    sst, mean_y, sd_y = ex.s[-1][-1], ex.means[-1], ex.sds[-1]
-    with localcontext(_CTX):
-        mse = sse / (n - k - 1)
-        coefs = [_coef_stats(*a, mse, sd_y) for a in zip(b, inv, col_sds)]
-        bs, se, z, t = zip(*coefs)
-        return OlsFit(
-            predictor_subset=tuple(labels),
-            b=_readonly(bs),
-            intercept=float(mean_y - sum(map(mul, b, col_means))),
-            ss_total=float(sst),
-            ss_regression=float(ssr),
-            ss_residual=float(sse),
-            df_model=k,
-            df_residual=n - k - 1,
-            ms_regression=float(ssr / k),
-            ms_residual=float(mse),
-            ms_total=float(sst / (n - 1)),
-            r2=float(ssr / sst),
-            # a perfect fit has zero residual MS; F and t are then infinite
-            f=_ratio(ssr / k, mse),
-            se=_readonly(se),
-            t=_readonly(t),
-            z=_readonly(z),
-            n=n,
-        )
+    """OlsFit of the regression ``m`` on its columns ``idx``, in that
+    order, on n rows; ``means`` for the intercept, and each column's
+    ``scale`` for z; every value is its exact value rounded once."""
+    k, gq = len(idx), m.g * m.q
+    dfe = n - k - 1
+    # se_j^2 = MSE (A^-1)_jj = sse / (g q dfe) * g w_j / q
+    bs, se, z, t = zip(*(_coef(m.x[j], m.q, m.sse * m.w[j], dfe, sc) for j, sc in zip(idx, scales)))
+    return OlsFit(
+        predictor_subset=tuple(labels),
+        b=_readonly(bs),
+        intercept=_intercept([m.x[j] for j in idx], m.q, means),
+        ss_total=m.sst / gq,
+        ss_regression=m.ssr / gq,
+        ss_residual=m.sse / gq,
+        df_model=k,
+        df_residual=dfe,
+        ms_regression=m.ssr / (gq * k),
+        ms_residual=m.sse / (gq * dfe),
+        ms_total=m.sst / (gq * (n - 1)),
+        r2=m.ssr / m.sst,
+        # a perfect fit has zero residual MS; F and t are then infinite
+        f=_quotient(m.ssr * dfe, m.sse * k),
+        se=_readonly(se),
+        t=_readonly(t),
+        z=_readonly(z),
+        n=n,
+    )
 
 
 def fit_centered_design(
@@ -762,20 +868,19 @@ def fit_centered_design(
     """Fit centered ``y`` on the centered design columns.
 
     The exact centered SSCP of the columns goes through the same guard and
-    decimal solve as ``fit_ols``. ``col_means`` are the original-scale
-    means of the design columns, used to reconstruct the intercept;
-    ``col_sds`` feed the standardized coefficients.
+    solve as ``fit_ols``. ``col_means`` are the original-scale means of the
+    design columns, used to reconstruct the intercept; ``col_sds`` feed the
+    standardized coefficients.
     """
     labels = tuple(labels)
     if design.ndim != 2 or design.shape[1] == 0:
         raise EmptySubset("at least one predictor is required")
     n, k = design.shape
-    f, s, _, ints = _fold_columns([*design.T, y], (*labels, "y")).finish()
-    dec = [Decimal(float(v)) for v in (*col_means, mean_y, *col_sds, sd_y)]
-    ex = _Exact(f, s, dec[: k + 1], dec[k + 1 :], n, ints)
-    sol = _Subsets(ex, labels).solve(_mask(range(k)), range(k), "fit on")
-    b, inv = list(sol.b.values()), list(sol.inv.values())
-    return _make_fit(ex, labels, b, inv, ex.means[:k], ex.sds[:k], sol.ssr, sol.sse)
+    f, sums, ints = _fold_columns([*design.T, y], (*labels, "y")).finish()
+    m = _Subsets(_Exact(f, n, ints, sums), labels).fit(_mask(range(k)), range(k), "fit on")
+    (my, *mx), den = _over([Decimal(float(v)) for v in (mean_y, *col_means)])
+    (sy, *sx), _ = _over([Decimal(float(v)) for v in (sd_y, *col_sds)])
+    return _make_fit(n, labels, m, range(k), (my, mx, den), [(a * a, sy * sy) for a in sx])
 
 
 def fit_ols(c: CenteredData, subset: Iterable[str]) -> OlsFit:
@@ -790,12 +895,10 @@ def fit_ols(c: CenteredData, subset: Iterable[str]) -> OlsFit:
     if not subset:
         raise EmptySubset("fit_ols requires a non-empty predictor subset")
     idx = [c.predictor_index(nm) for nm in subset]
-    sol = c._memo.solve(_mask(idx), idx, "fit on")
-    ex = c.exact
-    return _make_fit(
-        ex, subset, [sol.b[i] for i in idx], [sol.inv[i] for i in idx],
-        [ex.means[i] for i in idx], [ex.sds[i] for i in idx], sol.ssr, sol.sse,
-    )
+    m = c._memo.fit(_mask(idx), idx, "fit on")
+    num, (sums, count) = c.exact.ints[0], c.exact.sums
+    means = sums[-1], [sums[i] for i in idx], count
+    return _make_fit(c.n, subset, m, idx, means, [(num[i][i], num[-1][-1]) for i in idx])
 
 
 def anova_table(fit: OlsFit) -> AnovaTable:

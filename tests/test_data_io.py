@@ -427,7 +427,7 @@ def centering(center, spec):
         c = center(spec)
     except VarpartError as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
-    return c.exact.f.tobytes(), c.exact.s, c.exact.means, c.exact.sds, c.means, c.n
+    return c.exact.f.tobytes(), c.exact.ints, c.exact.sums, c.means, c.n
 
 
 def whole(spec):

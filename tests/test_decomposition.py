@@ -615,9 +615,9 @@ class TestOrderingWalk:
         orders = [("x4", "x2", "x3", "x1"), ("x1", "x2", "x3", "x4")]
         walk = ordering_walk(c, orders[0], orders)
         assert fits == [(c, ("x1", "x2", "x3", "x4"))]
-        assert solves == [0b1111]
+        assert solves == []  # within the cap, the fit comes off the exact walk
         assert [order for order, *_ in walk_values(walk)] == orders
-        assert len(set(solves)) == 7  # the distinct prefix sets of the two
+        assert len(set(solves)) == 7  # the terms' decimal solves: the distinct prefix sets of the two
 
     @pytest.mark.parametrize(
         "bad, error, match",
@@ -760,16 +760,6 @@ class TestMaskMemo:
         assert solves == []
 
 
-def _chain(mask):
-    """``mask`` and the sets below it that bordering solves it from: each
-    less its highest column, down to the empty set."""
-    chain = [mask]
-    while mask:
-        mask ^= 1 << mask.bit_length() - 1
-        chain.append(mask)
-    return chain
-
-
 def _walked(monkeypatch):
     """The sets of each walk of the subset lattice, as the walks yield them."""
     walks = []
@@ -785,11 +775,19 @@ def _walked(monkeypatch):
     return walks
 
 
+def _fit_sets(mask):
+    """The sets that an exact walk reaches to fit the regression on
+    ``mask``: the ascending prefixes (each set less its highest columns) of
+    ``mask`` and of ``mask`` less each column."""
+    sets = {mask, *(mask & ~(1 << i) for i in range(mask.bit_length()) if mask >> i & 1)}
+    return {s & (2 << b) - 1 for s in sets for b in range(s.bit_length())} | {0}
+
+
 class TestLatticePass:
     """Within the cap, every Type I SS of a report is read off one exact walk
-    over the subsets of the model that its orderings reach, made after the
-    model's fit and not kept past the report; above it, each is the partial
-    SS of its prefix's decimal solve."""
+    over the subsets of the model that its orderings reach, which also
+    makes the model's regression, and is not kept past the report; above
+    it, each is the partial SS of its prefix's decimal solve."""
 
     def test_each_subset_is_walked_once_per_report(self, monkeypatch):
         c = mean_center(synth_data(5, 0.6))
@@ -807,23 +805,25 @@ class TestLatticePass:
         rep = compare_report(c, c.predictor_names, orderings="all")
         assert len(rep.orderings) == 120
         assert len(walks) == 1 and sorted(walks[0]) == [*range(32)]
-        # only the model's chain is solved in decimal; the Type III SS are
-        # decomposition's own _partial calls, not counted here
-        assert counts == {"_extend": 5, "_partial": 0}
+        # the model's fit and Type III SS come off the same walk: no decimal solve
+        assert counts == {"_extend": 0, "_partial": 0}
         walk_values(ordering_walk(c, c.predictor_names))
         assert len(walks) == 2 and sorted(walks[1]) == [*range(32)]  # no walk is kept
         compare_report(c, ("x2", "x4"), orderings="all")
         assert len(walks) == 3 and sorted(walks[2]) == [0, 0b10, 0b1000, 0b1010]
+        # on a fresh centering, the walk of the orderings makes the model's regression too
+        walk_values(ordering_walk(mean_center(synth_data(5, 0.6)), c.predictor_names))
+        assert len(walks) == 4 and sorted(walks[3]) == [*range(32)]
 
-    def test_no_orderings_solve_only_the_model_chain(self, monkeypatch):
+    def test_no_orderings_walk_only_the_sets_the_fit_needs(self, monkeypatch):
         c = mean_center(synth_data(5, 0.6))
         walks = _walked(monkeypatch)
         rep = compare_report(c, ("x2", "x4", "x5"), orderings=())
         assert rep.orderings == ()
-        assert set(c._memo._cache) == set(_chain(0b11010))
-        assert walks == []
+        assert len(walks) == 1 and sorted(walks[0]) == sorted(_fit_sets(0b11010))
+        assert c._memo._cache == {}
         orthogonal_regression(c, ("x4", "x2", "x5"))  # reads no Type I SS
-        assert walks == []
+        assert len(walks) == 1
 
     def test_explicit_orderings_read_the_same_walk(self, monkeypatch):
         # one given ordering of p predictors reaches the ascending prefixes
@@ -836,9 +836,10 @@ class TestLatticePass:
         c = mean_center(ds)
         walks = _walked(monkeypatch)
         rep = compare_report(c, ds.predictor_names, orderings=[order])
-        assert len(walks) == 1 and sorted(walks[0]) == sorted(reach)
+        # the report's walk reaches the sets of the model's fit too
+        assert len(walks) == 1 and sorted(walks[0]) == sorted(reach | _fit_sets(0b111111))
         assert len(reach) == 17 <= 6 * 7 // 2 + 1  # of 2**6 = 64
-        assert set(c._memo._cache) == set(_chain(0b111111))  # no prefix is solved
+        assert c._memo._cache == {}  # no set is solved in decimal
         assert sequential_ss(mean_center(ds), order) == [
             (nm, rep.per_predictor[ds.predictor_names.index(nm)].type1_by_ordering[order]) for nm in order
         ]
@@ -853,7 +854,7 @@ class TestLatticePass:
         walks = _walked(monkeypatch)
         rep = compare_report(c, model, orderings="all")
         assert len(walks) == 1 and sorted(walks[0]) == [m << 37 for m in range(8)]
-        assert set(c._memo._cache) == set(_chain(0b111 << 37))
+        assert c._memo._cache == {}
         seq = mean_center(ds)
         for order in rep.orderings:
             for nm, ss in sequential_ss(seq, order):
@@ -885,10 +886,11 @@ class TestLatticePass:
         num = [row[:] for row in num]
         num[0][2] = num[2][0] = math.isqrt(num[0][0] * num[2][2]) + 1
         c = dataclasses.replace(c, exact=c.exact._replace(ints=(num, den)))
-        fit_ols(c, c.predictor_names)  # the guard and the model's solve never meet it
-        with pytest.raises(
-            SingularDesign, match=r"^subset \(x1, x3\): 2-th leading minor of the array is not positive definite$"
-        ):
+        message = r"^subset \(x1, x3\): 2-th leading minor of the array is not positive definite$"
+        # the model's fit reads P_(M - x2), the minor of (x1, x3), off the walk
+        with pytest.raises(SingularDesign, match=message):
+            fit_ols(c, c.predictor_names)
+        with pytest.raises(SingularDesign, match=message):
             compare_report(c, c.predictor_names, orderings="all")
 
     def test_the_model_guard_fails_first(self, monkeypatch):
@@ -900,6 +902,83 @@ class TestLatticePass:
         for orderings in ("all", [("x3", "x2", "x1")]):
             with pytest.raises(SingularDesign, match=r"^fit on \(x1, x2, x3\): reciprocal condition number"):
                 compare_report(c, ("x3", "x1", "x2"), orderings=orderings)
+
+
+class TestExactPath:
+    """Within the cap, the model's fit, its Type III SS, the Venn regions and
+    the corrected statistics come off the minors of one exact walk per call:
+    no decimal solve runs and the decimal SSCP is never made. Above it, the
+    decimal solve serves them."""
+
+    @staticmethod
+    def _extends(monkeypatch):
+        calls, extend = [], varpart.ols_core._extend
+        monkeypatch.setattr(varpart.ols_core, "_extend", lambda *args: calls.append(args) or extend(*args))
+        return calls
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c, names: compare_report(c, names, orderings="all"),
+            lambda c, names: compare_report(c, names, orderings=()),
+            lambda c, names: compare_report(c, names[::-1], orderings=[names, names[::-1]]),
+            fit_ols,
+            venn_regions,
+            lambda c, names: partial_ss(c, names[1], names),
+            residualized_simple_fits,
+            actual_model_ss,
+            corrected_r2,
+            corrected_f,
+        ],
+        ids=[
+            "report-all", "report-none", "report-given", "fit_ols", "venn_regions", "partial_ss",
+            "residualized_simple_fits", "actual_model_ss", "corrected_r2", "corrected_f",
+        ],
+    )
+    def test_one_walk_and_no_decimal_solve_within_the_cap(self, monkeypatch, call):
+        c = mean_center(synth_data(5, 0.9))
+        walks, extends = _walked(monkeypatch), self._extends(monkeypatch)
+        call(c, c.predictor_names)
+        assert len(walks) == 1
+        assert extends == []
+        assert "s" not in vars(c._memo)  # the decimal SSCP is never made
+
+    def test_above_the_cap_the_decimal_solve_runs(self, monkeypatch):
+        c = mean_center(synth_data(ORDERING_CAP + 1, 0.9))
+        names = c.predictor_names
+        walks, extends = _walked(monkeypatch), self._extends(monkeypatch)
+        rep = compare_report(c, names, orderings=[names])
+        assert walks == []
+        assert len(extends) == ORDERING_CAP + 1  # the model's chain, which holds the ordering's prefixes
+        assert "s" in vars(c._memo)
+        with localcontext(varpart.ols_core._CTX):
+            sol = c._memo.solve((1 << ORDERING_CAP + 1) - 1)
+            assert [pd.type3_ss for pd in rep.per_predictor] == [float(_partial(sol, j)) for j in range(len(names))]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        p=st.integers(1, 6),
+        rho=st.sampled_from([0.0, 0.6, 0.99, 1 - 1e-8]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_coefficients_satisfy_desnanot_jacobi(self, p, rho, seed, data):
+        # b_j = x_j / P_M by Cramer's rule, and x_j^2 = Y_(M-j) P_M - Y_M P_(M-j)
+        c = mean_center(synth_data(p, rho, seed))
+        model = data.draw(st.lists(st.sampled_from(c.predictor_names), min_size=1, unique=True))
+        try:
+            fit_ols(c, model)
+        except SingularDesign:
+            return
+        mask = sum(1 << c.predictor_index(nm) for nm in model)
+        m = c._memo.fit(mask)
+        minors = {sub: (y, det) for sub, y, det, _ in c._memo._minors(mask)}
+        y, det = minors[mask]
+        assert m.q == det
+        for j, x in m.x.items():
+            y_less, det_less = minors[mask & ~(1 << j)]
+            assert x * x == y_less * det - y * det_less
+            assert m.w[j] == det_less
 
 
 def test_sweep_reports_are_pinned():
@@ -1090,6 +1169,56 @@ def test_every_fit_statistic_is_the_float_nearest_the_exact_value(p, rho, seed):
         intercept = float(means[-1] - s[first][-1] / s[first][first] * means[first])
         got = (*(tuple(v.tolist()) for v in (of.b, of.se, of.z, of.t)), of.intercept)
         assert got == (b_, se, z, t, intercept), order
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4])
+@pytest.mark.parametrize("rho", [1 - 1e-10, 1 - 1e-11])
+@pytest.mark.parametrize("p", [3, 5])
+def test_every_region_and_corrected_statistic_is_the_float_nearest_the_exact_value(p, rho, seed):
+    # up to the guard, every Venn region, corrected statistic, field of a
+    # residualized simple fit and column sd is its exact value rounded once
+    ds, sse, s, means = _exact_case(p, rho, seed)
+    names, n, sst, whole = ds.predictor_names, ds.n, s[-1][-1], (1 << p) - 1
+    type3 = [sse[whole & ~(1 << j)] - sse[whole] for j in range(p)]
+    unique, residual = sum(type3), sse[whole]
+    missing = sst - unique - residual
+    venn = {
+        "unique": {nm: float(ss) for nm, ss in zip(names, type3)},
+        "common_total": float(sst - residual - unique), "residual": float(residual), "ss_total": float(sst),
+        "accounted_total": float(unique + residual), "missing": float(missing),
+        "missing_fraction": float(missing / sst),
+    }
+    corrected = float(unique), float(unique / sst), float(unique / p / (residual / (n - p - 1)))
+    c = mean_center(ds)
+    rep = compare_report(c, names, orderings="all")
+    assert {**rep.venn._asdict(), "unique": dict(rep.venn.unique)} == venn
+    assert (rep.actual_model_ss, rep.corrected_r2, rep.corrected_f) == corrected
+    c = mean_center(ds)
+    got = venn_regions(c, names)
+    assert {**got._asdict(), "unique": dict(got.unique)} == venn
+    assert (actual_model_ss(c, names), corrected_r2(c, names), corrected_f(c, names)) == corrected
+
+    # the simple regression on j residualized on the rest: slope b_j, column SS 1 / (A^-1)_jj
+    b, inv = _exact_solve(s, [*range(p)])
+    for j, (nm, fit) in enumerate(residualized_simple_fits(mean_center(ds), names).items()):
+        ssr, res = type3[j], sst - type3[j]
+        mse, sign = res / (n - 2), 1 if b[j] >= 0 else -1
+        want = {
+            "predictor_subset": (f"{nm}|{','.join(o for o in names if o != nm)}",),
+            "b": (float(b[j]),), "intercept": float(means[-1]),
+            "ss_total": float(sst), "ss_regression": float(ssr), "ss_residual": float(res),
+            "df_model": 1, "df_residual": n - 2,
+            "ms_regression": float(ssr), "ms_residual": float(mse), "ms_total": float(sst / (n - 1)),
+            "r2": float(ssr / sst), "f": float(ssr / mse),
+            "se": (_nearest_root(mse * inv[j]),), "t": (_nearest_root(b[j] ** 2 / (mse * inv[j]), sign),),
+            "z": (_nearest_root(b[j] ** 2 / (inv[j] * sst), sign),), "n": n,
+        }
+        assert {k: tuple(v.tolist()) if isinstance(v, np.ndarray) else v for k, v in fit._asdict().items()} == want
+
+    c = mean_center(ds)
+    sds = [_nearest_root(s[a][a] / (n - 1)) for a in range(p + 1)]
+    assert [c.sd(nm) for nm in (*names, ds.response_name)] == sds
+    assert c.sd_y == sds[-1]
 
 
 def test_sequential_ss_guards_each_prefix_in_turn():

@@ -17,6 +17,7 @@ from varpart import (
     Dataset,
     SyntheticSpec,
     anova_table,
+    corrected_f,
     dwaine_fixture,
     exchangeable_correlation,
     fit_ols,
@@ -185,7 +186,10 @@ class TestMeanCenter:
         # its decimal rounds up instead, at 38 digits and at 50
         x = [2.0**-4, 2.0**-4, 2.0**-4 + 2.0**-56, 2.0**-4 + 2.0**-56]
         c = mean_center(Dataset(_cols(x=x, y=[0, 1, 2, 3]), "y", ("x",)))
-        assert float(c.exact.means[0]) == x[-1]
+        (total, _), count = c.exact.sums
+        assert Fraction(total, count) == Fraction(2**-4) + Fraction(2**-57)
+        with localcontext(varpart.ols_core._CTX):
+            assert float(Decimal(total) / count) == x[-1]
         assert c.mean("x") == 2.0**-4
         assert c.column("x").tobytes() == (np.array(x) - 2.0**-4).tobytes()
         assert c.mean_y == c.mean("y") == 1.5
@@ -283,7 +287,7 @@ class TestExactSscp:
             for i in range(k):
                 for j in range(k):
                     assert _half_ulp(c.exact.f[i, j], want[i, j]), (i, j)
-                    got = mpmath.mpf(str(c.exact.s[i][j]))
+                    got = mpmath.mpf(str(c._memo.s[i][j]))
                     tol = 10.0 ** (1 - varpart.ols_core._DIGITS) * abs(want[i, j])
                     assert abs(got - want[i, j]) <= tol, (i, j)
 
@@ -350,13 +354,14 @@ class TestExactSscp:
         shuffled = Dataset(
             tuple((nm, v[rows]) for nm, v in d.columns), d.response_name, d.predictor_names
         )
-        first = mean_center(d).exact
+        first = mean_center(d)
         # blocks of 1000 rows, each folded whole or in chunks of ``fold`` rows
         monkeypatch.setattr(varpart.ols_core, "_BLOCK", 1000)
         monkeypatch.setattr(varpart.ols_core, "_FOLD", fold)
-        for other in (mean_center(d).exact, mean_center(shuffled).exact):
-            assert other.f.tobytes() == first.f.tobytes()
-            assert other.s == first.s
+        for other in (mean_center(d), mean_center(shuffled)):
+            assert other.exact.f.tobytes() == first.exact.f.tobytes()
+            assert other.exact.ints == first.exact.ints and other.exact.sums == first.exact.sums
+            assert other._memo.s == first._memo.s
 
 
 def _exact_fold(cols, names):
@@ -412,14 +417,16 @@ def test_fold_matches_exact_fraction_sums(case):
         fold = _fold_columns(cols, names)
     want = _exact_fold(cols, names)
     try:
-        f, s, means, (rows, den) = fold.finish()
+        f, (sums, count), (rows, den) = fold.finish()
     except SingularDesign as exc:
         assert str(exc) == want
         return
     assert not isinstance(want, str), want
     assert _bits(f) == _bits(want[0])
-    assert s == want[1]
-    assert [Fraction(num, den) for num, den in means] == want[2]
+    # the decimal SSCP, made from the exact one when a decimal solve first reads it
+    assert _Subsets(_Exact(f, fold.n, (rows, den), (sums, count)), names).s == want[1]
+    assert [Fraction(total, count) for total in sums] == want[2]
+    assert count % 2 or any(v % 2 for v in sums)
     # the exact SSCP that the Type I walk reads, N / D with no power of two common to all
     assert [[Fraction(v, den) for v in row] for row in rows] == want[3]
     assert den % 2 or any(v % 2 for row in rows for v in row)
@@ -487,7 +494,7 @@ class TestLapackSolve:
         # indefinite, so only a guard that wrongly passes lets a pivot see it
         s = [[Decimal(v) for v in row] for row in ([1, 2, 1], [2, 1, 1], [1, 1, 1])]
         ints = [[int(v) for v in row] for row in s], 1
-        ex = _Exact(np.array(s, dtype=float), s, [Decimal(0)] * 3, [Decimal(1)] * 3, 10, ints)
+        ex = _Exact(np.array(s, dtype=float), 10, ints, ([0] * 3, 1))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array([1.0, 1.0]))
         with pytest.raises(SingularDesign) as got:
             _Subsets(ex, ("a", "b")).solve(0b11)
@@ -611,6 +618,18 @@ class TestFitOls:
         assert fit.ss_residual == pytest.approx(0.0, abs=1e-20)
         assert np.isinf(fit.f)
         assert np.isinf(fit.t[0])
+
+    def test_perfect_fit_keeps_signed_infinities_and_nan(self):
+        # SSE is exactly zero: t = b / se is an infinity of b's sign, or NaN
+        # where b is zero too, and F and the corrected F are infinite
+        x = np.column_stack([np.arange(1.0, 9.0), [1.0, -1.0, 2.0, 0.0, 3.0, 1.0, -2.0, 5.0]])
+        c = mean_center(make_dataset(x, -2.0 * x[:, 0]))
+        fit = fit_ols(c, ("x1", "x2"))
+        assert (fit.ss_residual, fit.ms_residual) == (0.0, 0.0)
+        assert fit.b.tolist() == [-2.0, 0.0] and fit.se.tolist() == [0.0, 0.0]
+        assert fit.t[0] == -math.inf and math.isnan(fit.t[1])
+        assert fit.f == math.inf
+        assert corrected_f(c, ("x1", "x2")) == math.inf
 
     def test_matches_lstsq(self, centered, dwaine):
         fit = fit_ols(centered, MODEL)
