@@ -11,22 +11,21 @@ Venn-style accounting of where the response variation actually went.
 Every reported number is read off the subset memo of ``ols_core``. Within
 ``ORDERING_CAP`` predictors, one exact walk over the subsets of the model
 that a report needs makes each ordering's Type I SS (a row entry of the
-memo's ``type1``) and the model's regression in integers (the memo's
-``fit``), from which the model's fit, each Type III SS (x_j^2 / (D P_M
-P_(M - j))), the Venn regions, the corrected statistics and the simple
-regressions on the residualized predictors are exact rationals, each
-rounded once. Above the cap they come from the memo's 50-digit decimal
-solves, whose values enter the same formulas as exact ratios. The
-orthogonal-function terms' slopes, standard errors, z and t come from the
-decimal solve of each ordering's prefixes at any p, and ``residualize``
-from the solve of its conditioning set. No report path residualizes a
-column or reads the observations again.
+memo's ``type1``), each orthogonal-function term (the reader that
+``type1`` returns with the rows) and the model's regression in integers
+(the memo's ``fit``), from which the model's fit, each Type III SS (x_j^2
+/ (D P_M P_(M - j))), the Venn regions, the corrected statistics and the
+simple regressions on the residualized predictors are exact rationals,
+each rounded once; ``residualize`` fits its target on its conditioning set
+the same way. Above the cap they come from the memo's 50-digit decimal
+solves, whose values enter the same formulas as exact ratios; the memo
+alone makes that choice. No report path residualizes a column or reads
+the observations again.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from decimal import localcontext
 from functools import cached_property
 from itertools import accumulate, permutations
 from operator import or_
@@ -37,18 +36,18 @@ import numpy as np
 
 from .errors import EmptySubset, TooManyOrderings
 from .ols_core import (
-    _CTX,
     ORDERING_CAP,
     CenteredData,
     OlsFit,
     _coef,
+    _Exact,
     _intercept,
     _make_fit,
     _mask,
     _Model,
-    _project,
     _quotient,
     _readonly,
+    _Subsets,
     fit_centered_design,  # noqa: F401 - bench/spans.py traces this binding
     fit_ols,
 )
@@ -214,10 +213,11 @@ class _Orderings:
     ``rows`` of the prefix sets (of all orderings, or the given ones) come
     off the memo's ``type1`` on the first read, which must come after the
     model's guard, and give a Type I pair (``entry``) per prefix set and
-    predictor; the walk that makes them makes the model's regression too.
-    A term's statistics (``stats``), off the memo's decimal solves, and an
-    ``intercept`` per first predictor, off the exact SSCP, are made on each
-    call; a caller that reads one more than once keeps it.
+    predictor; the walk that makes them makes the model's regression and
+    the reader of the terms too. A term's statistics (``stats``), off that
+    reader, and an ``intercept`` per first predictor, off the exact SSCP,
+    are made on each call; a caller that reads one more than once keeps
+    it.
     """
 
     def __init__(self, c: CenteredData, model: Iterable[str], orderings: Iterable[tuple[str, ...]] | None = None):
@@ -244,22 +244,23 @@ class _Orderings:
         return masks
 
     @cached_property
-    def rows(self) -> dict[int, dict[int, float]]:
+    def _walked(self) -> tuple:
         """The Type I row of each prefix set, by mask, and in it the SS of
-        each column entering the set last, by column index; the walk that
-        makes them also makes the model's regression, if the memo has none."""
+        each column entering the set last, by column index, and the reader of
+        the terms of those sets (the memo's ``type1``); the walk that makes
+        them also makes the model's regression, if the memo has none."""
         return self._c._memo.type1(self._whole, self._sets, fit=True)
 
     def fit(self) -> OlsFit:
         """The model's fit, behind its guard, after the walk that makes the
-        ``rows``, which within the cap makes the model's regression too."""
+        Type I rows, which within the cap makes the model's regression too."""
         c = self._c
         c._memo.guard(self._whole, [*map(c.predictor_index, self.model)], "fit on")
-        self.rows
+        self._walked
         return fit_ols(c, self.model)
 
     def entry(self, mask: int, nm: str) -> tuple[str, float]:
-        return nm, self.rows[mask][self._c.predictor_index(nm)]
+        return nm, self._walked[0][mask][self._c.predictor_index(nm)]
 
     @cached_property
     def _model_ss(self) -> tuple[int, ...]:
@@ -270,14 +271,12 @@ class _Orderings:
         return m.sse, gq * (self._c.n - len(self.model) - 1), m.sst, gq
 
     def stats(self, mask: int, nm: str) -> tuple[float, ...]:
-        """(b, se, z, t) of ``nm`` last in the prefix set ``mask``, off its
-        decimal solve, with the model's residual MS: the column's SS is
-        1 / (A^-1)_ii."""
-        i, part = self._c.predictor_index(nm), self._c._memo.solve(mask)
-        (x, q), (v, vq) = part.b[i].as_integer_ratio(), part.inv[i].as_integer_ratio()
+        """(b, se, z, t) of ``nm`` last in the prefix set ``mask``, with the
+        model's residual MS: the column's SS is 1 / (A^-1)_ii."""
+        (x, v), q = self._walked[1](mask, self._c.predictor_index(nm))
         sse, d, sst, gq = self._model_ss
-        # se^2 = MSE (A^-1)_ii = sse / d * v / vq = sse v q^2 / (d vq) / q^2
-        return _coef(x, q, sse * v * q * q, d * vq, (vq * gq, v * sst))
+        # se^2 = MSE (A^-1)_ii = sse / d * v / q = sse v q / d / q^2
+        return _coef(x, q, sse * v * q, d, (q * gq, v * sst))
 
     def intercept(self, nm: str) -> float:
         """Intercept of an orthogonal-function fit whose first column is
@@ -315,7 +314,7 @@ class OrderingWalk(NamedTuple):
     """Orderings of one predictor set, with the set fitted: all of its
     orderings, or those a caller gave, each of them checked.
 
-    ``steps`` walks them as ``_Orderings.walk`` does, solving each prefix
+    ``steps`` walks them as ``_Orderings.walk`` does, reading each prefix
     set when it first reaches it, under the guard of ``fit``; ``values``
     gives each Type I pair and term statistics by (prefix set, predictor)
     and each intercept by first predictor.
@@ -332,8 +331,10 @@ def residualize(
     """Remove the OLS projection of ``target`` onto ``against``.
 
     With an empty conditioning set the centered target column is returned
-    unchanged. The coefficients are A^-1 a off the memo's solve of
-    ``against``; the result is orthogonal to every conditioning column.
+    unchanged. The coefficients are the regression of the target on
+    ``against``, fitted as the memo fits a set, on the block of the exact
+    SSCP that holds the conditioning columns in dataset order and the
+    target last; the result is orthogonal to every conditioning column.
     """
     against = _check_names(c, against)
     if target in against:
@@ -342,11 +343,13 @@ def residualize(
     if not against:
         return ResidualizedPredictor(target, (), col)
     idx = [c.predictor_index(nm) for nm in against]
-    sol = c._memo.solve(_mask(idx), idx, f"residualize {target} on")
-    with localcontext(_CTX):
-        u = dict(zip(sol.b, _project(c._memo.s, sol, c._col(target))[1]))
+    ix, (num, den), (sums, count) = [*sorted(idx), c._col(target)], c.exact.ints, c.exact.sums
+    block = [[num[a][b] for b in ix] for a in ix]
+    ex = _Exact(c.exact.f[np.ix_(ix, ix)], c.n, (block, den), ([sums[a] for a in ix], count))
+    order = [*map(ix.index, idx)]
+    m = _Subsets(ex, [c.predictor_names[a] for a in ix[:-1]]).fit(_mask(order), order, f"residualize {target} on")
     design = np.array([c.column(nm) for nm in against]).T  # F-order: the layout moves last bits
-    return ResidualizedPredictor(target, against, _readonly(col - design @ [float(u[i]) for i in idx]))
+    return ResidualizedPredictor(target, against, _readonly(col - design @ [m.x[j] / m.q for j in order]))
 
 
 def sequential_ss(
@@ -365,7 +368,7 @@ def sequential_ss(
     masks = _Orderings(c, ordering, [ordering]).masks(ordering)
     for mask in masks:  # as a fit on each prefix in turn would
         c._memo.guard(mask)
-    rows = c._memo.type1(masks[-1], set(masks))
+    rows = c._memo.type1(masks[-1], set(masks))[0]
     return [(nm, rows[mask][c.predictor_index(nm)]) for mask, nm in zip(masks, ordering)]
 
 
@@ -421,7 +424,7 @@ def orthogonal_regression(c: CenteredData, ordering: Sequence[str]) -> OlsFit:
     """
     ordering = tuple(ordering)
     values = _Orderings(c, ordering, [ordering])
-    fit = fit_ols(c, values.model)  # reads no Type I SS
+    fit = values.fit()  # the walk of the terms' sets makes the model's regression too
     ((_, order, masks, labels),) = values.walk([ordering])
     b, se, z, t = map(_readonly, zip(*map(values.stats, masks, order)))
     return fit._replace(
@@ -436,10 +439,10 @@ def ordering_walk(
     these are all of them, as ``enumerate_orderings`` lists them: its
     TooManyOrderings comes before any name check, and they need none.
     Given ``orderings`` are each checked against ``model`` before the fit.
-    The fit's guard covers every prefix set, which the walk solves when it
-    first reaches it, and, within the cap, the one exact walk of the sets
-    that the orderings reach, which makes the Type I pairs and, before the
-    fit, the model's regression; depth-first, as ``enumerate_orderings``
+    The fit's guard covers every prefix set and, within the cap, the one
+    exact walk of the sets that the orderings reach, which makes the Type I
+    pairs, the terms and, before the fit, the model's regression (above
+    the cap, each prefix set is solved); depth-first, as ``enumerate_orderings``
     lists them, each ordered prefix is entered once.
     """
     model, given = tuple(model), None if orderings is None else [*map(tuple, orderings)]
@@ -536,7 +539,7 @@ def compare_report(
     m = _fit(c, model)
     col = {nm: c.predictor_index(nm) for nm in model}
     bit = {nm: 1 << i for nm, i in col.items()}
-    rows = values.rows if ordering_list else {}
+    rows = values._walked[0] if ordering_list else {}
     type1: dict[str, dict[tuple[str, ...], float]] = {nm: {} for nm in model}
     for ordering in ordering_list:
         mask = 0

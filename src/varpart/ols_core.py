@@ -14,16 +14,17 @@ Within ``ORDERING_CAP`` predictors, every statistic of a set's regression
 is rounded once from exact minors of those integers, made in one
 fraction-free walk over the subsets that a caller needs (``_Subsets.type1``):
 the Type I rows of its orderings' prefix sets, and the set less each
-column, whose minors give the coefficients by a fraction-free back
-substitution, the diagonal of the inverse and so every SS, MS, standard
-error, t, z and intercept (``_Subsets.fit``, ``_make_fit``). Ratios round
-by int / int and square roots through ``math.isqrt`` (``_root``), so each
-is the correctly rounded exact value wherever the guard admits the set, and
-no decimal arithmetic runs. Above the cap, and for the orthogonal-function
-terms and residualized columns, a subset, keyed by bit mask, is solved once
-in ``decimal`` arithmetic at ``_DIGITS`` (50) digits, by bordering the solve
-of the set without its highest column, from the decimal SSCP, made on first
-read; its values enter the same formulas as exact ratios. The solves lose
+column, whose minors give the coefficients of any walked set by a
+fraction-free back substitution (``_numerators``), the diagonal of the
+inverse and so every SS, MS, standard error, t, z and intercept
+(``_Subsets.fit``, ``_make_fit``) and every orthogonal-function term. Ratios
+round by int / int and square roots through ``math.isqrt`` (``_root``), so
+each is the correctly rounded exact value wherever the guard admits the
+set, and no decimal arithmetic runs. Above the cap only, a subset, keyed by
+bit mask, is solved once in ``decimal`` arithmetic at ``_DIGITS`` (50)
+digits, by bordering the solve of the set without its highest column, from
+the decimal SSCP, made on first read; its values enter the same formulas as
+exact ratios. ``_Subsets`` alone chooses between the two. The solves lose
 about 2 * log10(cond) digits, about 24 at the guard, and ``_DIGITS`` is set
 from the guard to leave 26; that such a statistic is then the correctly
 rounded exact value is measured, not proved. The SSCP rounded to float64
@@ -35,9 +36,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
-from functools import cached_property
+from functools import cache, cached_property
 from operator import add, mul
-from typing import Collection, Container, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Collection, Container, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -559,23 +560,17 @@ def _columns(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _project(s: list[list[Decimal]], sol: _Solution, col: int) -> tuple[list, list]:
-    """Cross-products a of column ``col`` with the columns of ``sol``, and its
-    coefficients on them u = A^-1 a, both in the order of sol.b; the caller
-    enters ``_CTX``."""
-    a = [s[col][j] for j in sol.b]
-    return a, [sum(map(mul, row, a)) for row in sol.ainv]
-
-
 def _extend(s: list[list[Decimal]], sol: _Solution, col: int) -> _Solution:
     """Border a solution of the response with one more column, in O(k^2);
     the caller enters ``_CTX``.
 
-    With u = A^-1 a from ``_project``, d = s_cc - a'u is the new column's SS
-    residualized on the others, and the regression SS grows by d * b_new^2
-    (Golub & Van Loan, bordering).
+    With a the new column's cross-products with the others and u = A^-1 a
+    its coefficients on them, d = s_cc - a'u is its SS residualized on the
+    others, and the regression SS grows by d * b_new^2 (Golub & Van Loan,
+    bordering).
     """
-    a, u = _project(s, sol, col)
+    a = [s[col][j] for j in sol.b]
+    u = [sum(map(mul, row, a)) for row in sol.ainv]
     d = s[col][col] - sum(map(mul, a, u))
     if d <= 0:  # only a design the guard wrongly passed gets here
         raise SingularDesign(_NOT_PD.format(len(a) + 1))
@@ -594,10 +589,11 @@ class _Subsets:
     """Regressions of the response (the last column) on sets of the others,
     keyed by bit mask (``_mask``), shared by every use of the same data.
     ``fit`` keeps a set's regression in exact integers; ``type1`` makes the
-    Type I rows a caller asks for of a guarded set's subsets, within
-    ``ORDERING_CAP`` columns in one exact walk over them, on each call.
-    ``solve`` keeps a set's decimal solve, made by bordering the solve of
-    the set without its highest column, off the decimal SSCP ``s``."""
+    Type I rows and terms a caller asks for of a guarded set's subsets,
+    within ``ORDERING_CAP`` columns in one exact walk over them, on each
+    call. Above the cap only, ``solve`` keeps a set's decimal solve, made by
+    bordering the solve of the set without its highest column, off the
+    decimal SSCP ``s``."""
 
     def __init__(self, ex: _Exact, names: Sequence[str]):
         self._ex, self._names = ex, names
@@ -677,67 +673,55 @@ class _Subsets:
             sol = self._cache[link] = _extend(self.s, sol, link.bit_length() - 1)
         return sol
 
-    def type1(
-        self, mask: int, sets: Collection[int] | None = None, fit: bool = False
-    ) -> dict[int, dict[int, float]]:
+    def type1(self, mask: int, sets: Collection[int] | None = None, fit: bool = False) -> tuple[dict, Callable]:
         """The Type I rows of the nonempty subsets S of ``mask``, a set that
-        passed the guard, by mask: of all of them, or of ``sets``. A row holds,
-        by i, SSE(S - i) - SSE(S) for each column i of S whose S - i the walk
-        reached: every i, or, when ``_minors`` walks only the ascending
-        prefixes of ``sets``, at least each i with S - i in ``sets`` or
-        empty. With SSE(S) = Y_S / (D P_S), that is (Y_(S-i) P_S - Y_S
-        P_(S-i)) / (D P_S P_(S-i)), one int / int division, which is
-        correctly rounded. With ``fit``, the same walk also reaches ``mask``
+        passed the guard, by mask: of all of them, or of ``sets``; and a
+        reader of their terms. A row holds, by i, SSE(S - i) - SSE(S) for each
+        column i of S whose S - i the walk reached: every i, or, when
+        ``_minors`` walks only the ascending prefixes of ``sets``, at least
+        each i with S - i in ``sets`` or empty. With SSE(S) = Y_S / (D P_S),
+        that is (Y_(S-i) P_S - Y_S P_(S-i)) / (D P_S P_(S-i)), one int / int
+        division, which is correctly rounded. For such an S and i, the reader
+        gives ([x, v], q): b_i = x / q in the regression on S, and (A^-1)_ii =
+        v / q = D P_(S-i) / P_S, with x from S's ``_numerators``, made on the
+        set's first read. With ``fit``, the same walk also reaches ``mask``
         less each column, and keeps the regression on ``mask`` (``fit``).
-        Above ``ORDERING_CAP`` columns, a row of each of ``sets``, which must
-        be given, is ``_partial`` of each column of the set's solve."""
+        Above ``ORDERING_CAP`` columns no walk runs, ``sets`` must be given,
+        and each set's decimal solve gives b_i^2 / (A^-1)_ii for each i with
+        S - i in ``sets`` or empty, and b_i and (A^-1)_ii as exact ratios."""
         if mask.bit_count() > ORDERING_CAP:
+            wanted = {0, *sets}
             with localcontext(_CTX):
                 sols = {sub: self.solve(sub) for sub in sets}
-                return {sub: {i: float(_partial(sol, i)) for i in sol.b} for sub, sol in sols.items()}
+                rows = {sub: {i: float(b * b / sol.inv[i]) for i, b in sol.b.items() if sub ^ 1 << i in wanted}
+                        for sub, sol in sols.items()}
+            return rows, lambda sub, i: _over([sols[sub].b[i], sols[sub].inv[i]])
         every, fit = sets is None, fit and mask not in self._fits
         reach = None
         if not every:
             wanted = {*sets, mask, *(mask & ~(1 << i) for i in _columns(mask))} if fit else sets
             reach = {s & (2 << b) - 1 for s in wanted for b in range(s.bit_length())}
-        minors, chain = {}, {}
-        for sub, y, p, row in self._minors(mask, reach):
-            minors[sub] = y, p
-            if sub and sub == mask & (1 << sub.bit_length()) - 1:
-                chain[sub.bit_count()] = row  # a row of the Bareiss elimination of mask's columns and y
+        minors = {sub: (y, p, row) for sub, y, p, row in self._minors(mask, reach)}
+        (num, den), cols = self._ex.ints, _columns(mask)
+        numerators = cache(lambda sub: _numerators(cols, sub, minors))
         if fit:
-            self._fits[mask] = self._exact_fit(mask, minors, [chain[i] for i in sorted(chain)])
-        den, rows = self._ex.ints[1], {}
+            y, p, _ = minors[mask]
+            w = {j: minors[mask & ~(1 << j)][1] for j in cols}
+            sst = num[-1][-1] * p
+            self._fits[mask] = _Model(numerators(mask), w, p, den, sst - y, y, sst)
+        rows = {}
         for sub in minors if every else sets:
-            y, p = minors[sub]
+            y, p, _ = minors[sub]
             row, rest, dp = {}, sub, den * p
             while rest:
                 bit = rest & -rest
                 rest ^= bit
                 if every or sub ^ bit in minors:
-                    y_less, p_less = minors[sub ^ bit]
+                    y_less, p_less, _ = minors[sub ^ bit]
                     row[bit.bit_length() - 1] = (y_less * p - y * p_less) / (dp * p_less)
             rows[sub] = row
         rows.pop(0, None)
-        return rows
-
-    def _exact_fit(self, mask: int, minors: dict[int, tuple[int, int]], chain: list[list[int]]) -> _Model:
-        """The regression on ``mask`` from the walk's ``minors`` of mask and
-        of mask less each column, and the rows of the elimination of N[mask
-        + y] (``chain``). By Cramer's rule b_j = x_j / P_M for integers
-        x_j, which a fraction-free back substitution gives with exact
-        divisions: row i holds U_ii (the i-th pivot), the U_ij after it and
-        U_iy last, and U_ii x_i = P_M U_iy - sum_(j > i) U_ij x_j. The
-        inverse's diagonal is D P_(M - j) / P_M, and SSE = Y_M / (D P_M)."""
-        (num, den), cols = self._ex.ints, _columns(mask)
-        y, p = minors[mask]
-        x = [0] * len(cols)
-        for i in reversed(range(len(cols))):
-            row = chain[i]
-            x[i] = (p * row[-1] - sum(map(mul, row[1:-1], x[i + 1 :]))) // row[0]
-        w = {j: minors[mask & ~(1 << j)][1] for j in cols}
-        sst = num[-1][-1] * p
-        return _Model(dict(zip(cols, x)), w, p, den, sst - y, y, sst)
+        return rows, lambda sub, i: ([numerators(sub)[i], den * minors[sub ^ 1 << i][1]], minors[sub][1])
 
     def _minors(self, mask: int, reach: Container[int] | None = None) -> Iterator[tuple]:
         """(S, Y_S, P_S, row) for each subset S of ``mask``, or of ``reach``,
@@ -777,15 +761,25 @@ class _Subsets:
                     stack.append((child, start + i + 1, p, bordered))
 
 
-def _partial(sol: _Solution, i: int) -> Decimal:
-    """Partial SS of column i in a solved fit, b_i^2 / (A^-1)_ii: the SS
-    lost by dropping it, without subtracting two fits; the caller enters
-    ``_CTX``."""
-    return sol.b[i] * sol.b[i] / sol.inv[i]
+def _numerators(cols: list[int], sub: int, minors: dict[int, tuple]) -> dict[int, int]:
+    """The regression on ``sub``, a set of a walk of the columns ``cols``,
+    by Cramer's rule b_j = x_j / P_S for integers x_j, by column: a
+    fraction-free back substitution gives them with exact divisions. The
+    walk's ``minors`` hold the row of each of S's ascending prefixes, which
+    ends at column t: U_tt (its pivot), U_ta for each column a of ``cols``
+    above t, and U_ty last, and U_tt x_t = P_S U_ty - sum U_ta x_a over the
+    columns a of S above t."""
+    p, x = minors[sub][1], {}
+    for k in reversed(range(len(cols))):
+        t = cols[k]
+        if sub >> t & 1:
+            row = minors[sub & (2 << t) - 1][2]
+            x[t] = (p * row[-1] - sum(u * x[a] for u, a in zip(row[1:-1], cols[k + 1 :]) if a in x)) // row[0]
+    return x
 
 
-def _over(values: Sequence[Decimal]) -> tuple[list[int], int]:
-    """Decimals exactly, as integers over one denominator."""
+def _over(values: Sequence[Decimal | float]) -> tuple[list[int], int]:
+    """Decimals or floats exactly, as integers over one denominator."""
     pairs = [v.as_integer_ratio() for v in values]
     q = math.lcm(*(d for _, d in pairs))
     return [a * (q // d) for a, d in pairs], q
@@ -878,8 +872,8 @@ def fit_centered_design(
     n, k = design.shape
     f, sums, ints = _fold_columns([*design.T, y], (*labels, "y")).finish()
     m = _Subsets(_Exact(f, n, ints, sums), labels).fit(_mask(range(k)), range(k), "fit on")
-    (my, *mx), den = _over([Decimal(float(v)) for v in (mean_y, *col_means)])
-    (sy, *sx), _ = _over([Decimal(float(v)) for v in (sd_y, *col_sds)])
+    (my, *mx), den = _over([float(v) for v in (mean_y, *col_means)])
+    (sy, *sx), _ = _over([float(v) for v in (sd_y, *col_sds)])
     return _make_fit(n, labels, m, range(k), (my, mx, den), [(a * a, sy * sy) for a in sx])
 
 

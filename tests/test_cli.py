@@ -64,6 +64,16 @@ def assert_one_error_line(res):
     assert res.stdout == ""
 
 
+# The predictors of the seed-4242 p = 9 input, in dataset order, and the
+# digests of the report of every ordering of its p = 7 input, by format.
+ASCENDING_9 = tuple(f"x{j}" for j in range(1, 10))
+SEEDED_P7_PINS = [
+    ("text", "fc863115cf674b3db9893d53f8d17fb8"),
+    ("csv", "08a0ef981fd5bbcf4a18b146fb149d36"),
+    ("json", "81d980b88edf5057af108bbe72bb571f"),
+]
+
+
 class TestGoldenOutputs:
     @pytest.mark.parametrize("cmd", ("fit", "decompose", "orderings", "venn"))
     def test_text(self, runner, cmd):
@@ -113,22 +123,29 @@ class TestGoldenOutputs:
         assert hashlib.md5(data.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
-        "fmt, digest",
+        "p, orders, fmt, digest",
         [
-            ("text", "fc863115cf674b3db9893d53f8d17fb8"),
-            ("csv", "08a0ef981fd5bbcf4a18b146fb149d36"),
-            ("json", "81d980b88edf5057af108bbe72bb571f"),
+            *((7, (), *pin) for pin in SEEDED_P7_PINS),
+            (9, (ASCENDING_9, ASCENDING_9[::-1]), "text", "9a540792d7092cc1240ba4c7afb1e4ee"),
+            (9, (ASCENDING_9, ASCENDING_9[::-1]), "csv", "38dbd728b01a344ffb4da5ae02df4941"),
+            (9, (ASCENDING_9, ASCENDING_9[::-1]), "json", "7a64d1c1aa739d59abe6f9f4be479a04"),
+        ],
+        ids=[
+            *("-".join(pin) for pin in SEEDED_P7_PINS),  # the ids of the p = 7 pins alone
+            "p9-given-text", "p9-given-csv", "p9-given-json",
         ],
     )
-    def test_orderings_of_the_seeded_input(self, runner, tmp_path, fmt, digest):
-        # all 5,040 orderings of the seed-4242 p = 7 input; the CSV and JSON
+    def test_orderings_of_the_seeded_input(self, runner, tmp_path, p, orders, fmt, digest):
+        # all 5,040 orderings of the seed-4242 p = 7 input, and two given
+        # orderings of its p = 9 input, above the cap; the CSV and JSON
         # digests hold full-precision floats and fall under the golden
         # policy, as the CSV goldens do
-        data = write_synth(tmp_path / "p7.csv", n=200, p=7, rho=0.6, seed=4242)
-        preds = ",".join(f"x{j}" for j in range(1, 8))
+        data = write_synth(tmp_path / f"p{p}.csv", n=200, p=p, rho=0.6, seed=4242)
+        preds = ",".join(f"x{j}" for j in range(1, p + 1))
+        given = [arg for order in orders for arg in ("--order", ",".join(order))]
         out = tmp_path / f"orderings.{fmt}"
         invoke(runner, "orderings", "--input", str(data), "--response", "y",
-               "--predictors", preds, "--format", fmt, "--out", str(out))
+               "--predictors", preds, *given, "--format", fmt, "--out", str(out))
         assert hashlib.md5(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
@@ -538,20 +555,23 @@ class TestOrderingsSharing:
             assert res.stdout == oracle
 
     def test_residualizes_each_prefix_once(self, runner, tmp_path, monkeypatch):
-        # a prefix is residualized by bordering the solve of the one before
-        # it; across all 24 orderings of 4 predictors there are 15 distinct
-        # prefixes, and the memo solves each of them once
+        # a prefix's terms come off its Cramer numerators, back-substituted
+        # through the exact walk's rows; across all 24 orderings of 4
+        # predictors there are 15 distinct prefixes, each back-substituted
+        # once, and no decimal solve runs
         _, _, args = self.synth(tmp_path, 4)
         calls = []
-        extend = varpart.ols_core._extend
+        numerators = varpart.ols_core._numerators
 
-        def counted(s, sol, col):
-            calls.append(frozenset(sol.b) | {col})
-            return extend(s, sol, col)
+        def counted(cols, sub, minors):
+            calls.append(sub)
+            return numerators(cols, sub, minors)
 
-        monkeypatch.setattr(varpart.ols_core, "_extend", counted)
+        monkeypatch.setattr(varpart.ols_core, "_numerators", counted)
+        monkeypatch.setattr(varpart.ols_core, "_extend", None)  # any decimal solve would raise TypeError
         res = invoke(runner, "orderings", *args, "--format", "json")
         assert res.exit_code == 0
+        # the model's regression reads the numerators of the last prefix
         assert len(calls) == len(set(calls)) == 2**4 - 1
 
     def test_no_residualized_column_or_n_length_fit(self, runner, tmp_path, monkeypatch):

@@ -37,7 +37,7 @@ from varpart import (
 )
 from varpart.decomposition import ordering_walk
 from varpart.errors import EmptySubset, SingularDesign, TooManyOrderings, UnknownName
-from varpart.ols_core import _partial
+from varpart.report import render_orderings
 
 from conftest import MODEL, make_dataset
 
@@ -105,9 +105,11 @@ class TestResidualize:
         with pytest.raises(ValueError):
             rp.values[0] = 1.0
 
-    def test_reads_the_shared_subset_memo(self, monkeypatch):
-        # the coefficients of a column on others are A^-1 a off the memo's
-        # solve of the others, so residualize builds no memo of its own
+    def test_fits_the_target_on_a_block_of_the_exact_sscp(self, monkeypatch):
+        # the coefficients of a column on others are its regression on them,
+        # fitted as the memo fits a set, on the block of the exact SSCP that
+        # holds the others in dataset order and the target last; the shared
+        # memo solves nothing
         spec = SyntheticSpec(
             n=40, p=3, correlation=exchangeable_correlation(3, 0.6),
             signal_coefficients=np.ones(3), seed=8,
@@ -117,16 +119,21 @@ class TestResidualize:
         built = []
         init = varpart.ols_core._Subsets.__init__
 
-        def counted(self, *args):
-            built.append(args)
-            init(self, *args)
+        def counted(self, ex, names):
+            built.append((ex.ints, names))
+            init(self, ex, names)
 
         monkeypatch.setattr(varpart.ols_core._Subsets, "__init__", counted)
+        (num, den), want = c.exact.ints, []
         for target in (c.response_name, *c.predictor_names):
             rest = [nm for nm in c.predictor_names if nm != target]
-            residualize(c, target, rest)
-            residualize(c, target, rest[::-1][:1])
-        assert built == []
+            for against in (rest, rest[::-1][:1]):
+                residualize(c, target, against)
+                ix = sorted(map(c.predictor_index, against))
+                block = [[num[a][b] for b in (*ix, c._col(target))] for a in (*ix, c._col(target))]
+                want.append(((block, den), [c.predictor_names[a] for a in ix]))
+        assert built == want
+        assert c._memo._cache == {} and "s" not in vars(c._memo)
 
 
 class TestSequentialSS:
@@ -617,7 +624,7 @@ class TestOrderingWalk:
         assert fits == [(c, ("x1", "x2", "x3", "x4"))]
         assert solves == []  # within the cap, the fit comes off the exact walk
         assert [order for order, *_ in walk_values(walk)] == orders
-        assert len(set(solves)) == 7  # the terms' decimal solves: the distinct prefix sets of the two
+        assert solves == []  # and so do the terms
 
     @pytest.mark.parametrize(
         "bad, error, match",
@@ -703,13 +710,13 @@ class TestMaskMemo:
         c = mean_center(synth_data(p, rho, seed))
         memo = c._memo
         memo.solve(2**p - 1)  # its guard covers every subset
-        rows = memo.type1(2**p - 1)
+        rows, _ = memo.type1(2**p - 1)
         assert sorted(rows) == [*range(1, 2**p)]
         # the prefix sets of one ordering: each row holds at least the
         # column that entered last, as the full walk makes it
         order = data.draw(st.permutations(range(p)))
         sets = [*accumulate((1 << i for i in order), or_)]
-        given_rows = memo.type1(2**p - 1, set(sets))
+        given_rows, _ = memo.type1(2**p - 1, set(sets))
         assert sorted(given_rows) == sorted(sets)
         for mask, i in zip(sets, order):
             assert i in given_rows[mask]
@@ -718,8 +725,9 @@ class TestMaskMemo:
             sol = memo.solve(mask)
             assert [*rows[mask]] == [*sol.b] == [i for i in range(p) if mask >> i & 1]
             for i, ss in rows[mask].items():
+                # the partial SS of column i, b_i^2 / (A^-1)_ii
                 with localcontext(varpart.ols_core._CTX):
-                    assert ss == pytest.approx(float(_partial(sol, i)), rel=1e-12)
+                    assert ss == pytest.approx(float(sol.b[i] * sol.b[i] / sol.inv[i]), rel=1e-12)
                 # the SS the set loses without column i, from two solves
                 assert ss == pytest.approx(float(sol.ssr - memo.solve(mask & ~(1 << i)).ssr), rel=1e-12)
 
@@ -792,21 +800,11 @@ class TestLatticePass:
     def test_each_subset_is_walked_once_per_report(self, monkeypatch):
         c = mean_center(synth_data(5, 0.6))
         walks = _walked(monkeypatch)
-        counts = {"_extend": 0, "_partial": 0}
-
-        def counting(name, fn):
-            def counted(*args):
-                counts[name] += 1
-                return fn(*args)
-            return counted
-
-        for name in counts:
-            monkeypatch.setattr(varpart.ols_core, name, counting(name, getattr(varpart.ols_core, name)))
+        monkeypatch.setattr(varpart.ols_core, "_extend", None)  # any decimal solve would raise TypeError
         rep = compare_report(c, c.predictor_names, orderings="all")
         assert len(rep.orderings) == 120
-        assert len(walks) == 1 and sorted(walks[0]) == [*range(32)]
         # the model's fit and Type III SS come off the same walk: no decimal solve
-        assert counts == {"_extend": 0, "_partial": 0}
+        assert len(walks) == 1 and sorted(walks[0]) == [*range(32)]
         walk_values(ordering_walk(c, c.predictor_names))
         assert len(walks) == 2 and sorted(walks[1]) == [*range(32)]  # no walk is kept
         compare_report(c, ("x2", "x4"), orderings="all")
@@ -822,8 +820,10 @@ class TestLatticePass:
         assert rep.orderings == ()
         assert len(walks) == 1 and sorted(walks[0]) == sorted(_fit_sets(0b11010))
         assert c._memo._cache == {}
-        orthogonal_regression(c, ("x4", "x2", "x5"))  # reads no Type I SS
-        assert len(walks) == 1
+        # the terms walk the ascending prefixes of the ordering's prefix sets
+        orthogonal_regression(c, ("x4", "x2", "x5"))
+        assert len(walks) == 2 and sorted(walks[1]) == [0, 0b10, 0b1000, 0b1010, 0b11010]
+        assert c._memo._cache == {}
 
     def test_explicit_orderings_read_the_same_walk(self, monkeypatch):
         # one given ordering of p predictors reaches the ascending prefixes
@@ -872,9 +872,11 @@ class TestLatticePass:
             )
             mask = 0
             for nm in order:
-                mask |= 1 << names.index(nm)
+                i = names.index(nm)
+                mask |= 1 << i
+                sol = c._memo.solve(mask)
                 with localcontext(varpart.ols_core._CTX):
-                    want = float(_partial(c._memo.solve(mask), names.index(nm)))
+                    want = float(sol.b[i] * sol.b[i] / sol.inv[i])  # the partial SS of column i
                 assert rep.per_predictor[names.index(nm)].type1_by_ordering[order] == want
         assert walks == []
 
@@ -904,10 +906,16 @@ class TestLatticePass:
                 compare_report(c, ("x3", "x1", "x2"), orderings=orderings)
 
 
+def _rendered(fmt):
+    """A call that renders the ``orderings`` report of all orderings."""
+    return lambda c, names: "".join(render_orderings(fmt, c.response_name, names, ordering_walk(c, names)))
+
+
 class TestExactPath:
-    """Within the cap, the model's fit, its Type III SS, the Venn regions and
-    the corrected statistics come off the minors of one exact walk per call:
-    no decimal solve runs and the decimal SSCP is never made. Above it, the
+    """Within the cap, the model's fit, its Type III SS, the Venn regions, the
+    corrected statistics, the Type I SS, the orthogonal-function terms and
+    the residualized columns come off the minors of one exact walk per
+    call: no decimal solve runs and no decimal SSCP is made. Above it, the
     decimal solve serves them."""
 
     @staticmethod
@@ -929,19 +937,29 @@ class TestExactPath:
             actual_model_ss,
             corrected_r2,
             corrected_f,
+            lambda c, names: orthogonal_regression(c, names[::-1]),
+            lambda c, names: sequential_ss(c, names[::-1]),
+            lambda c, names: residualize(c, names[2], names[:2:-1] + names[:2]),
+            _rendered("json"),
+            _rendered("text"),
+            _rendered("csv"),
         ],
         ids=[
             "report-all", "report-none", "report-given", "fit_ols", "venn_regions", "partial_ss",
             "residualized_simple_fits", "actual_model_ss", "corrected_r2", "corrected_f",
+            "orthogonal_regression", "sequential_ss", "residualize", "orderings-json", "orderings-text",
+            "orderings-csv",
         ],
     )
     def test_one_walk_and_no_decimal_solve_within_the_cap(self, monkeypatch, call):
         c = mean_center(synth_data(5, 0.9))
         walks, extends = _walked(monkeypatch), self._extends(monkeypatch)
+        made, s = [], varpart.ols_core._Subsets.s
+        monkeypatch.setattr(varpart.ols_core._Subsets, "s", property(lambda memo: made.append(memo) or s.func(memo)))
         call(c, c.predictor_names)
         assert len(walks) == 1
         assert extends == []
-        assert "s" not in vars(c._memo)  # the decimal SSCP is never made
+        assert made == []  # no memo makes its decimal SSCP
 
     def test_above_the_cap_the_decimal_solve_runs(self, monkeypatch):
         c = mean_center(synth_data(ORDERING_CAP + 1, 0.9))
@@ -953,7 +971,7 @@ class TestExactPath:
         assert "s" in vars(c._memo)
         with localcontext(varpart.ols_core._CTX):
             sol = c._memo.solve((1 << ORDERING_CAP + 1) - 1)
-            assert [pd.type3_ss for pd in rep.per_predictor] == [float(_partial(sol, j)) for j in range(len(names))]
+            assert [pd.type3_ss for pd in rep.per_predictor] == [float(b * b / sol.inv[j]) for j, b in sol.b.items()]
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -1156,19 +1174,38 @@ def test_every_fit_statistic_is_the_float_nearest_the_exact_value(p, rho, seed):
     got = {k: tuple(v.tolist()) if isinstance(v, np.ndarray) else v for k, v in fit._asdict().items() if k in want}
     assert got == want
 
+    @functools.cache
+    def term(prefix, i):
+        # term k is o[k] last in the fit on o[:k + 1], a column of SS 1 / (A^-1)_kk
+        bs, invs = _exact_solve(s, [*prefix, i])
+        return terms(bs[-1:], invs[-1:], [1 / invs[-1]])[0]
+
+    def exact(order):
+        cols = [names.index(nm) for nm in order]
+        first = cols[0]
+        intercept = float(means[-1] - s[first][-1] / s[first][first] * means[first])
+        return [term(frozenset(cols[:k]), i) for k, i in enumerate(cols)], intercept
+
+    # every term of every ordering, as the orderings report reads them
+    for order, _, stats, intercept in walk_values(ordering_walk(mean_center(ds), names)):
+        assert (stats, intercept) == exact(order), order
     c = mean_center(ds)
     orders = enumerate_orderings(names)
     for order in orders[:: len(orders) // 6]:
         of = orthogonal_regression(c, order)
-        cols = [names.index(nm) for nm in order]
-        # term k is o[k] last in the fit on o[:k + 1], a column of SS 1 / (A^-1)_kk
-        last = [_exact_solve(s, cols[: k + 1]) for k in range(p)]
-        bs, invs = [bk[-1] for bk, _ in last], [ik[-1] for _, ik in last]
-        b_, se, z, t = zip(*terms(bs, invs, [1 / ik for ik in invs]))
-        first = cols[0]
-        intercept = float(means[-1] - s[first][-1] / s[first][first] * means[first])
+        want, intercept = exact(order)
         got = (*(tuple(v.tolist()) for v in (of.b, of.se, of.z, of.t)), of.intercept)
-        assert got == (b_, se, z, t, intercept), order
+        assert got == (*zip(*want), intercept), order
+
+    # each residualized column is col - design @ u, u_j the float nearest (A^-1 a)_j
+    c = mean_center(ds)
+    for j, nm in enumerate(names):
+        rest = [a for a in reversed(idx) if a != j]
+        block = [[s[a][b] for b in (*rest, j)] for a in (*rest, j)]
+        u = [float(v) for v in _exact_solve(block, range(p - 1))[0]]
+        design = np.array([c.column(names[a]) for a in rest]).T
+        got = residualize(c, nm, [names[a] for a in rest]).values
+        assert got.tobytes() == (c.column(nm) - design @ u).tobytes(), nm
 
 
 @pytest.mark.parametrize("seed", [0, 1, 4])
